@@ -19,9 +19,12 @@ def _check_tau(tau: float) -> float:
 
 
 def log_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64) / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = np.asarray(logits, dtype=np.float64)
+    if tau != 1.0:  # x / 1.0 is exact, so skipping the pass changes no bit
+        z = z / tau
+    # the ufunc reductions behind ndarray.max/sum, without their Python wrappers
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 def softmax_temperature(v, tau: float) -> np.ndarray:

@@ -502,16 +502,25 @@ def run_fewshot(base: TransferTask, novel: Dataset, methods, spec: EpisodeSpec,
 
 def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConfig,
                        seed: int = 0) -> np.ndarray:
-    """Per-episode query accuracies of support-fitted classifiers."""
+    """Per-episode query accuracies of support-fitted classifiers.
+
+    The linear classifier fits all support probes in one stacked
+    ``fit_probe`` call on features extracted once for every support row;
+    query features are extracted episode by episode, which keeps memory
+    flat in the number of episodes.
+    """
     accs = np.empty(len(episodes))
+    if cfg.classifier == "linear":
+        fs = feature_fn(np.concatenate([support.X for support, _ in episodes]))
+        probes = fit_probe(fs.reshape(len(episodes), -1, fs.shape[1]),
+                           np.stack([support.y for support, _ in episodes]),
+                           cfg.episode_probe, n_classes=spec.n_way)
     for e, (support, query) in enumerate(episodes):
-        fs = feature_fn(support.X)
         fq = feature_fn(query.X)
         if cfg.classifier == "linear":
-            probe = fit_probe(fs, support.y, cfg.episode_probe, n_classes=spec.n_way)
-            pred = probe.predict(fq)
+            pred = (fq @ probes.weights[e].T + probes.bias[e]).argmax(axis=1)
         else:
-            head = fit_cosine_classifier(fs, support.y, spec.n_way,
+            head = fit_cosine_classifier(feature_fn(support.X), support.y, spec.n_way,
                                          seed=derive_seed(seed, e),
                                          lr=cfg.cosine_lr, epochs=cfg.cosine_epochs)
             pred = cosine_head_forward(fq, head).argmax(axis=1)

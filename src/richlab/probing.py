@@ -10,6 +10,15 @@ up to twice the last accepted step, capped at 1.0).  The objective is
 with the bias unpenalized, so the achieved value is the reported probing
 cost.  Because the objective is convex, the optimum is unique up to
 solver slack, which is what the information relations lean on.
+
+The solver works on stacks of independent problems: features
+``(E, n, d)`` with labels ``(E, n)`` give ``E`` probes from one call (the
+few-shot pipeline fits every episode's support set this way).  Each
+problem runs its own line search, and a problem that converges or
+stalls stops moving while the others go on, so each problem's iterates
+are bit for bit those of fitting it alone; a 2-D ``(n, d)`` input is a
+stack of one.  For stacked input the result's arrays gain a leading
+``E`` axis, and ``converged`` is true only when every problem converged.
 """
 from __future__ import annotations
 
@@ -24,6 +33,9 @@ from .errors import DataError, FormatError, ParameterError, ShapeError
 from .rng import SplitMix64
 
 RRFM_MAGIC = b"RRFM"
+
+# ndarray.sum without its Python wrapper: the same reduction, called per step
+_sum = np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -44,19 +56,24 @@ class ProbeConfig:
 
 @dataclass
 class ProbeResult:
+    """One fitted probe; for a stack of ``E`` problems every field but
+    ``converged`` gains a leading ``E`` axis."""
+
     weights: np.ndarray        # (n_classes, n_features), applies to raw features
     bias: np.ndarray           # (n_classes,)
     cost: float                # achieved regularized objective
     train_accuracy: float
     eval_accuracy: float
-    converged: bool
+    converged: bool            # for a stack: every problem converged
+    iterations: int = 0        # accepted gradient steps
+    grad_norm: float = float("nan")  # gradient norm at the returned iterate
 
     def logits(self, features) -> np.ndarray:
-        features = as_feature_matrix(features)
-        return features @ self.weights.T + self.bias
+        features = _as_features(features, self.weights.ndim == 3, "features")
+        return features @ np.swapaxes(self.weights, -1, -2) + self.bias[..., None, :]
 
     def predict(self, features) -> np.ndarray:
-        return self.logits(features).argmax(axis=1)
+        return self.logits(features).argmax(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -68,10 +85,22 @@ class InfoVerdict:
     margin: float
 
 
-def _labels_and_classes(labels, n_rows: int, n_classes: int | None) -> tuple[np.ndarray, int]:
+def _as_features(X, stacked: bool, name: str) -> np.ndarray:
+    """Validated float64 features: ``(n, d)``, or ``(E, n, d)`` when ``stacked``."""
+    if not stacked:
+        return as_feature_matrix(X, name)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3 or min(X.shape) < 1:
+        raise ShapeError(f"{name} must be a nonempty (E, n, d) stack, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise DataError(f"{name} contains non-finite entries")
+    return X
+
+
+def _labels_and_classes(labels, shape: tuple, n_classes: int | None) -> tuple[np.ndarray, int]:
     y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (n_rows,):
-        raise ShapeError(f"labels must be shape ({n_rows},), got {y.shape}")
+    if y.shape != shape:
+        raise ShapeError(f"labels must be shape {shape}, got {y.shape}")
     if y.min() < 0:
         raise DataError("labels must be nonnegative")
     k = int(y.max()) + 1 if n_classes is None else int(n_classes)
@@ -80,18 +109,105 @@ def _labels_and_classes(labels, n_rows: int, n_classes: int | None) -> tuple[np.
     return y, k
 
 
-def _objective(W, b, X, Y_onehot, y, l2):
-    logits = X @ W.T + b
-    logp = log_softmax(logits)
-    n = X.shape[0]
-    data = -logp[np.arange(n), y].mean()
-    reg = 0.5 * l2 * float((W * W).sum())
-    # gradient
-    P = np.exp(logp)
-    D = (P - Y_onehot) / n
-    gW = D.T @ X + l2 * W
-    gb = D.sum(axis=0)
-    return data + reg, gW, gb
+def _cost(W, b, X, flat_y, l2):
+    """Objective of each problem of a stack, and the log-probabilities that
+    its gradient needs.
+
+    ``W`` is (E, k, d) and ``X`` (E, n, d); ``b`` and the objective keep
+    singleton axes, (E, 1, k) and (E, 1, 1), so that per-problem scalars
+    broadcast over the parameters.  ``flat_y``, shaped (E, n, 1), holds the
+    position of each row's label in the flattened (E, n, k) logits.
+    """
+    n = X.shape[1]
+    logp = log_softmax(X @ W.transpose(0, 2, 1) + b)
+    data_sum = _sum(logp.take(flat_y), axis=1, keepdims=True)
+    reg = 0.5 * l2 * _sum(W * W, axis=(1, 2), keepdims=True)
+    # reg - sum/n equals -(sum/n) + reg bit for bit, with one pass less
+    return reg - data_sum / n, logp
+
+
+def _gradient(W, X, Y_onehot, logp, l2):
+    """Gradients ``(gW, gb)`` of the objective at ``W`` from its log-probabilities."""
+    D = (np.exp(logp) - Y_onehot) / X.shape[1]
+    return D.transpose(0, 2, 1) @ X + l2 * W, _sum(D, axis=1, keepdims=True)
+
+
+def _squared_grad_norm(gW, gb):
+    return (_sum(gW * gW, axis=(1, 2), keepdims=True)
+            + _sum(gb * gb, axis=(1, 2), keepdims=True))
+
+
+def _descend(W, b, X, y, config: ProbeConfig):
+    """Armijo gradient descent on a stack of problems, one line search each.
+
+    Each round evaluates the whole stack, every problem at its own trial
+    step, and only problems still searching take the result.  When every
+    problem accepts its trial the new state is taken by reference; a
+    problem stops once it converges or its step falls below 1e-20 (a
+    stall).  Returns the final ``(W, b, f, squared gradient norm,
+    accepted steps)`` per problem.
+    """
+    E, n, _ = X.shape
+    k = W.shape[1]
+    flat_y = (np.arange(E * n) * k + y.ravel()).reshape(E, n, 1)
+    Y = np.zeros((E, n, k))
+    Y.reshape(-1)[flat_y] = 1.0
+    l2, tol = config.l2, config.grad_tol
+    f, logp = _cost(W, b, X, flat_y, l2)
+    gW, gb = _gradient(W, X, Y, logp, l2)
+    step = np.ones((E, 1, 1))
+    live = np.ones(E, dtype=bool)      # neither converged nor stalled
+    all_live = True
+    steps = np.full(E, config.max_iters)
+    for it in range(config.max_iters):
+        gnorm2 = _squared_grad_norm(gW, gb)
+        done = np.sqrt(gnorm2) <= tol
+        # np.count_nonzero is a fraction of the cost of .any()/.all() on the
+        # tiny per-problem arrays this loop tests every round
+        if np.count_nonzero(done):
+            stop = live & done.ravel()
+            steps[stop] = it
+            live = live & ~stop
+            all_live = False
+            if not np.count_nonzero(live):
+                break
+        t = step
+        search = live
+        whole = all_live               # every problem is still searching
+        while True:
+            W_new = W - t * gW
+            b_new = b - t * gb
+            f_new, logp = _cost(W_new, b_new, X, flat_y, l2)
+            ok = f_new <= f - 1e-4 * t * gnorm2
+            n_ok = np.count_nonzero(ok)
+            # gradients are computed only for trials that some problem accepts
+            if whole and n_ok == E:
+                W, b, f = W_new, b_new, f_new
+                gW, gb = _gradient(W, X, Y, logp, l2)
+                step = np.minimum(1.0, 2.0 * t)
+                break
+            if whole and n_ok == 0:
+                t = 0.5 * t
+            else:
+                whole = False
+                acc = search & ok.ravel()
+                if np.count_nonzero(acc):
+                    gW_new, gb_new = _gradient(W_new, X, Y, logp, l2)
+                    W[acc], b[acc], f[acc] = W_new[acc], b_new[acc], f_new[acc]
+                    gW[acc], gb[acc] = gW_new[acc], gb_new[acc]
+                    step = np.where(acc[:, None, None], np.minimum(1.0, 2.0 * t), step)
+                    search = search & ~acc
+                t = np.where(search[:, None, None], 0.5 * t, t)
+            tiny = t < 1e-20
+            if np.count_nonzero(tiny):
+                stalled = search & tiny.ravel()
+                whole = all_live = False
+                steps[stalled] = it
+                live = live & ~stalled
+                search = search & ~stalled
+            if not (whole or np.count_nonzero(search)):
+                break
+    return W, b, f, _squared_grad_norm(gW, gb), steps
 
 
 def fit_probe(
@@ -105,75 +221,66 @@ def fit_probe(
 ) -> ProbeResult:
     """Fit the optimal linear probe on frozen features.
 
+    ``features`` is one problem ``(n, d)`` with labels ``(n,)``, or a stack
+    of independent problems ``(E, n, d)`` with labels ``(E, n)`` that share
+    one class count; each problem of a stack comes out as if fitted alone.
     ``rng`` seeds a small random initialization (used by the convexity
-    restart checks); without it the solver starts from zero, which keeps
-    the fit fully deterministic.  ``eval_*`` give held-out accuracy; when
-    absent the training set is scored.  With ``standardize`` the solver
-    works on per-feature standardized columns (std floor 1e-8) and the
-    returned weights/bias are folded back to raw feature space.
+    restart checks), drawn problem after problem, so a stack matches
+    separate calls that pass the same stream in turn; without it the
+    solver starts from zero, which keeps the fit fully deterministic.
+    ``eval_*`` give held-out accuracy, stacked like the training data;
+    when absent the training set is scored.  With ``standardize`` the
+    solver works on per-feature standardized columns (std floor 1e-8) and
+    the returned weights/bias are folded back to raw feature space.
     """
-    X = as_feature_matrix(features, "features")
-    n, d = X.shape
-    y, k = _labels_and_classes(labels, n, n_classes)
+    stacked = np.ndim(features) == 3
+    X = _as_features(features, stacked, "features")
+    y, k = _labels_and_classes(labels, X.shape[:-1], n_classes)
+    if not stacked:
+        X, y = X[None], y[None]
+    E, n, d = X.shape
 
     if config.standardize:
-        mu = X.mean(axis=0)
-        sd = np.maximum(X.std(axis=0), 1e-8)
+        mu = X.mean(axis=1, keepdims=True)
+        sd = np.maximum(X.std(axis=1, keepdims=True), 1e-8)
         Xs = (X - mu) / sd
     else:
-        mu = np.zeros(d)
-        sd = np.ones(d)
+        mu = np.zeros((E, 1, d))
+        sd = np.ones((E, 1, d))
         Xs = X
 
-    Y = np.zeros((n, k))
-    Y[np.arange(n), y] = 1.0
-
     if rng is None:
-        W = np.zeros((k, d))
-        b = np.zeros(k)
+        W = np.zeros((E, k, d))
     else:
-        W = 0.01 * rng.normal(k * d).reshape(k, d)
-        b = np.zeros(k)
+        W = np.stack([0.01 * rng.normal(k * d).reshape(k, d) for _ in range(E)])
+    b = np.zeros((E, 1, k))
+    W, b, f, gnorm2, steps = _descend(W, b, Xs, y, config)
+    grad_norm = np.sqrt(gnorm2).ravel()
 
-    f, gW, gb = _objective(W, b, Xs, Y, y, config.l2)
-    step = 1.0
-    converged = False
-    for _ in range(config.max_iters):
-        gnorm2 = float((gW * gW).sum() + (gb * gb).sum())
-        if np.sqrt(gnorm2) <= config.grad_tol:
-            converged = True
-            break
-        t = step
-        while True:
-            W_new = W - t * gW
-            b_new = b - t * gb
-            f_new, gW_new, gb_new = _objective(W_new, b_new, Xs, Y, y, config.l2)
-            if f_new <= f - 1e-4 * t * gnorm2:
-                break
-            t *= 0.5
-            if t < 1e-20:
-                break
-        if t < 1e-20:
-            break
-        W, b, f, gW, gb = W_new, b_new, f_new, gW_new, gb_new
-        step = min(1.0, 2.0 * t)
-    else:
-        gnorm2 = float((gW * gW).sum() + (gb * gb).sum())
-        converged = np.sqrt(gnorm2) <= config.grad_tol
-
-    # fold standardization back into raw-space parameters
+    # fold standardization back into raw-space parameters, problem by problem:
+    # one stacked product would run as a matrix-matrix product, which may
+    # round differently from the single problem's matrix-vector product
     W_raw = W / sd
-    b_raw = b - W_raw @ mu
+    b_raw = np.stack([b[e, 0] - W_raw[e] @ mu[e, 0] for e in range(E)])
 
-    train_pred = (Xs @ W.T + b).argmax(axis=1)
-    train_acc = float((train_pred == y).mean())
+    train_acc = ((Xs @ W.transpose(0, 2, 1) + b).argmax(axis=2) == y).mean(axis=1)
     if eval_features is not None:
-        Xe = as_feature_matrix(eval_features, "eval_features")
-        ye, _ = _labels_and_classes(eval_labels, Xe.shape[0], k)
-        eval_acc = float(((Xe @ W_raw.T + b_raw).argmax(axis=1) == ye).mean())
+        Xe = _as_features(eval_features, stacked, "eval_features")
+        ye, _ = _labels_and_classes(eval_labels, Xe.shape[:-1], k)
+        if not stacked:
+            Xe, ye = Xe[None], ye[None]
+        if Xe.shape[0] != E:
+            raise ShapeError(f"eval_features hold {Xe.shape[0]} problems, features {E}")
+        eval_pred = (Xe @ W_raw.transpose(0, 2, 1) + b_raw[:, None, :]).argmax(axis=2)
+        eval_acc = (eval_pred == ye).mean(axis=1)
     else:
         eval_acc = train_acc
-    return ProbeResult(W_raw, b_raw, float(f), train_acc, eval_acc, converged)
+    if stacked:
+        return ProbeResult(W_raw, b_raw, f.ravel(), train_acc, eval_acc,
+                           bool((grad_norm <= config.grad_tol).all()), steps, grad_norm)
+    return ProbeResult(W_raw[0], b_raw[0], float(f[0, 0, 0]), float(train_acc[0]),
+                       float(eval_acc[0]), bool(grad_norm[0] <= config.grad_tol),
+                       int(steps[0]), float(grad_norm[0]))
 
 
 def optimal_cost(features, labels, config: ProbeConfig, n_classes: int | None = None) -> float:
@@ -226,18 +333,21 @@ def mixture_cost(probe1: ProbeResult, probe2: ProbeResult, lam: float,
         raise ShapeError("phi1 and phi2 must have equal row counts")
     logits = lam * probe1.logits(X1) + (1.0 - lam) * probe2.logits(X2)
     n = logits.shape[0]
-    y, k = _labels_and_classes(labels, n, logits.shape[1])
+    y, k = _labels_and_classes(labels, (n,), logits.shape[1])
     logp = log_softmax(logits)
     return float(-logp[np.arange(n), y].mean())
 
 
 # ---------------------------------------------------------------------------
 # RRFM on-disk format: magic "RRFM", u32 rows, u32 cols, row-major f64
-# entries, u32 label count, i32 labels.  Little-endian.
+# entries, u32 label count (equal to rows), i32 labels, nothing after.
+# Little-endian.
 
 def feature_matrix_to_bytes(X: np.ndarray, labels) -> bytes:
     X = as_feature_matrix(X)
     y = np.asarray(labels, dtype=np.int32)
+    if y.shape != (X.shape[0],):
+        raise ShapeError(f"labels must be shape ({X.shape[0]},), got {y.shape}")
     out = [RRFM_MAGIC, struct.pack("<II", X.shape[0], X.shape[1])]
     out.append(np.ascontiguousarray(X, dtype="<f8").tobytes())
     out.append(struct.pack("<I", y.size))
@@ -259,8 +369,12 @@ def feature_matrix_from_bytes(buf: bytes) -> tuple[np.ndarray, np.ndarray]:
     off += need
     (n_labels,) = struct.unpack_from("<I", buf, off)
     off += 4
+    if n_labels != rows:
+        raise FormatError(f"{n_labels} labels for {rows} rows")
     if off + 4 * n_labels > len(buf):
         raise FormatError("truncated label payload")
+    if off + 4 * n_labels < len(buf):
+        raise FormatError(f"{len(buf) - off - 4 * n_labels} trailing bytes after the labels")
     y = np.frombuffer(buf, dtype="<i4", count=n_labels, offset=off)
     return X.copy(), y.astype(np.int64)
 

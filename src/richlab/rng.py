@@ -101,15 +101,17 @@ class SplitMix64:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n, dtype=np.int64)
         if n < 2:
-            return perm
-        # One bounded draw per position, from the top index down to 1.
-        draws = self.u64(n - 1)
+            return np.arange(n, dtype=np.int64)
+        # One bounded draw per position, from the top index down to 1; the
+        # swaps run on Python ints, which is exact and much cheaper than
+        # indexing numpy scalars.
+        draws = self.u64(n - 1).tolist()
+        perm = list(range(n))
         for k, i in enumerate(range(n - 1, 0, -1)):
-            j = int(draws[k] % np.uint64(i + 1))
+            j = draws[k] % (i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def shuffled(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values)[self.permutation(len(values))]

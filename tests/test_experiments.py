@@ -269,6 +269,36 @@ def test_fewshot_std_is_sample_std():
     assert std == pytest.approx(accs.std(ddof=1))
 
 
+def test_episode_accuracies_match_one_episode_at_a_time():
+    # the stacked support solve must reproduce fitting each episode alone,
+    # with features extracted per episode, exactly
+    from richlab.probing import ProbeConfig, fit_probe
+    from richlab.richrep import cat_features, train_episodes
+
+    base, novel = make_class_split_tasks(ShiftSpec(
+        n_classes=5, d_core=5, d_spur=5, d_noise=2,
+        core_scale=1.0, spur_scale=2.0, noise_std=0.8,
+        env_correlations=(0.9,), ood_correlation=0.25, n_per_env=200,
+    ), 5, [0, 1], [2, 3, 4], ood_train_rows=100, ood_test_rows=100)
+    bank = train_episodes(base.train, (6,), FAST_TRAIN, [11, 12])
+    spec = EpisodeSpec(3, 2, 5)
+    rng = SplitMix64(21)
+    episodes = [sample_episode(novel.train, spec, rng) for _ in range(9)]
+    cfg = FewshotConfig(episode_probe=ProbeConfig(l2=1e-3, max_iters=150, grad_tol=1e-6))
+
+    def feature_fn(X):
+        return cat_features(bank, X)
+
+    reference = []
+    for support, query in episodes:
+        probe = fit_probe(feature_fn(support.X), support.y, cfg.episode_probe,
+                          n_classes=spec.n_way)
+        reference.append(float((probe.predict(feature_fn(query.X)) == query.y).mean()))
+    accs = episode_accuracies(feature_fn, episodes, spec, cfg)
+    assert accs.tolist() == reference
+    assert len(set(reference)) > 1      # episodes differ, so order is checked too
+
+
 def test_fewshot_cosine_classifier_runs():
     feats = np.vstack([np.eye(3)] * 4) + 0.01
     y = np.tile(np.arange(3), 4)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from richlab.errors import DataError, ParameterError, ShapeError
+from richlab.errors import DataError, FormatError, ParameterError, ShapeError
 from richlab.probing import (
     InfoVerdict,
     ProbeConfig,
@@ -237,11 +239,161 @@ def test_feature_matrix_roundtrip(tmp_path):
 
 
 def test_feature_matrix_bad_magic():
-    from richlab.errors import FormatError
-
     X = np.ones((2, 2))
     buf = feature_matrix_to_bytes(X, np.array([0, 1]))
     with pytest.raises(FormatError):
         feature_matrix_from_bytes(b"ZZZZ" + buf[4:])
     with pytest.raises(FormatError):
         feature_matrix_from_bytes(buf[:10])
+
+
+def _rrfm_matrices():
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.tuples(st.integers(1, 6), st.integers(1, 4)).flatmap(
+        lambda shape: st.tuples(
+            st.lists(finite, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+            .map(lambda v: np.array(v).reshape(shape)),
+            st.lists(st.integers(-2**31, 2**31 - 1), min_size=shape[0], max_size=shape[0])
+            .map(np.array),
+        ))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_rrfm_matrices())
+def test_feature_matrix_roundtrips_exactly(matrix_and_labels):
+    X, y = matrix_and_labels
+    X2, y2 = feature_matrix_from_bytes(feature_matrix_to_bytes(X, y))
+    assert X2.tobytes() == X.tobytes()
+    assert y2.dtype == np.int64 and np.array_equal(y2, y)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_rrfm_matrices())
+def test_feature_matrix_every_truncation_rejected(matrix_and_labels):
+    buf = feature_matrix_to_bytes(*matrix_and_labels)
+    for cut in range(len(buf)):
+        with pytest.raises(FormatError):
+            feature_matrix_from_bytes(buf[:cut])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.binary(max_size=64))
+def test_feature_matrix_fuzz_raises_only_format_error(tail):
+    try:
+        X, y = feature_matrix_from_bytes(b"RRFM" + tail)
+    except FormatError:
+        return
+    assert X.shape[0] == y.shape[0]
+
+
+def test_feature_matrix_label_count_and_trailing_bytes_rejected():
+    X = np.arange(6.0).reshape(3, 2)
+    buf = feature_matrix_to_bytes(X, np.array([0, 1, 2]))
+    fewer = buf[:-16] + (2).to_bytes(4, "little") + buf[-12:-4]   # 3 rows, 2 labels
+    with pytest.raises(FormatError, match="2 labels for 3 rows"):
+        feature_matrix_from_bytes(fewer)
+    with pytest.raises(FormatError, match="trailing"):
+        feature_matrix_from_bytes(buf + b"junk")
+    with pytest.raises(ShapeError):
+        feature_matrix_to_bytes(X, np.array([0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# stacked problems
+
+def _problem_stack(seed, E, n, d, k, scales):
+    """E problems of shape (n, d) with labels in [0, k); problem e scaled by scales[e]."""
+    rng = SplitMix64(seed)
+    y = rng.integers(k, E * n).reshape(E, n)
+    X = rng.normal(E * n * d).reshape(E, n, d) + rng.normal(k * d).reshape(k, d)[y]
+    return X * np.asarray(scales, dtype=float).reshape(E, 1, 1), y
+
+
+def _assert_stack_matches_separate(X, y, k, cfg, rng_seed=None):
+    E = X.shape[0]
+    eval_X, eval_y = X[:, ::-1] + 0.5, y[:, ::-1]
+    rng = None if rng_seed is None else SplitMix64(rng_seed)
+    stacked = fit_probe(X, y, cfg, rng=rng, n_classes=k,
+                        eval_features=eval_X, eval_labels=eval_y)
+    rng = None if rng_seed is None else SplitMix64(rng_seed)
+    alone = [fit_probe(X[e], y[e], cfg, rng=rng, n_classes=k,
+                       eval_features=eval_X[e], eval_labels=eval_y[e]) for e in range(E)]
+    for e, one in enumerate(alone):
+        assert np.array_equal(stacked.weights[e], one.weights)
+        assert np.array_equal(stacked.bias[e], one.bias)
+        assert stacked.cost[e] == one.cost
+        assert stacked.train_accuracy[e] == one.train_accuracy
+        assert stacked.eval_accuracy[e] == one.eval_accuracy
+        assert stacked.iterations[e] == one.iterations
+        assert stacked.grad_norm[e] == one.grad_norm
+        assert (stacked.grad_norm[e] <= cfg.grad_tol) == one.converged
+    assert stacked.converged == all(one.converged for one in alone)
+    return stacked
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32), E=st.integers(1, 4), n=st.integers(1, 12),
+       d=st.integers(1, 5), k=st.integers(1, 4),
+       log_scales=st.lists(st.floats(-4.0, 3.0) | st.floats(10.0, 12.0),
+                           min_size=4, max_size=4),
+       l2=st.sampled_from([0.0, 1e-3, 0.1]), log_tol=st.floats(-8.0, -1.0),
+       max_iters=st.integers(1, 60), standardize=st.booleans(),
+       rng_seed=st.none() | st.integers(0, 1000))
+def test_stacked_fit_equals_separate_fits(seed, E, n, d, k, log_scales, l2, log_tol,
+                                          max_iters, standardize, rng_seed):
+    # scales of 1e10 and more make the Armijo search stall (no step above
+    # 1e-20 decreases the objective); tiny scales and loose tolerances let
+    # some problems of a stack converge while the others go on
+    X, y = _problem_stack(seed, E, n, d, k, [10.0 ** s for s in log_scales[:E]])
+    cfg = ProbeConfig(l2=l2, max_iters=max_iters, grad_tol=10.0 ** log_tol,
+                      standardize=standardize)
+    _assert_stack_matches_separate(X, y, k, cfg, rng_seed)
+
+
+def test_stack_mixes_convergence_stall_and_budget_end():
+    # near-zero features leave only the bias to fit, so that problem
+    # converges; 1e12-scaled features stall; unit-scaled features run out
+    # of iterations.  Each problem matches its own solve bit for bit.
+    X, y = _problem_stack(31, 3, 30, 4, 3, [1e-4, 1e12, 1.0])
+    cfg = ProbeConfig(l2=1e-3, max_iters=100, grad_tol=1e-3)
+    res = _assert_stack_matches_separate(X, y, 3, cfg)
+    converged = res.grad_norm <= cfg.grad_tol
+    assert converged[0] and res.iterations[0] < cfg.max_iters
+    assert not converged[1] and res.iterations[1] < cfg.max_iters
+    assert not converged[2] and res.iterations[2] == cfg.max_iters
+    assert not res.converged
+
+
+def test_probe_reports_iterations_and_grad_norm():
+    X, y = informative_features(17, n=80, d=3)
+    cfg = ProbeConfig(l2=1e-2, max_iters=5000, grad_tol=1e-6)
+    loose = fit_probe(X, y, cfg)
+    assert isinstance(loose.iterations, int) and isinstance(loose.grad_norm, float)
+    assert 0 < loose.iterations < cfg.max_iters and loose.grad_norm <= cfg.grad_tol
+    starved = fit_probe(X, y, ProbeConfig(l2=1e-2, max_iters=2, grad_tol=1e-12))
+    assert starved.iterations == 2 and starved.grad_norm > 1e-12
+
+    stack = np.stack([X, X[::-1], 2.0 * X])
+    labels = np.stack([y, y[::-1], y])
+    res = fit_probe(stack, labels, cfg)
+    assert res.weights.shape == (3, 3, 3) and res.bias.shape == (3, 3)
+    for field in (res.cost, res.train_accuracy, res.eval_accuracy, res.iterations,
+                  res.grad_norm):
+        assert field.shape == (3,)
+    assert res.converged is True
+    assert res.iterations[0] == loose.iterations and res.grad_norm[0] == loose.grad_norm
+    assert res.predict(stack).shape == (3, 80)
+    assert np.array_equal(res.predict(stack)[1], fit_probe(X[::-1], y[::-1], cfg).predict(X[::-1]))
+
+
+def test_stacked_input_validation():
+    X = np.zeros((2, 4, 3))
+    with pytest.raises(ShapeError):
+        fit_probe(X, np.zeros(4, dtype=int), TIGHT)
+    with pytest.raises(ShapeError):
+        fit_probe(np.zeros((2, 0, 3)), np.zeros((2, 0), dtype=int), TIGHT)
+    with pytest.raises(DataError):
+        fit_probe(np.full((2, 4, 3), np.nan), np.zeros((2, 4), dtype=int), TIGHT)
+    with pytest.raises(ShapeError):
+        fit_probe(X, np.zeros((2, 4), dtype=int), TIGHT,
+                  eval_features=np.zeros((3, 4, 3)), eval_labels=np.zeros((3, 4), dtype=int))

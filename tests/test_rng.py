@@ -68,3 +68,25 @@ def test_integers_positive_bound_required():
 def test_derive_seed_distinct():
     children = {derive_seed(100, k) for k in range(1000)}
     assert len(children) == 1000
+
+
+@pytest.mark.parametrize("seed, n, expected", [
+    (0, 10, [6, 3, 2, 9, 8, 1, 4, 7, 0, 5]),
+    (12345, 7, [1, 6, 4, 2, 0, 3, 5]),
+    (2**64 - 1, 12, [3, 2, 4, 11, 7, 9, 5, 10, 0, 1, 6, 8]),
+])
+def test_permutation_frozen_vectors(seed, n, expected):
+    # frozen outputs of the Fisher-Yates recipe in the module docstring;
+    # every shuffle in the lab, and so every golden CSV, depends on them
+    rng = SplitMix64(seed)
+    perm = rng.permutation(n)
+    assert perm.dtype == np.int64
+    assert perm.tolist() == expected
+    assert rng.next_u64() == SplitMix64(seed).u64(n)[-1]   # n - 1 draws used
+
+
+def test_permutation_of_short_ranges():
+    rng = SplitMix64(5)
+    assert rng.permutation(0).tolist() == [] and rng.permutation(0).dtype == np.int64
+    assert rng.permutation(1).tolist() == [0]
+    assert rng.next_u64() == SplitMix64(5).next_u64()     # no draws used
