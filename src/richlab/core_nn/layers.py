@@ -280,6 +280,8 @@ def network_from_bytes(buf: bytes) -> Network:
 
     if buf[:4] != RRNN_MAGIC:
         raise FormatError("bad magic: not a dense-network file")
+    if len(buf) < 12:
+        raise FormatError("truncated network header")
     version, n_layers = struct.unpack_from("<II", buf, 4)
     if version != RRNN_VERSION:
         raise FormatError(f"unsupported version {version}")
@@ -300,7 +302,12 @@ def network_from_bytes(buf: bytes) -> Network:
         if act not in _ACT_NAME:
             raise FormatError(f"unknown activation code {act}")
         layers.append(DenseLayer(W.copy(), b.copy(), _ACT_NAME[act]))
-    return Network(layers)
+    if off < len(buf):
+        raise FormatError(f"{len(buf) - off} trailing bytes after the last layer")
+    try:
+        return Network(layers)
+    except (ParameterError, ShapeError) as exc:  # no layers, or widths that do not chain
+        raise FormatError(f"not a network: {exc}") from exc
 
 
 def save_network(net: Network, path) -> None:

@@ -37,6 +37,7 @@ from .richrep import (
     bank_head_accuracy,
     cat_features,
     distill,
+    extractor_probes,
     joint_train,
     leg_logits,
     leg_probe_gap,
@@ -50,7 +51,10 @@ from .tasks import Dataset, EpisodeSpec, OodTask, ShiftSpec, gen_shift, pool, sa
 
 SPLITS = ("id_train", "id_test", "ood_tune", "ood_test", "fewshot", "verify")
 CSV_HEADER = "run_id,seed,method,task,split,metric,value,extra"
-_EXTRA_FORBIDDEN = set(",;=\n\r")
+# load_records_csv splits lines with str.splitlines, which breaks at each of these
+_LINE_BREAKS = set("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+_TEXT_FORBIDDEN = {","} | _LINE_BREAKS
+_EXTRA_FORBIDDEN = set(",;=|") | _LINE_BREAKS
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +98,10 @@ def records_to_csv_text(records) -> str:
     lines = [CSV_HEADER]
     seen = set()
     for r in records:
+        for name in ("run_id", "method", "task", "split", "metric"):
+            text = str(getattr(r, name))
+            if _TEXT_FORBIDDEN & set(text):
+                raise DataError(f"{name} {text!r} contains a comma or a line break")
         extra = format_extra(r.extra)
         key = (r.run_id, r.seed, r.method, r.task, r.split, r.metric, extra)
         if key in seen:
@@ -325,12 +333,7 @@ def run_transfer(pretrain: TransferTask, target: TransferTask, n_episodes: int,
             for split, ds in (("id_test", target.id_test), ("ood_test", target.ood_test)):
                 if ds is None:
                     continue
-                fit_ds = fit_for[split]
-                probes = [
-                    fit_probe(extract_features(trunk, fit_ds.X), fit_ds.y,
-                              cfg.probe, n_classes=fit_ds.n_classes)
-                    for trunk in bank.extractors
-                ]
+                probes = extractor_probes(bank, fit_for[split], cfg.probe)
                 proba = subset_ensemble_predict(bank, probes, ds.X)
                 acc = float((proba.argmax(axis=1) == ds.y).mean())
                 records.append(RunRecord(run_id, s, "catsub", target.name, split,
@@ -500,25 +503,33 @@ def run_fewshot(base: TransferTask, novel: Dataset, methods, spec: EpisodeSpec,
     return records
 
 
+# episodes per stacked support solve: large enough that the numpy call
+# overhead of a solver round is shared, small enough to bound its memory
+EPISODE_BLOCK = 50
+
+
 def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConfig,
                        seed: int = 0) -> np.ndarray:
     """Per-episode query accuracies of support-fitted classifiers.
 
-    The linear classifier fits all support probes in one stacked
-    ``fit_probe`` call on features extracted once for every support row;
-    query features are extracted episode by episode, which keeps memory
-    flat in the number of episodes.
+    The linear classifier fits the support probes of ``EPISODE_BLOCK``
+    episodes at a time in one stacked ``fit_probe`` call, on features
+    extracted once for the block's support rows; query features are
+    extracted episode by episode.  Memory stays flat in the number of
+    episodes, and each probe is the one it would be if fitted alone.
     """
     accs = np.empty(len(episodes))
-    if cfg.classifier == "linear":
-        fs = feature_fn(np.concatenate([support.X for support, _ in episodes]))
-        probes = fit_probe(fs.reshape(len(episodes), -1, fs.shape[1]),
-                           np.stack([support.y for support, _ in episodes]),
-                           cfg.episode_probe, n_classes=spec.n_way)
     for e, (support, query) in enumerate(episodes):
+        if cfg.classifier == "linear" and e % EPISODE_BLOCK == 0:
+            block = episodes[e:e + EPISODE_BLOCK]
+            fs = feature_fn(np.concatenate([s.X for s, _ in block]))
+            probes = fit_probe(fs.reshape(len(block), -1, fs.shape[1]),
+                               np.stack([s.y for s, _ in block]),
+                               cfg.episode_probe, n_classes=spec.n_way)
         fq = feature_fn(query.X)
         if cfg.classifier == "linear":
-            pred = (fq @ probes.weights[e].T + probes.bias[e]).argmax(axis=1)
+            b = e % EPISODE_BLOCK
+            pred = (fq @ probes.weights[b].T + probes.bias[b]).argmax(axis=1)
         else:
             head = fit_cosine_classifier(feature_fn(support.X), support.y, spec.n_way,
                                          seed=derive_seed(seed, e),

@@ -12,13 +12,19 @@ cost.  Because the objective is convex, the optimum is unique up to
 solver slack, which is what the information relations lean on.
 
 The solver works on stacks of independent problems: features
-``(E, n, d)`` with labels ``(E, n)`` give ``E`` probes from one call (the
-few-shot pipeline fits every episode's support set this way).  Each
-problem runs its own line search, and a problem that converges or
+``(E, n, d)`` with labels ``(E, n)`` give ``E`` probes from one call.
+Each problem runs its own line search, and a problem that converges or
 stalls stops moving while the others go on, so each problem's iterates
 are bit for bit those of fitting it alone; a 2-D ``(n, d)`` input is a
 stack of one.  For stacked input the result's arrays gain a leading
-``E`` axis, and ``converged`` is true only when every problem converged.
+``E`` axis, ``converged`` is true only when every problem converged, and
+``result[e]`` is problem ``e`` as a single probe.
+
+Two pipelines fit stacks: few-shot evaluation fits the support sets of
+a block of episodes at once (``experiments.episode_accuracies``), and
+the transfer pipeline fits one probe per extractor on the same rows
+(``richrep.extractor_probes``) for the per-leg probe gap and for the
+per-leg ensemble ``catsub``.
 """
 from __future__ import annotations
 
@@ -57,7 +63,8 @@ class ProbeConfig:
 @dataclass
 class ProbeResult:
     """One fitted probe; for a stack of ``E`` problems every field but
-    ``converged`` gains a leading ``E`` axis."""
+    ``converged`` and ``grad_tol`` gains a leading ``E`` axis, and
+    ``result[e]`` is problem ``e`` as a single probe."""
 
     weights: np.ndarray        # (n_classes, n_features), applies to raw features
     bias: np.ndarray           # (n_classes,)
@@ -67,6 +74,16 @@ class ProbeResult:
     converged: bool            # for a stack: every problem converged
     iterations: int = 0        # accepted gradient steps
     grad_norm: float = float("nan")  # gradient norm at the returned iterate
+    grad_tol: float = float("nan")   # convergence tolerance on grad_norm
+
+    def __getitem__(self, e: int) -> "ProbeResult":
+        if self.weights.ndim != 3:
+            raise ShapeError("only a stacked probe result holds problems to index")
+        grad_norm = float(self.grad_norm[e])
+        return ProbeResult(self.weights[e], self.bias[e], float(self.cost[e]),
+                           float(self.train_accuracy[e]), float(self.eval_accuracy[e]),
+                           bool(grad_norm <= self.grad_tol), int(self.iterations[e]),
+                           grad_norm, self.grad_tol)
 
     def logits(self, features) -> np.ndarray:
         features = _as_features(features, self.weights.ndim == 3, "features")
@@ -275,12 +292,10 @@ def fit_probe(
         eval_acc = (eval_pred == ye).mean(axis=1)
     else:
         eval_acc = train_acc
-    if stacked:
-        return ProbeResult(W_raw, b_raw, f.ravel(), train_acc, eval_acc,
-                           bool((grad_norm <= config.grad_tol).all()), steps, grad_norm)
-    return ProbeResult(W_raw[0], b_raw[0], float(f[0, 0, 0]), float(train_acc[0]),
-                       float(eval_acc[0]), bool(grad_norm[0] <= config.grad_tol),
-                       int(steps[0]), float(grad_norm[0]))
+    result = ProbeResult(W_raw, b_raw, f.ravel(), train_acc, eval_acc,
+                         bool((grad_norm <= config.grad_tol).all()), steps, grad_norm,
+                         config.grad_tol)
+    return result if stacked else result[0]
 
 
 def optimal_cost(features, labels, config: ProbeConfig, n_classes: int | None = None) -> float:

@@ -559,16 +559,31 @@ def leg_logits(bank: RepresentationBank, i: int, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # per-leg probing disparity
 
+def extractor_probes(bank: RepresentationBank, data: Dataset,
+                     probe_config: ProbeConfig) -> list[ProbeResult]:
+    """One probe per extractor on its own features of the same rows.
+
+    Extractors of equal width are fitted as one stacked problem, which
+    gives each the probe it would get alone, bit for bit.
+    """
+    feats = [extract_features(trunk, data.X) for trunk in bank.extractors]
+    probes: list[ProbeResult | None] = [None] * len(feats)
+    for dim in dict.fromkeys(bank.dims):
+        group = [i for i, d in enumerate(bank.dims) if d == dim]
+        stack = fit_probe(np.stack([feats[i] for i in group]),
+                          np.broadcast_to(data.y, (len(group), data.n)),
+                          probe_config, n_classes=data.n_classes)
+        for j, i in enumerate(group):
+            probes[i] = stack[j]
+    return probes
+
+
 def leg_probe_gap(bank: RepresentationBank, data: Dataset,
                   probe_config: ProbeConfig) -> tuple[list[float], float]:
     """Fit a probe per leg on that leg's features; return accuracies + max gap."""
     if isinstance(bank, CatRepresentation):
         bank = bank.bank
-    accs = []
-    for trunk in bank.extractors:
-        feats = extract_features(trunk, data.X)
-        res = fit_probe(feats, data.y, probe_config, n_classes=data.n_classes)
-        accs.append(res.train_accuracy)
+    accs = [probe.train_accuracy for probe in extractor_probes(bank, data, probe_config)]
     return accs, float(max(accs) - min(accs))
 
 

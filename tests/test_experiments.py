@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richlab.core_nn import Schedule, TrainConfig
 from richlab.errors import DataError, ParameterError
@@ -16,6 +18,7 @@ from richlab.experiments import (
     make_class_split_tasks,
     make_shift_task,
     parse_extra,
+    SPLITS,
     records_to_csv_text,
     run_fewshot,
     run_ood,
@@ -103,6 +106,53 @@ def test_duplicate_records_rejected():
 def test_reserved_characters_rejected():
     with pytest.raises(DataError):
         records_to_csv_text([rec(extra={"a": "x,y"})])
+
+
+def test_pipe_in_extra_and_comma_or_line_break_in_text_rejected():
+    # each would write a CSV that load_records_csv cannot read back
+    for extra in ({"a|b": "1"}, {"a": "1|2"}):
+        with pytest.raises(DataError, match="reserved"):
+            records_to_csv_text([rec(extra=extra)])
+    for field in ("run_id", "method", "task", "metric"):
+        for bad in ("a,b", "a\nb", "a\rb", "a\u2028b"):
+            with pytest.raises(DataError, match=field):
+                records_to_csv_text([rec(**{field: bad})])
+
+
+# text fields and extras as load_records_csv must read them back, or as
+# the writer must refuse them
+_TEXT_FORBIDDEN = set(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+_EXTRA_FORBIDDEN = _TEXT_FORBIDDEN | set(";=|")
+_CSV_RECORDS = st.lists(st.fixed_dictionaries({
+    "run_id": st.text(max_size=6), "seed": st.integers(-2**40, 2**40),
+    "method": st.text(max_size=6), "task": st.text(max_size=6),
+    "split": st.sampled_from(SPLITS), "metric": st.text(max_size=6),
+    "value": st.floats(allow_nan=False, allow_infinity=False),
+    "extra": st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=3),
+}), min_size=1, max_size=4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_CSV_RECORDS)
+def test_csv_roundtrips_or_rejects_on_write(tmp_path_factory, fields):
+    for i, f in enumerate(fields):
+        f["run_id"] += str(i)           # distinct keys: duplicates are refused anyway
+    records = [RunRecord(**f) for f in fields]
+    bad = any(_TEXT_FORBIDDEN & set(f[name])
+              for f in fields for name in ("run_id", "method", "task", "metric"))
+    bad |= any(_EXTRA_FORBIDDEN & set(k + v) for f in fields for k, v in f["extra"].items())
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    if bad:
+        with pytest.raises(DataError):
+            write_records_csv(records, path)
+        return
+    write_records_csv(records, path)
+    back = load_records_csv(path)
+    for r, f in zip(back, fields, strict=True):
+        assert (r.run_id, r.seed, r.method, r.task, r.split, r.metric, r.extra) == (
+            f["run_id"], f["seed"], f["method"], f["task"], f["split"], f["metric"],
+            f["extra"])
+        assert r.value == float(f"{f['value']:.6g}")
 
 
 def test_record_split_validated():
@@ -207,6 +257,34 @@ def test_transfer_deterministic_records():
     assert a == b
 
 
+def test_transfer_leg_gap_and_catsub_equal_per_extractor_loops():
+    # the stacked per-extractor probes give the records of one fit per leg
+    from richlab.core_nn import extract_features
+    from richlab.probing import fit_probe
+    from richlab.richrep import subset_ensemble_predict, train_episodes
+    from richlab.rng import derive_seed
+
+    task = small_task()
+    cfg = TransferConfig(hidden=(6,), train=FAST_TRAIN, methods=("cat", "catsub"),
+                         seeds=(7,))
+    by = {(r.method, r.split, r.metric): r for r in run_transfer(task, task, 3, cfg)}
+    bank = train_episodes(task.train, (6,), FAST_TRAIN, [derive_seed(7, i) for i in range(3)])
+
+    def loop(ds):
+        return [fit_probe(extract_features(trunk, ds.X), ds.y, cfg.probe,
+                          n_classes=ds.n_classes) for trunk in bank.extractors]
+
+    accs = [p.train_accuracy for p in loop(task.train)]
+    gap = by[("cat3", "id_train", "leg_gap")]
+    assert gap.value == max(accs) - min(accs)
+    assert gap.extra["legs"] == "/".join(f"{a:.4f}" for a in accs)
+    for split, fit_ds, ds in (("id_test", task.train, task.id_test),
+                              ("ood_test", task.ood_train, task.ood_test)):
+        proba = subset_ensemble_predict(bank, loop(fit_ds), ds.X)
+        acc = float((proba.argmax(axis=1) == ds.y).mean())
+        assert by[("catsub", split, "probe_accuracy")].value == acc
+
+
 def test_transfer_probe_cost_monotone_in_members():
     # concatenating more episodes never raises the training probe cost
     task = small_task()
@@ -269,9 +347,9 @@ def test_fewshot_std_is_sample_std():
     assert std == pytest.approx(accs.std(ddof=1))
 
 
-def test_episode_accuracies_match_one_episode_at_a_time():
-    # the stacked support solve must reproduce fitting each episode alone,
-    # with features extracted per episode, exactly
+def _episodes_and_reference():
+    """Nine episodes, a feature function, and the accuracies of fitting each
+    episode alone on features extracted per episode."""
     from richlab.probing import ProbeConfig, fit_probe
     from richlab.richrep import cat_features, train_episodes
 
@@ -294,9 +372,26 @@ def test_episode_accuracies_match_one_episode_at_a_time():
         probe = fit_probe(feature_fn(support.X), support.y, cfg.episode_probe,
                           n_classes=spec.n_way)
         reference.append(float((probe.predict(feature_fn(query.X)) == query.y).mean()))
+    return feature_fn, episodes, spec, cfg, reference
+
+
+def test_episode_accuracies_match_one_episode_at_a_time():
+    # the stacked support solve must reproduce fitting each episode alone,
+    # with features extracted per episode, exactly
+    feature_fn, episodes, spec, cfg, reference = _episodes_and_reference()
     accs = episode_accuracies(feature_fn, episodes, spec, cfg)
     assert accs.tolist() == reference
     assert len(set(reference)) > 1      # episodes differ, so order is checked too
+
+
+@pytest.mark.parametrize("block", [1, 4, 9])
+def test_episode_blocks_match_one_episode_at_a_time(monkeypatch, block):
+    # blocks that split the episodes unevenly, one per episode, and exactly one
+    from richlab import experiments
+
+    feature_fn, episodes, spec, cfg, reference = _episodes_and_reference()
+    monkeypatch.setattr(experiments, "EPISODE_BLOCK", block)
+    assert episode_accuracies(feature_fn, episodes, spec, cfg).tolist() == reference
 
 
 def test_fewshot_cosine_classifier_runs():

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richlab.core_nn import (
     CosineHead,
@@ -136,3 +140,39 @@ def test_serialization_header():
         network_from_bytes(b"XXXX" + buf[4:])
     with pytest.raises(FormatError):
         network_from_bytes(buf[:20])
+    with pytest.raises(FormatError, match="truncated network header"):
+        network_from_bytes(b"RRNN")
+
+
+def _rrnn_networks():
+    return st.tuples(
+        st.lists(st.integers(1, 4), min_size=2, max_size=4),
+        st.integers(0, 2**32 - 1),
+    ).map(lambda sizes_seed: init_network(*sizes_seed))
+
+
+@settings(deadline=None, max_examples=30)
+@given(_rrnn_networks())
+def test_serialization_every_truncation_rejected(net):
+    buf = network_to_bytes(net)
+    back = network_from_bytes(buf)
+    for a, b in zip(net.layers, back.layers, strict=True):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+    for cut in range(len(buf)):
+        with pytest.raises(FormatError):
+            network_from_bytes(buf[:cut])
+    with pytest.raises(FormatError, match="trailing"):
+        network_from_bytes(buf + b"\x00")
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.binary(max_size=80))
+def test_serialization_fuzz_raises_only_format_error(tail):
+    # a valid magic and version, then anything: a layer count, layer
+    # headers that may not chain, payloads of any length
+    try:
+        net = network_from_bytes(b"RRNN" + struct.pack("<I", 1) + tail)
+    except FormatError:
+        return
+    assert net.layers

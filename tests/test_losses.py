@@ -10,6 +10,7 @@ from richlab.core_nn import (
     kl_distill_loss,
     softmax_temperature,
 )
+from richlab.core_nn.losses import log_softmax
 from richlab.errors import DataError, NumericalError, ParameterError, ShapeError
 from richlab.rng import SplitMix64
 
@@ -47,6 +48,43 @@ def test_softmax_sums_to_one_and_shift_invariant(vals, tau, shift):
     assert np.all(p > 0)
     q = softmax_temperature(v + shift, tau)
     assert np.allclose(p, q, atol=1e-9)
+
+
+def _reduced_log_softmax(logits, tau):
+    # the textbook expression: numpy reductions over the last axis
+    z = np.asarray(logits, dtype=np.float64) / tau
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12), rows=st.integers(1, 400),
+       stacked=st.booleans(), log_scale=st.floats(-300, 300),
+       zeros=st.floats(0, 1), tau=st.sampled_from([1.0, 0.5, 3.0, 10.0, 0.1]))
+def test_log_softmax_matches_reductions_bitwise(seed, k, rows, stacked, log_scale, zeros,
+                                                tau):
+    # row counts on both sides of the switch to column chains (32*k rows),
+    # with +0 and -0 entries, so zero maxima of either sign occur
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((rows, k)) * 10.0 ** log_scale
+    z[rng.random(z.shape) < zeros / 2] = 0.0
+    z[rng.random(z.shape) < zeros / 2] = -0.0
+    if stacked:
+        z = z.reshape(1, rows, k) if rows % 3 else z.reshape(3, rows // 3, k)
+    got = log_softmax(z, tau)
+    assert got.shape == z.shape
+    assert got.tobytes() == _reduced_log_softmax(z, tau).tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_log_softmax_signed_zero_rows_bitwise(k):
+    # every row of +-0 and +-1 entries, repeated past the column-chain switch
+    import itertools
+
+    rows = np.array(list(itertools.product([0.0, -0.0, 1.0, -1.0], repeat=k)))
+    z = np.tile(rows, (1 + 32 * k // len(rows), 1))
+    assert log_softmax(z).tobytes() == _reduced_log_softmax(z, 1.0).tobytes()
+    assert log_softmax(-z, 2.0).tobytes() == _reduced_log_softmax(-z, 2.0).tobytes()
 
 
 def test_softmax_extreme_logits_stable():

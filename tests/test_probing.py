@@ -301,6 +301,16 @@ def test_feature_matrix_label_count_and_trailing_bytes_rejected():
 # ---------------------------------------------------------------------------
 # stacked problems
 
+def assert_same_probe(a, b):
+    """Two probe results agree bit for bit, field by field and type by type."""
+    assert a.weights.tobytes() == b.weights.tobytes() and a.weights.shape == b.weights.shape
+    assert a.bias.tobytes() == b.bias.tobytes() and a.bias.shape == b.bias.shape
+    for name in ("cost", "train_accuracy", "eval_accuracy", "converged", "iterations",
+                 "grad_norm", "grad_tol"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert type(x) is type(y) and (x == y or (x != x and y != y)), name
+
+
 def _problem_stack(seed, E, n, d, k, scales):
     """E problems of shape (n, d) with labels in [0, k); problem e scaled by scales[e]."""
     rng = SplitMix64(seed)
@@ -327,6 +337,7 @@ def _assert_stack_matches_separate(X, y, k, cfg, rng_seed=None):
         assert stacked.iterations[e] == one.iterations
         assert stacked.grad_norm[e] == one.grad_norm
         assert (stacked.grad_norm[e] <= cfg.grad_tol) == one.converged
+        assert_same_probe(stacked[e], one)
     assert stacked.converged == all(one.converged for one in alone)
     return stacked
 
@@ -397,3 +408,6 @@ def test_stacked_input_validation():
     with pytest.raises(ShapeError):
         fit_probe(X, np.zeros((2, 4), dtype=int), TIGHT,
                   eval_features=np.zeros((3, 4, 3)), eval_labels=np.zeros((3, 4), dtype=int))
+    single = fit_probe(X[0], np.zeros(4, dtype=int), TIGHT)
+    with pytest.raises(ShapeError):
+        single[0]

@@ -10,12 +10,14 @@ from richlab.richrep import (
     DistillSpec,
     RepresentationBank,
     bank_from_multileg,
+    bank_of_trunks,
     bank_head_accuracy,
     bank_head_logits,
     cat_features,
     concat_head_init,
     distill,
     distill_loss_value,
+    extractor_probes,
     joint_train,
     leg_logits,
     leg_probe_gap,
@@ -353,6 +355,26 @@ def test_leg_gap_zero_for_identical_legs():
     accs, gap = leg_probe_gap(bank, data, PROBE)
     assert gap == 0.0
     assert accs[0] == accs[1]
+
+
+def test_extractor_probes_equal_one_fit_per_extractor():
+    # widths 8, 4, 8, 8: two stacks, results back in bank order
+    from test_probing import assert_same_probe
+
+    data = toy_data(n=300)
+    wide = train_episodes(data, (8,), CFG, [5, 6, 7])
+    narrow = train_episodes(data, (4,), CFG, [8])
+    bank = bank_of_trunks([wide.extractors[0], narrow.extractors[0], *wide.extractors[1:]],
+                          [5, 8, 6, 7])
+    probes = extractor_probes(bank, data, PROBE)
+    assert len(probes) == 4
+    for trunk, probe in zip(bank.extractors, probes, strict=True):
+        alone = fit_probe(extract_features(trunk, data.X), data.y, PROBE,
+                          n_classes=data.n_classes)
+        assert_same_probe(probe, alone)
+    accs, gap = leg_probe_gap(bank, data, PROBE)
+    assert accs == [p.train_accuracy for p in probes]
+    assert gap == max(accs) - min(accs)
 
 
 def test_leg_gap_orders_accs_by_bank_order():
