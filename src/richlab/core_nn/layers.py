@@ -170,7 +170,8 @@ def stack_forward(layers, X: np.ndarray):
     pres = []
     h = X
     for layer in layers:
-        z = h @ layer.weights.T + layer.bias
+        z = h @ layer.weights.T
+        z += layer.bias  # in place on the fresh product: the same sums, one array fewer
         pres.append(z)
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         acts.append(h)
@@ -180,7 +181,9 @@ def stack_forward(layers, X: np.ndarray):
 def stack_backward(layers, acts, pres, d_out: np.ndarray):
     """Backpropagate ``d_out`` (gradient at the stack output).
 
-    Returns ``(grads, d_input)`` where ``grads[i] = (dW_i, db_i)``.
+    Returns the per-layer grads only, ``grads[i] = (dW_i, db_i)``.  The
+    gradient with respect to the stack input is never formed: every
+    caller trains the stack and none needs it.
     """
     grads = [None] * len(layers)
     d = d_out
@@ -189,8 +192,9 @@ def stack_backward(layers, acts, pres, d_out: np.ndarray):
         if layer.activation == "relu":
             d = d * (pres[i] > 0)
         grads[i] = (d.T @ acts[i], d.sum(axis=0))
-        d = d @ layer.weights
-    return grads, d
+        if i:
+            d = d @ layer.weights
+    return grads
 
 
 def cosine_head_forward(z: np.ndarray, head: CosineHead) -> np.ndarray:

@@ -76,6 +76,39 @@ def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     return float(loss), grad / n
 
 
+def tempered_log_probs(teacher_logits, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Teacher log-probabilities and probabilities at temperature ``tau``.
+
+    Both work row by row, so a row slice of the result equals the result
+    on that row slice, bit for bit: a trainer can compute them once per
+    teacher and index them per mini-batch.
+    """
+    logp = log_softmax(np.asarray(teacher_logits, dtype=np.float64), _check_tau(tau))
+    return logp, np.exp(logp)
+
+
+def distill_to_log_probs(teacher_logp, teacher_p, student_logits, tau: float,
+                         labels=None, alpha: float = 1.0) -> tuple[float, np.ndarray]:
+    """Distillation loss against precomputed :func:`tempered_log_probs` targets.
+
+    ``alpha=1`` is the pure ``tau^2 * mean KL``; below 1 it is blended
+    with the cross-entropy on ``labels`` as in :func:`ce_kl_distill_loss`.
+    """
+    s = np.asarray(student_logits, dtype=np.float64)
+    if teacher_logp.shape != s.shape:
+        raise ShapeError(f"teacher {teacher_logp.shape} and student {s.shape} logits differ")
+    n = s.shape[0]
+    logq = log_softmax(s, tau)
+    kl_loss = float(tau * tau * (teacher_p * (teacher_logp - logq)).sum(axis=1).mean())
+    kl_grad = tau * (np.exp(logq) - teacher_p) / n
+    if alpha == 1.0:
+        return kl_loss, kl_grad
+    ce_loss, ce_grad = cross_entropy_loss(s, labels)
+    loss = (1.0 - alpha) * ce_loss + alpha * kl_loss
+    grad = (1.0 - alpha) * ce_grad + alpha * kl_grad
+    return float(loss), grad
+
+
 def kl_distill_loss(teacher_logits, student_logits, tau: float) -> tuple[float, np.ndarray]:
     """Tempered distillation loss ``tau^2 * mean KL(s_tau(t) || s_tau(s))``.
 
@@ -83,17 +116,7 @@ def kl_distill_loss(teacher_logits, student_logits, tau: float) -> tuple[float, 
     keeps its magnitude comparable to a cross-entropy gradient.
     """
     tau = _check_tau(tau)
-    t = np.asarray(teacher_logits, dtype=np.float64)
-    s = np.asarray(student_logits, dtype=np.float64)
-    if t.shape != s.shape:
-        raise ShapeError(f"teacher {t.shape} and student {s.shape} logits differ")
-    n = t.shape[0]
-    logp = log_softmax(t, tau)
-    logq = log_softmax(s, tau)
-    p = np.exp(logp)
-    loss = tau * tau * (p * (logp - logq)).sum(axis=1).mean()
-    grad = tau * (np.exp(logq) - p) / n
-    return float(loss), grad
+    return distill_to_log_probs(*tempered_log_probs(teacher_logits, tau), student_logits, tau)
 
 
 def ce_kl_distill_loss(teacher_logits, student_logits, labels, alpha: float,
@@ -102,13 +125,9 @@ def ce_kl_distill_loss(teacher_logits, student_logits, labels, alpha: float,
     alpha = float(alpha)
     if not (0.0 <= alpha <= 1.0):
         raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    kl_loss, kl_grad = kl_distill_loss(teacher_logits, student_logits, tau)
-    if alpha == 1.0:
-        return kl_loss, kl_grad
-    ce_loss, ce_grad = cross_entropy_loss(student_logits, labels)
-    loss = (1.0 - alpha) * ce_loss + alpha * kl_loss
-    grad = (1.0 - alpha) * ce_grad + alpha * kl_grad
-    return float(loss), grad
+    tau = _check_tau(tau)
+    return distill_to_log_probs(*tempered_log_probs(teacher_logits, tau), student_logits,
+                                tau, labels, alpha)
 
 
 def cosine_distill_loss(teacher_feat, student_feat) -> tuple[float, np.ndarray]:

@@ -119,7 +119,7 @@ def sgd_step(net: Network, grads: NetGrads, state: MomentumState,
     for i, (layer, (dW, db), (vW, vb)) in enumerate(
         zip(net.layers, grads.layers, state.layers)
     ):
-        if not (np.all(np.isfinite(dW)) and np.all(np.isfinite(db))):
+        if not (np.isfinite(dW).all() and np.isfinite(db).all()):
             raise NumericalError(f"non-finite gradient in layer {i}")
         _momentum_update(layer.weights, dW, vW, current_lr, m, wd)
         _momentum_update(layer.bias, db, vb, current_lr, m, 0.0)
@@ -128,7 +128,7 @@ def sgd_step(net: Network, grads: NetGrads, state: MomentumState,
             raise ParameterError("cosine gradients supplied for a linear-head network")
         dU, dg = grads.cosine
         vU, vg = state.cosine
-        if not (np.all(np.isfinite(dU)) and np.all(np.isfinite(dg))):
+        if not (np.isfinite(dU).all() and np.isfinite(dg).all()):
             raise NumericalError("non-finite gradient in cosine head")
         _momentum_update(net.cosine_head.directions, dU, vU, current_lr, m, wd)
         _momentum_update(net.cosine_head.gains, dg, vg, current_lr, m, 0.0)

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DataError, ParameterError, TrainingError
+from ..errors import DataError, NumericalError, ParameterError, TrainingError
 from ..rng import shuffle_rng
 from .layers import (
     Network,
@@ -35,10 +35,10 @@ def network_loss_grad(net: Network, X: np.ndarray, loss_fn: LossFn) -> tuple[flo
         logits = cosine_head_forward(acts[-1], net.cosine_head)
         loss, d_logits = loss_fn(logits)
         dU, dg, d_feat = cosine_head_backward(acts[-1], net.cosine_head, d_logits)
-        layer_grads, _ = stack_backward(net.layers, acts, pres, d_feat)
+        layer_grads = stack_backward(net.layers, acts, pres, d_feat)
         return loss, NetGrads(layer_grads, (dU, dg))
     loss, d_logits = loss_fn(acts[-1])
-    layer_grads, _ = stack_backward(net.layers, acts, pres, d_logits)
+    layer_grads = stack_backward(net.layers, acts, pres, d_logits)
     return loss, NetGrads(layer_grads)
 
 
@@ -125,7 +125,11 @@ def train(
             loss, grads = network_loss_grad(
                 net, xb, lambda logits: cross_entropy_loss(logits, yb)
             )
-            sgd_step(net, grads, state, config, lr)
+            try:
+                sgd_step(net, grads, state, config, lr)
+            except NumericalError as exc:
+                raise TrainingError(f"training diverged at epoch {epoch}: {exc}",
+                                    epoch=epoch) from exc
             total += loss * len(idx)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):

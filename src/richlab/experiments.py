@@ -27,7 +27,7 @@ from .core_nn.layers import (
 from .core_nn.losses import cross_entropy_loss, log_softmax
 from .core_nn.optim import MomentumState, NetGrads, Schedule, TrainConfig, sgd_step
 from .core_nn.train import network_loss_grad
-from .errors import DataError, ParameterError
+from .errors import DataError, EpisodeError, NumericalError, ParameterError, TrainingError
 from .probing import ProbeConfig, fit_probe
 from .rng import SplitMix64, derive_seed
 from .richrep import (
@@ -124,12 +124,15 @@ def load_records_csv(path) -> list[RunRecord]:
     if not lines or lines[0] != CSV_HEADER:
         raise DataError(f"CSV header mismatch: expected {CSV_HEADER!r}")
     records = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        run_id, seed, method, task, split, metric, value, extra = line.split(",")
-        records.append(RunRecord(run_id, int(seed), method, task, split, metric,
-                                 float(value), parse_extra(extra)))
+        try:
+            run_id, seed, method, task, split, metric, value, extra = line.split(",")
+            records.append(RunRecord(run_id, int(seed), method, task, split, metric,
+                                     float(value), parse_extra(extra)))
+        except ValueError as exc:  # field count, number syntax, extras, record checks
+            raise DataError(f"{path}: line {number}: {exc}") from exc
     return records
 
 
@@ -581,27 +584,35 @@ class OodConfig:
 
 def _env_objective_fn(y, env_ids, beta):
     """Closure computing the environment-risk objective and its logit gradient."""
-    envs = np.unique(env_ids)
-    groups = [np.flatnonzero(env_ids == e) for e in envs]
+    y = np.asarray(y)
+    envs, env_of = np.unique(env_ids, return_inverse=True)
+    groups = [np.flatnonzero(env_of == j) for j in range(len(envs))]
+    row_count = np.array([len(rows) for rows in groups], dtype=np.float64)[env_of][:, None]
+    label_pos = {}  # n_classes -> (flat label positions, the same split by environment)
 
     def loss_fn(logits):
-        n_env = len(groups)
+        n, k = logits.shape
+        if k not in label_pos:
+            flat = np.arange(n) * k + y
+            label_pos[k] = flat, [flat[rows] for rows in groups]
+        flat, env_pos = label_pos[k]
         logp = log_softmax(logits)
-        d = np.exp(logp)
-        risks = np.empty(n_env)
-        d_logits = np.zeros_like(logits)
-        for j, rows in enumerate(groups):
-            lp = logp[rows]
-            risks[j] = -lp[np.arange(len(rows)), y[rows]].mean()
+        lp = logp.reshape(-1)
+        risks = np.empty(len(groups))
+        for j, pos in enumerate(env_pos):
+            risks[j] = -lp.take(pos).mean()
         mean_risk = risks.mean()
         # d objective / d risk_j = 1/E + beta * 2 (risk_j - mean) / E
-        coeff = 1.0 / n_env + beta * 2.0 * (risks - mean_risk) / n_env
-        for j, rows in enumerate(groups):
-            g = d[rows]
-            g[np.arange(len(rows)), y[rows]] -= 1.0
-            d_logits[rows] = coeff[j] * g / len(rows)
-        obj = vrex_objective(risks, beta)
-        return obj, d_logits
+        coeff = 1.0 / len(groups) + beta * 2.0 * (risks - mean_risk) / len(groups)
+        # No gathers or scatters, yet the same bits as a per-environment
+        # loop: each risk averages the same values in the same row order,
+        # and each gradient entry gets the same two roundings as
+        # ``coeff[j] * g / len(rows)`` (multiply, then divide by the count).
+        d_logits = np.exp(logp)
+        d_logits.reshape(-1)[flat] -= 1.0
+        d_logits *= coeff[env_of][:, None]
+        d_logits /= row_count
+        return vrex_objective(risks, beta), d_logits
 
     return loss_fn
 
@@ -612,9 +623,12 @@ def _fit_ood_model(net0: Network, X, y, env_ids, beta, lr, wd, steps, momentum):
     cfg = TrainConfig(lr=lr, epochs=1, batch_size=1, momentum=momentum,
                       weight_decay=wd)
     loss_fn = _env_objective_fn(y, env_ids, beta)
-    for _ in range(steps):
+    for step in range(steps):
         _, grads = network_loss_grad(net, X, loss_fn)
-        sgd_step(net, grads, state, cfg, lr)
+        try:
+            sgd_step(net, grads, state, cfg, lr)
+        except NumericalError as exc:
+            raise TrainingError(f"diverged at step {step}: {exc}", epoch=step) from exc
     return net
 
 
@@ -703,8 +717,12 @@ def run_ood(task: OodTask, config: OodConfig, init_bank: RepresentationBank | No
             for lr in config.lr_grid:
                 for wd in config.wd_grid:
                     cid = f"b{beta:g}-lr{lr:g}-wd{wd:g}"
-                    net = _fit_ood_model(net0, X_fit, y_fit, env_fit, beta, lr, wd,
-                                         config.steps, config.momentum)
+                    try:
+                        net = _fit_ood_model(net0, X_fit, y_fit, env_fit, beta, lr, wd,
+                                             config.steps, config.momentum)
+                    except TrainingError as exc:
+                        raise EpisodeError(f"ood candidate {cid} at seed {s} {exc}",
+                                           seed=s, epoch=exc.epoch) from exc
                     models[cid] = net
                     if config.tune_mode == "ood":
                         tune_acc = _net_accuracy(net, X_tune_env, task.tune_env.y)

@@ -31,8 +31,10 @@ from .core_nn.losses import (
     ce_kl_distill_loss,
     cosine_distill_loss,
     cross_entropy_loss,
+    distill_to_log_probs,
     kl_distill_loss,
     softmax_temperature,
+    tempered_log_probs,
 )
 from .core_nn.optim import MomentumState, NetGrads, TrainConfig, lr_at, sgd_step
 from .core_nn.train import train
@@ -300,6 +302,11 @@ def _distill_train(trunk, heads, targets, spec, X, y, config) -> Network:
     ]
     rng = shuffle_rng(config.seed)
     n = X.shape[0]
+    tau = float(spec.tau)
+    alpha = float(spec.alpha) if spec.mode == "ce_kl" else 1.0
+    if spec.mode != "cosine":
+        # the tempered teacher targets are fixed: one log_softmax per teacher
+        targets = [tempered_log_probs(tgt, tau) for tgt in targets]
     for epoch in range(config.epochs):
         lr = lr_at(config.schedule, config.lr, epoch, config.epochs)
         order = rng.permutation(n)
@@ -314,16 +321,15 @@ def _distill_train(trunk, heads, targets, spec, X, y, config) -> Network:
             head_grads = []
             for head, tgt in zip(heads, targets):
                 out = feat @ head.weights.T + head.bias
-                if spec.mode == "kl":
-                    loss, d_out = kl_distill_loss(tgt[idx], out, spec.tau)
-                elif spec.mode == "ce_kl":
-                    loss, d_out = ce_kl_distill_loss(tgt[idx], out, yb, spec.alpha, spec.tau)
-                else:
+                if spec.mode == "cosine":
                     loss, d_out = cosine_distill_loss(tgt[idx], out)
+                else:
+                    logp, p = tgt
+                    loss, d_out = distill_to_log_probs(logp[idx], p[idx], out, tau, yb, alpha)
                 batch_loss += loss
                 head_grads.append((d_out.T @ feat, d_out.sum(axis=0)))
                 d_feat += d_out @ head.weights
-            layer_grads, _ = stack_backward(trunk.layers, acts, pres, d_feat)
+            layer_grads = stack_backward(trunk.layers, acts, pres, d_feat)
             sgd_step(trunk, NetGrads(layer_grads), trunk_state, config, lr)
             wd = config.weight_decay
             for head, (dW, db), (vW, vb) in zip(heads, head_grads, head_states):
@@ -423,7 +429,7 @@ def _train_multileg(mln: MultiLegNetwork, X, y, config: TrainConfig,
                 for leg, (acts, pres), state, a, b in zip(
                     mln.legs, caches, leg_states, offsets[:-1], offsets[1:]
                 ):
-                    grads, _ = stack_backward(leg.layers, acts, pres, d_feat[:, a:b])
+                    grads = stack_backward(leg.layers, acts, pres, d_feat[:, a:b])
                     sgd_step(leg, NetGrads(grads), state, config, lr)
             total += loss * len(idx)
         epoch_loss = total / n

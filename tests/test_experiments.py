@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richlab.core_nn import Schedule, TrainConfig
-from richlab.errors import DataError, ParameterError
+from richlab.errors import DataError, EpisodeError, ParameterError, TrainingError
 from richlab.experiments import (
     CSV_HEADER,
     FewshotConfig,
@@ -165,6 +165,35 @@ def test_header_mismatch_detected(tmp_path):
     path.write_text("wrong,header\n1,2\n")
     with pytest.raises(DataError):
         load_records_csv(path)
+
+
+@pytest.mark.parametrize("body,cause", [
+    ("r,x,m,t,id_test,acc,0.5,", "int"),                   # non-integer seed
+    ("r,1,m,t,id_test,acc,abc,", "float"),                 # non-float value
+    ("r,1,m,t,id_test,acc,0.5,a=1|b", "length 1"),         # extra field without '='
+    ("r,1,m,t,id_test,acc,0.5", "unpack"),                 # wrong field count
+    ("r,1,m,t,id_test,acc,0.5,,x", "unpack"),
+])
+def test_malformed_line_is_data_error_naming_the_line(tmp_path, body, cause):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\nr,1,m,t,id_test,acc,0.5,a=1\n{body}\n")
+    with pytest.raises(DataError, match=f"line 3: .*{cause}"):
+        load_records_csv(path)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40)
+       | st.lists(st.sampled_from(["r", "1", "-3", "x", "id_test", "acc", "0.5", "nan",
+                                   "a=1", "a=1|b", "=", "|", ""]),
+                  min_size=6, max_size=10).map(",".join))
+def test_any_one_line_body_loads_or_is_data_error(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("csv") / "one.csv"
+    path.write_bytes(f"{CSV_HEADER}\n{body}\n".encode("utf-8"))
+    try:
+        records = load_records_csv(path)
+    except DataError:
+        return
+    assert all(isinstance(r, RunRecord) for r in records)
 
 
 def test_parse_extra_empty():
@@ -473,6 +502,18 @@ def test_run_ood_iid_mode_uses_holdout_split():
     recs = run_ood(task, cfg, run_id="ood", task_name="t")
     assert any(r.split == "id_test" for r in recs)
     assert not any(r.split == "ood_tune" for r in recs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_ood_divergence_names_seed_and_candidate():
+    task = tiny_ood_task()
+    cfg = OodConfig(algorithm="vrex", beta_grid=(100.0,), init="scratch", tune_mode="ood",
+                    lr_grid=(50.0,), wd_grid=(0.0,), steps=40, hidden=(6,), seeds=(7,))
+    with pytest.raises(TrainingError, match="b100-lr50-wd0 at seed 7") as info:
+        run_ood(task, cfg, run_id="ood", task_name="t")
+    assert isinstance(info.value, EpisodeError)
+    assert info.value.seed == 7
+    assert info.value.epoch is not None
 
 
 def test_run_ood_cat_init_needs_bank():

@@ -7,8 +7,10 @@ from richlab.core_nn import (
     ce_kl_distill_loss,
     cosine_distill_loss,
     cross_entropy_loss,
+    distill_to_log_probs,
     kl_distill_loss,
     softmax_temperature,
+    tempered_log_probs,
 )
 from richlab.core_nn.losses import log_softmax
 from richlab.errors import DataError, NumericalError, ParameterError, ShapeError
@@ -201,6 +203,37 @@ def test_ce_kl_convex_combination():
     kl_loss, _ = kl_distill_loss(t, s, tau=2.0)
     mixed, _ = ce_kl_distill_loss(t, s, y, alpha=0.5, tau=2.0)
     assert mixed == pytest.approx(0.5 * ce_loss + 0.5 * kl_loss, abs=1e-12)
+
+
+def _per_batch_ce_kl(teacher, student, labels, alpha, tau):
+    """Teacher softmax recomputed on the batch rows, as trainers once did."""
+    n = teacher.shape[0]
+    logp = log_softmax(teacher, tau)
+    logq = log_softmax(student, tau)
+    p = np.exp(logp)
+    kl_loss = float(tau * tau * (p * (logp - logq)).sum(axis=1).mean())
+    kl_grad = tau * (np.exp(logq) - p) / n
+    if alpha == 1.0:
+        return kl_loss, kl_grad
+    ce_loss, ce_grad = cross_entropy_loss(student, labels)
+    return (float((1.0 - alpha) * ce_loss + alpha * kl_loss),
+            (1.0 - alpha) * ce_grad + alpha * kl_grad)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 400), st.integers(1, 64),
+       st.sampled_from([0.5, 1.0, 4.0, 10.0]), st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+def test_precomputed_teacher_targets_match_per_batch_bitwise(seed, k, n, batch, tau, alpha):
+    rng = np.random.default_rng(seed)
+    teacher = rng.normal(size=(n, k)) * 3.0
+    logp, p = tempered_log_probs(teacher, tau)
+    idx = rng.permutation(n)[:batch]
+    student = rng.normal(size=(len(idx), k))
+    y = rng.integers(0, k, len(idx))
+    loss, grad = distill_to_log_probs(logp[idx], p[idx], student, tau, y, alpha)
+    want_loss, want_grad = _per_batch_ce_kl(teacher[idx], student, y, alpha, tau)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_ce_kl_alpha_out_of_range():

@@ -3,7 +3,7 @@ import pytest
 
 from richlab.core_nn import TrainConfig, extract_features, init_network, train
 from richlab.core_nn.train import flatten_params
-from richlab.errors import ParameterError
+from richlab.errors import EpisodeError, ParameterError
 from richlab.probing import ProbeConfig, fit_probe, optimal_cost
 from richlab.richrep import (
     CatRepresentation,
@@ -60,6 +60,15 @@ def test_single_seed_bank_matches_single_train():
     trunk, head = split_head(trained)
     assert trunks_equal(bank.extractors[0], trunk)
     assert np.array_equal(bank.heads[0].weights, head.weights)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_episode_names_its_seed():
+    cfg = TrainConfig(lr=1e6, epochs=20, batch_size=16, momentum=0.9)
+    with pytest.raises(EpisodeError, match="seed 11 diverged") as info:
+        train_episodes(toy_data(), (4,), cfg, [11, 12])
+    assert info.value.seed == 11
+    assert info.value.epoch is not None
 
 
 def test_duplicate_seeds_give_identical_extractors():

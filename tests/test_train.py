@@ -18,7 +18,7 @@ from richlab.core_nn import (
     set_flat_params,
     train,
 )
-from richlab.errors import ParameterError
+from richlab.errors import NumericalError, ParameterError, TrainingError
 from richlab.rng import SplitMix64
 
 
@@ -81,6 +81,16 @@ def test_history_length_matches_epochs():
     X, y = two_blobs()
     _, history = train(net, X, y, TrainConfig(lr=0.05, epochs=7, batch_size=32))
     assert len(history) == 7
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gradient_is_training_error_with_epoch():
+    X, y = two_blobs()
+    with pytest.raises(TrainingError, match="non-finite gradient") as info:
+        train(init_network([2, 4, 2], seed=1), X, y,
+              TrainConfig(lr=1e6, epochs=3, batch_size=8))
+    assert f"epoch {info.value.epoch}:" in str(info.value)
+    assert isinstance(info.value.__cause__, NumericalError)
 
 
 def test_train_is_pure():
