@@ -10,16 +10,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 
-from .core_nn.optim import Schedule, TrainConfig
 from .errors import RichlabError
-from .probing import ProbeConfig
-from .richrep import DistillSpec, bank_of_trunks, distill, train_episodes
+from .richrep import bank_of_trunks, distill, train_episodes
 from .rng import derive_seed
 from .tasks import env_partition, gen_shift, pool
 from .experiments import (
@@ -33,8 +31,6 @@ from .experiments import (
     make_class_split_tasks,
     make_ft_target,
     make_shift_task,
-    parse_extra,
-    records_to_csv_text,
     run_fewshot,
     run_ood,
     run_transfer,
@@ -57,33 +53,25 @@ def _config_error(msg: str) -> int:
     return 2
 
 
-def _shift_spec_from(task_cfg: dict, default: ShiftSpec) -> ShiftSpec:
-    fields = {k: v for k, v in task_cfg.items() if k != "kind"}
-    if "env_correlations" in fields:
-        fields["env_correlations"] = tuple(fields["env_correlations"])
-    return replace(default, **fields)
+def _merged(default, values: dict):
+    """``default`` with the fields that ``values`` names replaced.
 
-
-def _train_from(cfg: dict | None, default: TrainConfig) -> TrainConfig:
-    if not cfg:
-        return default
-    fields = dict(cfg)
-    if "schedule" in fields:
-        fields["schedule"] = Schedule(**fields["schedule"])
-    return replace(default, **fields)
-
-
-def _probe_from(cfg: dict | None, default: ProbeConfig) -> ProbeConfig:
-    return replace(default, **cfg) if cfg else default
-
-
-def _distill_from(cfg: dict | None, default: DistillSpec) -> DistillSpec:
-    if not cfg:
-        return default
-    fields = dict(cfg)
-    if "student_arch" in fields:
-        fields["student_arch"] = tuple(fields["student_arch"])
-    return replace(default, **fields)
+    Keys that are not fields of ``default`` are left to other configs.
+    JSON arrays become tuples, and a JSON object updates the dataclass
+    held in its field the same way, so every unset value keeps the one
+    default its dataclass declares.
+    """
+    updates = {}
+    for f in fields(default):
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        if isinstance(value, dict):
+            value = _merged(getattr(default, f.name), value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        updates[f.name] = value
+    return replace(default, **updates)
 
 
 def _derived_seeds(master: int, n: int) -> tuple[int, ...]:
@@ -94,28 +82,17 @@ def _run_transfer_pipeline(cfg: dict, master: int) -> list[RunRecord]:
     task_cfg = cfg.get("task", {})
     kind = task_cfg.get("kind", "shift")
     n_episodes = cfg.get("n_episodes", 5)
-    tc = TransferConfig(
-        hidden=tuple(cfg.get("hidden", (16,))),
-        train=_train_from(cfg.get("train"), TransferConfig().train),
-        probe=_probe_from(cfg.get("probe"), TransferConfig().probe),
-        distill=_distill_from(cfg.get("distill"), TransferConfig().distill),
-        distill_train=_train_from(cfg.get("distill_train"), TransferConfig().distill_train),
-        ft=_train_from(cfg.get("ft"), TransferConfig().ft),
-        stage2_epochs=cfg.get("stage2_epochs", 1),
-        stage2_lr=cfg.get("stage2_lr", 1e-3),
-        seeds=_derived_seeds(master, cfg.get("n_seeds", 5)),
-        methods=tuple(cfg.get("methods", TransferConfig().methods)),
-        include_anchors=cfg.get("include_anchors", False),
-    )
+    tc = replace(_merged(TransferConfig(), cfg),
+                 seeds=_derived_seeds(master, cfg.get("n_seeds", 5)))
     target_kind = cfg.get("target", "same")
     if kind == "class_split":
-        spec = _shift_spec_from(task_cfg, default_split_spec())
+        spec = _merged(default_split_spec(), task_cfg)
         half = spec.n_classes // 2
         base, novel = make_class_split_tasks(
             spec, master + 2, list(range(half)), list(range(half, spec.n_classes)))
         pretrain, target = base, (novel if target_kind == "novel" else base)
     else:
-        spec = _shift_spec_from(task_cfg, default_shift_spec())
+        spec = _merged(default_shift_spec(), task_cfg)
         pretrain = make_shift_task(spec, master + 2)
         if target_kind == "ood_sample":
             target = make_ft_target(spec, derive_seed(master, 5),
@@ -126,8 +103,7 @@ def _run_transfer_pipeline(cfg: dict, master: int) -> list[RunRecord]:
 
 
 def _run_fewshot_pipeline(cfg: dict, master: int) -> list[RunRecord]:
-    task_cfg = cfg.get("task", {})
-    spec = _shift_spec_from(task_cfg, default_split_spec())
+    spec = _merged(default_split_spec(), cfg.get("task", {}))
     half = spec.n_classes // 2
     base, novel_task = make_class_split_tasks(
         spec, master + 2, list(range(half)), list(range(half, spec.n_classes)))
@@ -135,20 +111,12 @@ def _run_fewshot_pipeline(cfg: dict, master: int) -> list[RunRecord]:
     episode_spec = EpisodeSpec(
         n_way=fs.get("n_way", 5), k_shot=fs.get("k_shot", 5),
         n_query=fs.get("n_query", 15))
-    fc = FewshotConfig(
-        hidden=tuple(cfg.get("hidden", (16,))),
-        train=_train_from(cfg.get("train"), FewshotConfig().train),
-        classifier=fs.get("classifier", "linear"),
-        n_snapshots=fs.get("n_snapshots", 5),
-        snapshot_lr_mult=fs.get("snapshot_lr_mult", 8.0),
-        distill=_distill_from(cfg.get("distill"), FewshotConfig().distill),
-        distill_train=_train_from(cfg.get("distill_train"), FewshotConfig().distill_train),
-        seeds=_derived_seeds(master, cfg.get("n_seeds", 5)),
-    )
+    fc = replace(_merged(_merged(FewshotConfig(), cfg), fs),
+                 seeds=_derived_seeds(master, cfg.get("n_seeds", 5)))
     methods = cfg.get("methods", ["erm", "cat", "cat-s", "snaps"])
+    eval_kw = {"n_episodes_eval": fs["n_episodes_eval"]} if "n_episodes_eval" in fs else {}
     return run_fewshot(base, novel_task.train, methods, episode_spec, fc,
-                       n_episodes_eval=fs.get("n_episodes_eval", 600),
-                       run_id="fewshot", n_episodes=cfg.get("n_episodes", 5))
+                       run_id="fewshot", n_episodes=cfg.get("n_episodes", 5), **eval_kw)
 
 
 def make_ood_bundle(spec: ShiftSpec, seed: int):
@@ -163,33 +131,20 @@ def make_ood_bundle(spec: ShiftSpec, seed: int):
 
 
 def _run_ood_pipeline(cfg: dict, master: int) -> list[RunRecord]:
-    task_cfg = cfg.get("task", {})
-    spec = _shift_spec_from(task_cfg, default_shift_spec())
+    spec = _merged(default_shift_spec(), cfg.get("task", {}))
     task = make_ood_bundle(spec, master + 2)
-    ood_cfg_in = cfg.get("ood", {})
-    oc = OodConfig(
-        algorithm=ood_cfg_in.get("algorithm", "erm"),
-        beta_grid=tuple(ood_cfg_in.get("beta_grid", OodConfig().beta_grid)),
-        init=ood_cfg_in.get("init", "scratch"),
-        tune_mode=ood_cfg_in.get("tune_mode", "iid"),
-        lr_grid=tuple(ood_cfg_in.get("lr_grid", OodConfig().lr_grid)),
-        wd_grid=tuple(ood_cfg_in.get("wd_grid", OodConfig().wd_grid)),
-        steps=ood_cfg_in.get("steps", OodConfig().steps),
-        holdout_frac=ood_cfg_in.get("holdout_frac", OodConfig().holdout_frac),
-        hidden=tuple(cfg.get("hidden", (16,))),
-        seeds=_derived_seeds(master, cfg.get("n_seeds", 5)),
-    )
+    oc = replace(_merged(_merged(OodConfig(), cfg), cfg.get("ood", {})),
+                 seeds=_derived_seeds(master, cfg.get("n_seeds", 5)))
     bank = None
     if oc.init in ("cat", "distill"):
         n_episodes = cfg.get("n_episodes", 5)
         pooled = pool(task.train_envs)
         ep_seeds = [derive_seed(master, 100 + i) for i in range(n_episodes)]
-        train_cfg = _train_from(cfg.get("train"), TransferConfig().train)
-        bank = train_episodes(pooled, tuple(cfg.get("hidden", (16,))), train_cfg, ep_seeds)
+        tc = _merged(TransferConfig(), cfg)
+        bank = train_episodes(pooled, oc.hidden, tc.train, ep_seeds)
         if oc.init == "distill":
-            spec_d = _distill_from(cfg.get("distill"), TransferConfig().distill)
-            dt = _train_from(cfg.get("distill_train"), TransferConfig().distill_train)
-            student = distill(bank, spec_d, pooled, dt.with_seed(derive_seed(master, 500)))
+            student = distill(bank, tc.distill, pooled,
+                              tc.distill_train.with_seed(derive_seed(master, 500)))
             bank = bank_of_trunks([student], [derive_seed(master, 500)])
     return run_ood(task, oc, init_bank=bank, run_id="ood", task_name="shift-ood")
 
@@ -204,10 +159,8 @@ def _run_verify_pipeline(master: int) -> tuple[list[RunRecord], bool]:
     return records, all(r.passed for r in results)
 
 
-def cmd_run(config_path: str, seed: int | None = None, out: str | None = None,
-            jobs: int = 1) -> int:
+def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -> int:
     """Execute the pipeline named by a JSON config; returns the exit code."""
-    del jobs  # accepted as an upper bound on parallelism; execution is serial
     try:
         text = Path(config_path).read_text()
     except OSError as exc:
@@ -367,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the JSON experiment config")
     p_run.add_argument("--seed", type=int, default=None, help="override master_seed")
     p_run.add_argument("--out", default=None, help="override output_dir")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="upper bound on parallel episodes (serial execution)")
 
     p_rep = sub.add_parser("report", help="render a results CSV as markdown")
     p_rep.add_argument("csv", help="path to results.csv")
@@ -383,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        return cmd_run(args.config, seed=args.seed, out=args.out, jobs=args.jobs)
+        return cmd_run(args.config, seed=args.seed, out=args.out)
     if args.command == "report":
         return cmd_report(args.csv, kind=args.kind)
     return cmd_verify(seed=args.seed)

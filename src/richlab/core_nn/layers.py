@@ -1,16 +1,15 @@
 """Dense networks: layers, cosine head, forward/backward, binary format.
 
 All arithmetic is 64-bit floating point.  A ``Network`` is an ordered
-stack of dense layers plus a head: with ``head_kind="linear"`` the last
-layer of the stack *is* the head and the representation is the
-activation entering it; with ``head_kind="cosine"`` the whole stack is
-the trunk and a :class:`CosineHead` maps its output to logits.
+stack of dense layers whose last layer is the head; the representation
+is the activation entering it.  A :class:`CosineHead` is a standalone
+classifier over frozen features (the few-shot cosine classifier).
 """
 from __future__ import annotations
 
 import copy
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,24 +87,15 @@ class CosineHead:
 @dataclass
 class Network:
     layers: list[DenseLayer]
-    head_kind: str = "linear"  # "linear" | "cosine"
-    cosine_head: CosineHead | None = field(default=None)
 
     def __post_init__(self):
         if not self.layers:
             raise ParameterError("a network needs at least one layer")
-        if self.head_kind not in ("linear", "cosine"):
-            raise ParameterError(f"unknown head kind {self.head_kind!r}")
         for a, b in zip(self.layers, self.layers[1:]):
             if a.n_out != b.n_in:
                 raise ShapeError(
                     f"layer output {a.n_out} does not feed layer input {b.n_in}"
                 )
-        if self.head_kind == "cosine":
-            if self.cosine_head is None:
-                raise ParameterError("cosine head kind requires a cosine_head")
-            if self.cosine_head.directions.shape[1] != self.layers[-1].n_out:
-                raise ShapeError("cosine head width does not match trunk output")
 
     @property
     def n_in(self) -> int:
@@ -113,8 +103,6 @@ class Network:
 
     @property
     def n_out(self) -> int:
-        if self.head_kind == "cosine":
-            return self.cosine_head.directions.shape[0]
         return self.layers[-1].n_out
 
     def clone(self) -> "Network":
@@ -141,20 +129,13 @@ def init_network(sizes, seed: int, hidden_activation: str = "relu") -> Network:
     return Network(layers)
 
 
-def init_cosine_network(sizes, n_classes: int, seed: int,
-                        hidden_activation: str = "relu") -> Network:
-    """Trunk over ``sizes`` with a cosine head of ``n_classes`` outputs (gains start at 1)."""
-    sizes = list(sizes)
-    if len(sizes) < 2:
-        raise ParameterError("sizes must list at least input and feature widths")
-    rng = SplitMix64(seed)
-    layers = []
-    for i in range(len(sizes) - 1):
-        layers.append(glorot_layer(sizes[i + 1], sizes[i], rng, hidden_activation))
-    head = CosineHead(
-        glorot_layer(n_classes, sizes[-1], rng).weights, np.ones(n_classes)
-    )
-    return Network(layers, head_kind="cosine", cosine_head=head)
+def layer_params(layers) -> list[tuple[np.ndarray, bool]]:
+    """Trainable arrays of a layer stack as ``(array, decayed)`` pairs.
+
+    Per layer the weights (decayed) come before the bias (not decayed),
+    the order in which :func:`stack_backward` returns their gradients.
+    """
+    return [p for layer in layers for p in ((layer.weights, True), (layer.bias, False))]
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +162,19 @@ def stack_forward(layers, X: np.ndarray):
 def stack_backward(layers, acts, pres, d_out: np.ndarray):
     """Backpropagate ``d_out`` (gradient at the stack output).
 
-    Returns the per-layer grads only, ``grads[i] = (dW_i, db_i)``.  The
-    gradient with respect to the stack input is never formed: every
-    caller trains the stack and none needs it.
+    Returns the layer grads only, flat in :func:`layer_params` order:
+    ``[dW_0, db_0, dW_1, db_1, ...]``.  The gradient with respect to the
+    stack input is never formed: every caller trains the stack and none
+    needs it.
     """
-    grads = [None] * len(layers)
+    grads = [None] * (2 * len(layers))
     d = d_out
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         if layer.activation == "relu":
             d = d * (pres[i] > 0)
-        grads[i] = (d.T @ acts[i], d.sum(axis=0))
+        grads[2 * i] = d.T @ acts[i]
+        grads[2 * i + 1] = d.sum(axis=0)
         if i:
             d = d @ layer.weights
     return grads
@@ -241,16 +224,13 @@ def cosine_head_backward(Z: np.ndarray, head: CosineHead, d_logits: np.ndarray):
 def forward(net: Network, X) -> tuple[np.ndarray, np.ndarray]:
     """Network forward pass: ``(logits, penultimate)``.
 
-    ``penultimate`` is the activation entering the head: the input of the
-    final dense layer for a linear head, and the trunk output for a
-    cosine head.  Pure function of ``(net, X)``.
+    ``penultimate`` is the activation entering the head, the input of the
+    final dense layer.  Pure function of ``(net, X)``.
     """
     X = as_feature_matrix(X)
     if X.shape[1] != net.n_in:
         raise ShapeError(f"input width {X.shape[1]} does not match network input {net.n_in}")
     acts, _ = stack_forward(net.layers, X)
-    if net.head_kind == "cosine":
-        return cosine_head_forward(acts[-1], net.cosine_head), acts[-1]
     return acts[-1], acts[-2]
 
 
@@ -269,8 +249,6 @@ def extract_features(trunk: Network, X) -> np.ndarray:
 # weights, f64 biases).
 
 def network_to_bytes(net: Network) -> bytes:
-    if net.head_kind != "linear":
-        raise ParameterError("the dense-stack format cannot hold a cosine head")
     out = [RRNN_MAGIC, struct.pack("<II", RRNN_VERSION, len(net.layers))]
     for layer in net.layers:
         out.append(struct.pack("<IIB", layer.n_out, layer.n_in, _ACT_CODE[layer.activation]))

@@ -2,16 +2,18 @@
 
 The update rule is ``v <- momentum*v + (g + wd*w); w <- w - lr*v`` with
 weight decay applied to weight matrices (and cosine-head directions)
-only, never to biases or cosine gains.
+only, never to biases or cosine gains.  :func:`sgd_fit` is the one
+mini-batch loop every trainer runs through.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from ..errors import NumericalError, ParameterError
-from .layers import Network
+from ..errors import NumericalError, ParameterError, TrainingError
+from ..rng import shuffle_rng
 
 
 @dataclass(frozen=True)
@@ -74,61 +76,56 @@ class TrainConfig:
         return replace(self, seed=seed)
 
 
-@dataclass
-class NetGrads:
-    """Per-layer ``(dW, db)`` plus optional cosine-head ``(dU, dg)``."""
+def sgd_step(params, grads, velocities, lr: float, momentum: float,
+             weight_decay: float) -> None:
+    """One in-place step ``v *= momentum; v += g (+ wd*w); w -= lr*v``.
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    cosine: tuple[np.ndarray, np.ndarray] | None = None
-
-
-@dataclass
-class MomentumState:
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    cosine: tuple[np.ndarray, np.ndarray] | None = None
-
-    @staticmethod
-    def zeros_like(net: Network) -> "MomentumState":
-        layers = [
-            (np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers
-        ]
-        cosine = None
-        if net.head_kind == "cosine":
-            cosine = (
-                np.zeros_like(net.cosine_head.directions),
-                np.zeros_like(net.cosine_head.gains),
-            )
-        return MomentumState(layers, cosine)
-
-
-def _momentum_update(w, g, v, lr, momentum, wd):
-    v *= momentum
-    v += g + wd * w if wd else g
-    w -= lr * v
-
-
-def sgd_step(net: Network, grads: NetGrads, state: MomentumState,
-             config: TrainConfig, current_lr: float) -> None:
-    """One in-place SGD step on ``net`` (and its momentum ``state``).
-
-    Weight decay touches layer weight matrices and cosine directions
-    only; biases and cosine gains see the raw data gradient.
+    ``params`` is a flat list of ``(array, decayed)`` pairs, ``grads`` and
+    ``velocities`` hold one array per parameter.  Weight decay touches the
+    decayed arrays only (weight matrices and cosine directions, never
+    biases or cosine gains).  Every gradient is checked before its
+    parameter moves.
     """
-    wd = config.weight_decay
-    m = config.momentum
-    for i, (layer, (dW, db), (vW, vb)) in enumerate(
-        zip(net.layers, grads.layers, state.layers)
-    ):
-        if not (np.isfinite(dW).all() and np.isfinite(db).all()):
-            raise NumericalError(f"non-finite gradient in layer {i}")
-        _momentum_update(layer.weights, dW, vW, current_lr, m, wd)
-        _momentum_update(layer.bias, db, vb, current_lr, m, 0.0)
-    if grads.cosine is not None:
-        if net.head_kind != "cosine":
-            raise ParameterError("cosine gradients supplied for a linear-head network")
-        dU, dg = grads.cosine
-        vU, vg = state.cosine
-        if not (np.isfinite(dU).all() and np.isfinite(dg).all()):
-            raise NumericalError("non-finite gradient in cosine head")
-        _momentum_update(net.cosine_head.directions, dU, vU, current_lr, m, wd)
-        _momentum_update(net.cosine_head.gains, dg, vg, current_lr, m, 0.0)
+    for i, ((w, decayed), g, v) in enumerate(zip(params, grads, velocities, strict=True)):
+        if not np.isfinite(g).all():
+            raise NumericalError(f"non-finite gradient in parameter {i}")
+        v *= momentum
+        v += g + weight_decay * w if decayed and weight_decay else g
+        w -= lr * v
+
+
+def sgd_fit(params, loss_and_grad, n_rows: int, config: TrainConfig,
+            on_epoch_end: Callable[[int], None] | None = None) -> list[float]:
+    """Mini-batch SGD over ``params``; returns the mean loss of each epoch.
+
+    ``loss_and_grad(idx)`` returns the mean loss over the rows ``idx`` and
+    one gradient per parameter, all formed before any parameter moves.
+    Each epoch draws a Fisher-Yates order from ``shuffle_rng(config.seed)``
+    and keeps the partial last batch; the epoch loss weights each batch by
+    its rows.  A non-finite gradient or epoch loss raises
+    :class:`TrainingError` naming the epoch.
+    """
+    velocities = [np.zeros_like(w) for w, _ in params]
+    rng = shuffle_rng(config.seed)
+    history: list[float] = []
+    for epoch in range(config.epochs):
+        lr = lr_at(config.schedule, config.lr, epoch, config.epochs)
+        order = rng.permutation(n_rows)
+        total = 0.0
+        for start in range(0, n_rows, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            loss, grads = loss_and_grad(idx)
+            try:
+                sgd_step(params, grads, velocities, lr, config.momentum,
+                         config.weight_decay)
+            except NumericalError as exc:
+                raise TrainingError(f"training diverged at epoch {epoch}: {exc}",
+                                    epoch=epoch) from exc
+            total += loss * len(idx)
+        epoch_loss = total / n_rows
+        if not np.isfinite(epoch_loss):
+            raise TrainingError(f"training loss diverged at epoch {epoch}", epoch=epoch)
+        history.append(epoch_loss)
+        if on_epoch_end is not None:
+            on_epoch_end(epoch)
+    return history

@@ -16,17 +16,17 @@ import numpy as np
 
 from .core_nn.layers import (
     CosineHead,
-    DenseLayer,
     Network,
     cosine_head_backward,
     cosine_head_forward,
     extract_features,
     glorot_layer,
     init_network,
+    layer_params,
 )
 from .core_nn.losses import cross_entropy_loss, log_softmax
-from .core_nn.optim import MomentumState, NetGrads, Schedule, TrainConfig, sgd_step
-from .core_nn.train import network_loss_grad
+from .core_nn.optim import Schedule, TrainConfig, sgd_fit, sgd_step
+from .core_nn.train import accuracy, network_loss_grad
 from .errors import DataError, EpisodeError, NumericalError, ParameterError, TrainingError
 from .probing import ProbeConfig, fit_probe
 from .rng import SplitMix64, derive_seed
@@ -244,7 +244,7 @@ def make_ft_target(spec: ShiftSpec, seed: int, n_rows: int,
 
 @dataclass
 class TransferConfig:
-    hidden: tuple[int, ...] = (8,)
+    hidden: tuple[int, ...] = (16,)
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         lr=0.1, epochs=100, batch_size=32, momentum=0.9,
         schedule=Schedule.cosine()))
@@ -419,27 +419,19 @@ def fit_cosine_classifier(feats, y, n_classes: int, seed: int, lr: float = 0.1,
                           epochs: int = 60, momentum: float = 0.9,
                           batch_size: int = 4) -> CosineHead:
     """Fit a cosine classifier on frozen features by mini-batch SGD."""
-    rng = SplitMix64(seed)
-    head = CosineHead(glorot_layer(n_classes, feats.shape[1], rng).weights,
+    head = CosineHead(glorot_layer(n_classes, feats.shape[1], SplitMix64(seed)).weights,
                       np.ones(n_classes))
-    vU = np.zeros_like(head.directions)
-    vg = np.zeros_like(head.gains)
-    shuffle = SplitMix64(seed + 1)
-    n = feats.shape[0]
-    for _ in range(epochs):
-        order = shuffle.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            Z = feats[idx]
-            logits = cosine_head_forward(Z, head)
-            _, d_logits = cross_entropy_loss(logits, y[idx])
-            dU, dg, _ = cosine_head_backward(Z, head, d_logits)
-            vU *= momentum
-            vU += dU
-            head.directions -= lr * vU
-            vg *= momentum
-            vg += dg
-            head.gains -= lr * vg
+
+    def loss_and_grad(idx):
+        Z = feats[idx]
+        loss, d_logits = cross_entropy_loss(cosine_head_forward(Z, head), y[idx])
+        dU, dg, _ = cosine_head_backward(Z, head, d_logits)
+        return loss, [dU, dg]
+
+    config = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, momentum=momentum,
+                         seed=seed)
+    sgd_fit([(head.directions, True), (head.gains, False)], loss_and_grad,
+            feats.shape[0], config)
     return head
 
 
@@ -618,24 +610,18 @@ def _env_objective_fn(y, env_ids, beta):
 
 
 def _fit_ood_model(net0: Network, X, y, env_ids, beta, lr, wd, steps, momentum):
+    """Full-batch descent on the environment-risk objective, rows in data order."""
     net = net0.clone()
-    state = MomentumState.zeros_like(net)
-    cfg = TrainConfig(lr=lr, epochs=1, batch_size=1, momentum=momentum,
-                      weight_decay=wd)
+    params = layer_params(net.layers)
+    velocities = [np.zeros_like(w) for w, _ in params]
     loss_fn = _env_objective_fn(y, env_ids, beta)
     for step in range(steps):
         _, grads = network_loss_grad(net, X, loss_fn)
         try:
-            sgd_step(net, grads, state, cfg, lr)
+            sgd_step(params, grads, velocities, lr, momentum, wd)
         except NumericalError as exc:
             raise TrainingError(f"diverged at step {step}: {exc}", epoch=step) from exc
     return net
-
-
-def _net_accuracy(net: Network, X, y) -> float:
-    from .core_nn.layers import forward
-
-    return float((forward(net, X)[0].argmax(axis=1) == np.asarray(y)).mean())
 
 
 def select_hyperparams(records, tune_mode: str) -> str:
@@ -725,10 +711,10 @@ def run_ood(task: OodTask, config: OodConfig, init_bank: RepresentationBank | No
                                            seed=s, epoch=exc.epoch) from exc
                     models[cid] = net
                     if config.tune_mode == "ood":
-                        tune_acc = _net_accuracy(net, X_tune_env, task.tune_env.y)
+                        tune_acc = accuracy(net, X_tune_env, task.tune_env.y)
                         split = "ood_tune"
                     else:
-                        tune_acc = _net_accuracy(net, X_all[hold], pooled.y[hold])
+                        tune_acc = accuracy(net, X_all[hold], pooled.y[hold])
                         split = "id_test"
                     seed_records.append(RunRecord(
                         run_id, s, method, task_name, split, "accuracy", tune_acc,
@@ -736,7 +722,7 @@ def run_ood(task: OodTask, config: OodConfig, init_bank: RepresentationBank | No
                          "lr": f"{lr:g}", "wd": f"{wd:g}"},
                     ))
         chosen = select_hyperparams(seed_records, config.tune_mode)
-        test_acc = _net_accuracy(models[chosen], X_test, task.test_env.y)
+        test_acc = accuracy(models[chosen], X_test, task.test_env.y)
         test_accs.append(test_acc)
         records.extend(seed_records)
         records.append(RunRecord(run_id, s, method, task_name, "ood_test",

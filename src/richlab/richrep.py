@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .core_nn.layers import (
     extract_features,
     glorot_layer,
     init_network,
+    layer_params,
     load_network,
     save_network,
     stack_backward,
@@ -36,7 +37,7 @@ from .core_nn.losses import (
     softmax_temperature,
     tempered_log_probs,
 )
-from .core_nn.optim import MomentumState, NetGrads, TrainConfig, lr_at, sgd_step
+from .core_nn.optim import TrainConfig, sgd_fit
 from .core_nn.train import train
 from .errors import (
     EpisodeError,
@@ -45,7 +46,7 @@ from .errors import (
     TrainingError,
 )
 from .probing import ProbeConfig, ProbeResult, fit_probe
-from .rng import SplitMix64, derive_seed, shuffle_rng
+from .rng import SplitMix64, derive_seed
 from .tasks import Dataset
 
 PROVENANCES = ("independent_episodes", "snapshots", "joint_training")
@@ -95,15 +96,6 @@ class RepresentationBank:
         )
 
 
-@dataclass
-class CatRepresentation:
-    bank: RepresentationBank
-    total_dim: int = field(init=False)
-
-    def __post_init__(self):
-        self.total_dim = self.bank.total_dim
-
-
 @dataclass(frozen=True)
 class DistillSpec:
     """How to distill a bank into one student trunk.
@@ -145,9 +137,7 @@ def init_trunk(sizes, seed: int, activation: str = "relu") -> Network:
 
 
 def split_head(net: Network) -> tuple[Network, DenseLayer]:
-    """Split a trained linear-head network into (trunk, classifier head)."""
-    if net.head_kind != "linear":
-        raise ParameterError("only linear-head networks split into trunk + head")
+    """Split a trained network into (trunk, classifier head)."""
     if len(net.layers) < 2:
         raise ParameterError("network needs a hidden layer to yield a trunk")
     trunk = Network([_clone_layer(l) for l in net.layers[:-1]])
@@ -223,18 +213,15 @@ def snapshot_episode(data: Dataset, hidden, config: TrainConfig,
 # ---------------------------------------------------------------------------
 # concatenation and ensembling
 
-def cat_features(bank, X) -> np.ndarray:
+def cat_features(bank: RepresentationBank, X) -> np.ndarray:
     """Column-concatenated features, one contiguous block per extractor."""
-    if isinstance(bank, CatRepresentation):
-        bank = bank.bank
     X = as_feature_matrix(X)
     return np.hstack([extract_features(trunk, X) for trunk in bank.extractors])
 
 
-def subset_ensemble_predict(bank, probes: list[ProbeResult], X) -> np.ndarray:
+def subset_ensemble_predict(bank: RepresentationBank, probes: list[ProbeResult],
+                            X) -> np.ndarray:
     """Average of per-extractor probe softmax outputs (rows sum to 1)."""
-    if isinstance(bank, CatRepresentation):
-        bank = bank.bank
     if len(probes) != len(bank):
         raise ParameterError(
             f"{len(bank)} extractors but {len(probes)} probes"
@@ -295,53 +282,44 @@ def distill(bank: RepresentationBank, spec: DistillSpec, data: Dataset,
     return _distill_train(trunk, heads, targets, spec, X, y, config)
 
 
+def _fit_episode(what: str, params, loss_and_grad, n_rows: int,
+                 config: TrainConfig) -> None:
+    """:func:`sgd_fit` whose divergence names the episode seed."""
+    try:
+        sgd_fit(params, loss_and_grad, n_rows, config)
+    except TrainingError as exc:
+        raise EpisodeError(f"{what} with seed {config.seed} diverged: {exc}",
+                           seed=config.seed, epoch=exc.epoch) from exc
+
+
 def _distill_train(trunk, heads, targets, spec, X, y, config) -> Network:
-    trunk_state = MomentumState.zeros_like(trunk)
-    head_states = [
-        (np.zeros_like(h.weights), np.zeros_like(h.bias)) for h in heads
-    ]
-    rng = shuffle_rng(config.seed)
-    n = X.shape[0]
     tau = float(spec.tau)
     alpha = float(spec.alpha) if spec.mode == "ce_kl" else 1.0
     if spec.mode != "cosine":
         # the tempered teacher targets are fixed: one log_softmax per teacher
         targets = [tempered_log_probs(tgt, tau) for tgt in targets]
-    for epoch in range(config.epochs):
-        lr = lr_at(config.schedule, config.lr, epoch, config.epochs)
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = X[idx], y[idx]
-            acts, pres = stack_forward(trunk.layers, xb)
-            feat = acts[-1]
-            d_feat = np.zeros_like(feat)
-            batch_loss = 0.0
-            head_grads = []
-            for head, tgt in zip(heads, targets):
-                out = feat @ head.weights.T + head.bias
-                if spec.mode == "cosine":
-                    loss, d_out = cosine_distill_loss(tgt[idx], out)
-                else:
-                    logp, p = tgt
-                    loss, d_out = distill_to_log_probs(logp[idx], p[idx], out, tau, yb, alpha)
-                batch_loss += loss
-                head_grads.append((d_out.T @ feat, d_out.sum(axis=0)))
-                d_feat += d_out @ head.weights
-            layer_grads = stack_backward(trunk.layers, acts, pres, d_feat)
-            sgd_step(trunk, NetGrads(layer_grads), trunk_state, config, lr)
-            wd = config.weight_decay
-            for head, (dW, db), (vW, vb) in zip(heads, head_grads, head_states):
-                vW *= config.momentum
-                vW += dW + wd * head.weights if wd else dW
-                head.weights -= lr * vW
-                vb *= config.momentum
-                vb += db
-                head.bias -= lr * vb
-            total += batch_loss * len(idx)
-        if not np.isfinite(total / n):
-            raise TrainingError(f"distillation diverged at epoch {epoch}", epoch=epoch)
+
+    def loss_and_grad(idx):
+        yb = y[idx]
+        acts, pres = stack_forward(trunk.layers, X[idx])
+        feat = acts[-1]
+        d_feat = np.zeros_like(feat)
+        batch_loss = 0.0
+        head_grads = []
+        for head, tgt in zip(heads, targets):
+            out = feat @ head.weights.T + head.bias
+            if spec.mode == "cosine":
+                loss, d_out = cosine_distill_loss(tgt[idx], out)
+            else:
+                logp, p = tgt
+                loss, d_out = distill_to_log_probs(logp[idx], p[idx], out, tau, yb, alpha)
+            batch_loss += loss
+            head_grads += (d_out.T @ feat, d_out.sum(axis=0))
+            d_feat += d_out @ head.weights
+        return batch_loss, stack_backward(trunk.layers, acts, pres, d_feat) + head_grads
+
+    _fit_episode("distillation", layer_params(trunk.layers + heads), loss_and_grad,
+                 X.shape[0], config)
     return trunk
 
 
@@ -393,62 +371,34 @@ class MultiLegNetwork:
         return float((self.logits(X).argmax(axis=1) == np.asarray(y)).mean())
 
 
-def _train_multileg(mln: MultiLegNetwork, X, y, config: TrainConfig,
-                    update_legs: bool = True) -> list[float]:
-    """In-place joint SGD over legs + head (legs optionally frozen)."""
-    n = X.shape[0]
-    leg_states = [MomentumState.zeros_like(leg) for leg in mln.legs]
-    head_vW = np.zeros_like(mln.head.weights)
-    head_vb = np.zeros_like(mln.head.bias)
-    widths = [leg.layers[-1].n_out for leg in mln.legs]
-    offsets = np.cumsum([0, *widths])
-    rng = shuffle_rng(config.seed)
-    history = []
-    for epoch in range(config.epochs):
-        lr = lr_at(config.schedule, config.lr, epoch, config.epochs)
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = X[idx], y[idx]
-            caches = [stack_forward(leg.layers, xb) for leg in mln.legs]
-            feat = np.hstack([acts[-1] for acts, _ in caches])
-            logits = feat @ mln.head.weights.T + mln.head.bias
-            loss, d_logits = cross_entropy_loss(logits, yb)
-            d_feat = d_logits @ mln.head.weights
-            dW = d_logits.T @ feat
-            db = d_logits.sum(axis=0)
-            wd = config.weight_decay
-            head_vW *= config.momentum
-            head_vW += dW + wd * mln.head.weights if wd else dW
-            mln.head.weights -= lr * head_vW
-            head_vb *= config.momentum
-            head_vb += db
-            mln.head.bias -= lr * head_vb
-            if update_legs:
-                for leg, (acts, pres), state, a, b in zip(
-                    mln.legs, caches, leg_states, offsets[:-1], offsets[1:]
-                ):
-                    grads = stack_backward(leg.layers, acts, pres, d_feat[:, a:b])
-                    sgd_step(leg, NetGrads(grads), state, config, lr)
-            total += loss * len(idx)
-        epoch_loss = total / n
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"joint training diverged at epoch {epoch}", epoch=epoch)
-        history.append(epoch_loss)
-    return history
+def _train_multileg(mln: MultiLegNetwork, X, y, config: TrainConfig, what: str) -> None:
+    """In-place joint SGD over the legs and the head."""
+    offsets = np.cumsum([0, *(leg.layers[-1].n_out for leg in mln.legs)])
+    head = mln.head
+
+    def loss_and_grad(idx):
+        xb = X[idx]
+        caches = [stack_forward(leg.layers, xb) for leg in mln.legs]
+        feat = np.hstack([acts[-1] for acts, _ in caches])
+        loss, d_logits = cross_entropy_loss(feat @ head.weights.T + head.bias, y[idx])
+        d_feat = d_logits @ head.weights
+        grads = []
+        for leg, (acts, pres), a, b in zip(mln.legs, caches, offsets[:-1], offsets[1:]):
+            grads += stack_backward(leg.layers, acts, pres, d_feat[:, a:b])
+        return loss, grads + [d_logits.T @ feat, d_logits.sum(axis=0)]
+
+    layers = [layer for leg in mln.legs for layer in leg.layers] + [head]
+    _fit_episode(what, layer_params(layers), loss_and_grad, X.shape[0], config)
 
 
 def naive_finetune(bank: RepresentationBank, data: Dataset,
                    config: TrainConfig) -> MultiLegNetwork:
     """Fine-tune the concatenated trunk and a fresh joint head in one episode."""
-    if isinstance(bank, CatRepresentation):
-        bank = bank.bank
     legs = [trunk.clone() for trunk in bank.extractors]
     head_rng = SplitMix64(config.seed)
     head = glorot_layer(data.n_classes, int(sum(bank.dims)), head_rng)
     mln = MultiLegNetwork(legs, head)
-    _train_multileg(mln, data.X, data.y, config)
+    _train_multileg(mln, data.X, data.y, config, "naive fine-tune")
     return mln
 
 
@@ -465,7 +415,7 @@ def joint_train(data: Dataset, hidden, n_legs: int, config: TrainConfig) -> Mult
         legs.append(Network(layers))
     head = glorot_layer(data.n_classes, n_legs * sizes[-1], rng)
     mln = MultiLegNetwork(legs, head)
-    _train_multileg(mln, data.X, data.y, config)
+    _train_multileg(mln, data.X, data.y, config, "joint training")
     return mln
 
 
@@ -587,8 +537,6 @@ def extractor_probes(bank: RepresentationBank, data: Dataset,
 def leg_probe_gap(bank: RepresentationBank, data: Dataset,
                   probe_config: ProbeConfig) -> tuple[list[float], float]:
     """Fit a probe per leg on that leg's features; return accuracies + max gap."""
-    if isinstance(bank, CatRepresentation):
-        bank = bank.bank
     accs = [probe.train_accuracy for probe in extractor_probes(bank, data, probe_config)]
     return accs, float(max(accs) - min(accs))
 

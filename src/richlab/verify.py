@@ -51,7 +51,7 @@ class SuiteResult:
 GRAD_LOSSES = ("ce", "kl_tau1", "kl_tau10", "ce_kl", "cosine")
 
 
-def gradcheck_instance(seed: int, loss_kind: str, sizes=(5, 7, 6, 4), n: int = 8):
+def gradcheck_instance(seed: int, loss_name: str, sizes=(5, 7, 6, 4), n: int = 8):
     """Random net + data for a finite-difference check, kept away from relu kinks.
 
     Relu is non-differentiable at 0; an instance whose pre-activations
@@ -71,24 +71,24 @@ def gradcheck_instance(seed: int, loss_kind: str, sizes=(5, 7, 6, 4), n: int = 8
         min_pre = min(np.abs(p).min() for p in pres[:-1]) if len(pres) > 1 else np.inf
         if min_pre <= 1e-3:
             continue
-        if loss_kind == "cosine" and np.linalg.norm(acts[-1], axis=1).min() <= 1e-3:
+        if loss_name == "cosine" and np.linalg.norm(acts[-1], axis=1).min() <= 1e-3:
             continue
         return net, X, teacher, y
     raise RuntimeError("could not draw a kink-free gradcheck instance")
 
 
-def _loss_fn(loss_kind: str, teacher, y):
-    if loss_kind == "ce":
+def _loss_fn(loss_name: str, teacher, y):
+    if loss_name == "ce":
         return lambda logits: cross_entropy_loss(logits, y)
-    if loss_kind == "kl_tau1":
+    if loss_name == "kl_tau1":
         return lambda logits: kl_distill_loss(teacher, logits, 1.0)
-    if loss_kind == "kl_tau10":
+    if loss_name == "kl_tau10":
         return lambda logits: kl_distill_loss(teacher, logits, 10.0)
-    if loss_kind == "ce_kl":
+    if loss_name == "ce_kl":
         return lambda logits: ce_kl_distill_loss(teacher, logits, y, alpha=0.9, tau=4.0)
-    if loss_kind == "cosine":
+    if loss_name == "cosine":
         return lambda logits: cosine_distill_loss(teacher, logits)
-    raise ValueError(loss_kind)
+    raise ValueError(loss_name)
 
 
 def max_grad_rel_error(net, X, loss_fn, n_coords: int = 100, seed: int = 0,
@@ -121,12 +121,12 @@ def _name_offset(name: str) -> int:
 
 def gradient_suite(seed: int = 0, n_coords: int = 100, tol: float = 1e-4) -> SuiteResult:
     details, failures = [], []
-    for loss_kind in GRAD_LOSSES:
-        net, X, teacher, y = gradcheck_instance(derive_seed(seed, _name_offset(loss_kind)),
-                                                loss_kind)
-        worst = max_grad_rel_error(net, X, _loss_fn(loss_kind, teacher, y),
+    for loss_name in GRAD_LOSSES:
+        net, X, teacher, y = gradcheck_instance(derive_seed(seed, _name_offset(loss_name)),
+                                                loss_name)
+        worst = max_grad_rel_error(net, X, _loss_fn(loss_name, teacher, y),
                                    n_coords=n_coords, seed=seed)
-        line = f"{loss_kind}: max relative error {worst:.3g}"
+        line = f"{loss_name}: max relative error {worst:.3g}"
         details.append(line)
         if not worst < tol:
             failures.append(line)

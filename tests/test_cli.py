@@ -158,9 +158,56 @@ def test_verify_fault_injection_names_the_suite(monkeypatch, capsys):
 
 def test_parser_shapes():
     parser = cli.build_parser()
-    args = parser.parse_args(["run", "cfg.json", "--seed", "7", "--jobs", "4"])
-    assert args.command == "run" and args.seed == 7 and args.jobs == 4
+    args = parser.parse_args(["run", "cfg.json", "--seed", "7"])
+    assert args.command == "run" and args.seed == 7
     args = parser.parse_args(["report", "x.csv", "--kind", "summary"])
     assert args.kind == "summary"
     args = parser.parse_args(["verify", "--seed", "3"])
     assert args.seed == 3
+
+
+@pytest.mark.parametrize("pipeline,runner,config_cls", [
+    ("transfer", "run_transfer", "TransferConfig"),
+    ("fewshot", "run_fewshot", "FewshotConfig"),
+    ("ood", "run_ood", "OodConfig"),
+])
+def test_minimal_config_runs_with_dataclass_defaults(tmp_path, monkeypatch, pipeline,
+                                                     runner, config_cls):
+    from dataclasses import replace
+
+    from richlab import experiments
+
+    seen = {}
+
+    def capture(*args, **kwargs):
+        seen["config"] = next(a for a in (*args, *kwargs.values())
+                              if isinstance(a, getattr(experiments, config_cls)))
+        seen["kwargs"] = kwargs
+        return []
+
+    monkeypatch.setattr(cli, runner, capture)
+    cfg = write_config(tmp_path, pipeline=pipeline, output_dir=str(tmp_path / "out"))
+    assert cli.cmd_run(cfg) == 0
+    default = getattr(experiments, config_cls)()
+    assert seen["config"] == replace(default, seeds=cli._derived_seeds(0, 5))
+    assert "n_episodes_eval" not in seen["kwargs"]  # run_fewshot keeps its own default
+
+
+def test_config_keys_override_only_what_they_name(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from richlab.core_nn import Schedule
+    from richlab.experiments import TransferConfig
+
+    seen = []
+    monkeypatch.setattr(cli, "run_transfer", lambda *a, **k: seen.append(a[3]) or [])
+    cfg = write_config(tmp_path, pipeline="transfer", output_dir=str(tmp_path / "out"),
+                       hidden=[4, 3], train={"lr": 0.5, "schedule": {"every": 7}})
+    assert cli.cmd_run(cfg) == 0
+    default = TransferConfig()
+    want_train = replace(default.train, lr=0.5,
+                         schedule=replace(default.train.schedule, every=7))
+    assert seen[0].hidden == (4, 3)
+    assert seen[0].train == want_train
+    assert seen[0].train.schedule == Schedule("cosine", 0.1, 7)
+    assert seen[0].distill_train == default.distill_train

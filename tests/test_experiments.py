@@ -433,6 +433,16 @@ def test_fewshot_cosine_classifier_runs():
     assert (pred == y).mean() == 1.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_cosine_classifier_raises():
+    rng = SplitMix64(9)
+    feats = rng.normal(20 * 6).reshape(20, 6)
+    # the gains overflow to infinity, and the head turns to NaN without the check
+    with pytest.raises(TrainingError, match="non-finite gradient") as info:
+        fit_cosine_classifier(feats, rng.integers(5, 20), 5, seed=1, lr=1e308, epochs=5)
+    assert info.value.epoch is not None
+
+
 def test_snapshot_schedule_even():
     assert snapshot_schedule(100, 5) == [20, 40, 60, 80, 100]
     assert snapshot_schedule(12, 5) == [2, 5, 7, 10, 12]

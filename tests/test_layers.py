@@ -12,7 +12,6 @@ from richlab.core_nn import (
     cosine_head_forward,
     extract_features,
     forward,
-    init_cosine_network,
     init_network,
     load_network,
     network_from_bytes,
@@ -104,11 +103,12 @@ def test_cosine_head_zero_input_rejected():
 
 
 def test_cosine_network_forward_shapes():
-    net = init_cosine_network([4, 6], n_classes=3, seed=5)
-    X = SplitRandom(4)
-    logits, pen = forward(net, X)
-    assert logits.shape == (6, 3)
-    assert pen.shape == (6, 6)
+    # a cosine head over a trunk's features: one logit per row and class
+    trunk = init_network([4, 6], seed=5)
+    feats = extract_features(trunk, SplitRandom(4))
+    head = CosineHead(np.arange(1.0, 19.0).reshape(3, 6), np.ones(3))
+    assert feats.shape == (6, 6)
+    assert cosine_head_forward(feats + 1.0, head).shape == (6, 3)
 
 
 def test_extract_features_runs_full_stack():

@@ -2,85 +2,69 @@ import numpy as np
 import pytest
 
 from richlab.core_nn import (
+    CosineHead,
     DenseLayer,
-    MomentumState,
-    NetGrads,
-    Network,
     Schedule,
     TrainConfig,
+    layer_params,
     lr_at,
     sgd_step,
 )
 from richlab.errors import NumericalError, ParameterError
 
 
-def one_weight_net(w0):
-    return Network([DenseLayer(np.array([[w0]]), np.zeros(1), "linear")])
+def step_once(params, grads, lr, momentum=0.0, wd=0.0, velocities=None):
+    velocities = velocities or [np.zeros_like(w) for w, _ in params]
+    sgd_step(params, grads, velocities, lr, momentum, wd)
+    return velocities
 
 
-def step_once(net, g, lr, momentum=0.0, wd=0.0, state=None):
-    cfg = TrainConfig(lr=lr, epochs=1, batch_size=1, momentum=momentum, weight_decay=wd)
-    state = state or MomentumState.zeros_like(net)
-    grads = NetGrads([(np.array([[g]]), np.zeros(1))])
-    sgd_step(net, grads, state, cfg, lr)
-    return state
+def one_weight(w0):
+    return [(np.array([[w0]]), True)]
 
 
 def test_plain_sgd_step():
-    net = one_weight_net(1.0)
-    step_once(net, g=2.0, lr=0.1)
-    assert net.layers[0].weights[0, 0] == pytest.approx(0.8)
+    params = one_weight(1.0)
+    step_once(params, [np.array([[2.0]])], lr=0.1)
+    assert params[0][0][0, 0] == pytest.approx(0.8)
 
 
 def test_weight_decay_only_step():
     # w - lr*wd*w = 1 - 0.1*0.5*1 = 0.95
-    net = one_weight_net(1.0)
-    step_once(net, g=0.0, lr=0.1, wd=0.5)
-    assert net.layers[0].weights[0, 0] == pytest.approx(0.95)
+    params = one_weight(1.0)
+    step_once(params, [np.zeros((1, 1))], lr=0.1, wd=0.5)
+    assert params[0][0][0, 0] == pytest.approx(0.95)
 
 
 def test_momentum_two_steps_unrolled():
     # v1 = 1, w1 = -0.1; v2 = 0.9 + 1 = 1.9, w2 = -0.1 - 0.19 = -0.29
-    net = one_weight_net(0.0)
-    state = step_once(net, g=1.0, lr=0.1, momentum=0.9)
-    step_once(net, g=1.0, lr=0.1, momentum=0.9, state=state)
-    assert net.layers[0].weights[0, 0] == pytest.approx(-0.29)
+    params = one_weight(0.0)
+    vel = step_once(params, [np.ones((1, 1))], lr=0.1, momentum=0.9)
+    step_once(params, [np.ones((1, 1))], lr=0.1, momentum=0.9, velocities=vel)
+    assert params[0][0][0, 0] == pytest.approx(-0.29)
 
 
 def test_weight_decay_skips_biases():
     layer = DenseLayer(np.array([[2.0]]), np.array([3.0]), "linear")
-    net = Network([layer])
-    cfg = TrainConfig(lr=0.1, epochs=1, batch_size=1, weight_decay=0.5)
-    grads = NetGrads([(np.zeros((1, 1)), np.zeros(1))])
-    sgd_step(net, grads, MomentumState.zeros_like(net), cfg, 0.1)
-    assert net.layers[0].weights[0, 0] < 2.0   # weights shrink
-    assert net.layers[0].bias[0] == 3.0        # bias untouched
+    step_once(layer_params([layer]), [np.zeros((1, 1)), np.zeros(1)], lr=0.1, wd=0.5)
+    assert layer.weights[0, 0] < 2.0   # weights shrink
+    assert layer.bias[0] == 3.0        # bias untouched
 
 
 def test_weight_decay_skips_cosine_gains():
-    from richlab.core_nn import CosineHead
-
-    net = Network(
-        [DenseLayer(np.eye(2), np.zeros(2), "relu")],
-        head_kind="cosine",
-        cosine_head=CosineHead(np.eye(2), np.array([2.0, 2.0])),
-    )
-    cfg = TrainConfig(lr=0.1, epochs=1, batch_size=1, weight_decay=0.5)
-    grads = NetGrads([(np.zeros((2, 2)), np.zeros(2))],
-                     cosine=(np.zeros((2, 2)), np.zeros(2)))
-    sgd_step(net, grads, MomentumState.zeros_like(net), cfg, 0.1)
-    assert np.allclose(net.cosine_head.gains, [2.0, 2.0])       # gains untouched
-    assert net.cosine_head.directions[0, 0] < 1.0               # directions decay
+    head = CosineHead(np.eye(2), np.array([2.0, 2.0]))
+    params = [(head.directions, True), (head.gains, False)]
+    step_once(params, [np.zeros((2, 2)), np.zeros(2)], lr=0.1, wd=0.5)
+    assert np.allclose(head.gains, [2.0, 2.0])       # gains untouched
+    assert head.directions[0, 0] < 1.0               # directions decay
 
 
 def test_nonfinite_gradient_names_layer():
-    net = Network([DenseLayer(np.eye(2), np.zeros(2), "linear"),
-                   DenseLayer(np.eye(2), np.zeros(2), "linear")])
-    grads = NetGrads([(np.zeros((2, 2)), np.zeros(2)),
-                      (np.full((2, 2), np.nan), np.zeros(2))])
-    cfg = TrainConfig(lr=0.1, epochs=1, batch_size=1)
-    with pytest.raises(NumericalError, match="layer 1"):
-        sgd_step(net, grads, MomentumState.zeros_like(net), cfg, 0.1)
+    layers = [DenseLayer(np.eye(2), np.zeros(2), "linear"),
+              DenseLayer(np.eye(2), np.zeros(2), "linear")]
+    grads = [np.zeros((2, 2)), np.zeros(2), np.full((2, 2), np.nan), np.zeros(2)]
+    with pytest.raises(NumericalError, match="parameter 2"):  # layer 1's weights
+        step_once(layer_params(layers), grads, lr=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from richlab.core_nn.train import flatten_params
 from richlab.errors import EpisodeError, ParameterError
 from richlab.probing import ProbeConfig, fit_probe, optimal_cost
 from richlab.richrep import (
-    CatRepresentation,
     DistillSpec,
     RepresentationBank,
     bank_from_multileg,
@@ -68,6 +67,37 @@ def test_diverging_episode_names_its_seed():
     with pytest.raises(EpisodeError, match="seed 11 diverged") as info:
         train_episodes(toy_data(), (4,), cfg, [11, 12])
     assert info.value.seed == 11
+    assert info.value.epoch is not None
+
+
+DIVERGE = TrainConfig(lr=1e6, epochs=20, batch_size=16, momentum=0.9, seed=21)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_distillation_names_its_seed():
+    data = toy_data()
+    bank = train_episodes(data, (8,), CFG, [11, 12])
+    with pytest.raises(EpisodeError, match="seed 21 diverged") as info:
+        distill(bank, DistillSpec(student_arch=(8,)), data, DIVERGE)
+    assert info.value.seed == 21
+    assert info.value.epoch is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_joint_training_names_its_seed():
+    with pytest.raises(EpisodeError, match="seed 21 diverged") as info:
+        joint_train(toy_data(), (8,), 2, DIVERGE)
+    assert info.value.seed == 21
+    assert info.value.epoch is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_naive_finetune_names_its_seed():
+    data = toy_data()
+    bank = train_episodes(data, (8,), CFG, [5, 6])
+    with pytest.raises(EpisodeError, match="seed 21 diverged") as info:
+        naive_finetune(bank, data, DIVERGE)
+    assert info.value.seed == 21
     assert info.value.epoch is not None
 
 
@@ -155,9 +185,6 @@ def test_cat_features_block_layout():
     assert feats.shape[1] == 16
     assert np.array_equal(feats[:, :8], extract_features(bank.extractors[0], data.X))
     assert np.array_equal(feats[:, 8:], extract_features(bank.extractors[1], data.X))
-    cat = CatRepresentation(bank)
-    assert cat.total_dim == 16
-    assert np.array_equal(cat_features(cat, data.X), feats)
 
 
 def test_duplicate_extractor_adds_no_information():

@@ -2,23 +2,22 @@ import numpy as np
 import pytest
 
 from richlab.core_nn import (
+    CosineHead,
     Schedule,
     TrainConfig,
     accuracy,
     ce_kl_distill_loss,
     cosine_distill_loss,
+    cosine_head_backward,
+    cosine_head_forward,
     cross_entropy_loss,
-    flatten_grads,
     flatten_params,
-    forward,
-    init_cosine_network,
     init_network,
     kl_distill_loss,
-    network_loss_grad,
-    set_flat_params,
     train,
 )
-from richlab.errors import NumericalError, ParameterError, TrainingError
+from richlab.errors import NumericalError, TrainingError
+from richlab.experiments import fit_cosine_classifier
 from richlab.rng import SplitMix64
 
 
@@ -101,19 +100,11 @@ def test_train_is_pure():
     assert np.array_equal(flatten_params(net), before)
 
 
-def test_train_rejects_unknown_loss():
-    net = init_network([2, 4, 2], seed=1)
-    X, y = two_blobs()
-    with pytest.raises(ParameterError):
-        train(net, X, y, TrainConfig(lr=0.1, epochs=1, batch_size=8), loss_kind="kl")
-
-
 def test_cosine_head_network_trains():
-    net = init_cosine_network([2, 8], n_classes=2, seed=9)
+    # a cosine head fitted through the shared loop on the blobs themselves
     X, y = two_blobs()
-    trained, _ = train(net, X, y,
-                       TrainConfig(lr=0.05, epochs=150, batch_size=16, momentum=0.9, seed=0))
-    assert accuracy(trained, X, y) >= 0.95
+    head = fit_cosine_classifier(X, y, 2, seed=9, lr=0.05, epochs=150, batch_size=16)
+    assert (cosine_head_forward(X, head).argmax(axis=1) == y).mean() >= 0.95
 
 
 def test_schedule_changes_trajectory():
@@ -165,15 +156,23 @@ def test_backprop_matches_fd_cosine_distill():
 
 
 def test_backprop_matches_fd_cosine_head():
-    # cosine-head parameters (directions, gains) get gradients too
+    # a bare cosine head: gradients wrt its directions, gains and input rows
     rng = SplitMix64(140)
-    net = init_cosine_network([5, 7, 6], n_classes=4, seed=140)
-    X = rng.normal(8 * 5).reshape(8, 5) + 0.5
+    head = CosineHead(rng.normal(4 * 6).reshape(4, 6), rng.normal(4) + 2.0)
+    Z = rng.normal(8 * 6).reshape(8, 6) + 0.5
     y = rng.integers(4, 8)
-    from richlab.core_nn import stack_forward
 
-    _, pres = stack_forward(net.layers, X)
-    assert min(np.abs(p).min() for p in pres) > 1e-4  # away from relu kinks
-    worst = max_grad_rel_error(net, X, lambda logits: cross_entropy_loss(logits, y),
-                               n_coords=80)
+    def loss(U, g, Z):
+        return cross_entropy_loss(cosine_head_forward(Z, CosineHead(U, g)), y)[0]
+
+    _, d_logits = cross_entropy_loss(cosine_head_forward(Z, head), y)
+    analytic = cosine_head_backward(Z, head, d_logits)
+    point, h, worst = [head.directions, head.gains, Z], 1e-5, 0.0
+    for a, grad in enumerate(analytic):
+        for i in np.ndindex(grad.shape):
+            up, down = [p.copy() for p in point], [p.copy() for p in point]
+            up[a][i] += h
+            down[a][i] -= h
+            fd = (loss(*up) - loss(*down)) / (2 * h)
+            worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-5))
     assert worst < 1e-4
