@@ -108,9 +108,7 @@ def _run_fewshot_pipeline(cfg: dict, master: int) -> list[RunRecord]:
     base, novel_task = make_class_split_tasks(
         spec, master + 2, list(range(half)), list(range(half, spec.n_classes)))
     fs = cfg.get("fewshot", {})
-    episode_spec = EpisodeSpec(
-        n_way=fs.get("n_way", 5), k_shot=fs.get("k_shot", 5),
-        n_query=fs.get("n_query", 15))
+    episode_spec = _merged(EpisodeSpec(), fs)
     fc = replace(_merged(_merged(FewshotConfig(), cfg), fs),
                  seeds=_derived_seeds(master, cfg.get("n_seeds", 5)))
     methods = cfg.get("methods", ["erm", "cat", "cat-s", "snaps"])

@@ -28,7 +28,7 @@ from .core_nn.losses import cross_entropy_loss, log_softmax
 from .core_nn.optim import Schedule, TrainConfig, sgd_fit, sgd_step
 from .core_nn.train import accuracy, network_loss_grad
 from .errors import DataError, EpisodeError, NumericalError, ParameterError, TrainingError
-from .probing import ProbeConfig, fit_probe
+from .probing import ProbeCache, ProbeConfig, fit_probe
 from .rng import SplitMix64, derive_seed
 from .richrep import (
     DistillSpec,
@@ -265,9 +265,8 @@ class TransferConfig:
 
 
 def _probe_records(records, run_id, seed, method, task: TransferTask,
-                   feature_fn, probe_cfg):
-    feats = feature_fn(task.train.X)
-    probe = fit_probe(feats, task.train.y, probe_cfg, n_classes=task.train.n_classes)
+                   feature_fn, cache: ProbeCache):
+    probe = cache.fit(feature_fn(task.train.X), task.train.y, task.train.n_classes)
     records.append(RunRecord(run_id, seed, method, task.name, "id_train",
                              "probe_cost", probe.cost))
     records.append(RunRecord(run_id, seed, method, task.name, "id_train",
@@ -278,8 +277,8 @@ def _probe_records(records, run_id, seed, method, task: TransferTask,
                                  "probe_accuracy", acc))
     if task.ood_test is not None:
         if task.ood_train is not None:
-            ood_probe = fit_probe(feature_fn(task.ood_train.X), task.ood_train.y,
-                                  probe_cfg, n_classes=task.ood_train.n_classes)
+            ood_probe = cache.fit(feature_fn(task.ood_train.X), task.ood_train.y,
+                                  task.ood_train.n_classes)
             extra = {"probe": "refit"}
         else:
             ood_probe, extra = probe, {"probe": "reuse"}
@@ -299,6 +298,9 @@ def run_transfer(pretrain: TransferTask, target: TransferTask, n_episodes: int,
     records: list[RunRecord] = []
     need_bank = bool({"erm", "cat", "distill", "catsub", "init-ft", "2ft"} & set(cfg.methods))
     for s in cfg.seeds:
+        # the same problem recurs within a seed: erm is leg 0 of cat, and
+        # catsub refits the legs that the leg gap already probed
+        cache = ProbeCache(cfg.probe)
         bank = None
         if need_bank:
             ep_seeds = [derive_seed(s, i) for i in range(n_episodes)]
@@ -307,11 +309,11 @@ def run_transfer(pretrain: TransferTask, target: TransferTask, n_episodes: int,
         if "erm" in cfg.methods:
             single = bank.member(0)
             _probe_records(records, run_id, s, "erm", target,
-                           lambda X, b=single: cat_features(b, X), cfg.probe)
+                           lambda X, b=single: cat_features(b, X), cache)
         if "cat" in cfg.methods:
             _probe_records(records, run_id, s, f"cat{n_episodes}", target,
-                           lambda X, b=bank: cat_features(b, X), cfg.probe)
-            accs, gap = leg_probe_gap(bank, pretrain.train, cfg.probe)
+                           lambda X, b=bank: cat_features(b, X), cache)
+            accs, gap = leg_probe_gap(bank, pretrain.train, cache)
             records.append(RunRecord(run_id, s, f"cat{n_episodes}", pretrain.name,
                                      "id_train", "leg_gap", gap,
                                      {"legs": "/".join(f"{a:.4f}" for a in accs)}))
@@ -319,14 +321,14 @@ def run_transfer(pretrain: TransferTask, target: TransferTask, n_episodes: int,
             student = distill(bank, cfg.distill, pretrain.train,
                               cfg.distill_train.with_seed(derive_seed(s, 500)))
             _probe_records(records, run_id, s, f"distill{n_episodes}", target,
-                           lambda X, t=student: extract_features(t, X), cfg.probe)
+                           lambda X, t=student: extract_features(t, X), cache)
         if "joint" in cfg.methods:
             mln = joint_train(pretrain.train, cfg.hidden, n_episodes,
                               cfg.train.with_seed(derive_seed(s, 600)))
             jbank = bank_from_multileg(mln, derive_seed(s, 600))
             _probe_records(records, run_id, s, f"joint{n_episodes}", target,
-                           lambda X, b=jbank: cat_features(b, X), cfg.probe)
-            accs, gap = leg_probe_gap(jbank, pretrain.train, cfg.probe)
+                           lambda X, b=jbank: cat_features(b, X), cache)
+            accs, gap = leg_probe_gap(jbank, pretrain.train, cache)
             records.append(RunRecord(run_id, s, f"joint{n_episodes}", pretrain.name,
                                      "id_train", "leg_gap", gap,
                                      {"legs": "/".join(f"{a:.4f}" for a in accs)}))
@@ -336,7 +338,7 @@ def run_transfer(pretrain: TransferTask, target: TransferTask, n_episodes: int,
             for split, ds in (("id_test", target.id_test), ("ood_test", target.ood_test)):
                 if ds is None:
                     continue
-                probes = extractor_probes(bank, fit_for[split], cfg.probe)
+                probes = extractor_probes(bank, fit_for[split], cache)
                 proba = subset_ensemble_predict(bank, probes, ds.X)
                 acc = float((proba.argmax(axis=1) == ds.y).mean())
                 records.append(RunRecord(run_id, s, "catsub", target.name, split,

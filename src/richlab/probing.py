@@ -25,11 +25,19 @@ a block of episodes at once (``experiments.episode_accuracies``), and
 the transfer pipeline fits one probe per extractor on the same rows
 (``richrep.extractor_probes``) for the per-leg probe gap and for the
 per-leg ensemble ``catsub``.
+
+The transfer pipeline also poses the same problem more than once: ``erm``
+is leg 0 of the concatenation, and ``catsub`` probes the legs that the
+per-leg gap already probed.  A ``ProbeCache`` per seed holds every probe
+fitted so far under its key, the digest of the problem's bytes, so each
+distinct problem is fitted once, and only the problems it does not hold
+reach the solver.
 """
 from __future__ import annotations
 
+import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,12 +60,12 @@ class ProbeConfig:
     standardize: bool = False
 
     def __post_init__(self):
-        if self.l2 < 0:
-            raise ParameterError(f"l2 must be nonnegative, got {self.l2}")
+        if not np.isfinite(self.l2) or self.l2 < 0:
+            raise ParameterError(f"l2 must be nonnegative and finite, got {self.l2}")
         if self.max_iters < 1:
             raise ParameterError("max_iters must be positive")
-        if self.grad_tol <= 0:
-            raise ParameterError("grad_tol must be positive")
+        if not np.isfinite(self.grad_tol) or self.grad_tol <= 0:
+            raise ParameterError(f"grad_tol must be positive and finite, got {self.grad_tol}")
 
 
 @dataclass
@@ -296,6 +304,36 @@ def fit_probe(
                          bool((grad_norm <= config.grad_tol).all()), steps, grad_norm,
                          config.grad_tol)
     return result if stacked else result[0]
+
+
+@dataclass
+class ProbeCache:
+    """Probes fitted under one ``ProbeConfig``, so that an identical problem
+    is fitted once.
+
+    A problem's key is the sha256 of its feature bytes followed by its label
+    bytes, with the feature shape and the class count.  Without an ``rng``,
+    ``fit_probe`` is deterministic and a problem of a stack comes out as if
+    fitted alone, so a held probe is the probe a refit would return however
+    it was fitted.  Only digests and results are held, never features.
+    """
+
+    config: ProbeConfig
+    probes: dict[tuple, ProbeResult] = field(default_factory=dict, init=False, repr=False)
+
+    def key(self, features, labels, n_classes: int) -> tuple:
+        """Key of the single problem ``(features, labels)`` with ``n_classes``."""
+        X = np.ascontiguousarray(features, dtype=np.float64)
+        digest = hashlib.sha256(X)
+        digest.update(np.ascontiguousarray(labels, dtype=np.int64))
+        return digest.digest(), X.shape, int(n_classes)
+
+    def fit(self, features, labels, n_classes: int) -> ProbeResult:
+        """The probe of one ``(n, d)`` problem, fitted unless already held."""
+        key = self.key(features, labels, n_classes)
+        if key not in self.probes:
+            self.probes[key] = fit_probe(features, labels, self.config, n_classes=n_classes)
+        return self.probes[key]
 
 
 def optimal_cost(features, labels, config: ProbeConfig, n_classes: int | None = None) -> float:

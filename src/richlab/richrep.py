@@ -45,7 +45,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .probing import ProbeConfig, ProbeResult, fit_probe
+from .probing import ProbeCache, ProbeResult, fit_probe
 from .rng import SplitMix64, derive_seed
 from .tasks import Dataset
 
@@ -516,28 +516,33 @@ def leg_logits(bank: RepresentationBank, i: int, X) -> np.ndarray:
 # per-leg probing disparity
 
 def extractor_probes(bank: RepresentationBank, data: Dataset,
-                     probe_config: ProbeConfig) -> list[ProbeResult]:
+                     cache: ProbeCache) -> list[ProbeResult]:
     """One probe per extractor on its own features of the same rows.
 
-    Extractors of equal width are fitted as one stacked problem, which
-    gives each the probe it would get alone, bit for bit.
+    Probes that ``cache`` holds are reused.  The other extractors of equal
+    width are fitted as one stacked problem, which gives each the probe it
+    would get alone, bit for bit; a lone one is fitted unstacked.
     """
     feats = [extract_features(trunk, data.X) for trunk in bank.extractors]
-    probes: list[ProbeResult | None] = [None] * len(feats)
+    keys = [cache.key(f, data.y, data.n_classes) for f in feats]
+    probes = [cache.probes.get(key) for key in keys]
     for dim in dict.fromkeys(bank.dims):
-        group = [i for i, d in enumerate(bank.dims) if d == dim]
-        stack = fit_probe(np.stack([feats[i] for i in group]),
-                          np.broadcast_to(data.y, (len(group), data.n)),
-                          probe_config, n_classes=data.n_classes)
-        for j, i in enumerate(group):
-            probes[i] = stack[j]
+        miss = [i for i, d in enumerate(bank.dims) if d == dim and probes[i] is None]
+        if len(miss) == 1:
+            probes[miss[0]] = cache.fit(feats[miss[0]], data.y, data.n_classes)
+        elif miss:
+            stack = fit_probe(np.stack([feats[i] for i in miss]),
+                              np.broadcast_to(data.y, (len(miss), data.n)),
+                              cache.config, n_classes=data.n_classes)
+            for j, i in enumerate(miss):
+                probes[i] = cache.probes[keys[i]] = stack[j]
     return probes
 
 
 def leg_probe_gap(bank: RepresentationBank, data: Dataset,
-                  probe_config: ProbeConfig) -> tuple[list[float], float]:
+                  cache: ProbeCache) -> tuple[list[float], float]:
     """Fit a probe per leg on that leg's features; return accuracies + max gap."""
-    accs = [probe.train_accuracy for probe in extractor_probes(bank, data, probe_config)]
+    accs = [probe.train_accuracy for probe in extractor_probes(bank, data, cache)]
     return accs, float(max(accs) - min(accs))
 
 

@@ -248,9 +248,9 @@ def split_classes(ds: Dataset, base_classes, novel_classes) -> tuple[Dataset, Da
 
 @dataclass(frozen=True)
 class EpisodeSpec:
-    n_way: int
-    k_shot: int
-    n_query: int
+    n_way: int = 5
+    k_shot: int = 5
+    n_query: int = 15
 
     def __post_init__(self):
         if min(self.n_way, self.k_shot, self.n_query) < 1:

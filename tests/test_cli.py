@@ -64,6 +64,16 @@ def test_run_transfer_pipeline_writes_outputs(tmp_path):
     assert len(meta["config_hash"]) == 64
 
 
+@pytest.mark.parametrize("field,value", [("grad_tol", float("inf")), ("l2", float("nan"))])
+def test_run_rejects_non_finite_probe_config(tmp_path, capsys, field, value):
+    # Python's json reads NaN and Infinity, and the schema's bounds let both through
+    cfg = write_config(tmp_path, **dict(FAST_TRANSFER, probe={field: value},
+                                        output_dir=str(tmp_path / "out")))
+    assert cli.cmd_run(cfg) != 0
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_run_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path, output_dir=str(tmp_path / "a"), **FAST_TRANSFER)
     assert cli.cmd_run(cfg) == 0
@@ -183,6 +193,7 @@ def test_minimal_config_runs_with_dataclass_defaults(tmp_path, monkeypatch, pipe
         seen["config"] = next(a for a in (*args, *kwargs.values())
                               if isinstance(a, getattr(experiments, config_cls)))
         seen["kwargs"] = kwargs
+        seen["args"] = args
         return []
 
     monkeypatch.setattr(cli, runner, capture)
@@ -191,6 +202,10 @@ def test_minimal_config_runs_with_dataclass_defaults(tmp_path, monkeypatch, pipe
     default = getattr(experiments, config_cls)()
     assert seen["config"] == replace(default, seeds=cli._derived_seeds(0, 5))
     assert "n_episodes_eval" not in seen["kwargs"]  # run_fewshot keeps its own default
+    if pipeline == "fewshot":
+        from richlab.tasks import EpisodeSpec
+
+        assert EpisodeSpec(n_way=5, k_shot=5, n_query=15) in seen["args"]
 
 
 def test_config_keys_override_only_what_they_name(tmp_path, monkeypatch):

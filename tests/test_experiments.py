@@ -314,6 +314,38 @@ def test_transfer_leg_gap_and_catsub_equal_per_extractor_loops():
         assert by[("catsub", split, "probe_accuracy")].value == acc
 
 
+@pytest.mark.parametrize("kind,target", [("shift", "ood_sample"), ("class_split", "novel")])
+def test_transfer_probe_cache_equals_refitting_every_problem(monkeypatch, kind, target):
+    # targets that differ from the pretraining task still repeat problems
+    # (erm is leg 0 of catsub's stacks); a held probe must give the records
+    # of a refit
+    from richlab import cli, probing, richrep
+    from richlab.probing import ProbeCache
+
+    cfg = {"n_seeds": 1, "n_episodes": 2, "hidden": [6], "target": target,
+           "target_rows": 60, "methods": ["erm", "cat", "distill", "joint", "catsub"],
+           "task": {"kind": kind, "n_classes": 4, "d_core": 4, "d_spur": 4, "d_noise": 2,
+                    "n_per_env": 80},
+           "train": {"lr": 0.1, "epochs": 3, "batch_size": 32, "momentum": 0.9},
+           "distill_train": {"lr": 0.01, "epochs": 2, "batch_size": 32, "momentum": 0.9},
+           "probe": {"l2": 1e-3, "max_iters": 100}}
+    problems = []
+
+    def counted(features, *args, **kwargs):
+        problems.append(np.shape(features)[0] if np.ndim(features) == 3 else 1)
+        return fit_probe(features, *args, **kwargs)
+
+    fit_probe = probing.fit_probe
+    monkeypatch.setattr(probing, "fit_probe", counted)
+    monkeypatch.setattr(richrep, "fit_probe", counted)
+    cached = cli._run_transfer_pipeline(cfg, 3)
+    n_cached, problems[:] = sum(problems), []
+    monkeypatch.setattr(ProbeCache, "key", lambda self, *args: object())
+    refit = cli._run_transfer_pipeline(cfg, 3)
+    assert cached == refit
+    assert n_cached < sum(problems)
+
+
 def test_transfer_probe_cost_monotone_in_members():
     # concatenating more episodes never raises the training probe cost
     task = small_task()

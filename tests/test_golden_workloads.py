@@ -24,3 +24,26 @@ def test_workload_csv_matches_golden_hash(name, tmp_path, capsys):
     assert rc == 0
     digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
     assert digest == workload["golden_sha256"]
+
+
+def test_transfer_fits_each_distinct_probe_problem_once(tmp_path, capsys, monkeypatch):
+    # the pinned transfer run poses 28 probe problems, 7 of them repeats:
+    # catsub's id stack repeats cat's leg-gap stack, and erm's train probe
+    # and ood refit are leg 0 of those stacks
+    import numpy as np
+
+    from richlab import experiments, probing, richrep
+
+    fit_probe, problems = probing.fit_probe, []
+
+    def counted(features, *args, **kwargs):
+        problems.append(np.shape(features)[0] if np.ndim(features) == 3 else 1)
+        return fit_probe(features, *args, **kwargs)
+
+    for module in (experiments, probing, richrep):
+        monkeypatch.setattr(module, "fit_probe", counted)
+    workload = WORKLOADS["workloads"]["transfer"]
+    assert cli.cmd_run(str(PERFBENCH / workload["config"]), seed=WORKLOADS["pinned_seed"],
+                       out=str(tmp_path)) == 0
+    capsys.readouterr()
+    assert sum(problems) == 21

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from richlab.errors import DataError, FormatError, ParameterError, ShapeError
 from richlab.probing import (
     InfoVerdict,
+    ProbeCache,
     ProbeConfig,
     classify_information,
     feature_matrix_from_bytes,
@@ -66,6 +67,17 @@ def test_nonfinite_features_rejected():
     X = np.array([[1.0], [np.nan]])
     with pytest.raises(DataError):
         fit_probe(X, np.array([0, 1]), TIGHT)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("l2", float("nan")), ("l2", float("inf")), ("l2", -1e-3),
+    ("grad_tol", float("nan")), ("grad_tol", float("inf")), ("grad_tol", 0.0),
+])
+def test_probe_config_rejects_bad_l2_and_grad_tol(field, value):
+    # NaN passes every comparison-based check and an infinite grad_tol
+    # accepts the untrained zero probe, so both must be refused by name
+    with pytest.raises(ParameterError, match=field):
+        ProbeConfig(**{field: value})
 
 
 def test_duplicate_columns_cost_close():
@@ -411,3 +423,85 @@ def test_stacked_input_validation():
     single = fit_probe(X[0], np.zeros(4, dtype=int), TIGHT)
     with pytest.raises(ShapeError):
         single[0]
+
+
+# ---------------------------------------------------------------------------
+# probe cache
+
+def _count_fits(monkeypatch, *modules):
+    """Record the feature shape of every ``fit_probe`` call made through ``modules``."""
+    from richlab import probing
+
+    shapes = []
+
+    def counted(features, *args, **kwargs):
+        shapes.append(np.shape(features))
+        return fit_probe(features, *args, **kwargs)
+
+    for module in (probing, *modules):
+        monkeypatch.setattr(module, "fit_probe", counted)
+    return shapes
+
+
+def test_cache_hit_fits_nothing_and_returns_the_held_probe(monkeypatch):
+    X, y = informative_features(3, n=60, d=4)
+    cache = ProbeCache(TIGHT)
+    shapes = _count_fits(monkeypatch)
+    first = cache.fit(X, y, 3)
+    assert shapes == [(60, 4)]
+    # equal bytes hit, whatever array holds them
+    again = cache.fit(np.asfortranarray(X), y.astype(np.int32), 3)
+    assert again is first and shapes == [(60, 4)]
+    assert_same_probe(first, fit_probe(X, y, TIGHT, n_classes=3))
+
+
+def test_cache_request_mixing_held_and_new_problems_of_two_widths(monkeypatch):
+    from richlab import richrep
+    from richlab.core_nn import extract_features, init_network
+    from richlab.richrep import bank_of_trunks, extractor_probes
+    from richlab.tasks import Dataset
+
+    X, y = informative_features(8, n=120, d=5)
+    data = Dataset(X, y, np.zeros(120, dtype=np.int64), 3)
+    widths = [8, 4, 8, 8, 4]
+    bank = bank_of_trunks([init_network([5, w], 20 + i) for i, w in enumerate(widths)],
+                          range(5))
+    feats = [extract_features(trunk, X) for trunk in bank.extractors]
+    cfg = ProbeConfig(l2=1e-3, max_iters=200, grad_tol=1e-7, standardize=True)
+    cache = ProbeCache(cfg)
+    held = [cache.fit(feats[i], y, 3) for i in (0, 4)]
+    shapes = _count_fits(monkeypatch, richrep)
+    probes = extractor_probes(bank, data, cache)
+    # width 8 misses legs 2 and 3 (one stack), width 4 misses leg 1 alone
+    assert shapes == [(2, 120, 8), (120, 4)]
+    assert probes[0] is held[0] and probes[4] is held[1]
+    for f, probe in zip(feats, probes, strict=True):
+        assert_same_probe(probe, fit_probe(f, y, cfg, n_classes=3))
+    again = extractor_probes(bank, data, cache)
+    assert all(a is b for a, b in zip(again, probes, strict=True)) and len(shapes) == 2
+
+
+def _bytes_twins():
+    """Two problems whose feature bytes followed by label bytes are equal."""
+    y2 = np.array([0, 1, 0, 1])
+    X2 = np.array([[0.5], [-1.0], [2.0], [0.25]])
+    X1 = np.concatenate([X2.ravel(), y2[:2].view(np.float64)]).reshape(2, 3)
+    y1 = y2[2:]
+    assert X1.tobytes() + y1.tobytes() == X2.tobytes() + y2.tobytes()
+    return (X1, y1, 2), (X2, y2, 2)
+
+
+@pytest.mark.parametrize("change", ["shape", "labels", "n_classes"])
+def test_cache_misses_on_other_shape_labels_or_class_count(monkeypatch, change):
+    X, y = informative_features(5, n=40, d=3)
+    first, second = {
+        "shape": _bytes_twins(),
+        "labels": ((X, y, 3), (X, np.roll(y, 1), 3)),
+        "n_classes": ((X, y, 3), (X, y, 4)),
+    }[change]
+    cache = ProbeCache(TIGHT)
+    shapes = _count_fits(monkeypatch)
+    a, b = cache.fit(*first), cache.fit(*second)
+    assert len(shapes) == 2 and len(cache.probes) == 2
+    assert_same_probe(b, fit_probe(second[0], second[1], TIGHT, n_classes=second[2]))
+    assert cache.fit(*first) is a and cache.fit(*second) is b and len(shapes) == 2

@@ -4,7 +4,7 @@ import pytest
 from richlab.core_nn import TrainConfig, extract_features, init_network, train
 from richlab.core_nn.train import flatten_params
 from richlab.errors import EpisodeError, ParameterError
-from richlab.probing import ProbeConfig, fit_probe, optimal_cost
+from richlab.probing import ProbeCache, ProbeConfig, fit_probe, optimal_cost
 from richlab.richrep import (
     DistillSpec,
     RepresentationBank,
@@ -388,7 +388,7 @@ def test_two_stage_accuracy_reasonable():
 def test_leg_gap_zero_for_identical_legs():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [5, 5])
-    accs, gap = leg_probe_gap(bank, data, PROBE)
+    accs, gap = leg_probe_gap(bank, data, ProbeCache(PROBE))
     assert gap == 0.0
     assert accs[0] == accs[1]
 
@@ -402,13 +402,13 @@ def test_extractor_probes_equal_one_fit_per_extractor():
     narrow = train_episodes(data, (4,), CFG, [8])
     bank = bank_of_trunks([wide.extractors[0], narrow.extractors[0], *wide.extractors[1:]],
                           [5, 8, 6, 7])
-    probes = extractor_probes(bank, data, PROBE)
+    probes = extractor_probes(bank, data, ProbeCache(PROBE))
     assert len(probes) == 4
     for trunk, probe in zip(bank.extractors, probes, strict=True):
         alone = fit_probe(extract_features(trunk, data.X), data.y, PROBE,
                           n_classes=data.n_classes)
         assert_same_probe(probe, alone)
-    accs, gap = leg_probe_gap(bank, data, PROBE)
+    accs, gap = leg_probe_gap(bank, data, ProbeCache(PROBE))
     assert accs == [p.train_accuracy for p in probes]
     assert gap == max(accs) - min(accs)
 
@@ -416,7 +416,7 @@ def test_extractor_probes_equal_one_fit_per_extractor():
 def test_leg_gap_orders_accs_by_bank_order():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [5, 6])
-    accs, gap = leg_probe_gap(bank, data, PROBE)
+    accs, gap = leg_probe_gap(bank, data, ProbeCache(PROBE))
     assert len(accs) == 2
     assert gap == pytest.approx(max(accs) - min(accs))
 
