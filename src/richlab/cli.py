@@ -2,7 +2,8 @@
 markdown tables, and execute the property suites.
 
 Exit codes: 0 success; 1 failed property suites; 2 configuration errors
-(with line/field diagnostics); 3 runtime failures.
+(with line/field diagnostics, and values a config dataclass rejects,
+found before any pipeline work); 3 runtime failures.
 """
 from __future__ import annotations
 
@@ -13,10 +14,11 @@ import sys
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import jsonschema
 
-from .errors import RichlabError
+from .errors import ParameterError, RichlabError
 from .richrep import bank_of_trunks, distill, train_episodes
 from .rng import derive_seed
 from .tasks import env_partition, gen_shift, pool
@@ -78,43 +80,53 @@ def _derived_seeds(master: int, n: int) -> tuple[int, ...]:
     return tuple(derive_seed(master, 10 + g) for g in range(n))
 
 
-def _run_transfer_pipeline(cfg: dict, master: int) -> list[RunRecord]:
+def _transfer_pipeline(cfg: dict, master: int) -> Callable[[], list[RunRecord]]:
+    """Build the transfer config dataclasses; the returned call runs the pipeline."""
     task_cfg = cfg.get("task", {})
     kind = task_cfg.get("kind", "shift")
     n_episodes = cfg.get("n_episodes", 5)
     tc = replace(_merged(TransferConfig(), cfg),
                  seeds=_derived_seeds(master, cfg.get("n_seeds", 5)))
     target_kind = cfg.get("target", "same")
-    if kind == "class_split":
-        spec = _merged(default_split_spec(), task_cfg)
-        half = spec.n_classes // 2
-        base, novel = make_class_split_tasks(
-            spec, master + 2, list(range(half)), list(range(half, spec.n_classes)))
-        pretrain, target = base, (novel if target_kind == "novel" else base)
-    else:
-        spec = _merged(default_shift_spec(), task_cfg)
-        pretrain = make_shift_task(spec, master + 2)
-        if target_kind == "ood_sample":
-            target = make_ft_target(spec, derive_seed(master, 5),
-                                    cfg.get("target_rows", 120))
+    spec = _merged(default_split_spec() if kind == "class_split" else default_shift_spec(),
+                   task_cfg)
+
+    def run() -> list[RunRecord]:
+        if kind == "class_split":
+            half = spec.n_classes // 2
+            base, novel = make_class_split_tasks(
+                spec, master + 2, list(range(half)), list(range(half, spec.n_classes)))
+            pretrain, target = base, (novel if target_kind == "novel" else base)
         else:
-            target = pretrain
-    return run_transfer(pretrain, target, n_episodes, tc, run_id="transfer")
+            pretrain = make_shift_task(spec, master + 2)
+            if target_kind == "ood_sample":
+                target = make_ft_target(spec, derive_seed(master, 5),
+                                        cfg.get("target_rows", 120))
+            else:
+                target = pretrain
+        return run_transfer(pretrain, target, n_episodes, tc, run_id="transfer")
+
+    return run
 
 
-def _run_fewshot_pipeline(cfg: dict, master: int) -> list[RunRecord]:
+def _fewshot_pipeline(cfg: dict, master: int) -> Callable[[], list[RunRecord]]:
+    """Build the few-shot config dataclasses; the returned call runs the pipeline."""
     spec = _merged(default_split_spec(), cfg.get("task", {}))
-    half = spec.n_classes // 2
-    base, novel_task = make_class_split_tasks(
-        spec, master + 2, list(range(half)), list(range(half, spec.n_classes)))
     fs = cfg.get("fewshot", {})
     episode_spec = _merged(EpisodeSpec(), fs)
     fc = replace(_merged(_merged(FewshotConfig(), cfg), fs),
                  seeds=_derived_seeds(master, cfg.get("n_seeds", 5)))
     methods = cfg.get("methods", ["erm", "cat", "cat-s", "snaps"])
     eval_kw = {"n_episodes_eval": fs["n_episodes_eval"]} if "n_episodes_eval" in fs else {}
-    return run_fewshot(base, novel_task.train, methods, episode_spec, fc,
-                       run_id="fewshot", n_episodes=cfg.get("n_episodes", 5), **eval_kw)
+
+    def run() -> list[RunRecord]:
+        half = spec.n_classes // 2
+        base, novel_task = make_class_split_tasks(
+            spec, master + 2, list(range(half)), list(range(half, spec.n_classes)))
+        return run_fewshot(base, novel_task.train, methods, episode_spec, fc,
+                           run_id="fewshot", n_episodes=cfg.get("n_episodes", 5), **eval_kw)
+
+    return run
 
 
 def make_ood_bundle(spec: ShiftSpec, seed: int):
@@ -128,23 +140,32 @@ def make_ood_bundle(spec: ShiftSpec, seed: int):
     return env_partition(envs, roles)
 
 
-def _run_ood_pipeline(cfg: dict, master: int) -> list[RunRecord]:
+def _ood_pipeline(cfg: dict, master: int) -> Callable[[], list[RunRecord]]:
+    """Build the OOD config dataclasses; the returned call runs the pipeline."""
     spec = _merged(default_shift_spec(), cfg.get("task", {}))
-    task = make_ood_bundle(spec, master + 2)
     oc = replace(_merged(_merged(OodConfig(), cfg), cfg.get("ood", {})),
                  seeds=_derived_seeds(master, cfg.get("n_seeds", 5)))
-    bank = None
-    if oc.init in ("cat", "distill"):
-        n_episodes = cfg.get("n_episodes", 5)
-        pooled = pool(task.train_envs)
-        ep_seeds = [derive_seed(master, 100 + i) for i in range(n_episodes)]
-        tc = _merged(TransferConfig(), cfg)
-        bank = train_episodes(pooled, oc.hidden, tc.train, ep_seeds)
-        if oc.init == "distill":
-            student = distill(bank, tc.distill, pooled,
-                              tc.distill_train.with_seed(derive_seed(master, 500)))
-            bank = bank_of_trunks([student], [derive_seed(master, 500)])
-    return run_ood(task, oc, init_bank=bank, run_id="ood", task_name="shift-ood")
+    tc = _merged(TransferConfig(), cfg) if oc.init in ("cat", "distill") else None
+
+    def run() -> list[RunRecord]:
+        task = make_ood_bundle(spec, master + 2)
+        bank = None
+        if oc.init in ("cat", "distill"):
+            n_episodes = cfg.get("n_episodes", 5)
+            pooled = pool(task.train_envs)
+            ep_seeds = [derive_seed(master, 100 + i) for i in range(n_episodes)]
+            bank = train_episodes(pooled, oc.hidden, tc.train, ep_seeds)
+            if oc.init == "distill":
+                student = distill(bank, tc.distill, pooled,
+                                  tc.distill_train.with_seed(derive_seed(master, 500)))
+                bank = bank_of_trunks([student], [derive_seed(master, 500)])
+        return run_ood(task, oc, init_bank=bank, run_id="ood", task_name="shift-ood")
+
+    return run
+
+
+_PIPELINES = {"transfer": _transfer_pipeline, "fewshot": _fewshot_pipeline,
+             "ood": _ood_pipeline}
 
 
 def _run_verify_pipeline(master: int) -> tuple[list[RunRecord], bool]:
@@ -182,16 +203,18 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
     out_dir = Path(cfg.get("output_dir", "results"))
 
     pipeline = cfg["pipeline"]
+    # every config dataclass is built before any pipeline work, so a value
+    # that one rejects is a configuration error, not a runtime failure
+    try:
+        run = _PIPELINES[pipeline](cfg, master) if pipeline in _PIPELINES else None
+    except ParameterError as exc:
+        return _config_error(str(exc))
     try:
         suites_ok = True
-        if pipeline == "transfer":
-            records = _run_transfer_pipeline(cfg, master)
-        elif pipeline == "fewshot":
-            records = _run_fewshot_pipeline(cfg, master)
-        elif pipeline == "ood":
-            records = _run_ood_pipeline(cfg, master)
-        else:
+        if run is None:
             records, suites_ok = _run_verify_pipeline(master)
+        else:
+            records = run()
         out_dir.mkdir(parents=True, exist_ok=True)
         write_records_csv(records, out_dir / "results.csv")
         manifest = {

@@ -4,6 +4,12 @@ All arithmetic is 64-bit floating point.  A ``Network`` is an ordered
 stack of dense layers whose last layer is the head; the representation
 is the activation entering it.  A :class:`CosineHead` is a standalone
 classifier over frozen features (the few-shot cosine classifier).
+
+A dense layer may hold a leading member axis: T equal-shaped layers
+stacked by :func:`stack_layers` run as one.  :func:`stack_forward` and
+:func:`stack_backward` take plain and stacked layers through one code
+path, and member ``t`` of a stacked result equals, bit for bit, the
+plain layer ``t`` run alone.
 """
 from __future__ import annotations
 
@@ -38,29 +44,35 @@ def as_feature_matrix(X, name: str = "X") -> np.ndarray:
 
 @dataclass
 class DenseLayer:
-    weights: np.ndarray  # (n_out, n_in)
-    bias: np.ndarray     # (n_out,)
+    """Dense layer ``act(h @ W^T + b)``.
+
+    Plain: weights (n_out, n_in), bias (n_out,).  Stacked over T members:
+    weights (T, n_out, n_in), bias (T, 1, n_out), which broadcasts over
+    the rows of each member's output.
+    """
+
+    weights: np.ndarray
+    bias: np.ndarray
     activation: str = "linear"
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ShapeError("layer weights must be 2-D (n_out, n_in)")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ShapeError(
-                f"bias shape {self.bias.shape} does not match n_out={self.weights.shape[0]}"
-            )
+        if self.weights.ndim not in (2, 3):
+            raise ShapeError("layer weights must be (n_out, n_in), or (T, n_out, n_in) stacked")
+        want = (self.n_out,) if self.weights.ndim == 2 else (len(self.weights), 1, self.n_out)
+        if self.bias.shape != want:
+            raise ShapeError(f"bias shape {self.bias.shape} does not match {want}")
         if self.activation not in ACTIVATIONS:
             raise ParameterError(f"unknown activation {self.activation!r}")
 
     @property
     def n_in(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def n_out(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
 
 @dataclass
@@ -129,6 +141,25 @@ def init_network(sizes, seed: int, hidden_activation: str = "relu") -> Network:
     return Network(layers)
 
 
+def stack_layers(layers) -> DenseLayer:
+    """One layer holding equal-shaped plain ``layers`` along a leading member axis."""
+    layers = list(layers)
+    if len({layer.activation for layer in layers}) != 1:
+        raise ParameterError("stacked layers must share one activation")
+    if len({layer.weights.shape for layer in layers}) != 1:
+        raise ShapeError("stacked layers must share one weight shape")
+    return DenseLayer(np.stack([layer.weights for layer in layers]),
+                      np.stack([layer.bias for layer in layers])[:, None, :],
+                      layers[0].activation)
+
+
+def unstack_into(layers, stacked: DenseLayer) -> None:
+    """Copy each member of ``stacked`` back into the matching plain layer."""
+    for t, layer in enumerate(layers):
+        layer.weights[...] = stacked.weights[t]
+        layer.bias[...] = stacked.bias[t, 0]
+
+
 def layer_params(layers) -> list[tuple[np.ndarray, bool]]:
     """Trainable arrays of a layer stack as ``(array, decayed)`` pairs.
 
@@ -145,13 +176,15 @@ def stack_forward(layers, X: np.ndarray):
     """Run ``X`` through the layer stack.
 
     Returns ``(acts, pres)``: activations ``acts[0]=X .. acts[L]`` and the
-    pre-activation of each layer (needed for relu backward).
+    pre-activation of each layer (needed for relu backward).  With stacked
+    layers every activation after ``X`` is (T, n, width); ``X`` itself may
+    be one (n, d_in) input shared by the members or (T, n, d_in).
     """
     acts = [X]
     pres = []
     h = X
     for layer in layers:
-        z = h @ layer.weights.T
+        z = h @ layer.weights.swapaxes(-1, -2)
         z += layer.bias  # in place on the fresh product: the same sums, one array fewer
         pres.append(z)
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
@@ -165,7 +198,8 @@ def stack_backward(layers, acts, pres, d_out: np.ndarray):
     Returns the layer grads only, flat in :func:`layer_params` order:
     ``[dW_0, db_0, dW_1, db_1, ...]``.  The gradient with respect to the
     stack input is never formed: every caller trains the stack and none
-    needs it.
+    needs it.  For stacked layers ``d_out`` is (T, n, n_out), and each
+    gradient has the shape of its stacked parameter.
     """
     grads = [None] * (2 * len(layers))
     d = d_out
@@ -173,8 +207,8 @@ def stack_backward(layers, acts, pres, d_out: np.ndarray):
         layer = layers[i]
         if layer.activation == "relu":
             d = d * (pres[i] > 0)
-        grads[2 * i] = d.T @ acts[i]
-        grads[2 * i + 1] = d.sum(axis=0)
+        grads[2 * i] = d.swapaxes(-1, -2) @ acts[i]
+        grads[2 * i + 1] = d.sum(axis=-2, keepdims=d.ndim == 3)  # the bias's shape
         if i:
             d = d @ layer.weights
     return grads

@@ -2,7 +2,11 @@
 
 Every loss returns ``(loss, grad_wrt_its_trainable_logits_or_features)``
 where the loss is a mean over rows.  All softmax paths subtract the row
-max before exponentiation.
+max before exponentiation.  :func:`cross_entropy_loss`,
+:func:`distill_to_log_probs` and :func:`cosine_distill_loss` also take
+(T, n, k) arrays, T members over the same rows, and then return one loss
+per member; member ``t`` equals the loss of the (n, k) slice ``t``, bit
+for bit.
 """
 from __future__ import annotations
 
@@ -53,6 +57,11 @@ def softmax_temperature(v, tau: float) -> np.ndarray:
     return np.exp(log_softmax(v, tau))
 
 
+def _per_member(loss):
+    """A float for one member's loss, the array of losses for stacked members."""
+    return float(loss) if np.ndim(loss) == 0 else loss
+
+
 def _as_labels(labels, n_rows: int, n_classes: int) -> np.ndarray:
     y = np.asarray(labels)
     if y.shape != (n_rows,):
@@ -67,13 +76,14 @@ def _as_labels(labels, n_rows: int, n_classes: int) -> np.ndarray:
 def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     """Mean ``-log softmax(logits)[label]`` and its gradient wrt logits."""
     logits = np.asarray(logits, dtype=np.float64)
-    n, k = logits.shape
+    n, k = logits.shape[-2:]
     y = _as_labels(labels, n, k)
+    rows = np.arange(n)
     logp = log_softmax(logits)
-    loss = -logp[np.arange(n), y].mean()
+    loss = -logp[..., rows, y].mean(axis=-1)
     grad = np.exp(logp)
-    grad[np.arange(n), y] -= 1.0
-    return float(loss), grad / n
+    grad[..., rows, y] -= 1.0
+    return _per_member(loss), grad / n
 
 
 def tempered_log_probs(teacher_logits, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -97,16 +107,16 @@ def distill_to_log_probs(teacher_logp, teacher_p, student_logits, tau: float,
     s = np.asarray(student_logits, dtype=np.float64)
     if teacher_logp.shape != s.shape:
         raise ShapeError(f"teacher {teacher_logp.shape} and student {s.shape} logits differ")
-    n = s.shape[0]
+    n = s.shape[-2]
     logq = log_softmax(s, tau)
-    kl_loss = float(tau * tau * (teacher_p * (teacher_logp - logq)).sum(axis=1).mean())
+    kl_loss = tau * tau * (teacher_p * (teacher_logp - logq)).sum(axis=-1).mean(axis=-1)
     kl_grad = tau * (np.exp(logq) - teacher_p) / n
     if alpha == 1.0:
-        return kl_loss, kl_grad
+        return _per_member(kl_loss), kl_grad
     ce_loss, ce_grad = cross_entropy_loss(s, labels)
     loss = (1.0 - alpha) * ce_loss + alpha * kl_loss
     grad = (1.0 - alpha) * ce_grad + alpha * kl_grad
-    return float(loss), grad
+    return _per_member(loss), grad
 
 
 def kl_distill_loss(teacher_logits, student_logits, tau: float) -> tuple[float, np.ndarray]:
@@ -136,12 +146,12 @@ def cosine_distill_loss(teacher_feat, student_feat) -> tuple[float, np.ndarray]:
     s = np.asarray(student_feat, dtype=np.float64)
     if t.shape != s.shape:
         raise ShapeError(f"teacher {t.shape} and student {s.shape} features differ")
-    n = t.shape[0]
-    tn = np.linalg.norm(t, axis=1, keepdims=True)
-    sn = np.linalg.norm(s, axis=1, keepdims=True)
+    n = t.shape[-2]
+    tn = np.linalg.norm(t, axis=-1, keepdims=True)
+    sn = np.linalg.norm(s, axis=-1, keepdims=True)
     if not (np.all(tn > 0) and np.all(sn > 0)):
         raise NumericalError("cosine distillation saw a zero-norm feature row")
-    cos = (t * s).sum(axis=1, keepdims=True) / (tn * sn)
-    loss = float((1.0 - cos).mean())
+    cos = (t * s).sum(axis=-1, keepdims=True) / (tn * sn)
+    loss = _per_member((1.0 - cos).mean(axis=(-2, -1)))
     grad = -(t / (tn * sn) - cos * s / (sn * sn)) / n
     return loss, grad

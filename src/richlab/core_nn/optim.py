@@ -84,11 +84,13 @@ def sgd_step(params, grads, velocities, lr: float, momentum: float,
     ``velocities`` hold one array per parameter.  Weight decay touches the
     decayed arrays only (weight matrices and cosine directions, never
     biases or cosine gains).  Every gradient is checked before its
-    parameter moves.
+    parameter moves; for a stacked (3-D) parameter the error also names
+    the first member whose gradient is non-finite.
     """
     for i, ((w, decayed), g, v) in enumerate(zip(params, grads, velocities, strict=True)):
         if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient in parameter {i}")
+            member = f", member {np.argwhere(~np.isfinite(g))[0, 0]}" if g.ndim == 3 else ""
+            raise NumericalError(f"non-finite gradient in parameter {i}{member}")
         v *= momentum
         v += g + weight_decay * w if decayed and weight_decay else g
         w -= lr * v

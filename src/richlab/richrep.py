@@ -27,6 +27,8 @@ from .core_nn.layers import (
     save_network,
     stack_backward,
     stack_forward,
+    stack_layers,
+    unstack_into,
 )
 from .core_nn.losses import (
     ce_kl_distill_loss,
@@ -124,6 +126,25 @@ class DistillSpec:
 
 def _clone_layer(layer: DenseLayer) -> DenseLayer:
     return DenseLayer(layer.weights.copy(), layer.bias.copy(), layer.activation)
+
+
+def _groups(keys) -> list[list[int]]:
+    """Positions of equal keys, one list per distinct key in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _layer_key(layer: DenseLayer) -> tuple:
+    """What layers must share to train as one stack."""
+    return layer.weights.shape, layer.activation
+
+
+def _slots(groups) -> list[tuple[int, int]]:
+    """``(group, position in group)`` of every member, in member order."""
+    where = {i: (g, j) for g, members in enumerate(groups) for j, i in enumerate(members)}
+    return [where[i] for i in range(len(where))]
 
 
 def init_trunk(sizes, seed: int, activation: str = "relu") -> Network:
@@ -293,32 +314,47 @@ def _fit_episode(what: str, params, loss_and_grad, n_rows: int,
 
 
 def _distill_train(trunk, heads, targets, spec, X, y, config) -> Network:
+    """SGD over the trunk and the heads; the heads of one shape train as one stack.
+
+    Per batch each stack makes one head product, one loss call and one
+    head-gradient product.  The per-teacher losses and trunk-gradient
+    terms are then added in teacher order, from zero, as a loop over the
+    heads would add them.
+    """
     tau = float(spec.tau)
     alpha = float(spec.alpha) if spec.mode == "ce_kl" else 1.0
+    groups = _groups([_layer_key(head) for head in heads])
+    stacks = [stack_layers([heads[i] for i in members]) for members in groups]
+    targets = [np.stack([targets[i] for i in members]) for members in groups]
     if spec.mode != "cosine":
-        # the tempered teacher targets are fixed: one log_softmax per teacher
+        # the tempered teacher targets are fixed: one log_softmax per stack
         targets = [tempered_log_probs(tgt, tau) for tgt in targets]
+    slots = _slots(groups)
 
     def loss_and_grad(idx):
         yb = y[idx]
         acts, pres = stack_forward(trunk.layers, X[idx])
         feat = acts[-1]
-        d_feat = np.zeros_like(feat)
-        batch_loss = 0.0
-        head_grads = []
-        for head, tgt in zip(heads, targets):
-            out = feat @ head.weights.T + head.bias
+        losses, d_feats, head_grads = [], [], []
+        for head, tgt in zip(stacks, targets):
+            out = feat @ head.weights.swapaxes(-1, -2)
+            out += head.bias
             if spec.mode == "cosine":
-                loss, d_out = cosine_distill_loss(tgt[idx], out)
+                loss, d_out = cosine_distill_loss(tgt[:, idx], out)
             else:
                 logp, p = tgt
-                loss, d_out = distill_to_log_probs(logp[idx], p[idx], out, tau, yb, alpha)
-            batch_loss += loss
-            head_grads += (d_out.T @ feat, d_out.sum(axis=0))
-            d_feat += d_out @ head.weights
-        return batch_loss, stack_backward(trunk.layers, acts, pres, d_feat) + head_grads
+                loss, d_out = distill_to_log_probs(logp[:, idx], p[:, idx], out, tau, yb, alpha)
+            losses.append(loss)
+            d_feats.append(d_out @ head.weights)
+            head_grads += (d_out.swapaxes(-1, -2) @ feat, d_out.sum(axis=-2, keepdims=True))
+        batch_loss, d_feat = 0.0, np.zeros_like(feat)
+        for g, j in slots:
+            batch_loss += losses[g][j]
+            d_feat += d_feats[g][j]
+        return batch_loss, head_grads + stack_backward(trunk.layers, acts, pres, d_feat)
 
-    _fit_episode("distillation", layer_params(trunk.layers + heads), loss_and_grad,
+    # the heads come first, so a divergence that reaches them names the teacher
+    _fit_episode("distillation", layer_params(stacks + trunk.layers), loss_and_grad,
                  X.shape[0], config)
     return trunk
 
@@ -372,23 +408,36 @@ class MultiLegNetwork:
 
 
 def _train_multileg(mln: MultiLegNetwork, X, y, config: TrainConfig, what: str) -> None:
-    """In-place joint SGD over the legs and the head."""
+    """In-place joint SGD over the legs and the head.
+
+    Legs of one shape train as one stacked layer list, one
+    :func:`stack_forward` and one :func:`stack_backward` per batch; the
+    trained values are copied back into ``mln.legs`` at the end.
+    """
+    groups = _groups([tuple(map(_layer_key, leg.layers)) for leg in mln.legs])
+    stacks = [[stack_layers(depth) for depth in zip(*(mln.legs[i].layers for i in members))]
+              for members in groups]
+    slots = _slots(groups)
     offsets = np.cumsum([0, *(leg.layers[-1].n_out for leg in mln.legs)])
     head = mln.head
 
     def loss_and_grad(idx):
         xb = X[idx]
-        caches = [stack_forward(leg.layers, xb) for leg in mln.legs]
-        feat = np.hstack([acts[-1] for acts, _ in caches])
+        caches = [stack_forward(layers, xb) for layers in stacks]
+        feat = np.hstack([caches[g][0][-1][j] for g, j in slots])
         loss, d_logits = cross_entropy_loss(feat @ head.weights.T + head.bias, y[idx])
         d_feat = d_logits @ head.weights
         grads = []
-        for leg, (acts, pres), a, b in zip(mln.legs, caches, offsets[:-1], offsets[1:]):
-            grads += stack_backward(leg.layers, acts, pres, d_feat[:, a:b])
+        for members, layers, (acts, pres) in zip(groups, stacks, caches):
+            d_out = np.stack([d_feat[:, offsets[i]:offsets[i + 1]] for i in members])
+            grads += stack_backward(layers, acts, pres, d_out)
         return loss, grads + [d_logits.T @ feat, d_logits.sum(axis=0)]
 
-    layers = [layer for leg in mln.legs for layer in leg.layers] + [head]
+    layers = [layer for group in stacks for layer in group] + [head]
     _fit_episode(what, layer_params(layers), loss_and_grad, X.shape[0], config)
+    for members, group in zip(groups, stacks):
+        for depth, stacked in enumerate(group):
+            unstack_into([mln.legs[i].layers[depth] for i in members], stacked)
 
 
 def naive_finetune(bank: RepresentationBank, data: Dataset,
@@ -526,8 +575,8 @@ def extractor_probes(bank: RepresentationBank, data: Dataset,
     feats = [extract_features(trunk, data.X) for trunk in bank.extractors]
     keys = [cache.key(f, data.y, data.n_classes) for f in feats]
     probes = [cache.probes.get(key) for key in keys]
-    for dim in dict.fromkeys(bank.dims):
-        miss = [i for i, d in enumerate(bank.dims) if d == dim and probes[i] is None]
+    for members in _groups(bank.dims):
+        miss = [i for i in members if probes[i] is None]
         if len(miss) == 1:
             probes[miss[0]] = cache.fit(feats[miss[0]], data.y, data.n_classes)
         elif miss:

@@ -69,8 +69,25 @@ def test_run_rejects_non_finite_probe_config(tmp_path, capsys, field, value):
     # Python's json reads NaN and Infinity, and the schema's bounds let both through
     cfg = write_config(tmp_path, **dict(FAST_TRANSFER, probe={field: value},
                                         output_dir=str(tmp_path / "out")))
-    assert cli.cmd_run(cfg) != 0
-    assert field in capsys.readouterr().err
+    assert cli.cmd_run(cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("pipeline,section,field,value", [
+    ("transfer", "train", "lr", float("nan")),
+    ("fewshot", "train", "lr", float("nan")),
+    ("ood", "ood", "holdout_frac", float("nan")),
+])
+def test_run_reports_a_rejected_config_value_as_a_config_error(tmp_path, capsys, pipeline,
+                                                              section, field, value):
+    cfg = write_config(tmp_path, **dict(FAST_TRANSFER, pipeline=pipeline,
+                                        **{section: {field: value}},
+                                        output_dir=str(tmp_path / "out")))
+    assert cli.cmd_run(cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
     assert not (tmp_path / "out" / "results.csv").exists()
 
 

@@ -4,7 +4,8 @@ The V-REx objective runs without per-environment gathers or scatters,
 and ``stack_backward`` skips the unused input gradient.  Frozen copies
 of the straightforward versions live here, and the tests compare the
 two by bytes: objective values, logit gradients, layer gradients and
-whole candidate fits.
+whole candidate fits.  Layers stacked along a member axis are compared
+by bytes with each member's plain forward and backward pass.
 """
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richlab.core_nn import DenseLayer
-from richlab.core_nn.layers import init_network, stack_backward, stack_forward
+from richlab.core_nn.layers import init_network, stack_backward, stack_forward, stack_layers
 from richlab.core_nn.losses import log_softmax
 from richlab.errors import NumericalError, TrainingError
 from richlab.experiments import OodConfig, _env_objective_fn, _fit_ood_model, vrex_objective
@@ -186,7 +187,26 @@ def test_fit_ood_model_matches_reference_over_default_grid():
 
 
 # ---------------------------------------------------------------------------
-# (d) layer gradients without the input gradient
+# (d) layer gradients without the input gradient, plain and stacked
+
+def assert_stacked_matches_members(members, X, d_out):
+    """Stacked forward/backward equals each member's plain calls, by bytes.
+
+    ``X`` is one (n, d) input shared by the members or (T, n, d);
+    ``d_out`` is (T, n, n_out).
+    """
+    stacked = [stack_layers(depth) for depth in zip(*members)]
+    acts, pres = stack_forward(stacked, X)
+    grads = stack_backward(stacked, acts, pres, d_out)
+    for t, layers in enumerate(members):
+        x = X if X.ndim == 2 else X[t]
+        want_acts, want_pres = stack_forward(layers, x)
+        for got, want in zip(acts[1:] + pres, want_acts[1:] + want_pres, strict=True):
+            assert got[t].tobytes() == want.tobytes()
+        want_grads = stack_backward(layers, want_acts, want_pres, d_out[t])
+        for got, want in zip(grads, want_grads, strict=True):
+            assert got[t].reshape(want.shape).tobytes() == want.tobytes()
+
 
 @pytest.mark.parametrize("widths,acts", [
     ([7, 3], ["linear"]),
@@ -195,8 +215,12 @@ def test_fit_ood_model_matches_reference_over_default_grid():
 ])
 def test_stack_backward_matches_reference_bitwise(widths, acts):
     rng = np.random.default_rng(len(widths))
-    layers = [DenseLayer(rng.normal(size=(o, i)), rng.normal(size=o), a)
-              for i, o, a in zip(widths, widths[1:], acts)]
+
+    def draw_layers():
+        return [DenseLayer(rng.normal(size=(o, i)), rng.normal(size=o), a)
+                for i, o, a in zip(widths, widths[1:], acts)]
+
+    layers = draw_layers()
     X = rng.normal(size=(40, widths[0]))
     d_out = rng.normal(size=(40, widths[-1]))
     got_acts, got_pres = stack_forward(layers, X)
@@ -208,3 +232,13 @@ def test_stack_backward_matches_reference_bitwise(widths, acts):
     flat_ref = [g for pair in ref_grads for g in pair]  # dW_0, db_0, dW_1, ...
     for got, want in zip(grads, flat_ref, strict=True):
         assert got.tobytes() == want.tobytes()
+
+    # T members stacked along a leading axis: a full batch of 32 rows, a
+    # partial last batch of 24 and a single row; one input for all
+    # members or one per member
+    for T in range(1, 7):
+        members = [draw_layers() for _ in range(T)]
+        for n in (32, 24, 1):
+            d_out = rng.normal(size=(T, n, widths[-1]))
+            assert_stacked_matches_members(members, rng.normal(size=(n, widths[0])), d_out)
+            assert_stacked_matches_members(members, rng.normal(size=(T, n, widths[0])), d_out)

@@ -1,11 +1,13 @@
 """Every trainer gives the same bits as its own hand-written loop.
 
 All trainers run through one mini-batch loop, ``core_nn.sgd_fit``, and
-one update, ``core_nn.sgd_step``.  Frozen, self-contained copies of the
-separate loops they replaced live here: their own momentum update,
-learning-rate schedule, forward and backward pass, and Fisher-Yates
-order.  The tests compare trained parameters by bytes with momentum,
-weight decay, a step schedule and a partial last batch switched on.
+one update, ``core_nn.sgd_step``; distillation's teacher heads and joint
+training's legs train as stacks of equal-shaped members.  Frozen,
+self-contained copies of the separate loops they replaced live here:
+their own momentum update, learning-rate schedule, forward and backward
+pass, and Fisher-Yates order, one member at a time.  The tests compare
+trained parameters by bytes with momentum, weight decay, a step schedule
+and a partial last batch switched on.
 """
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from richlab.core_nn.losses import (
 from richlab.experiments import fit_cosine_classifier
 from richlab.richrep import (
     DistillSpec,
+    bank_of_trunks,
     concat_head_init,
     distill,
     init_trunk,
@@ -185,10 +188,31 @@ def test_train_matches_reference_bitwise():
     assert_same_layers(trained.layers, ref_train(net, data.X, data.y, CFG).layers)
 
 
-@pytest.mark.parametrize("mode", ["kl", "ce_kl", "cosine"])
-def test_distill_matches_reference_bitwise(mode):
+def mixed_width_bank(data):
+    """Trunks 8, 6, 8 and 8 wide, the last with a linear layer: three stacks,
+    the first holding members 0 and 2.  No trunk maps a row to zero, which
+    cosine distillation rejects."""
+    wide = train_episodes(data, (8,), CFG, [11, 12])
+    narrow = train_episodes(data, (6,), CFG, [15])
+    trunks = [wide.extractors[0], narrow.extractors[0], wide.extractors[1],
+              init_trunk([data.d, 8], seed=14, activation="linear")]
+    return bank_of_trunks(trunks, [11, 15, 12, 14])
+
+
+@pytest.mark.parametrize("mode,teachers", [
+    pytest.param("kl", "two", id="kl"),
+    pytest.param("ce_kl", "two", id="ce_kl"),
+    pytest.param("cosine", "two", id="cosine"),
+    pytest.param("kl", "one", id="kl-one-teacher"),
+    pytest.param("cosine", "one", id="cosine-one-teacher"),
+    pytest.param("cosine", "mixed", id="cosine-mixed-widths"),
+])
+def test_distill_matches_reference_bitwise(mode, teachers):
     data = toy_data()
-    bank = train_episodes(data, (8,), CFG, [11, 12])
+    if teachers == "mixed":
+        bank = mixed_width_bank(data)
+    else:
+        bank = train_episodes(data, (8,), CFG, [11, 12] if teachers == "two" else [11])
     spec = DistillSpec(mode=mode, tau=4.0, alpha=0.7, student_arch=(7, 5))
     student = distill(bank, spec, data, CFG)
     assert_same_layers(student.layers, ref_distill(bank, spec, data, CFG).layers)
@@ -196,27 +220,30 @@ def test_distill_matches_reference_bitwise(mode):
 
 def test_joint_train_matches_reference_bitwise():
     data = toy_data()
-    mln = joint_train(data, (8, 4), 3, CFG)
-    rng = SplitMix64(CFG.seed)
-    legs = [Network([glorot_layer(8, data.d, rng, "relu"), glorot_layer(4, 8, rng, "relu")])
-            for _ in range(3)]
-    head = glorot_layer(data.n_classes, 12, rng)
-    legs, head = ref_multileg(legs, head, data.X, data.y, CFG)
-    for got, want in zip(mln.legs, legs, strict=True):
-        assert_same_layers(got.layers, want.layers)
-    assert_same_layers([mln.head], [head])
+    for n_legs in (3, 1):
+        mln = joint_train(data, (8, 4), n_legs, CFG)
+        rng = SplitMix64(CFG.seed)
+        legs = [Network([glorot_layer(8, data.d, rng, "relu"), glorot_layer(4, 8, rng, "relu")])
+                for _ in range(n_legs)]
+        head = glorot_layer(data.n_classes, 4 * n_legs, rng)
+        legs, head = ref_multileg(legs, head, data.X, data.y, CFG)
+        for got, want in zip(mln.legs, legs, strict=True):
+            assert_same_layers(got.layers, want.layers)
+        assert_same_layers([mln.head], [head])
 
 
 def test_naive_finetune_matches_reference_bitwise():
     data = toy_data()
-    bank = train_episodes(data, (8,), CFG, [5, 6])
-    mln = naive_finetune(bank, data, CFG)
-    head = glorot_layer(data.n_classes, 16, SplitMix64(CFG.seed))
-    legs, head = ref_multileg([t.clone() for t in bank.extractors], head,
-                              data.X, data.y, CFG)
-    for got, want in zip(mln.legs, legs, strict=True):
-        assert_same_layers(got.layers, want.layers)
-    assert_same_layers([mln.head], [head])
+    banks = [train_episodes(data, (8,), CFG, [5, 6]), mixed_width_bank(data),
+             train_episodes(data, (8,), CFG, [5])]
+    for bank in banks:
+        mln = naive_finetune(bank, data, CFG)
+        head = glorot_layer(data.n_classes, bank.total_dim, SplitMix64(CFG.seed))
+        legs, head = ref_multileg([t.clone() for t in bank.extractors], head,
+                                  data.X, data.y, CFG)
+        for got, want in zip(mln.legs, legs, strict=True):
+            assert_same_layers(got.layers, want.layers)
+        assert_same_layers([mln.head], [head])
 
 
 def test_two_stage_finetune_matches_reference_bitwise():

@@ -338,10 +338,10 @@ def test_transfer_probe_cache_equals_refitting_every_problem(monkeypatch, kind, 
     fit_probe = probing.fit_probe
     monkeypatch.setattr(probing, "fit_probe", counted)
     monkeypatch.setattr(richrep, "fit_probe", counted)
-    cached = cli._run_transfer_pipeline(cfg, 3)
+    cached = cli._transfer_pipeline(cfg, 3)()
     n_cached, problems[:] = sum(problems), []
     monkeypatch.setattr(ProbeCache, "key", lambda self, *args: object())
-    refit = cli._run_transfer_pipeline(cfg, 3)
+    refit = cli._transfer_pipeline(cfg, 3)()
     assert cached == refit
     assert n_cached < sum(problems)
 

@@ -9,6 +9,7 @@ from richlab.core_nn import (
     layer_params,
     lr_at,
     sgd_step,
+    stack_layers,
 )
 from richlab.errors import NumericalError, ParameterError
 
@@ -65,6 +66,15 @@ def test_nonfinite_gradient_names_layer():
     grads = [np.zeros((2, 2)), np.zeros(2), np.full((2, 2), np.nan), np.zeros(2)]
     with pytest.raises(NumericalError, match="parameter 2"):  # layer 1's weights
         step_once(layer_params(layers), grads, lr=0.1)
+
+
+def test_nonfinite_stacked_gradient_names_its_first_member():
+    stacked = stack_layers([DenseLayer(np.eye(2), np.zeros(2)) for _ in range(4)])
+    grads = [np.zeros((4, 2, 2)), np.zeros((4, 1, 2))]
+    grads[1][3, 0, 0] = np.nan
+    grads[1][2, 0, 1] = np.inf
+    with pytest.raises(NumericalError, match=r"parameter 1, member 2$"):
+        step_once(layer_params([stacked]), grads, lr=0.1)
 
 
 # ---------------------------------------------------------------------------

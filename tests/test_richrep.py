@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,8 @@ def test_diverging_distillation_names_its_seed():
         distill(bank, DistillSpec(student_arch=(8,)), data, DIVERGE)
     assert info.value.seed == 21
     assert info.value.epoch is not None
+    # the teacher heads train as one stack: the message names the teacher
+    assert re.search(r"parameter 0, member [01]$", str(info.value))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -89,6 +93,8 @@ def test_diverging_joint_training_names_its_seed():
         joint_train(toy_data(), (8,), 2, DIVERGE)
     assert info.value.seed == 21
     assert info.value.epoch is not None
+    # the legs train as one stack: the message names the leg
+    assert re.search(r"parameter \d+, member [01]$", str(info.value))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
