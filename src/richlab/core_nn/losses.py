@@ -62,10 +62,15 @@ def _per_member(loss):
     return float(loss) if np.ndim(loss) == 0 else loss
 
 
-def _as_labels(labels, n_rows: int, n_classes: int) -> np.ndarray:
+def _as_labels(labels, shape: tuple, n_classes: int) -> np.ndarray:
+    """Integer labels of one row each, checked against ``n_classes``.
+
+    ``shape`` is the logits' leading shape: (n,), or (T, n) for stacked
+    members, which then share (n,) labels or hold one row of (T, n) each.
+    """
     y = np.asarray(labels)
-    if y.shape != (n_rows,):
-        raise ShapeError(f"labels must be shape ({n_rows},), got {y.shape}")
+    if y.shape not in (shape, shape[-1:]):
+        raise ShapeError(f"labels must be shape {shape[-1:]}, got {y.shape}")
     y = y.astype(np.int64)
     if y.min() < 0 or y.max() >= n_classes:
         raise DataError(f"labels must lie in [0, {n_classes}), got range "
@@ -74,15 +79,21 @@ def _as_labels(labels, n_rows: int, n_classes: int) -> np.ndarray:
 
 
 def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean ``-log softmax(logits)[label]`` and its gradient wrt logits."""
+    """Mean ``-log softmax(logits)[label]`` and its gradient wrt logits.
+
+    Stacked (T, n, k) logits take (n,) labels shared by the members or
+    (T, n) labels, one row per member.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     n, k = logits.shape[-2:]
-    y = _as_labels(labels, n, k)
+    y = _as_labels(labels, logits.shape[:-1], k)
     rows = np.arange(n)
+    # each row's label entry: one label row for every member, or one per member
+    picked = (..., rows, y) if y.ndim == 1 else (np.arange(len(y))[:, None], rows, y)
     logp = log_softmax(logits)
-    loss = -logp[..., rows, y].mean(axis=-1)
+    loss = -logp[picked].mean(axis=-1)
     grad = np.exp(logp)
-    grad[..., rows, y] -= 1.0
+    grad[picked] -= 1.0
     return _per_member(loss), grad / n
 
 

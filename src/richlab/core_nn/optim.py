@@ -97,37 +97,50 @@ def sgd_step(params, grads, velocities, lr: float, momentum: float,
 
 
 def sgd_fit(params, loss_and_grad, n_rows: int, config: TrainConfig,
-            on_epoch_end: Callable[[int], None] | None = None) -> list[float]:
+            on_epoch_end: Callable[[int], None] | None = None,
+            seeds=None) -> list:
     """Mini-batch SGD over ``params``; returns the mean loss of each epoch.
 
     ``loss_and_grad(idx)`` returns the mean loss over the rows ``idx`` and
     one gradient per parameter, all formed before any parameter moves.
     Each epoch draws a Fisher-Yates order from ``shuffle_rng(config.seed)``
     and keeps the partial last batch; the epoch loss weights each batch by
-    its rows.  A non-finite gradient or epoch loss raises
-    :class:`TrainingError` naming the epoch.
+    its rows.
+
+    ``seeds`` trains T independent members at once, one per seed, whose
+    parameters are stacked along a leading axis.  Each member draws its
+    own order from ``shuffle_rng(seed)``, ``idx`` is then (T, b) with row
+    ``t`` member ``t``'s batch, ``loss_and_grad`` returns one loss per
+    member, and the result holds one loss history per member.
+    ``config.seed`` is unused then.
+
+    A :class:`NumericalError` from ``loss_and_grad`` or a non-finite
+    gradient or epoch loss raises :class:`TrainingError` naming the epoch.
     """
     velocities = [np.zeros_like(w) for w, _ in params]
-    rng = shuffle_rng(config.seed)
-    history: list[float] = []
+    rngs = [shuffle_rng(s) for s in ([config.seed] if seeds is None else seeds)]
+    history: list = []
     for epoch in range(config.epochs):
         lr = lr_at(config.schedule, config.lr, epoch, config.epochs)
-        order = rng.permutation(n_rows)
+        orders = [rng.permutation(n_rows) for rng in rngs]
+        order = orders[0] if seeds is None else np.stack(orders)
         total = 0.0
         for start in range(0, n_rows, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            loss, grads = loss_and_grad(idx)
+            idx = order[..., start:start + config.batch_size]
             try:
+                loss, grads = loss_and_grad(idx)
                 sgd_step(params, grads, velocities, lr, config.momentum,
                          config.weight_decay)
             except NumericalError as exc:
                 raise TrainingError(f"training diverged at epoch {epoch}: {exc}",
                                     epoch=epoch) from exc
-            total += loss * len(idx)
+            total += loss * idx.shape[-1]
         epoch_loss = total / n_rows
-        if not np.isfinite(epoch_loss):
+        if not np.isfinite(epoch_loss).all():
             raise TrainingError(f"training loss diverged at epoch {epoch}", epoch=epoch)
         history.append(epoch_loss)
         if on_epoch_end is not None:
             on_epoch_end(epoch)
-    return history
+    if seeds is None:
+        return history
+    return [[float(losses[t]) for losses in history] for t in range(len(rngs))]

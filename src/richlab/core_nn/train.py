@@ -4,7 +4,8 @@ Training is pure: the input network is cloned and the clone is trained.
 Given the same initialization, config seed, and data order, two runs
 produce bitwise-identical parameters.  Mini-batches come from a seeded
 Fisher-Yates shuffle per epoch (shuffle stream seed = ``config.seed+1``)
-and the last partial batch is kept.
+and the last partial batch is kept.  Stacked members train at once, each
+on the shuffle of its own seed.
 """
 from __future__ import annotations
 
@@ -51,10 +52,17 @@ def train(
     y,
     config: TrainConfig,
     on_epoch_end: Callable[[int, Network], None] | None = None,
-) -> tuple[Network, list[float]]:
+    seeds=None,
+) -> tuple[Network, list]:
     """Train a clone of ``net`` on ``(X, y)`` with cross-entropy; returns ``(trained, history)``.
 
     ``history`` holds one example-weighted mean training loss per epoch.
+    With ``seeds``, ``net`` holds T stacked members (see
+    :func:`~richlab.core_nn.layers.stack_layers`) that train at once, each
+    on its own batch order from its own seed, as :func:`sgd_fit` describes;
+    member ``t`` ends bit for bit where ``net``'s member ``t`` trained alone
+    with ``config.with_seed(seeds[t])`` would, and ``history`` holds one
+    loss history per member.
     """
     X = as_feature_matrix(X)
     y = np.asarray(y, dtype=np.int64)
@@ -71,7 +79,7 @@ def train(
         return network_loss_grad(net, X[idx], lambda logits: cross_entropy_loss(logits, yb))
 
     hook = None if on_epoch_end is None else (lambda epoch: on_epoch_end(epoch, net))
-    return net, sgd_fit(layer_params(net.layers), loss_and_grad, n, config, hook)
+    return net, sgd_fit(layer_params(net.layers), loss_and_grad, n, config, hook, seeds)
 
 
 def predict_logits(net: Network, X) -> np.ndarray:

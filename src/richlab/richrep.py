@@ -147,6 +147,17 @@ def _slots(groups) -> list[tuple[int, int]]:
     return [where[i] for i in range(len(where))]
 
 
+def _stack_nets(nets) -> list[DenseLayer]:
+    """The layers of equal-shaped ``nets`` as one stacked layer per depth."""
+    return [stack_layers(depth) for depth in zip(*(net.layers for net in nets))]
+
+
+def _unstack_nets(nets, stacked) -> None:
+    """Copy each member of the stacked layers back into the matching net."""
+    for depth, layer in enumerate(stacked):
+        unstack_into([net.layers[depth] for net in nets], layer)
+
+
 def init_trunk(sizes, seed: int, activation: str = "relu") -> Network:
     """Head-less trunk: every layer keeps the hidden activation."""
     sizes = list(sizes)
@@ -168,25 +179,47 @@ def split_head(net: Network) -> tuple[Network, DenseLayer]:
 # ---------------------------------------------------------------------------
 # bank builders
 
+def _train_members(nets, data: Dataset, config: TrainConfig, seeds, names) -> None:
+    """Train each of ``nets`` in place, net ``i`` on the batch order of ``seeds[i]``.
+
+    The nets of one shape train as one stack through one :func:`train`,
+    which gives each the bits it would get alone.  A stack stops at the
+    first member to diverge, which need not be the first in order, so on
+    a divergence the nets are retrained one by one and the error names
+    ``names[i]`` of the first net that diverges, as a loop over them would.
+    """
+    groups = _groups([tuple(map(_layer_key, net.layers)) for net in nets])
+    try:
+        stacks = [train(Network(_stack_nets([nets[i] for i in members])), data.X, data.y,
+                        config, seeds=[seeds[i] for i in members])[0]
+                  for members in groups]
+    except TrainingError:
+        for net, seed, name in zip(nets, seeds, names):
+            try:
+                net.layers = train(net, data.X, data.y, config.with_seed(seed))[0].layers
+            except TrainingError as exc:
+                raise EpisodeError(f"{name} diverged: {exc}", seed=seed,
+                                   epoch=exc.epoch) from exc
+        return
+    for members, stack in zip(groups, stacks):
+        _unstack_nets([nets[i] for i in members], stack.layers)
+
+
 def train_episodes(data: Dataset, hidden, base_config: TrainConfig, seeds) -> RepresentationBank:
-    """Independently train one episode per seed; everything else identical."""
+    """Independently train one episode per seed; everything else identical.
+
+    The episodes train as one stack, each on its own seed's initialization
+    and batch order, bit for bit as one at a time.
+    """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ParameterError("need at least one seed")
     sizes = [data.d, *hidden, data.n_classes]
-    extractors, heads, dims = [], [], []
-    for s in seeds:
-        try:
-            net = init_network(sizes, seed=s)
-            trained, _ = train(net, data.X, data.y, base_config.with_seed(s))
-        except TrainingError as exc:
-            raise EpisodeError(f"episode with seed {s} diverged: {exc}", seed=s,
-                               epoch=exc.epoch) from exc
-        trunk, head = split_head(trained)
-        extractors.append(trunk)
-        heads.append(head)
-        dims.append(trunk.layers[-1].n_out)
-    return RepresentationBank(extractors, dims, seeds, "independent_episodes", heads)
+    nets = [init_network(sizes, seed=s) for s in seeds]
+    _train_members(nets, data, base_config, seeds, [f"episode with seed {s}" for s in seeds])
+    extractors, heads = zip(*map(split_head, nets))
+    return RepresentationBank(list(extractors), [t.layers[-1].n_out for t in extractors],
+                              seeds, "independent_episodes", list(heads))
 
 
 def snapshot_episode(data: Dataset, hidden, config: TrainConfig,
@@ -415,8 +448,7 @@ def _train_multileg(mln: MultiLegNetwork, X, y, config: TrainConfig, what: str) 
     trained values are copied back into ``mln.legs`` at the end.
     """
     groups = _groups([tuple(map(_layer_key, leg.layers)) for leg in mln.legs])
-    stacks = [[stack_layers(depth) for depth in zip(*(mln.legs[i].layers for i in members))]
-              for members in groups]
+    stacks = [_stack_nets([mln.legs[i] for i in members]) for members in groups]
     slots = _slots(groups)
     offsets = np.cumsum([0, *(leg.layers[-1].n_out for leg in mln.legs)])
     head = mln.head
@@ -436,8 +468,7 @@ def _train_multileg(mln: MultiLegNetwork, X, y, config: TrainConfig, what: str) 
     layers = [layer for group in stacks for layer in group] + [head]
     _fit_episode(what, layer_params(layers), loss_and_grad, X.shape[0], config)
     for members, group in zip(groups, stacks):
-        for depth, stacked in enumerate(group):
-            unstack_into([mln.legs[i].layers[depth] for i in members], stacked)
+        _unstack_nets([mln.legs[i] for i in members], group)
 
 
 def naive_finetune(bank: RepresentationBank, data: Dataset,
@@ -504,25 +535,18 @@ def two_stage_finetune(
     """Fine-tune each leg separately, freeze, then train a concatenated head.
 
     Stage 1 trains every extractor with its own fresh classifier on the
-    target data.  Stage 2 initializes the final classifier from the
-    stacked leg classifiers (so before any step its logits equal the
-    mean of the leg logits) and trains it briefly on frozen features.
+    target data; the legs of one shape train as one stack.  Stage 2
+    initializes the final classifier from the stacked leg classifiers (so
+    before any step its logits equal the mean of the leg logits) and
+    trains it briefly on frozen features.
     """
-    ft_trunks, ft_heads = [], []
-    for i, trunk in enumerate(bank.extractors):
-        leg_seed = derive_seed(ft_config.seed, i)
-        head_init = glorot_layer(data.n_classes, bank.dims[i], SplitMix64(leg_seed))
-        net = Network([_clone_layer(l) for l in trunk.layers] + [head_init])
-        try:
-            trained, _ = train(net, data.X, data.y, ft_config.with_seed(leg_seed))
-        except TrainingError as exc:
-            raise EpisodeError(
-                f"stage-1 fine-tune of leg {i} diverged: {exc}",
-                seed=leg_seed, epoch=exc.epoch,
-            ) from exc
-        t, h = split_head(trained)
-        ft_trunks.append(t)
-        ft_heads.append(h)
+    leg_seeds = [derive_seed(ft_config.seed, i) for i in range(len(bank))]
+    nets = [Network([*map(_clone_layer, trunk.layers),
+                     glorot_layer(data.n_classes, dim, SplitMix64(seed))])
+            for trunk, dim, seed in zip(bank.extractors, bank.dims, leg_seeds)]
+    _train_members(nets, data, ft_config, leg_seeds,
+                   [f"stage-1 fine-tune of leg {i}" for i in range(len(nets))])
+    ft_trunks, ft_heads = map(list, zip(*map(split_head, nets)))
     ft_bank = RepresentationBank(ft_trunks, list(bank.dims), list(bank.seeds),
                                  bank.provenance, ft_heads)
 

@@ -1,14 +1,16 @@
 """Every trainer gives the same bits as its own hand-written loop.
 
 All trainers run through one mini-batch loop, ``core_nn.sgd_fit``, and
-one update, ``core_nn.sgd_step``; distillation's teacher heads and joint
-training's legs train as stacks of equal-shaped members.  Frozen,
-self-contained copies of the separate loops they replaced live here:
-their own momentum update, learning-rate schedule, forward and backward
-pass, and Fisher-Yates order, one member at a time.  The tests compare
-trained parameters by bytes with momentum, weight decay, a step schedule
-and a partial last batch switched on.
+one update, ``core_nn.sgd_step``; the episodes of a bank, distillation's
+teacher heads and joint training's legs train as stacks of equal-shaped
+members.  Frozen, self-contained copies of the separate loops they
+replaced live here: their own momentum update, learning-rate schedule,
+forward and backward pass, and Fisher-Yates order, one member at a time.
+The tests compare trained parameters by bytes with momentum, weight
+decay, a step schedule and a partial last batch switched on.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,28 @@ def test_train_matches_reference_bitwise():
     assert_same_layers(trained.layers, ref_train(net, data.X, data.y, CFG).layers)
 
 
+def ref_episodes(data, hidden, cfg, seeds):
+    """The per-episode loop: one initialization and one training run per seed."""
+    sizes = [data.d, *hidden, data.n_classes]
+    return [ref_train(init_network(sizes, seed=s), data.X, data.y, cfg.with_seed(s))
+            for s in seeds]
+
+
+@pytest.mark.parametrize("hidden", [(1,), (2,), (4,), (8,), (16,), (8, 1), (8, 6), (32, 16)],
+                         ids=str)
+def test_train_episodes_matches_reference_bitwise(hidden):
+    data = toy_data()
+    seed_sets = [[5], [5, 5], [1, 2, 3], [derive_seed(7, i) for i in range(6)]]
+    for batch_size in (32, 16, 7):  # last batches of 24, 8 and 1 rows
+        for schedule in (Schedule.step(0.5, 2), Schedule.cosine()):
+            cfg = replace(CFG, batch_size=batch_size, schedule=schedule)
+            for seeds in seed_sets:
+                bank = train_episodes(data, hidden, cfg, seeds)
+                for trunk, head, want in zip(bank.extractors, bank.heads,
+                                             ref_episodes(data, hidden, cfg, seeds), strict=True):
+                    assert_same_layers([*trunk.layers, head], want.layers)
+
+
 def mixed_width_bank(data):
     """Trunks 8, 6, 8 and 8 wide, the last with a linear layer: three stacks,
     the first holding members 0 and 2.  No trunk maps a row to zero, which
@@ -248,24 +272,24 @@ def test_naive_finetune_matches_reference_bitwise():
 
 def test_two_stage_finetune_matches_reference_bitwise():
     data = toy_data()
-    bank = train_episodes(data, (8,), CFG, [5, 6])
-    ft_bank, final = two_stage_finetune(bank, data, CFG, stage2_epochs=3, stage2_lr=0.01)
-    want_trunks, want_heads = [], []
-    for i, trunk in enumerate(bank.extractors):
-        leg_seed = derive_seed(CFG.seed, i)
-        head = glorot_layer(data.n_classes, 8, SplitMix64(leg_seed))
-        net = ref_train(Network([*trunk.clone().layers, head]), data.X, data.y,
-                        CFG.with_seed(leg_seed))
-        want_trunks.append(net.layers[:-1])
-        want_heads.append(net.layers[-1])
-    for got, want in zip(ft_bank.extractors, want_trunks, strict=True):
-        assert_same_layers(got.layers, want)
-    assert_same_layers(ft_bank.heads, want_heads)
-    feats = np.hstack([reference_forward(layers, data.X)[0][-1] for layers in want_trunks])
-    stage2 = TrainConfig(lr=0.01, epochs=3, batch_size=CFG.batch_size, momentum=CFG.momentum,
-                         seed=derive_seed(CFG.seed, 3))
-    want_final = ref_train(Network([concat_head_init(want_heads)]), feats, data.y, stage2)
-    assert_same_layers([final], want_final.layers)
+    for bank in (train_episodes(data, (8,), CFG, [5, 6]), mixed_width_bank(data)):
+        ft_bank, final = two_stage_finetune(bank, data, CFG, stage2_epochs=3, stage2_lr=0.01)
+        want_trunks, want_heads = [], []
+        for i, trunk in enumerate(bank.extractors):
+            leg_seed = derive_seed(CFG.seed, i)
+            head = glorot_layer(data.n_classes, bank.dims[i], SplitMix64(leg_seed))
+            net = ref_train(Network([*trunk.clone().layers, head]), data.X, data.y,
+                            CFG.with_seed(leg_seed))
+            want_trunks.append(net.layers[:-1])
+            want_heads.append(net.layers[-1])
+        for got, want in zip(ft_bank.extractors, want_trunks, strict=True):
+            assert_same_layers(got.layers, want)
+        assert_same_layers(ft_bank.heads, want_heads)
+        feats = np.hstack([reference_forward(layers, data.X)[0][-1] for layers in want_trunks])
+        stage2 = TrainConfig(lr=0.01, epochs=3, batch_size=CFG.batch_size,
+                             momentum=CFG.momentum, seed=derive_seed(CFG.seed, len(bank) + 1))
+        want_final = ref_train(Network([concat_head_init(want_heads)]), feats, data.y, stage2)
+        assert_same_layers([final], want_final.layers)
 
 
 def test_snapshot_episode_matches_reference_bitwise():

@@ -475,6 +475,15 @@ def test_diverging_cosine_classifier_raises():
     assert info.value.epoch is not None
 
 
+def test_zero_feature_row_in_cosine_classifier_names_the_epoch():
+    rng = SplitMix64(9)
+    feats = rng.normal(20 * 6).reshape(20, 6)
+    feats[13] = 0.0  # every epoch meets it: a bare NumericalError used to escape
+    with pytest.raises(TrainingError, match="cosine head input has a zero-norm row") as info:
+        fit_cosine_classifier(feats, rng.integers(5, 20), 5, seed=1, epochs=5)
+    assert info.value.epoch == 0
+
+
 def test_snapshot_schedule_even():
     assert snapshot_schedule(100, 5) == [20, 40, 60, 80, 100]
     assert snapshot_schedule(12, 5) == [2, 5, 7, 10, 12]

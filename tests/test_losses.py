@@ -118,6 +118,32 @@ def test_ce_label_out_of_range():
         cross_entropy_loss(np.zeros((2, 3)), np.array([0, 3]))
 
 
+def test_ce_per_member_labels_checked():
+    logits = np.zeros((2, 4, 3))
+    with pytest.raises(DataError):
+        cross_entropy_loss(logits, np.array([[0, 1, 2, 0], [0, 3, 1, 1]]))
+    with pytest.raises(ShapeError):
+        cross_entropy_loss(logits, np.zeros((3, 4), dtype=np.int64))
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), members=st.integers(1, 6), n=st.integers(1, 400),
+       k=st.integers(1, 10))
+def test_ce_per_member_labels_match_separate_calls_bitwise(seed, members, n, k):
+    # (T, n) labels, one row per member.  n spans both sides of the switch
+    # to log_softmax's column chains (32*k rows), which a stack can cross
+    # while its members alone do not.
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((members, n, k)) * 5.0
+    y = rng.integers(0, k, (members, n))
+    losses, grad = cross_entropy_loss(logits, y)
+    assert losses.shape == (members,) and grad.shape == logits.shape
+    for t in range(members):
+        loss, g = cross_entropy_loss(logits[t], y[t])
+        assert np.float64(loss).tobytes() == losses[t].tobytes()
+        assert g.tobytes() == grad[t].tobytes()
+
+
 def test_ce_gradient_matches_finite_difference():
     rng = SplitMix64(1)
     logits = rng.normal(12).reshape(4, 3)

@@ -3,9 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from richlab.core_nn import TrainConfig, extract_features, init_network, train
+from richlab.core_nn import Network, TrainConfig, extract_features, init_network, train
+from richlab.core_nn.layers import glorot_layer
 from richlab.core_nn.train import flatten_params
-from richlab.errors import EpisodeError, ParameterError
+from richlab.errors import EpisodeError, ParameterError, TrainingError
 from richlab.probing import ProbeCache, ProbeConfig, fit_probe, optimal_cost
 from richlab.richrep import (
     DistillSpec,
@@ -31,7 +32,7 @@ from richlab.richrep import (
     train_episodes,
     two_stage_finetune,
 )
-from richlab.rng import SplitMix64
+from richlab.rng import SplitMix64, derive_seed
 from richlab.tasks import Dataset
 
 CFG = TrainConfig(lr=0.05, epochs=12, batch_size=16, momentum=0.9, seed=0)
@@ -72,6 +73,48 @@ def test_diverging_episode_names_its_seed():
     assert info.value.epoch is not None
 
 
+def _alone(net, data, cfg):
+    """The TrainingError of ``net`` trained by itself, or None if it trains."""
+    try:
+        train(net, data.X, data.y, cfg)
+    except TrainingError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_bank_names_the_episode_a_loop_would():
+    # the episodes train as one stack, which meets seed 15's divergence
+    # first; one at a time, seed 11 is the first to diverge
+    data = toy_data()
+    cfg = TrainConfig(lr=1e4, epochs=20, batch_size=16, momentum=0.9)
+    alone = {s: _alone(init_network([data.d, 4, data.n_classes], seed=s), data, cfg.with_seed(s))
+             for s in (13, 11, 15)}
+    assert alone[13] is None and alone[15].epoch < alone[11].epoch
+    with pytest.raises(EpisodeError) as info:
+        train_episodes(data, (4,), cfg, [13, 11, 15])
+    assert (info.value.seed, info.value.epoch) == (11, alone[11].epoch)
+    assert str(info.value) == f"episode with seed 11 diverged: {alone[11]}"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_two_stage_finetune_names_the_leg_a_loop_would():
+    # alone, leg 1 diverges an epoch before leg 0, and leg 3 trains
+    data = toy_data()
+    bank = train_episodes(data, (4,), CFG, [11, 12, 13, 14])
+    cfg = TrainConfig(lr=3e4, epochs=20, batch_size=16, momentum=0.9, seed=1)
+    alone = []
+    for i, trunk in enumerate(bank.extractors):
+        head = glorot_layer(data.n_classes, 4, SplitMix64(derive_seed(1, i)))
+        alone.append(_alone(Network([*trunk.clone().layers, head]), data,
+                            cfg.with_seed(derive_seed(1, i))))
+    assert alone[1].epoch < alone[0].epoch and alone[3] is None
+    with pytest.raises(EpisodeError) as info:
+        two_stage_finetune(bank, data, cfg)
+    assert (info.value.seed, info.value.epoch) == (derive_seed(1, 0), alone[0].epoch)
+    assert str(info.value) == f"stage-1 fine-tune of leg 0 diverged: {alone[0]}"
+
+
 DIVERGE = TrainConfig(lr=1e6, epochs=20, batch_size=16, momentum=0.9, seed=21)
 
 
@@ -85,6 +128,17 @@ def test_diverging_distillation_names_its_seed():
     assert info.value.epoch is not None
     # the teacher heads train as one stack: the message names the teacher
     assert re.search(r"parameter 0, member [01]$", str(info.value))
+
+
+def test_zero_norm_student_row_in_cosine_distillation_names_its_seed():
+    # a (6,)-wide student from seed 21 maps a row of the first batch to zero
+    data = toy_data()
+    cfg = TrainConfig(lr=0.05, epochs=5, batch_size=32, momentum=0.9)
+    bank = train_episodes(data, (6,), cfg, [13])
+    with pytest.raises(EpisodeError, match="seed 21 diverged") as info:
+        distill(bank, DistillSpec(mode="cosine", student_arch=(6,)), data, cfg.with_seed(21))
+    assert (info.value.seed, info.value.epoch) == (21, 0)
+    assert str(info.value).endswith("cosine distillation saw a zero-norm feature row")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

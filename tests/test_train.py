@@ -3,6 +3,7 @@ import pytest
 
 from richlab.core_nn import (
     CosineHead,
+    Network,
     Schedule,
     TrainConfig,
     accuracy,
@@ -14,6 +15,7 @@ from richlab.core_nn import (
     flatten_params,
     init_network,
     kl_distill_loss,
+    stack_layers,
     train,
 )
 from richlab.errors import NumericalError, TrainingError
@@ -90,6 +92,24 @@ def test_non_finite_gradient_is_training_error_with_epoch():
               TrainConfig(lr=1e6, epochs=3, batch_size=8))
     assert f"epoch {info.value.epoch}:" in str(info.value)
     assert isinstance(info.value.__cause__, NumericalError)
+
+
+def test_stacked_members_train_each_as_alone():
+    # members 0 and 2 share a batch order; each ends, with its loss
+    # history, where it would trained alone
+    X, y = two_blobs()
+    cfg = TrainConfig(lr=0.05, epochs=4, batch_size=16, momentum=0.9, weight_decay=1e-3)
+    seeds = [3, 8, 3]
+    nets = [init_network([2, 5, 2], seed=s) for s in (1, 2, 3)]
+    stacked = Network([stack_layers(depth) for depth in zip(*(net.layers for net in nets))])
+    trained, histories = train(stacked, X, y, cfg, seeds=seeds)
+    assert len(histories) == len(seeds)
+    for t, (net, seed) in enumerate(zip(nets, seeds)):
+        alone, history = train(net, X, y, cfg.with_seed(seed))
+        assert np.array(histories[t]).tobytes() == np.array(history).tobytes()
+        for got, want in zip(trained.layers, alone.layers, strict=True):
+            assert got.weights[t].tobytes() == want.weights.tobytes()
+            assert got.bias[t, 0].tobytes() == want.bias.tobytes()
 
 
 def test_train_is_pure():
