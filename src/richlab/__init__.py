@@ -11,7 +11,6 @@ from . import cli, core_nn, experiments, probing, richrep, tasks, verify
 from .errors import (
     DataError,
     EpisodeError,
-    FormatError,
     NumericalError,
     ParameterError,
     RichlabError,
@@ -24,7 +23,6 @@ from .rng import SplitMix64, derive_seed
 __all__ = [
     "DataError",
     "EpisodeError",
-    "FormatError",
     "NumericalError",
     "ParameterError",
     "RichlabError",

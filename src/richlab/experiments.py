@@ -2,6 +2,10 @@
 evaluation, out-of-distribution training with environment-risk
 objectives and tuned model selection, plus CSV record emission.
 
+Every pipeline gets its representations from one builder,
+:func:`build_representations`, which maps a method name to the
+:class:`~richlab.richrep.RepresentationBank` the consumers take.
+
 Every pipeline is deterministic given its seeds: representation
 training, classifier fitting, episode sampling, and hyper-parameter
 selection all draw from derived SplitMix64 streams, and rerunning a
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +24,6 @@ from .core_nn.layers import (
     Network,
     cosine_head_backward,
     cosine_head_forward,
-    extract_features,
     glorot_layer,
     init_network,
     layer_params,
@@ -35,6 +39,7 @@ from .richrep import (
     RepresentationBank,
     bank_from_multileg,
     bank_head_accuracy,
+    bank_of_trunks,
     cat_features,
     distill,
     extractor_probes,
@@ -240,11 +245,92 @@ def make_ft_target(spec: ShiftSpec, seed: int, n_rows: int,
 
 
 # ---------------------------------------------------------------------------
+# representations
+
+# transfer methods that fine-tune or ensemble the episode bank on the target
+FINETUNES = ("catsub", "init-ft", "2ft")
+TRANSFER_METHODS = ("erm", "cat", "distill", "joint", *FINETUNES)
+FEWSHOT_METHODS = ("erm", "cat", "distill", "cat-s", "snaps")
+
+
+def _check_methods(pipeline: str, methods, allowed, n_episodes: int) -> None:
+    """Refuse a method the pipeline does not take, and an empty bank."""
+    unknown = [m for m in methods if m not in allowed]
+    if unknown:
+        raise ParameterError(f"unknown {pipeline} method(s) {', '.join(map(repr, unknown))}; "
+                             f"choose from {', '.join(allowed)}")
+    if n_episodes < 1:
+        raise ParameterError("n_episodes must be positive")
+
+
+class Representation(NamedTuple):
+    method: str                # the config's method name
+    name: str                  # the method column of its records
+    bank: RepresentationBank
+
+
+def build_representations(methods, data: Dataset, cfg, seed: int,
+                          episode_offset: int = 0) -> list[Representation]:
+    """Train on ``data`` the representation of each method in ``methods``.
+
+    Every pipeline builds its representations here, always in the order
+    erm, cat, distill, joint, cat-s, snaps; other names are the caller's.  ``cfg`` holds the
+    widths and training settings: ``hidden``, ``train``, ``n_episodes``,
+    ``distill`` and ``distill_train``, and for snapshots ``n_snapshots`` and
+    ``snapshot_lr_mult``.  Seeds derive from ``seed``: episode ``i`` from
+    ``derive_seed(seed, episode_offset + i)``, the distilled student from
+    ``(seed, 500)``, joint training from ``(seed, 600)`` and the snapshot
+    run from ``(seed, 42)``.  ``erm`` is episode 0, ``cat`` all episodes,
+    and ``snaps`` gives one representation per snapshot.
+    """
+    methods = set(methods)
+    n = cfg.n_episodes
+    reps = []
+    if methods & {"erm", "cat", "distill"}:
+        bank = train_episodes(data, cfg.hidden, cfg.train,
+                              [derive_seed(seed, episode_offset + i) for i in range(n)])
+        if "erm" in methods:
+            reps.append(Representation("erm", "erm", bank.member(0)))
+        if "cat" in methods:
+            reps.append(Representation("cat", f"cat{n}", bank))
+        if "distill" in methods:
+            student_seed = derive_seed(seed, 500)
+            student = distill(bank, cfg.distill, data, cfg.distill_train.with_seed(student_seed))
+            reps.append(Representation("distill", f"distill{n}",
+                                       bank_of_trunks([student], [student_seed])))
+    if "joint" in methods:
+        joint_seed = derive_seed(seed, 600)
+        mln = joint_train(data, cfg.hidden, n, cfg.train.with_seed(joint_seed))
+        reps.append(Representation("joint", f"joint{n}", bank_from_multileg(mln, joint_seed)))
+    if methods & {"cat-s", "snaps"}:
+        snaps = snapshot_schedule(cfg.train.epochs, cfg.n_snapshots)
+        # the high-step-size episode runs plain SGD: momentum on top of
+        # an 8x step would diverge rather than wander between minima
+        snap_cfg = replace(cfg.train, lr=cfg.train.lr * cfg.snapshot_lr_mult,
+                           momentum=0.0, seed=derive_seed(seed, 42))
+        snap_bank = snapshot_episode(data, cfg.hidden, snap_cfg, snaps)
+        if "cat-s" in methods:
+            reps.append(Representation("cat-s", f"cat{len(snaps)}-s", snap_bank))
+        if "snaps" in methods:
+            reps += [Representation("snaps", f"snap{j + 1}", snap_bank.member(j))
+                     for j in range(len(snaps))]
+    return reps
+
+
+def snapshot_schedule(epochs: int, n_snapshots: int) -> list[int]:
+    """Evenly spaced snapshot epochs ending at the final epoch."""
+    snaps = sorted({max(1, round(epochs * (j + 1) / n_snapshots))
+                    for j in range(n_snapshots)})
+    return snaps
+
+
+# ---------------------------------------------------------------------------
 # transfer pipeline
 
 @dataclass
 class TransferConfig:
     hidden: tuple[int, ...] = (16,)
+    n_episodes: int = 5
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         lr=0.1, epochs=100, batch_size=32, momentum=0.9,
         schedule=Schedule.cosine()))
@@ -262,6 +348,9 @@ class TransferConfig:
     seeds: tuple[int, ...] = (101, 202, 303, 404, 505)
     methods: tuple[str, ...] = ("erm", "cat", "distill", "joint", "catsub")
     include_anchors: bool = False
+
+    def __post_init__(self):
+        _check_methods("transfer", self.methods, TRANSFER_METHODS, self.n_episodes)
 
 
 def _probe_records(records, run_id, seed, method, task: TransferTask,
@@ -289,49 +378,30 @@ def _probe_records(records, run_id, seed, method, task: TransferTask,
     return probe
 
 
-def run_transfer(pretrain: TransferTask, target: TransferTask, n_episodes: int,
-                 cfg: TransferConfig, run_id: str = "transfer") -> list[RunRecord]:
+def run_transfer(pretrain: TransferTask, target: TransferTask, cfg: TransferConfig,
+                 run_id: str = "transfer") -> list[RunRecord]:
     """Train single/concatenated/distilled/joint representations on the
     pretraining task and score probes and fine-tunes on the target task."""
-    if n_episodes < 1:
-        raise ParameterError("n_episodes must be positive")
     records: list[RunRecord] = []
-    need_bank = bool({"erm", "cat", "distill", "catsub", "init-ft", "2ft"} & set(cfg.methods))
+    wanted = set(cfg.methods)
+    if wanted & set(FINETUNES):
+        wanted.add("cat")  # catsub and the fine-tunes start from the episode bank
     for s in cfg.seeds:
         # the same problem recurs within a seed: erm is leg 0 of cat, and
         # catsub refits the legs that the leg gap already probed
         cache = ProbeCache(cfg.probe)
-        bank = None
-        if need_bank:
-            ep_seeds = [derive_seed(s, i) for i in range(n_episodes)]
-            bank = train_episodes(pretrain.train, cfg.hidden, cfg.train, ep_seeds)
-
-        if "erm" in cfg.methods:
-            single = bank.member(0)
-            _probe_records(records, run_id, s, "erm", target,
-                           lambda X, b=single: cat_features(b, X), cache)
-        if "cat" in cfg.methods:
-            _probe_records(records, run_id, s, f"cat{n_episodes}", target,
-                           lambda X, b=bank: cat_features(b, X), cache)
-            accs, gap = leg_probe_gap(bank, pretrain.train, cache)
-            records.append(RunRecord(run_id, s, f"cat{n_episodes}", pretrain.name,
-                                     "id_train", "leg_gap", gap,
-                                     {"legs": "/".join(f"{a:.4f}" for a in accs)}))
-        if "distill" in cfg.methods:
-            student = distill(bank, cfg.distill, pretrain.train,
-                              cfg.distill_train.with_seed(derive_seed(s, 500)))
-            _probe_records(records, run_id, s, f"distill{n_episodes}", target,
-                           lambda X, t=student: extract_features(t, X), cache)
-        if "joint" in cfg.methods:
-            mln = joint_train(pretrain.train, cfg.hidden, n_episodes,
-                              cfg.train.with_seed(derive_seed(s, 600)))
-            jbank = bank_from_multileg(mln, derive_seed(s, 600))
-            _probe_records(records, run_id, s, f"joint{n_episodes}", target,
-                           lambda X, b=jbank: cat_features(b, X), cache)
-            accs, gap = leg_probe_gap(jbank, pretrain.train, cache)
-            records.append(RunRecord(run_id, s, f"joint{n_episodes}", pretrain.name,
-                                     "id_train", "leg_gap", gap,
-                                     {"legs": "/".join(f"{a:.4f}" for a in accs)}))
+        reps = build_representations(wanted, pretrain.train, cfg, s)
+        for rep in reps:
+            if rep.method not in cfg.methods:
+                continue
+            _probe_records(records, run_id, s, rep.name, target,
+                           lambda X, b=rep.bank: cat_features(b, X), cache)
+            if rep.method in ("cat", "joint"):
+                accs, gap = leg_probe_gap(rep.bank, pretrain.train, cache)
+                records.append(RunRecord(run_id, s, rep.name, pretrain.name,
+                                         "id_train", "leg_gap", gap,
+                                         {"legs": "/".join(f"{a:.4f}" for a in accs)}))
+        bank = next((rep.bank for rep in reps if rep.method == "cat"), None)
         if "catsub" in cfg.methods:
             fit_for = {"id_test": target.train,
                        "ood_test": target.ood_train or target.train}
@@ -397,6 +467,9 @@ def reference_anchor_records(run_id: str) -> list[RunRecord]:
 @dataclass
 class FewshotConfig:
     hidden: tuple[int, ...] = (16,)
+    n_episodes: int = 5
+    methods: tuple[str, ...] = ("erm", "cat", "cat-s", "snaps")
+    n_episodes_eval: int = 600
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         lr=0.05, epochs=40, batch_size=32, momentum=0.9))
     classifier: str = "linear"  # linear | cosine
@@ -413,6 +486,7 @@ class FewshotConfig:
     seeds: tuple[int, ...] = (101, 202, 303, 404, 505)
 
     def __post_init__(self):
+        _check_methods("few-shot", self.methods, FEWSHOT_METHODS, self.n_episodes)
         if self.classifier not in ("linear", "cosine"):
             raise ParameterError(f"unknown classifier {self.classifier!r}")
 
@@ -427,8 +501,7 @@ def fit_cosine_classifier(feats, y, n_classes: int, seed: int, lr: float = 0.1,
     def loss_and_grad(idx):
         Z = feats[idx]
         loss, d_logits = cross_entropy_loss(cosine_head_forward(Z, head), y[idx])
-        dU, dg, _ = cosine_head_backward(Z, head, d_logits)
-        return loss, [dU, dg]
+        return loss, list(cosine_head_backward(Z, head, d_logits))
 
     config = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, momentum=momentum,
                          seed=seed)
@@ -437,65 +510,26 @@ def fit_cosine_classifier(feats, y, n_classes: int, seed: int, lr: float = 0.1,
     return head
 
 
-def snapshot_schedule(epochs: int, n_snapshots: int) -> list[int]:
-    """Evenly spaced snapshot epochs ending at the final epoch."""
-    snaps = sorted({max(1, round(epochs * (j + 1) / n_snapshots))
-                    for j in range(n_snapshots)})
-    return snaps
-
-
-def run_fewshot(base: TransferTask, novel: Dataset, methods, spec: EpisodeSpec,
-                cfg: FewshotConfig, n_episodes_eval: int = 600,
-                run_id: str = "fewshot", n_episodes: int = 5) -> list[RunRecord]:
+def run_fewshot(base: TransferTask, novel: Dataset, spec: EpisodeSpec, cfg: FewshotConfig,
+                run_id: str = "fewshot") -> list[RunRecord]:
     """Evaluate representations on sampled episodes of novel classes.
 
     Every method within a seed group sees the same episode stream (paired
     comparison); reported std is the ddof=1 standard deviation over
     episode accuracies.
     """
-    methods = list(methods)
     records: list[RunRecord] = []
     for s in cfg.seeds:
-        feature_fns: dict[str, callable] = {}
-        bank = None
-        if {"erm", "cat", "distill"} & set(methods):
-            ep_seeds = [derive_seed(s, i) for i in range(n_episodes)]
-            bank = train_episodes(base.train, cfg.hidden, cfg.train, ep_seeds)
-        if "erm" in methods:
-            single = bank.member(0)
-            feature_fns["erm"] = lambda X, b=single: cat_features(b, X)
-        if "cat" in methods:
-            feature_fns[f"cat{n_episodes}"] = lambda X, b=bank: cat_features(b, X)
-        if "distill" in methods:
-            student = distill(bank, cfg.distill, base.train,
-                              cfg.distill_train.with_seed(derive_seed(s, 500)))
-            feature_fns[f"distill{n_episodes}"] = (
-                lambda X, t=student: extract_features(t, X))
-        if {"cat-s", "snaps"} & set(methods):
-            snaps = snapshot_schedule(cfg.train.epochs, cfg.n_snapshots)
-            # the high-step-size episode runs plain SGD: momentum on top of
-            # an 8x step would diverge rather than wander between minima
-            snap_cfg = replace(cfg.train, lr=cfg.train.lr * cfg.snapshot_lr_mult,
-                               momentum=0.0, seed=derive_seed(s, 42))
-            snap_bank = snapshot_episode(base.train, cfg.hidden, snap_cfg, snaps)
-            if "cat-s" in methods:
-                feature_fns[f"cat{len(snaps)}-s"] = (
-                    lambda X, b=snap_bank: cat_features(b, X))
-            if "snaps" in methods:
-                for j in range(len(snaps)):
-                    member = snap_bank.member(j)
-                    feature_fns[f"snap{j + 1}"] = (
-                        lambda X, b=member: cat_features(b, X))
-
+        reps = build_representations(cfg.methods, base.train, cfg, s)
         ep_rng = SplitMix64(derive_seed(s, 900))
-        episodes = [sample_episode(novel, spec, ep_rng) for _ in range(n_episodes_eval)]
-        for method, feature_fn in feature_fns.items():
-            accs = episode_accuracies(feature_fn, episodes, spec, cfg,
-                                      seed=derive_seed(s, 7000))
-            extra = {"episodes": str(n_episodes_eval), "classifier": cfg.classifier}
-            records.append(RunRecord(run_id, s, method, base.name, "fewshot",
+        episodes = [sample_episode(novel, spec, ep_rng) for _ in range(cfg.n_episodes_eval)]
+        for rep in reps:
+            accs = episode_accuracies(lambda X, b=rep.bank: cat_features(b, X), episodes, spec,
+                                      cfg, seed=derive_seed(s, 7000))
+            extra = {"episodes": str(cfg.n_episodes_eval), "classifier": cfg.classifier}
+            records.append(RunRecord(run_id, s, rep.name, base.name, "fewshot",
                                      "mean_accuracy", float(accs.mean()), extra))
-            records.append(RunRecord(run_id, s, method, base.name, "fewshot",
+            records.append(RunRecord(run_id, s, rep.name, base.name, "fewshot",
                                      "std_accuracy", float(accs.std(ddof=1)), extra))
     return records
 

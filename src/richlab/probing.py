@@ -36,17 +36,14 @@ reach the solver.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core_nn.layers import as_feature_matrix
 from .core_nn.losses import log_softmax
-from .errors import DataError, FormatError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError
 from .rng import SplitMix64
-
-RRFM_MAGIC = b"RRFM"
 
 # ndarray.sum without its Python wrapper: the same reduction, called per step
 _sum = np.add.reduce
@@ -390,53 +387,3 @@ def mixture_cost(probe1: ProbeResult, probe2: ProbeResult, lam: float,
     logp = log_softmax(logits)
     return float(-logp[np.arange(n), y].mean())
 
-
-# ---------------------------------------------------------------------------
-# RRFM on-disk format: magic "RRFM", u32 rows, u32 cols, row-major f64
-# entries, u32 label count (equal to rows), i32 labels, nothing after.
-# Little-endian.
-
-def feature_matrix_to_bytes(X: np.ndarray, labels) -> bytes:
-    X = as_feature_matrix(X)
-    y = np.asarray(labels, dtype=np.int32)
-    if y.shape != (X.shape[0],):
-        raise ShapeError(f"labels must be shape ({X.shape[0]},), got {y.shape}")
-    out = [RRFM_MAGIC, struct.pack("<II", X.shape[0], X.shape[1])]
-    out.append(np.ascontiguousarray(X, dtype="<f8").tobytes())
-    out.append(struct.pack("<I", y.size))
-    out.append(np.ascontiguousarray(y, dtype="<i4").tobytes())
-    return b"".join(out)
-
-
-def feature_matrix_from_bytes(buf: bytes) -> tuple[np.ndarray, np.ndarray]:
-    if buf[:4] != RRFM_MAGIC:
-        raise FormatError("bad magic: not a feature-matrix file")
-    if len(buf) < 12:
-        raise FormatError("truncated feature-matrix header")
-    rows, cols = struct.unpack_from("<II", buf, 4)
-    off = 12
-    need = 8 * rows * cols
-    if off + need + 4 > len(buf):
-        raise FormatError("truncated feature payload")
-    X = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=off).reshape(rows, cols)
-    off += need
-    (n_labels,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    if n_labels != rows:
-        raise FormatError(f"{n_labels} labels for {rows} rows")
-    if off + 4 * n_labels > len(buf):
-        raise FormatError("truncated label payload")
-    if off + 4 * n_labels < len(buf):
-        raise FormatError(f"{len(buf) - off - 4 * n_labels} trailing bytes after the labels")
-    y = np.frombuffer(buf, dtype="<i4", count=n_labels, offset=off)
-    return X.copy(), y.astype(np.int64)
-
-
-def save_feature_matrix(path, X, labels) -> None:
-    with open(path, "wb") as f:
-        f.write(feature_matrix_to_bytes(X, labels))
-
-
-def load_feature_matrix(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as f:
-        return feature_matrix_from_bytes(f.read())

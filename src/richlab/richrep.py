@@ -8,10 +8,7 @@ ensembling, distillation into a single student, or two-stage fine-tuning.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -23,19 +20,15 @@ from .core_nn.layers import (
     glorot_layer,
     init_network,
     layer_params,
-    load_network,
-    save_network,
     stack_backward,
     stack_forward,
     stack_layers,
     unstack_into,
 )
 from .core_nn.losses import (
-    ce_kl_distill_loss,
     cosine_distill_loss,
     cross_entropy_loss,
     distill_to_log_probs,
-    kl_distill_loss,
     softmax_temperature,
     tempered_log_probs,
 )
@@ -392,24 +385,6 @@ def _distill_train(trunk, heads, targets, spec, X, y, config) -> Network:
     return trunk
 
 
-def distill_loss_value(bank: RepresentationBank, spec: DistillSpec, data: Dataset,
-                       trunk: Network, heads: list[DenseLayer]) -> float:
-    """Summed per-teacher distillation loss of a given student (diagnostics)."""
-    targets = _teacher_targets(bank, spec, data.X)
-    feat = extract_features(trunk, data.X)
-    total = 0.0
-    for head, tgt in zip(heads, targets):
-        out = feat @ head.weights.T + head.bias
-        if spec.mode == "kl":
-            loss, _ = kl_distill_loss(tgt, out, spec.tau)
-        elif spec.mode == "ce_kl":
-            loss, _ = ce_kl_distill_loss(tgt, out, data.y, spec.alpha, spec.tau)
-        else:
-            loss, _ = cosine_distill_loss(tgt, out)
-        total += loss
-    return float(total)
-
-
 # ---------------------------------------------------------------------------
 # multi-leg networks: naive fine-tuning of a concatenated trunk, and the
 # joint-training baseline (n parallel legs under a single head, one seed)
@@ -618,56 +593,3 @@ def leg_probe_gap(bank: RepresentationBank, data: Dataset,
     accs = [probe.train_accuracy for probe in extractor_probes(bank, data, cache)]
     return accs, float(max(accs) - min(accs))
 
-
-# ---------------------------------------------------------------------------
-# bank serialization: per-extractor RRNN files plus a JSON manifest
-
-def config_hash(config: TrainConfig) -> str:
-    payload = {
-        "lr": config.lr,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "momentum": config.momentum,
-        "weight_decay": config.weight_decay,
-        "schedule": [config.schedule.kind, config.schedule.factor, config.schedule.every],
-        "seed": config.seed,
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def save_bank(bank: RepresentationBank, directory, train_config: TrainConfig | None = None) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    extractor_files, head_files = [], None
-    for i, trunk in enumerate(bank.extractors):
-        name = f"extractor_{i:02d}.rrnn"
-        save_network(trunk, directory / name)
-        extractor_files.append(name)
-    if bank.heads is not None:
-        head_files = []
-        for i, head in enumerate(bank.heads):
-            name = f"head_{i:02d}.rrnn"
-            save_network(Network([head]), directory / name)
-            head_files.append(name)
-    manifest = {
-        "format": "richlab-bank",
-        "version": 1,
-        "provenance": bank.provenance,
-        "seeds": bank.seeds,
-        "dims": bank.dims,
-        "extractors": extractor_files,
-        "heads": head_files,
-        "config_hash": config_hash(train_config) if train_config else None,
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def load_bank(directory) -> RepresentationBank:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    extractors = [load_network(directory / name) for name in manifest["extractors"]]
-    heads = None
-    if manifest["heads"] is not None:
-        heads = [load_network(directory / name).layers[0] for name in manifest["heads"]]
-    return RepresentationBank(extractors, list(manifest["dims"]),
-                              list(manifest["seeds"]), manifest["provenance"], heads)

@@ -1,5 +1,5 @@
-"""Data supply: synthetic shift generator, IDX ingestion, class splits,
-few-shot episode sampling, and environment partitions.
+"""Data supply: synthetic shift generator, class splits, few-shot episode
+sampling, and environment partitions.
 
 The synthetic generator builds inputs out of three blocks.  The core
 block carries the label through a class prototype that is stable across
@@ -10,24 +10,13 @@ out-of-distribution correlation; the noise block is pure noise.
 """
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core_nn.layers import as_feature_matrix
-from .errors import (
-    DataError,
-    FormatError,
-    ParameterError,
-    SamplingError,
-    ShapeError,
-)
-from .probing import feature_matrix_from_bytes, feature_matrix_to_bytes
+from .errors import DataError, ParameterError, SamplingError, ShapeError
 from .rng import SplitMix64
-
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 
 
 @dataclass
@@ -172,57 +161,6 @@ def gen_shift(spec: ShiftSpec, seed: int) -> tuple[list[Dataset], Dataset, Datas
 
 
 # ---------------------------------------------------------------------------
-# IDX ingestion (big-endian)
-
-def load_idx(images_path, labels_path) -> Dataset:
-    """Parse an IDX image/label file pair into a flat [0,1]-scaled dataset."""
-    with open(images_path, "rb") as f:
-        img_buf = f.read()
-    with open(labels_path, "rb") as f:
-        lab_buf = f.read()
-    if len(img_buf) < 16:
-        raise FormatError("image file too short for an IDX header")
-    magic, count, rows, cols = struct.unpack_from(">IIII", img_buf, 0)
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(f"bad image magic 0x{magic:08x}")
-    if len(img_buf) - 16 != count * rows * cols:
-        raise FormatError(
-            f"image payload holds {len(img_buf) - 16} bytes, header promises {count * rows * cols}"
-        )
-    if len(lab_buf) < 8:
-        raise FormatError("label file too short for an IDX header")
-    lab_magic, lab_count = struct.unpack_from(">II", lab_buf, 0)
-    if lab_magic != IDX_LABELS_MAGIC:
-        raise FormatError(f"bad label magic 0x{lab_magic:08x}")
-    if len(lab_buf) - 8 != lab_count:
-        raise FormatError(
-            f"label payload holds {len(lab_buf) - 8} bytes, header promises {lab_count}"
-        )
-    if count != lab_count:
-        raise FormatError(f"{count} images but {lab_count} labels")
-    pixels = np.frombuffer(img_buf, dtype=np.uint8, offset=16)
-    X = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
-    y = np.frombuffer(lab_buf, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(X, y, np.zeros(count, dtype=np.int64), int(y.max()) + 1)
-
-
-def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
-    """Write uint8 images ``(n, rows, cols)`` and labels as an IDX pair."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ShapeError("images must be (n, rows, cols)")
-    if labels.shape != (images.shape[0],):
-        raise ShapeError("one label per image required")
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, *images.shape))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())
-
-
-# ---------------------------------------------------------------------------
 # class splits and few-shot episodes
 
 def split_classes(ds: Dataset, base_classes, novel_classes) -> tuple[Dataset, Dataset]:
@@ -313,28 +251,3 @@ def env_partition(envs, roles: dict) -> OodTask:
         raise ParameterError("at least one training environment required")
     return OodTask([envs[i] for i in train_idx], envs[tune_idx], envs[test_idx])
 
-
-# ---------------------------------------------------------------------------
-# dataset export: RRFM feature file plus a sidecar env-id vector
-# (u32 count, i32 entries, little-endian)
-
-def save_dataset(ds: Dataset, features_path, env_path) -> None:
-    with open(features_path, "wb") as f:
-        f.write(feature_matrix_to_bytes(ds.X, ds.y))
-    with open(env_path, "wb") as f:
-        f.write(struct.pack("<I", ds.n))
-        f.write(np.ascontiguousarray(ds.env, dtype="<i4").tobytes())
-
-
-def load_dataset(features_path, env_path) -> Dataset:
-    with open(features_path, "rb") as f:
-        X, y = feature_matrix_from_bytes(f.read())
-    with open(env_path, "rb") as f:
-        buf = f.read()
-    (count,) = struct.unpack_from("<I", buf, 0)
-    if len(buf) - 4 != 4 * count:
-        raise FormatError("truncated environment sidecar")
-    env = np.frombuffer(buf, dtype="<i4", offset=4).astype(np.int64)
-    if count != X.shape[0]:
-        raise FormatError("environment sidecar row count does not match features")
-    return Dataset(X, y, env, int(y.max()) + 1 if len(y) else 1)

@@ -91,6 +91,32 @@ def test_run_reports_a_rejected_config_value_as_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("pipeline,methods,bad", [
+    ("transfer", ["cta"], "'cta'"),
+    ("transfer", ["erm", "snaps"], "'snaps'"),
+    ("fewshot", ["joint", "catsub"], "'joint', 'catsub'"),
+    ("fewshot", ["cat", "erm "], "'erm '"),
+])
+def test_run_rejects_a_method_its_pipeline_does_not_build(tmp_path, capsys, pipeline, methods,
+                                                          bad):
+    cfg = write_config(tmp_path, **dict(FAST_TRANSFER, pipeline=pipeline, methods=methods,
+                                        output_dir=str(tmp_path / "out")))
+    assert cli.cmd_run(cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and bad in err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("kind,target", [("shift", "novel"), ("class_split", "ood_sample")])
+def test_run_rejects_a_target_its_task_kind_cannot_serve(tmp_path, capsys, kind, target):
+    cfg = write_config(tmp_path, **dict(FAST_TRANSFER, task=dict(FAST_TRANSFER["task"], kind=kind),
+                                        target=target, output_dir=str(tmp_path / "out")))
+    assert cli.cmd_run(cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(target) in err and repr(kind) in err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_run_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path, output_dir=str(tmp_path / "a"), **FAST_TRANSFER)
     assert cli.cmd_run(cfg) == 0
@@ -217,8 +243,11 @@ def test_minimal_config_runs_with_dataclass_defaults(tmp_path, monkeypatch, pipe
     cfg = write_config(tmp_path, pipeline=pipeline, output_dir=str(tmp_path / "out"))
     assert cli.cmd_run(cfg) == 0
     default = getattr(experiments, config_cls)()
-    assert seen["config"] == replace(default, seeds=cli._derived_seeds(0, 5))
-    assert "n_episodes_eval" not in seen["kwargs"]  # run_fewshot keeps its own default
+    # n_episodes, the few-shot methods and n_episodes_eval are config fields too
+    assert seen["config"] == replace(default, seeds=cli.RunConfig().seeds)
+    assert set(seen["kwargs"]) <= {"run_id", "init_bank", "task_name"}
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["master_seed"] == 0 and manifest["seeds"] == list(cli.RunConfig().seeds)
     if pipeline == "fewshot":
         from richlab.tasks import EpisodeSpec
 
@@ -232,7 +261,7 @@ def test_config_keys_override_only_what_they_name(tmp_path, monkeypatch):
     from richlab.experiments import TransferConfig
 
     seen = []
-    monkeypatch.setattr(cli, "run_transfer", lambda *a, **k: seen.append(a[3]) or [])
+    monkeypatch.setattr(cli, "run_transfer", lambda *a, **k: seen.append(a[2]) or [])
     cfg = write_config(tmp_path, pipeline="transfer", output_dir=str(tmp_path / "out"),
                        hidden=[4, 3], train={"lr": 0.5, "schedule": {"every": 7}})
     assert cli.cmd_run(cfg) == 0

@@ -167,7 +167,7 @@ def ref_cosine_classifier(feats, y, n_classes, seed, lr, epochs, momentum, batch
         for start in range(0, len(feats), batch_size):
             idx = order[start:start + batch_size]
             _, d_logits = cross_entropy_loss(cosine_head_forward(feats[idx], head), y[idx])
-            dU, dg, _ = cosine_head_backward(feats[idx], head, d_logits)
+            dU, dg = cosine_head_backward(feats[idx], head, d_logits)
             ref_update(head.directions, dU, vU, lr, momentum, 0.0)
             ref_update(head.gains, dg, vg, lr, momentum, 0.0)
     return head

@@ -246,9 +246,9 @@ def small_task(seed=500):
 
 def test_cat1_equals_erm_records():
     task = small_task()
-    cfg = TransferConfig(hidden=(6,), train=FAST_TRAIN, methods=("erm", "cat"),
+    cfg = TransferConfig(hidden=(6,), n_episodes=1, train=FAST_TRAIN, methods=("erm", "cat"),
                          seeds=(11, 22))
-    recs = run_transfer(task, task, 1, cfg)
+    recs = run_transfer(task, task, cfg)
     by = {}
     for r in recs:
         by[(r.method, r.seed, r.split, r.metric)] = r.value
@@ -268,8 +268,8 @@ def test_transfer_emits_expected_methods():
                                                    momentum=0.9),
                          methods=("erm", "cat", "distill", "joint", "catsub",
                                   "init-ft", "2ft"),
-                         seeds=(7,))
-    recs = run_transfer(task, task, 2, cfg)
+                         n_episodes=2, seeds=(7,))
+    recs = run_transfer(task, task, cfg)
     methods = {r.method for r in recs}
     assert {"erm", "cat2", "distill2", "joint2", "catsub", "init-ft", "2ft",
             "ft-best-leg"} <= methods
@@ -279,10 +279,10 @@ def test_transfer_emits_expected_methods():
 
 def test_transfer_deterministic_records():
     task = small_task()
-    cfg = TransferConfig(hidden=(6,), train=FAST_TRAIN, methods=("erm", "cat"),
+    cfg = TransferConfig(hidden=(6,), n_episodes=2, train=FAST_TRAIN, methods=("erm", "cat"),
                          seeds=(3,))
-    a = records_to_csv_text(run_transfer(task, task, 2, cfg))
-    b = records_to_csv_text(run_transfer(task, task, 2, cfg))
+    a = records_to_csv_text(run_transfer(task, task, cfg))
+    b = records_to_csv_text(run_transfer(task, task, cfg))
     assert a == b
 
 
@@ -294,9 +294,9 @@ def test_transfer_leg_gap_and_catsub_equal_per_extractor_loops():
     from richlab.rng import derive_seed
 
     task = small_task()
-    cfg = TransferConfig(hidden=(6,), train=FAST_TRAIN, methods=("cat", "catsub"),
+    cfg = TransferConfig(hidden=(6,), n_episodes=3, train=FAST_TRAIN, methods=("cat", "catsub"),
                          seeds=(7,))
-    by = {(r.method, r.split, r.metric): r for r in run_transfer(task, task, 3, cfg)}
+    by = {(r.method, r.split, r.metric): r for r in run_transfer(task, task, cfg)}
     bank = train_episodes(task.train, (6,), FAST_TRAIN, [derive_seed(7, i) for i in range(3)])
 
     def loop(ds):
@@ -338,21 +338,24 @@ def test_transfer_probe_cache_equals_refitting_every_problem(monkeypatch, kind, 
     fit_probe = probing.fit_probe
     monkeypatch.setattr(probing, "fit_probe", counted)
     monkeypatch.setattr(richrep, "fit_probe", counted)
-    cached = cli._transfer_pipeline(cfg, 3)()
+    run = cli._merged(cli.RunConfig(master_seed=3), cfg)
+    cached = cli._transfer_pipeline(cfg, run)()
     n_cached, problems[:] = sum(problems), []
     monkeypatch.setattr(ProbeCache, "key", lambda self, *args: object())
-    refit = cli._transfer_pipeline(cfg, 3)()
+    refit = cli._transfer_pipeline(cfg, run)()
     assert cached == refit
     assert n_cached < sum(problems)
 
 
 def test_transfer_probe_cost_monotone_in_members():
     # concatenating more episodes never raises the training probe cost
+    from dataclasses import replace
+
     task = small_task()
     cfg1 = TransferConfig(hidden=(6,), train=FAST_TRAIN, methods=("cat",), seeds=(5,))
     costs = {}
     for n in (1, 2, 3):
-        recs = run_transfer(task, task, n, cfg1)
+        recs = run_transfer(task, task, replace(cfg1, n_episodes=n))
         costs[n] = [r.value for r in recs
                     if r.metric == "probe_cost" and r.split == "id_train"][0]
     assert costs[2] <= costs[1] + 1e-3
@@ -372,9 +375,9 @@ def test_fewshot_oracle_representation_is_perfect():
     )
     base, novel = make_class_split_tasks(spec, 77, [0, 1, 2], [3, 4, 5],
                                          ood_train_rows=60, ood_test_rows=60)
-    cfg = FewshotConfig(hidden=(6,), train=FAST_TRAIN, seeds=(9,))
-    recs = run_fewshot(base, novel.train, ["erm"], EpisodeSpec(3, 1, 5), cfg,
-                       n_episodes_eval=20, run_id="fs")
+    cfg = FewshotConfig(hidden=(6,), methods=("erm",), n_episodes_eval=20, train=FAST_TRAIN,
+                        seeds=(9,))
+    recs = run_fewshot(base, novel.train, EpisodeSpec(3, 1, 5), cfg, run_id="fs")
     means = [r.value for r in recs if r.metric == "mean_accuracy"]
     assert means == [1.0]
 
@@ -386,10 +389,10 @@ def test_fewshot_std_is_sample_std():
         core_scale=1.0, spur_scale=2.0, noise_std=0.6,
         env_correlations=(0.9,), ood_correlation=0.25, n_per_env=200,
     ), 3, [0, 1], [2, 3], ood_train_rows=100, ood_test_rows=100)
-    cfg = FewshotConfig(hidden=(6,), train=FAST_TRAIN, seeds=(4,))
+    cfg = FewshotConfig(hidden=(6,), methods=("erm",), n_episodes_eval=12, train=FAST_TRAIN,
+                        seeds=(4,))
     spec_ep = EpisodeSpec(2, 2, 6)
-    recs = run_fewshot(base, novel.train, ["erm"], spec_ep, cfg,
-                       n_episodes_eval=12, run_id="fs")
+    recs = run_fewshot(base, novel.train, spec_ep, cfg, run_id="fs")
     mean = [r.value for r in recs if r.metric == "mean_accuracy"][0]
     std = [r.value for r in recs if r.metric == "std_accuracy"][0]
 

@@ -1,9 +1,5 @@
-import struct
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from richlab.core_nn import (
     CosineHead,
@@ -13,12 +9,8 @@ from richlab.core_nn import (
     extract_features,
     forward,
     init_network,
-    load_network,
-    network_from_bytes,
-    network_to_bytes,
-    save_network,
 )
-from richlab.errors import FormatError, NumericalError, ShapeError
+from richlab.errors import NumericalError, ShapeError
 
 
 def identity_net(d):
@@ -118,61 +110,3 @@ def test_extract_features_runs_full_stack():
     feats = extract_features(trunk, X)
     _, pen = forward(net, X)
     assert np.array_equal(feats, pen)
-
-
-def test_serialization_bit_exact_roundtrip(tmp_path):
-    net = init_network([7, 5, 3], seed=99)
-    path = tmp_path / "net.rrnn"
-    save_network(net, path)
-    back = load_network(path)
-    assert len(back.layers) == len(net.layers)
-    for a, b in zip(net.layers, back.layers):
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.bias, b.bias)
-        assert a.activation == b.activation
-
-
-def test_serialization_header():
-    net = init_network([2, 2], seed=0)
-    buf = network_to_bytes(net)
-    assert buf[:4] == b"RRNN"
-    with pytest.raises(FormatError):
-        network_from_bytes(b"XXXX" + buf[4:])
-    with pytest.raises(FormatError):
-        network_from_bytes(buf[:20])
-    with pytest.raises(FormatError, match="truncated network header"):
-        network_from_bytes(b"RRNN")
-
-
-def _rrnn_networks():
-    return st.tuples(
-        st.lists(st.integers(1, 4), min_size=2, max_size=4),
-        st.integers(0, 2**32 - 1),
-    ).map(lambda sizes_seed: init_network(*sizes_seed))
-
-
-@settings(deadline=None, max_examples=30)
-@given(_rrnn_networks())
-def test_serialization_every_truncation_rejected(net):
-    buf = network_to_bytes(net)
-    back = network_from_bytes(buf)
-    for a, b in zip(net.layers, back.layers, strict=True):
-        assert a.weights.tobytes() == b.weights.tobytes()
-        assert a.bias.tobytes() == b.bias.tobytes()
-    for cut in range(len(buf)):
-        with pytest.raises(FormatError):
-            network_from_bytes(buf[:cut])
-    with pytest.raises(FormatError, match="trailing"):
-        network_from_bytes(buf + b"\x00")
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.binary(max_size=80))
-def test_serialization_fuzz_raises_only_format_error(tail):
-    # a valid magic and version, then anything: a layer count, layer
-    # headers that may not chain, payloads of any length
-    try:
-        net = network_from_bytes(b"RRNN" + struct.pack("<I", 1) + tail)
-    except FormatError:
-        return
-    assert net.layers

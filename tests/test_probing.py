@@ -3,19 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richlab.errors import DataError, FormatError, ParameterError, ShapeError
+from richlab.errors import DataError, ParameterError, ShapeError
 from richlab.probing import (
     InfoVerdict,
     ProbeCache,
     ProbeConfig,
     classify_information,
-    feature_matrix_from_bytes,
-    feature_matrix_to_bytes,
     fit_probe,
-    load_feature_matrix,
     mixture_cost,
     optimal_cost,
-    save_feature_matrix,
     union_cost,
 )
 from richlab.rng import SplitMix64
@@ -236,78 +232,6 @@ def test_converged_flag_reflects_grad_tol():
     assert loose.converged
     starved = fit_probe(X, y, ProbeConfig(l2=1e-2, max_iters=2, grad_tol=1e-12))
     assert not starved.converged
-
-
-# ---------------------------------------------------------------------------
-# on-disk format
-
-def test_feature_matrix_roundtrip(tmp_path):
-    X, y = informative_features(18, n=20, d=3)
-    path = tmp_path / "feats.rrfm"
-    save_feature_matrix(path, X, y)
-    X2, y2 = load_feature_matrix(path)
-    assert np.array_equal(X, X2)
-    assert np.array_equal(y, y2)
-
-
-def test_feature_matrix_bad_magic():
-    X = np.ones((2, 2))
-    buf = feature_matrix_to_bytes(X, np.array([0, 1]))
-    with pytest.raises(FormatError):
-        feature_matrix_from_bytes(b"ZZZZ" + buf[4:])
-    with pytest.raises(FormatError):
-        feature_matrix_from_bytes(buf[:10])
-
-
-def _rrfm_matrices():
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    return st.tuples(st.integers(1, 6), st.integers(1, 4)).flatmap(
-        lambda shape: st.tuples(
-            st.lists(finite, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
-            .map(lambda v: np.array(v).reshape(shape)),
-            st.lists(st.integers(-2**31, 2**31 - 1), min_size=shape[0], max_size=shape[0])
-            .map(np.array),
-        ))
-
-
-@settings(deadline=None, max_examples=60)
-@given(_rrfm_matrices())
-def test_feature_matrix_roundtrips_exactly(matrix_and_labels):
-    X, y = matrix_and_labels
-    X2, y2 = feature_matrix_from_bytes(feature_matrix_to_bytes(X, y))
-    assert X2.tobytes() == X.tobytes()
-    assert y2.dtype == np.int64 and np.array_equal(y2, y)
-
-
-@settings(deadline=None, max_examples=30)
-@given(_rrfm_matrices())
-def test_feature_matrix_every_truncation_rejected(matrix_and_labels):
-    buf = feature_matrix_to_bytes(*matrix_and_labels)
-    for cut in range(len(buf)):
-        with pytest.raises(FormatError):
-            feature_matrix_from_bytes(buf[:cut])
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.binary(max_size=64))
-def test_feature_matrix_fuzz_raises_only_format_error(tail):
-    try:
-        X, y = feature_matrix_from_bytes(b"RRFM" + tail)
-    except FormatError:
-        return
-    assert X.shape[0] == y.shape[0]
-
-
-def test_feature_matrix_label_count_and_trailing_bytes_rejected():
-    X = np.arange(6.0).reshape(3, 2)
-    buf = feature_matrix_to_bytes(X, np.array([0, 1, 2]))
-    fewer = buf[:-16] + (2).to_bytes(4, "little") + buf[-12:-4]   # 3 rows, 2 labels
-    with pytest.raises(FormatError, match="2 labels for 3 rows"):
-        feature_matrix_from_bytes(fewer)
-    with pytest.raises(FormatError, match="trailing"):
-        feature_matrix_from_bytes(buf + b"junk")
-    with pytest.raises(ShapeError):
-        feature_matrix_to_bytes(X, np.array([0, 1]))
 
 
 # ---------------------------------------------------------------------------

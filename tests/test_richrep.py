@@ -3,7 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from richlab.core_nn import Network, TrainConfig, extract_features, init_network, train
+from richlab.core_nn import (
+    Network,
+    TrainConfig,
+    extract_features,
+    init_network,
+    kl_distill_loss,
+    train,
+)
 from richlab.core_nn.layers import glorot_layer
 from richlab.core_nn.train import flatten_params
 from richlab.errors import EpisodeError, ParameterError, TrainingError
@@ -18,14 +25,11 @@ from richlab.richrep import (
     cat_features,
     concat_head_init,
     distill,
-    distill_loss_value,
     extractor_probes,
     joint_train,
     leg_logits,
     leg_probe_gap,
-    load_bank,
     naive_finetune,
-    save_bank,
     snapshot_episode,
     split_head,
     subset_ensemble_predict,
@@ -329,7 +333,9 @@ def test_self_distillation_is_fixed_point():
     spec = DistillSpec(mode="kl", tau=4.0, student_arch=(8,))
     student_init = bank.extractors[0].clone()
     head_init = [bank.heads[0]]
-    loss0 = distill_loss_value(bank, spec, data, student_init, head_init)
+    student_logits = (extract_features(student_init, data.X) @ head_init[0].weights.T
+                      + head_init[0].bias)
+    loss0, _ = kl_distill_loss(leg_logits(bank, 0, data.X), student_logits, spec.tau)
     assert loss0 < 1e-10
     cfg = TrainConfig(lr=0.1, epochs=2, batch_size=32, momentum=0.0, seed=1)
     student = distill(bank, spec, data, cfg, student_init=student_init,
@@ -479,45 +485,3 @@ def test_leg_gap_orders_accs_by_bank_order():
     accs, gap = leg_probe_gap(bank, data, ProbeCache(PROBE))
     assert len(accs) == 2
     assert gap == pytest.approx(max(accs) - min(accs))
-
-
-# ---------------------------------------------------------------------------
-# bank serialization
-
-def test_bank_save_load_roundtrip(tmp_path):
-    data = toy_data()
-    bank = train_episodes(data, (8,), CFG, [1, 2])
-    save_bank(bank, tmp_path / "bank", train_config=CFG)
-    back = load_bank(tmp_path / "bank")
-    assert back.provenance == bank.provenance
-    assert back.seeds == bank.seeds
-    assert back.dims == bank.dims
-    for a, b in zip(bank.extractors, back.extractors):
-        assert trunks_equal(a, b)
-    for a, b in zip(bank.heads, back.heads):
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.bias, b.bias)
-
-
-def test_bank_manifest_contents(tmp_path):
-    import json
-
-    data = toy_data()
-    bank = train_episodes(data, (8,), CFG, [1, 2])
-    save_bank(bank, tmp_path / "bank", train_config=CFG)
-    manifest = json.loads((tmp_path / "bank" / "manifest.json").read_text())
-    assert manifest["provenance"] == "independent_episodes"
-    assert manifest["seeds"] == [1, 2]
-    assert manifest["dims"] == [8, 8]
-    assert len(manifest["config_hash"]) == 64
-
-
-def test_headless_bank_roundtrip(tmp_path):
-    data = toy_data()
-    mln = joint_train(data, (8,), 2, TrainConfig(lr=0.05, epochs=4, batch_size=16,
-                                                 momentum=0.9, seed=4))
-    bank = bank_from_multileg(mln, seed=4)
-    save_bank(bank, tmp_path / "jbank")
-    back = load_bank(tmp_path / "jbank")
-    assert back.heads is None
-    assert back.provenance == "joint_training"

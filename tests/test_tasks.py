@@ -1,9 +1,7 @@
-import struct
-
 import numpy as np
 import pytest
 
-from richlab.errors import FormatError, ParameterError, SamplingError
+from richlab.errors import ParameterError, SamplingError
 from richlab.probing import ProbeConfig, fit_probe
 from richlab.rng import SplitMix64
 from richlab.tasks import (
@@ -12,12 +10,8 @@ from richlab.tasks import (
     ShiftSpec,
     env_partition,
     gen_shift,
-    load_dataset,
-    load_idx,
     pool,
     sample_episode,
-    save_dataset,
-    save_idx,
     split_classes,
 )
 
@@ -99,66 +93,6 @@ def test_shift_spec_validation():
         small_spec(env_correlations=())
     with pytest.raises(ParameterError):
         small_spec(ood_correlation=1.5)
-
-
-# ---------------------------------------------------------------------------
-# IDX parsing
-
-def test_idx_hand_built_bytes(tmp_path):
-    img = tmp_path / "img"
-    lab = tmp_path / "lab"
-    img.write_bytes(struct.pack(">IIII", 0x803, 1, 2, 2) + bytes([0, 255, 128, 64]))
-    lab.write_bytes(struct.pack(">II", 0x801, 1) + bytes([3]))
-    ds = load_idx(img, lab)
-    assert np.allclose(ds.X[0], [0.0, 1.0, 128 / 255, 64 / 255])
-    assert ds.y[0] == 3
-
-
-def test_idx_count_mismatch(tmp_path):
-    img = tmp_path / "img"
-    lab = tmp_path / "lab"
-    img.write_bytes(struct.pack(">IIII", 0x803, 1, 2, 2) + bytes([0, 255, 128, 64]))
-    lab.write_bytes(struct.pack(">II", 0x801, 2) + bytes([3, 1]))
-    with pytest.raises(FormatError):
-        load_idx(img, lab)
-
-
-def test_idx_truncated_payload(tmp_path):
-    img = tmp_path / "img"
-    lab = tmp_path / "lab"
-    img.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + bytes([0, 255, 128]))
-    lab.write_bytes(struct.pack(">II", 0x801, 2) + bytes([3, 1]))
-    with pytest.raises(FormatError):
-        load_idx(img, lab)
-
-
-def test_idx_empty_file(tmp_path):
-    img = tmp_path / "img"
-    lab = tmp_path / "lab"
-    img.write_bytes(b"")
-    lab.write_bytes(struct.pack(">II", 0x801, 0))
-    with pytest.raises(FormatError):
-        load_idx(img, lab)
-
-
-def test_idx_wrong_magic(tmp_path):
-    img = tmp_path / "img"
-    lab = tmp_path / "lab"
-    img.write_bytes(struct.pack(">IIII", 0x123, 1, 1, 1) + bytes([9]))
-    lab.write_bytes(struct.pack(">II", 0x801, 1) + bytes([0]))
-    with pytest.raises(FormatError):
-        load_idx(img, lab)
-
-
-def test_idx_roundtrip(tmp_path):
-    rng = SplitMix64(21)
-    images = (rng.random(5 * 3 * 3).reshape(5, 3, 3) * 255).astype(np.uint8)
-    labels = rng.integers(10, 5).astype(np.uint8)
-    img, lab = tmp_path / "i", tmp_path / "l"
-    save_idx(images, labels, img, lab)
-    ds = load_idx(img, lab)
-    assert np.array_equal(ds.X, images.reshape(5, 9) / 255.0)
-    assert np.array_equal(ds.y, labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +187,3 @@ def test_env_partition_overlap_rejected():
 def test_env_partition_single_train_env():
     task = env_partition(five_envs(), {"train": [0], "tune": 1, "test": 2})
     assert len(task.train_envs) == 1
-
-
-# ---------------------------------------------------------------------------
-# dataset export
-
-def test_dataset_export_roundtrip(tmp_path):
-    ds = ten_class_dataset(n=40)
-    ds.env[:] = np.arange(40) % 3
-    feats, env = tmp_path / "d.rrfm", tmp_path / "d.env"
-    save_dataset(ds, feats, env)
-    back = load_dataset(feats, env)
-    assert np.array_equal(back.X, ds.X)
-    assert np.array_equal(back.y, ds.y)
-    assert np.array_equal(back.env, ds.env)

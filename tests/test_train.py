@@ -176,7 +176,7 @@ def test_backprop_matches_fd_cosine_distill():
 
 
 def test_backprop_matches_fd_cosine_head():
-    # a bare cosine head: gradients wrt its directions, gains and input rows
+    # a bare cosine head: gradients wrt its directions and gains
     rng = SplitMix64(140)
     head = CosineHead(rng.normal(4 * 6).reshape(4, 6), rng.normal(4) + 2.0)
     Z = rng.normal(8 * 6).reshape(8, 6) + 0.5
