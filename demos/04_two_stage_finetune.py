@@ -25,13 +25,14 @@ ft_cfg = TrainConfig(lr=0.02, epochs=30, batch_size=16, momentum=0.9, seed=7)
 bank = train_episodes(pretrain.train, (8,), train_cfg,
                       [derive_seed(5, i) for i in range(5)])
 
-naive = naive_finetune(bank, target.train, ft_cfg)
+ood = target.ood_test
+naive_bank, naive_head = naive_finetune(bank, target.train, ft_cfg)
 print(f"naive fine-tune of the concatenated trunk: "
-      f"{naive.accuracy(target.ood_test.X, target.ood_test.y):.3f} on shifted test")
+      f"{bank_head_accuracy(naive_bank, naive_head, ood.X, ood.y):.3f} on shifted test")
 
 ft_bank, head = two_stage_finetune(bank, target.train, ft_cfg)
 print(f"two-stage fine-tune (legs separately, then the classifier): "
-      f"{bank_head_accuracy(ft_bank, head, target.ood_test.X, target.ood_test.y):.3f}")
+      f"{bank_head_accuracy(ft_bank, head, ood.X, ood.y):.3f}")
 print("\none joint episode on scarce target data impoverishes the")
 print("representation; per-leg fine-tuning with a concatenated classifier")
 print("initialized from the leg classifiers does not.")

@@ -37,9 +37,7 @@ from .rng import SplitMix64, derive_seed
 from .richrep import (
     DistillSpec,
     RepresentationBank,
-    bank_from_multileg,
     bank_head_accuracy,
-    bank_of_trunks,
     cat_features,
     distill,
     extractor_probes,
@@ -296,12 +294,10 @@ def build_representations(methods, data: Dataset, cfg, seed: int,
         if "distill" in methods:
             student_seed = derive_seed(seed, 500)
             student = distill(bank, cfg.distill, data, cfg.distill_train.with_seed(student_seed))
-            reps.append(Representation("distill", f"distill{n}",
-                                       bank_of_trunks([student], [student_seed])))
+            reps.append(Representation("distill", f"distill{n}", RepresentationBank([student])))
     if "joint" in methods:
-        joint_seed = derive_seed(seed, 600)
-        mln = joint_train(data, cfg.hidden, n, cfg.train.with_seed(joint_seed))
-        reps.append(Representation("joint", f"joint{n}", bank_from_multileg(mln, joint_seed)))
+        joint, _ = joint_train(data, cfg.hidden, n, cfg.train.with_seed(derive_seed(seed, 600)))
+        reps.append(Representation("joint", f"joint{n}", joint))
     if methods & {"cat-s", "snaps"}:
         snaps = snapshot_schedule(cfg.train.epochs, cfg.n_snapshots)
         # the high-step-size episode runs plain SGD: momentum on top of
@@ -414,12 +410,13 @@ def run_transfer(pretrain: TransferTask, target: TransferTask, cfg: TransferConf
                 records.append(RunRecord(run_id, s, "catsub", target.name, split,
                                          "probe_accuracy", acc))
         if "init-ft" in cfg.methods:
-            mln = naive_finetune(bank, target.train, cfg.ft.with_seed(derive_seed(s, 700)))
+            ft_bank, head = naive_finetune(bank, target.train,
+                                           cfg.ft.with_seed(derive_seed(s, 700)))
             for split, ds in (("id_test", target.id_test), ("ood_test", target.ood_test)):
                 if ds is None:
                     continue
-                records.append(RunRecord(run_id, s, "init-ft", target.name, split,
-                                         "accuracy", mln.accuracy(ds.X, ds.y)))
+                records.append(RunRecord(run_id, s, "init-ft", target.name, split, "accuracy",
+                                         bank_head_accuracy(ft_bank, head, ds.X, ds.y)))
         if "2ft" in cfg.methods:
             ft_bank, head = two_stage_finetune(
                 bank, target.train, cfg.ft.with_seed(derive_seed(s, 800)),
@@ -524,8 +521,12 @@ def run_fewshot(base: TransferTask, novel: Dataset, spec: EpisodeSpec, cfg: Fews
         ep_rng = SplitMix64(derive_seed(s, 900))
         episodes = [sample_episode(novel, spec, ep_rng) for _ in range(cfg.n_episodes_eval)]
         for rep in reps:
-            accs = episode_accuracies(lambda X, b=rep.bank: cat_features(b, X), episodes, spec,
-                                      cfg, seed=derive_seed(s, 7000))
+            try:
+                accs = episode_accuracies(lambda X, b=rep.bank: cat_features(b, X), episodes,
+                                          spec, cfg, seed=derive_seed(s, 7000))
+            except EpisodeError as exc:
+                raise EpisodeError(f"{rep.name} with seed {s}: {exc}", seed=s,
+                                   epoch=exc.epoch) from exc
             extra = {"episodes": str(cfg.n_episodes_eval), "classifier": cfg.classifier}
             records.append(RunRecord(run_id, s, rep.name, base.name, "fewshot",
                                      "mean_accuracy", float(accs.mean()), extra))
@@ -547,7 +548,9 @@ def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConf
     episodes at a time in one stacked ``fit_probe`` call, on features
     extracted once for the block's support rows; query features are
     extracted episode by episode.  Memory stays flat in the number of
-    episodes, and each probe is the one it would be if fitted alone.
+    episodes, and each probe is the one it would be if fitted alone.  A
+    cosine fit or prediction that meets a zero-norm feature row raises an
+    :class:`EpisodeError` naming the episode index.
     """
     accs = np.empty(len(episodes))
     for e, (support, query) in enumerate(episodes):
@@ -562,10 +565,14 @@ def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConf
             b = e % EPISODE_BLOCK
             pred = (fq @ probes.weights[b].T + probes.bias[b]).argmax(axis=1)
         else:
-            head = fit_cosine_classifier(feature_fn(support.X), support.y, spec.n_way,
-                                         seed=derive_seed(seed, e),
-                                         lr=cfg.cosine_lr, epochs=cfg.cosine_epochs)
-            pred = cosine_head_forward(fq, head).argmax(axis=1)
+            try:
+                head = fit_cosine_classifier(feature_fn(support.X), support.y, spec.n_way,
+                                             seed=derive_seed(seed, e),
+                                             lr=cfg.cosine_lr, epochs=cfg.cosine_epochs)
+                pred = cosine_head_forward(fq, head).argmax(axis=1)
+            except (NumericalError, TrainingError) as exc:
+                raise EpisodeError(f"cosine classifier of episode {e} failed: {exc}",
+                                   epoch=getattr(exc, "epoch", None)) from exc
         accs[e] = float((pred == query.y).mean())
     return accs
 

@@ -75,7 +75,6 @@ class ProbeResult:
     bias: np.ndarray           # (n_classes,)
     cost: float                # achieved regularized objective
     train_accuracy: float
-    eval_accuracy: float
     converged: bool            # for a stack: every problem converged
     iterations: int = 0        # accepted gradient steps
     grad_norm: float = float("nan")  # gradient norm at the returned iterate
@@ -86,9 +85,8 @@ class ProbeResult:
             raise ShapeError("only a stacked probe result holds problems to index")
         grad_norm = float(self.grad_norm[e])
         return ProbeResult(self.weights[e], self.bias[e], float(self.cost[e]),
-                           float(self.train_accuracy[e]), float(self.eval_accuracy[e]),
-                           bool(grad_norm <= self.grad_tol), int(self.iterations[e]),
-                           grad_norm, self.grad_tol)
+                           float(self.train_accuracy[e]), bool(grad_norm <= self.grad_tol),
+                           int(self.iterations[e]), grad_norm, self.grad_tol)
 
     def logits(self, features) -> np.ndarray:
         features = _as_features(features, self.weights.ndim == 3, "features")
@@ -237,8 +235,6 @@ def fit_probe(
     labels,
     config: ProbeConfig,
     rng: SplitMix64 | None = None,
-    eval_features=None,
-    eval_labels=None,
     n_classes: int | None = None,
 ) -> ProbeResult:
     """Fit the optimal linear probe on frozen features.
@@ -249,11 +245,10 @@ def fit_probe(
     ``rng`` seeds a small random initialization (used by the convexity
     restart checks), drawn problem after problem, so a stack matches
     separate calls that pass the same stream in turn; without it the
-    solver starts from zero, which keeps the fit fully deterministic.
-    ``eval_*`` give held-out accuracy, stacked like the training data;
-    when absent the training set is scored.  With ``standardize`` the
-    solver works on per-feature standardized columns (std floor 1e-8) and
-    the returned weights/bias are folded back to raw feature space.
+    solver starts from zero, which keeps the fit fully deterministic.  With
+    ``standardize`` the solver works on per-feature standardized columns
+    (std floor 1e-8) and the returned weights/bias are folded back to raw
+    feature space.
     """
     stacked = np.ndim(features) == 3
     X = _as_features(features, stacked, "features")
@@ -286,18 +281,7 @@ def fit_probe(
     b_raw = np.stack([b[e, 0] - W_raw[e] @ mu[e, 0] for e in range(E)])
 
     train_acc = ((Xs @ W.transpose(0, 2, 1) + b).argmax(axis=2) == y).mean(axis=1)
-    if eval_features is not None:
-        Xe = _as_features(eval_features, stacked, "eval_features")
-        ye, _ = _labels_and_classes(eval_labels, Xe.shape[:-1], k)
-        if not stacked:
-            Xe, ye = Xe[None], ye[None]
-        if Xe.shape[0] != E:
-            raise ShapeError(f"eval_features hold {Xe.shape[0]} problems, features {E}")
-        eval_pred = (Xe @ W_raw.transpose(0, 2, 1) + b_raw[:, None, :]).argmax(axis=2)
-        eval_acc = (eval_pred == ye).mean(axis=1)
-    else:
-        eval_acc = train_acc
-    result = ProbeResult(W_raw, b_raw, f.ravel(), train_acc, eval_acc,
+    result = ProbeResult(W_raw, b_raw, f.ravel(), train_acc,
                          bool((grad_norm <= config.grad_tol).all()), steps, grad_norm,
                          config.grad_tol)
     return result if stacked else result[0]

@@ -1,10 +1,14 @@
 """Rich-representation constructions.
 
-A representation here is the output of a head-less trunk network.  The
-constructions below build banks of such trunks from independent training
-episodes, from snapshots of a single high-step-size episode, or from
-joint training of a multi-leg trunk, and combine them by concatenation,
-ensembling, distillation into a single student, or two-stage fine-tuning.
+A representation here is a :class:`RepresentationBank`: one or more
+head-less trunks whose features concatenate, with the classifier each
+trunk ended with when it has one of its own.  The constructions below
+build banks from independent training episodes, from snapshots of a
+single high-step-size episode, or from joint training of several legs
+under one head, and combine them by concatenation, ensembling,
+distillation into a single student, or fine-tuning.  Joint training,
+naive fine-tuning and two-stage fine-tuning each return a bank and the
+one classifier over its concatenated features.
 """
 from __future__ import annotations
 
@@ -34,44 +38,28 @@ from .core_nn.losses import (
 )
 from .core_nn.optim import TrainConfig, sgd_fit
 from .core_nn.train import train
-from .errors import (
-    EpisodeError,
-    ParameterError,
-    ShapeError,
-    TrainingError,
-)
+from .errors import EpisodeError, ParameterError, TrainingError
 from .probing import ProbeCache, ProbeResult, fit_probe
 from .rng import SplitMix64, derive_seed
 from .tasks import Dataset
 
-PROVENANCES = ("independent_episodes", "snapshots", "joint_training")
-
 
 @dataclass
 class RepresentationBank:
-    """Ordered collection of feature extractors with their training seeds.
+    """Ordered trunks whose features concatenate into one representation.
 
-    ``heads`` keeps the classifier each episode ended with (used as the
+    ``heads`` keeps the classifier each trunk ended with (used as the
     frozen teacher heads in distillation and to initialize the two-stage
-    fine-tuning classifier); joint-training banks have no per-leg heads.
+    fine-tuning classifier); trunks trained under a shared head, and a
+    distilled student, have none.
     """
 
     extractors: list[Network]
-    dims: list[int]
-    seeds: list[int]
-    provenance: str
     heads: list[DenseLayer] | None = None
 
     def __post_init__(self):
         if not self.extractors:
             raise ParameterError("a bank needs at least one extractor")
-        if self.provenance not in PROVENANCES:
-            raise ParameterError(f"unknown provenance {self.provenance!r}")
-        if len(self.dims) != len(self.extractors) or len(self.seeds) != len(self.extractors):
-            raise ParameterError("dims and seeds must align with extractors")
-        for net, dim in zip(self.extractors, self.dims):
-            if net.layers[-1].n_out != dim:
-                raise ShapeError("recorded dim does not match extractor output width")
         if self.heads is not None and len(self.heads) != len(self.extractors):
             raise ParameterError("one saved head per extractor required")
 
@@ -79,16 +67,18 @@ class RepresentationBank:
         return len(self.extractors)
 
     @property
+    def dims(self) -> list[int]:
+        """Output width of each extractor."""
+        return [net.layers[-1].n_out for net in self.extractors]
+
+    @property
     def total_dim(self) -> int:
-        return int(sum(self.dims))
+        return sum(self.dims)
 
     def member(self, i: int) -> "RepresentationBank":
         """Single-extractor bank holding a value-isolated copy of member ``i``."""
         head = [_clone_layer(self.heads[i])] if self.heads is not None else None
-        return RepresentationBank(
-            [self.extractors[i].clone()], [self.dims[i]], [self.seeds[i]],
-            self.provenance, head,
-        )
+        return RepresentationBank([self.extractors[i].clone()], head)
 
 
 @dataclass(frozen=True)
@@ -210,9 +200,8 @@ def train_episodes(data: Dataset, hidden, base_config: TrainConfig, seeds) -> Re
     sizes = [data.d, *hidden, data.n_classes]
     nets = [init_network(sizes, seed=s) for s in seeds]
     _train_members(nets, data, base_config, seeds, [f"episode with seed {s}" for s in seeds])
-    extractors, heads = zip(*map(split_head, nets))
-    return RepresentationBank(list(extractors), [t.layers[-1].n_out for t in extractors],
-                              seeds, "independent_episodes", list(heads))
+    extractors, heads = map(list, zip(*map(split_head, nets)))
+    return RepresentationBank(extractors, heads)
 
 
 def snapshot_episode(data: Dataset, hidden, config: TrainConfig,
@@ -247,14 +236,8 @@ def snapshot_episode(data: Dataset, hidden, config: TrainConfig,
     except TrainingError as exc:
         raise EpisodeError(f"snapshot episode diverged: {exc}", seed=config.seed,
                            epoch=exc.epoch) from exc
-    extractors, heads, dims = [], [], []
-    for e in snaps:
-        trunk, head = split_head(captured[e])
-        extractors.append(trunk)
-        heads.append(head)
-        dims.append(trunk.layers[-1].n_out)
-    return RepresentationBank(extractors, dims, [config.seed] * len(snaps),
-                              "snapshots", heads)
+    extractors, heads = map(list, zip(*(split_head(captured[e]) for e in snaps)))
+    return RepresentationBank(extractors, heads)
 
 
 # ---------------------------------------------------------------------------
@@ -386,47 +369,21 @@ def _distill_train(trunk, heads, targets, spec, X, y, config) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# multi-leg networks: naive fine-tuning of a concatenated trunk, and the
+# legs under one head: naive fine-tuning of a concatenated trunk, and the
 # joint-training baseline (n parallel legs under a single head, one seed)
 
-@dataclass
-class MultiLegNetwork:
-    legs: list[Network]
-    head: DenseLayer
-
-    def __post_init__(self):
-        total = sum(leg.layers[-1].n_out for leg in self.legs)
-        if self.head.n_in != total:
-            raise ShapeError("joint head width does not match concatenated legs")
-
-    @property
-    def n_in(self) -> int:
-        return self.legs[0].n_in
-
-    def features(self, X) -> np.ndarray:
-        X = as_feature_matrix(X)
-        return np.hstack([extract_features(leg, X) for leg in self.legs])
-
-    def logits(self, X) -> np.ndarray:
-        f = self.features(X)
-        return f @ self.head.weights.T + self.head.bias
-
-    def accuracy(self, X, y) -> float:
-        return float((self.logits(X).argmax(axis=1) == np.asarray(y)).mean())
-
-
-def _train_multileg(mln: MultiLegNetwork, X, y, config: TrainConfig, what: str) -> None:
-    """In-place joint SGD over the legs and the head.
+def _train_multileg(legs: list[Network], head: DenseLayer, X, y, config: TrainConfig,
+                    what: str) -> None:
+    """In-place joint SGD over the legs and one head on their concatenated features.
 
     Legs of one shape train as one stacked layer list, one
     :func:`stack_forward` and one :func:`stack_backward` per batch; the
-    trained values are copied back into ``mln.legs`` at the end.
+    trained values are copied back into ``legs`` at the end.
     """
-    groups = _groups([tuple(map(_layer_key, leg.layers)) for leg in mln.legs])
-    stacks = [_stack_nets([mln.legs[i] for i in members]) for members in groups]
+    groups = _groups([tuple(map(_layer_key, leg.layers)) for leg in legs])
+    stacks = [_stack_nets([legs[i] for i in members]) for members in groups]
     slots = _slots(groups)
-    offsets = np.cumsum([0, *(leg.layers[-1].n_out for leg in mln.legs)])
-    head = mln.head
+    offsets = np.cumsum([0, *(leg.layers[-1].n_out for leg in legs)])
 
     def loss_and_grad(idx):
         xb = X[idx]
@@ -443,50 +400,31 @@ def _train_multileg(mln: MultiLegNetwork, X, y, config: TrainConfig, what: str) 
     layers = [layer for group in stacks for layer in group] + [head]
     _fit_episode(what, layer_params(layers), loss_and_grad, X.shape[0], config)
     for members, group in zip(groups, stacks):
-        _unstack_nets([mln.legs[i] for i in members], group)
+        _unstack_nets([legs[i] for i in members], group)
 
 
 def naive_finetune(bank: RepresentationBank, data: Dataset,
-                   config: TrainConfig) -> MultiLegNetwork:
+                   config: TrainConfig) -> tuple[RepresentationBank, DenseLayer]:
     """Fine-tune the concatenated trunk and a fresh joint head in one episode."""
     legs = [trunk.clone() for trunk in bank.extractors]
-    head_rng = SplitMix64(config.seed)
-    head = glorot_layer(data.n_classes, int(sum(bank.dims)), head_rng)
-    mln = MultiLegNetwork(legs, head)
-    _train_multileg(mln, data.X, data.y, config, "naive fine-tune")
-    return mln
+    head = glorot_layer(data.n_classes, bank.total_dim, SplitMix64(config.seed))
+    _train_multileg(legs, head, data.X, data.y, config, "naive fine-tune")
+    return RepresentationBank(legs), head
 
 
-def joint_train(data: Dataset, hidden, n_legs: int, config: TrainConfig) -> MultiLegNetwork:
+def joint_train(data: Dataset, hidden, n_legs: int,
+                config: TrainConfig) -> tuple[RepresentationBank, DenseLayer]:
     """Train ``n_legs`` parallel trunks under a single head from one seed."""
     if n_legs < 1:
         raise ParameterError("need at least one leg")
     rng = SplitMix64(config.seed)
-    legs = []
     sizes = [data.d, *hidden]
-    for _ in range(n_legs):
-        layers = [glorot_layer(sizes[i + 1], sizes[i], rng, "relu")
-                  for i in range(len(sizes) - 1)]
-        legs.append(Network(layers))
+    legs = [Network([glorot_layer(sizes[i + 1], sizes[i], rng, "relu")
+                     for i in range(len(sizes) - 1)])
+            for _ in range(n_legs)]
     head = glorot_layer(data.n_classes, n_legs * sizes[-1], rng)
-    mln = MultiLegNetwork(legs, head)
-    _train_multileg(mln, data.X, data.y, config, "joint training")
-    return mln
-
-
-def bank_from_multileg(mln: MultiLegNetwork, seed: int) -> RepresentationBank:
-    """View the legs of a jointly trained network as a bank (no per-leg heads)."""
-    legs = [leg.clone() for leg in mln.legs]
-    dims = [leg.layers[-1].n_out for leg in legs]
-    return RepresentationBank(legs, dims, [seed] * len(legs), "joint_training", None)
-
-
-def bank_of_trunks(trunks, seeds, provenance: str = "independent_episodes",
-                   heads=None) -> RepresentationBank:
-    trunks = [t.clone() for t in trunks]
-    dims = [t.layers[-1].n_out for t in trunks]
-    return RepresentationBank(trunks, dims, [int(s) for s in seeds], provenance,
-                              None if heads is None else [_clone_layer(h) for h in heads])
+    _train_multileg(legs, head, data.X, data.y, config, "joint training")
+    return RepresentationBank(legs), head
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +460,7 @@ def two_stage_finetune(
     _train_members(nets, data, ft_config, leg_seeds,
                    [f"stage-1 fine-tune of leg {i}" for i in range(len(nets))])
     ft_trunks, ft_heads = map(list, zip(*map(split_head, nets)))
-    ft_bank = RepresentationBank(ft_trunks, list(bank.dims), list(bank.seeds),
-                                 bank.provenance, ft_heads)
+    ft_bank = RepresentationBank(ft_trunks, ft_heads)
 
     final = concat_head_init(ft_heads)
     if stage2_epochs > 0:

@@ -29,9 +29,7 @@ import numpy as np
 GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
-_INIT_OFFSET = 0
 _SHUFFLE_OFFSET = 1
-_DATA_OFFSET = 2
 
 
 def mix64(z: int) -> int:
@@ -113,20 +111,7 @@ class SplitMix64:
             perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.int64)
 
-    def shuffled(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values)[self.permutation(len(values))]
-
-
-def init_rng(seed: int) -> SplitMix64:
-    """Stream for parameter initialization of a run seeded with ``seed``."""
-    return SplitMix64(seed + _INIT_OFFSET)
-
 
 def shuffle_rng(seed: int) -> SplitMix64:
     """Stream for mini-batch shuffling of a run seeded with ``seed``."""
     return SplitMix64(seed + _SHUFFLE_OFFSET)
-
-
-def data_rng(seed: int) -> SplitMix64:
-    """Stream for data generation of a run seeded with ``seed``."""
-    return SplitMix64(seed + _DATA_OFFSET)

@@ -48,11 +48,6 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def subset(self, idx) -> "Dataset":
-        idx = np.asarray(idx)
-        return Dataset(self.X[idx].copy(), self.y[idx].copy(), self.env[idx].copy(),
-                       self.n_classes)
-
 
 def pool(datasets) -> Dataset:
     """Row-concatenate datasets (environment ids preserved)."""

@@ -26,6 +26,18 @@ FAST_TRANSFER = dict(
 )
 
 
+def test_zero_norm_row_in_a_cosine_episode_names_method_seed_and_episode(tmp_path, capsys):
+    # at width 6, erm's trunk maps a support row of few-shot episode 1 to zero
+    from test_pipeline_bytes import CASES
+
+    cfg = write_config(tmp_path, **dict(CASES["fewshot-cosine"], hidden=[6]))
+    assert cli.cmd_run(cfg, out=str(tmp_path / "out")) == 3
+    (seed,) = cli.RunConfig(master_seed=3, n_seeds=1).seeds
+    assert capsys.readouterr().err == (
+        f"runtime error: erm with seed {seed}: cosine classifier of episode 1 failed: "
+        "training diverged at epoch 0: cosine head input has a zero-norm row\n")
+
+
 def test_run_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not valid json")

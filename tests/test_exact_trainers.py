@@ -30,7 +30,7 @@ from richlab.core_nn.losses import (
 from richlab.experiments import fit_cosine_classifier
 from richlab.richrep import (
     DistillSpec,
-    bank_of_trunks,
+    RepresentationBank,
     concat_head_init,
     distill,
     init_trunk,
@@ -220,7 +220,7 @@ def mixed_width_bank(data):
     narrow = train_episodes(data, (6,), CFG, [15])
     trunks = [wide.extractors[0], narrow.extractors[0], wide.extractors[1],
               init_trunk([data.d, 8], seed=14, activation="linear")]
-    return bank_of_trunks(trunks, [11, 15, 12, 14])
+    return RepresentationBank(trunks)
 
 
 @pytest.mark.parametrize("mode,teachers", [
@@ -245,15 +245,15 @@ def test_distill_matches_reference_bitwise(mode, teachers):
 def test_joint_train_matches_reference_bitwise():
     data = toy_data()
     for n_legs in (3, 1):
-        mln = joint_train(data, (8, 4), n_legs, CFG)
+        bank, got_head = joint_train(data, (8, 4), n_legs, CFG)
         rng = SplitMix64(CFG.seed)
         legs = [Network([glorot_layer(8, data.d, rng, "relu"), glorot_layer(4, 8, rng, "relu")])
                 for _ in range(n_legs)]
         head = glorot_layer(data.n_classes, 4 * n_legs, rng)
         legs, head = ref_multileg(legs, head, data.X, data.y, CFG)
-        for got, want in zip(mln.legs, legs, strict=True):
+        for got, want in zip(bank.extractors, legs, strict=True):
             assert_same_layers(got.layers, want.layers)
-        assert_same_layers([mln.head], [head])
+        assert_same_layers([got_head], [head])
 
 
 def test_naive_finetune_matches_reference_bitwise():
@@ -261,13 +261,13 @@ def test_naive_finetune_matches_reference_bitwise():
     banks = [train_episodes(data, (8,), CFG, [5, 6]), mixed_width_bank(data),
              train_episodes(data, (8,), CFG, [5])]
     for bank in banks:
-        mln = naive_finetune(bank, data, CFG)
+        ft_bank, got_head = naive_finetune(bank, data, CFG)
         head = glorot_layer(data.n_classes, bank.total_dim, SplitMix64(CFG.seed))
         legs, head = ref_multileg([t.clone() for t in bank.extractors], head,
                                   data.X, data.y, CFG)
-        for got, want in zip(mln.legs, legs, strict=True):
+        for got, want in zip(ft_bank.extractors, legs, strict=True):
             assert_same_layers(got.layers, want.layers)
-        assert_same_layers([mln.head], [head])
+        assert_same_layers([got_head], [head])
 
 
 def test_two_stage_finetune_matches_reference_bitwise():

@@ -487,6 +487,28 @@ def test_zero_feature_row_in_cosine_classifier_names_the_epoch():
     assert info.value.epoch == 0
 
 
+@pytest.mark.parametrize("where,message,epoch", [
+    ("support", "training diverged at epoch 0: cosine head input has a zero-norm row", 0),
+    ("query", "cosine head input has a zero-norm row", None),
+])
+def test_zero_norm_row_in_a_cosine_episode_names_the_episode(where, message, epoch):
+    rng = SplitMix64(9)
+    spec = EpisodeSpec(3, 2, 2)
+    y = np.repeat(np.arange(3), 2)
+
+    def rows():
+        return Dataset(rng.normal(6 * 4).reshape(6, 4), y, np.zeros(6), 3)
+
+    episodes = [(rows(), rows()) for _ in range(3)]
+    support, query = episodes[2]
+    (support if where == "support" else query).X[3] = 0.0
+    cfg = FewshotConfig(classifier="cosine", cosine_epochs=2)
+    with pytest.raises(EpisodeError) as info:
+        episode_accuracies(lambda X: X, episodes, spec, cfg)
+    assert str(info.value) == f"cosine classifier of episode 2 failed: {message}"
+    assert info.value.epoch == epoch
+
+
 def test_snapshot_schedule_even():
     assert snapshot_schedule(100, 5) == [20, 40, 60, 80, 100]
     assert snapshot_schedule(12, 5) == [2, 5, 7, 10, 12]

@@ -219,13 +219,6 @@ def test_standardize_matches_raw_at_l2_zero():
                           (X @ std.weights.T + std.bias).argmax(axis=1))
 
 
-def test_eval_accuracy_on_heldout():
-    X, y = informative_features(16, n=200)
-    res = fit_probe(X[:150], y[:150], ProbeConfig(l2=1e-3, max_iters=2000),
-                    eval_features=X[150:], eval_labels=y[150:])
-    assert 0.0 <= res.eval_accuracy <= 1.0
-
-
 def test_converged_flag_reflects_grad_tol():
     X, y = informative_features(17, n=80, d=3)
     loose = fit_probe(X, y, ProbeConfig(l2=1e-2, max_iters=5000, grad_tol=1e-6))
@@ -241,8 +234,7 @@ def assert_same_probe(a, b):
     """Two probe results agree bit for bit, field by field and type by type."""
     assert a.weights.tobytes() == b.weights.tobytes() and a.weights.shape == b.weights.shape
     assert a.bias.tobytes() == b.bias.tobytes() and a.bias.shape == b.bias.shape
-    for name in ("cost", "train_accuracy", "eval_accuracy", "converged", "iterations",
-                 "grad_norm", "grad_tol"):
+    for name in ("cost", "train_accuracy", "converged", "iterations", "grad_norm", "grad_tol"):
         x, y = getattr(a, name), getattr(b, name)
         assert type(x) is type(y) and (x == y or (x != x and y != y)), name
 
@@ -257,19 +249,15 @@ def _problem_stack(seed, E, n, d, k, scales):
 
 def _assert_stack_matches_separate(X, y, k, cfg, rng_seed=None):
     E = X.shape[0]
-    eval_X, eval_y = X[:, ::-1] + 0.5, y[:, ::-1]
     rng = None if rng_seed is None else SplitMix64(rng_seed)
-    stacked = fit_probe(X, y, cfg, rng=rng, n_classes=k,
-                        eval_features=eval_X, eval_labels=eval_y)
+    stacked = fit_probe(X, y, cfg, rng=rng, n_classes=k)
     rng = None if rng_seed is None else SplitMix64(rng_seed)
-    alone = [fit_probe(X[e], y[e], cfg, rng=rng, n_classes=k,
-                       eval_features=eval_X[e], eval_labels=eval_y[e]) for e in range(E)]
+    alone = [fit_probe(X[e], y[e], cfg, rng=rng, n_classes=k) for e in range(E)]
     for e, one in enumerate(alone):
         assert np.array_equal(stacked.weights[e], one.weights)
         assert np.array_equal(stacked.bias[e], one.bias)
         assert stacked.cost[e] == one.cost
         assert stacked.train_accuracy[e] == one.train_accuracy
-        assert stacked.eval_accuracy[e] == one.eval_accuracy
         assert stacked.iterations[e] == one.iterations
         assert stacked.grad_norm[e] == one.grad_norm
         assert (stacked.grad_norm[e] <= cfg.grad_tol) == one.converged
@@ -324,8 +312,7 @@ def test_probe_reports_iterations_and_grad_norm():
     labels = np.stack([y, y[::-1], y])
     res = fit_probe(stack, labels, cfg)
     assert res.weights.shape == (3, 3, 3) and res.bias.shape == (3, 3)
-    for field in (res.cost, res.train_accuracy, res.eval_accuracy, res.iterations,
-                  res.grad_norm):
+    for field in (res.cost, res.train_accuracy, res.iterations, res.grad_norm):
         assert field.shape == (3,)
     assert res.converged is True
     assert res.iterations[0] == loose.iterations and res.grad_norm[0] == loose.grad_norm
@@ -341,9 +328,6 @@ def test_stacked_input_validation():
         fit_probe(np.zeros((2, 0, 3)), np.zeros((2, 0), dtype=int), TIGHT)
     with pytest.raises(DataError):
         fit_probe(np.full((2, 4, 3), np.nan), np.zeros((2, 4), dtype=int), TIGHT)
-    with pytest.raises(ShapeError):
-        fit_probe(X, np.zeros((2, 4), dtype=int), TIGHT,
-                  eval_features=np.zeros((3, 4, 3)), eval_labels=np.zeros((3, 4), dtype=int))
     single = fit_probe(X[0], np.zeros(4, dtype=int), TIGHT)
     with pytest.raises(ShapeError):
         single[0]
@@ -382,14 +366,13 @@ def test_cache_hit_fits_nothing_and_returns_the_held_probe(monkeypatch):
 def test_cache_request_mixing_held_and_new_problems_of_two_widths(monkeypatch):
     from richlab import richrep
     from richlab.core_nn import extract_features, init_network
-    from richlab.richrep import bank_of_trunks, extractor_probes
+    from richlab.richrep import RepresentationBank, extractor_probes
     from richlab.tasks import Dataset
 
     X, y = informative_features(8, n=120, d=5)
     data = Dataset(X, y, np.zeros(120, dtype=np.int64), 3)
     widths = [8, 4, 8, 8, 4]
-    bank = bank_of_trunks([init_network([5, w], 20 + i) for i, w in enumerate(widths)],
-                          range(5))
+    bank = RepresentationBank([init_network([5, w], 20 + i) for i, w in enumerate(widths)])
     feats = [extract_features(trunk, X) for trunk in bank.extractors]
     cfg = ProbeConfig(l2=1e-3, max_iters=200, grad_tol=1e-7, standardize=True)
     cache = ProbeCache(cfg)

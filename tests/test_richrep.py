@@ -18,14 +18,13 @@ from richlab.probing import ProbeCache, ProbeConfig, fit_probe, optimal_cost
 from richlab.richrep import (
     DistillSpec,
     RepresentationBank,
-    bank_from_multileg,
-    bank_of_trunks,
     bank_head_accuracy,
     bank_head_logits,
     cat_features,
     concat_head_init,
     distill,
     extractor_probes,
+    init_trunk,
     joint_train,
     leg_logits,
     leg_probe_gap,
@@ -53,6 +52,30 @@ def toy_data(n=120, d=6, k=3, seed=2):
 
 def trunks_equal(a, b):
     return np.array_equal(flatten_params(a), flatten_params(b))
+
+
+# ---------------------------------------------------------------------------
+# the bank
+
+def test_bank_needs_an_extractor_and_one_head_per_extractor():
+    bank = train_episodes(toy_data(), (8,), CFG, [1, 2])
+    with pytest.raises(ParameterError, match="at least one extractor"):
+        RepresentationBank([])
+    for heads in (bank.heads[:1], [], bank.heads * 2):
+        with pytest.raises(ParameterError, match="one saved head per extractor"):
+            RepresentationBank(bank.extractors, heads)
+
+
+def test_bank_dims_follow_its_extractors():
+    data = toy_data()
+    bank = RepresentationBank([init_trunk([data.d, 8], seed=1),
+                               init_trunk([data.d, 5, 3], seed=2)])
+    assert (bank.dims, bank.total_dim) == ([8, 3], 11)
+    assert (bank.member(1).dims, bank.member(1).total_dim) == ([3], 3)
+    joint, head = joint_train(data, (7,), 3, CFG)
+    assert (joint.dims, joint.total_dim, head.n_in) == ([7, 7, 7], 21, 21)
+    ft_bank, head = two_stage_finetune(bank, data, CFG, stage2_epochs=0)
+    assert (ft_bank.dims, ft_bank.total_dim, head.n_in) == ([8, 3], 11, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +198,6 @@ def test_different_seeds_give_different_extractors():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [5, 6])
     assert not trunks_equal(bank.extractors[0], bank.extractors[1])
-    assert bank.provenance == "independent_episodes"
     assert bank.dims == [8, 8]
 
 
@@ -198,7 +220,6 @@ def test_snapshot_at_final_epoch_equals_full_run():
     trained, _ = train(net, data.X, data.y, cfg)
     trunk, _ = split_head(trained)
     assert trunks_equal(bank.extractors[0], trunk)
-    assert bank.provenance == "snapshots"
 
 
 def test_snapshot_prefix_property():
@@ -267,11 +288,8 @@ def test_probe_cost_monotone_under_concatenation():
     cfg = ProbeConfig(l2=1e-3, max_iters=3000, grad_tol=1e-8)
     prev = None
     for n in (1, 2, 3):
-        sub = RepresentationBank(
-            [bank3.extractors[i].clone() for i in range(n)],
-            bank3.dims[:n], bank3.seeds[:n], bank3.provenance,
-            [bank3.heads[i] for i in range(n)],
-        )
+        sub = RepresentationBank([bank3.extractors[i].clone() for i in range(n)],
+                                 bank3.heads[:n])
         cost = optimal_cost(cat_features(sub, data.X), data.y, cfg)
         if prev is not None:
             assert cost <= prev + 1e-3
@@ -309,8 +327,8 @@ def test_subset_ensemble_hand_arithmetic():
 
     data = toy_data(n=4)
     bank = train_episodes(data, (8,), CFG, [1, 2])
-    p1 = ProbeResult(np.zeros((2, 8)), np.array([np.log(2.0), 0.0]), 0.0, 1.0, 1.0, True)
-    p2 = ProbeResult(np.zeros((2, 8)), np.array([0.0, np.log(2.0)]), 0.0, 1.0, 1.0, True)
+    p1 = ProbeResult(np.zeros((2, 8)), np.array([np.log(2.0), 0.0]), 0.0, 1.0, True)
+    p2 = ProbeResult(np.zeros((2, 8)), np.array([0.0, np.log(2.0)]), 0.0, 1.0, True)
     out = subset_ensemble_predict(bank, [p1, p2], data.X)
     assert np.allclose(out, 0.5)
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
@@ -365,10 +383,7 @@ def test_cosine_distillation_runs_and_aligns():
 def test_distill_requires_teacher_heads_for_kl():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [9])
-    headless = RepresentationBank(
-        [t.clone() for t in bank.extractors], list(bank.dims), list(bank.seeds),
-        "joint_training", None,
-    )
+    headless = RepresentationBank([t.clone() for t in bank.extractors])
     with pytest.raises(ParameterError):
         distill(headless, DistillSpec(mode="kl", student_arch=(8,)), data,
                 TrainConfig(lr=0.05, epochs=1, batch_size=16))
@@ -381,30 +396,28 @@ def test_naive_finetune_zero_epochs_keeps_trunks():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [1, 2])
     cfg = TrainConfig(lr=0.05, epochs=0, batch_size=16, seed=3)
-    mln = naive_finetune(bank, data, cfg)
-    for leg, trunk in zip(mln.legs, bank.extractors):
+    ft_bank, head = naive_finetune(bank, data, cfg)
+    assert ft_bank.heads is None and head.n_in == bank.total_dim
+    for leg, trunk in zip(ft_bank.extractors, bank.extractors, strict=True):
         assert trunks_equal(leg, trunk)
-    feats = mln.features(data.X)
-    assert np.array_equal(feats, cat_features(bank, data.X))
+    assert np.array_equal(cat_features(ft_bank, data.X), cat_features(bank, data.X))
 
 
 def test_naive_finetune_trains_all_parts():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [1, 2])
     cfg = TrainConfig(lr=0.05, epochs=8, batch_size=16, momentum=0.9, seed=3)
-    mln = naive_finetune(bank, data, cfg)
-    assert not trunks_equal(mln.legs[0], bank.extractors[0])
-    assert mln.accuracy(data.X, data.y) > 0.5
+    ft_bank, head = naive_finetune(bank, data, cfg)
+    assert not trunks_equal(ft_bank.extractors[0], bank.extractors[0])
+    assert bank_head_accuracy(ft_bank, head, data.X, data.y) > 0.5
 
 
 def test_joint_train_builds_bank_without_heads():
     data = toy_data()
-    mln = joint_train(data, (8,), 2, TrainConfig(lr=0.05, epochs=8, batch_size=16,
-                                                 momentum=0.9, seed=4))
-    bank = bank_from_multileg(mln, seed=4)
-    assert bank.provenance == "joint_training"
+    bank, head = joint_train(data, (8,), 2, TrainConfig(lr=0.05, epochs=8, batch_size=16,
+                                                        momentum=0.9, seed=4))
     assert bank.heads is None
-    assert bank.total_dim == 16
+    assert bank.total_dim == 16 and head.n_in == 16
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +479,7 @@ def test_extractor_probes_equal_one_fit_per_extractor():
     data = toy_data(n=300)
     wide = train_episodes(data, (8,), CFG, [5, 6, 7])
     narrow = train_episodes(data, (4,), CFG, [8])
-    bank = bank_of_trunks([wide.extractors[0], narrow.extractors[0], *wide.extractors[1:]],
-                          [5, 8, 6, 7])
+    bank = RepresentationBank([wide.extractors[0], narrow.extractors[0], *wide.extractors[1:]])
     probes = extractor_probes(bank, data, ProbeCache(PROBE))
     assert len(probes) == 4
     for trunk, probe in zip(bank.extractors, probes, strict=True):
