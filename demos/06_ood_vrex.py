@@ -8,9 +8,13 @@ with hyper-parameters selected on the tune environment.
 """
 from richlab.cli import make_ood_bundle
 from richlab.core_nn import Schedule, TrainConfig
-from richlab.experiments import OodConfig, default_shift_spec, run_ood
-from richlab.richrep import train_episodes
-from richlab.rng import derive_seed
+from richlab.experiments import (
+    OodConfig,
+    TransferConfig,
+    build_representations,
+    default_shift_spec,
+    run_ood,
+)
 from richlab.tasks import pool
 
 spec = default_shift_spec()
@@ -18,18 +22,19 @@ task = make_ood_bundle(spec, seed=42)
 
 train_cfg = TrainConfig(lr=0.1, epochs=60, batch_size=32, momentum=0.9,
                         schedule=Schedule.cosine())
-bank = train_episodes(pool(task.train_envs), (8,), train_cfg,
-                      [derive_seed(21, i) for i in range(5)])
+# five episodes of width 8, concatenated: the frozen cat initialization
+(cat,) = build_representations(["cat"], pool(task.train_envs),
+                               TransferConfig(hidden=(8,), n_episodes=5, train=train_cfg),
+                               seed=21)
 
 common = dict(tune_mode="ood", lr_grid=(0.05, 0.1), wd_grid=(0.0, 1e-3),
               steps=200, hidden=(8,), seeds=(1, 2, 3))
 
 for algorithm in ("erm", "vrex"):
-    for init, bank_arg in (("scratch", None), ("cat", bank)):
+    for init, rep in (("scratch", None), ("cat", cat)):
         cfg = OodConfig(algorithm=algorithm, init=init,
                         beta_grid=(0.5, 1.0, 5.0, 10.0), **common)
-        recs = run_ood(task, cfg, init_bank=bank_arg, run_id="demo",
-                       task_name="shift-ood")
+        recs = run_ood(task, cfg, rep, run_id="demo", task_name="shift-ood")
         mean = [r.value for r in recs if r.metric == "accuracy_mean"][0]
         print(f"{algorithm:5s} + {init:7s}: shifted-test accuracy {mean:.3f}")
 

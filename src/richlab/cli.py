@@ -22,10 +22,11 @@ from .errors import ParameterError, RichlabError
 # imported, not called: perfbench/tests checks that its tracer wraps cli.train_episodes
 from .richrep import train_episodes
 from .rng import derive_seed
-from .tasks import env_partition, gen_shift, pool
+from .tasks import EpisodeSpec, ShiftSpec, gen_shift, pool
 from .experiments import (
     FewshotConfig,
     OodConfig,
+    OodTask,
     RunRecord,
     TransferConfig,
     build_representations,
@@ -35,12 +36,12 @@ from .experiments import (
     make_class_split_tasks,
     make_ft_target,
     make_shift_task,
+    ood_sample,
     run_fewshot,
     run_ood,
     run_transfer,
     write_records_csv,
 )
-from .tasks import EpisodeSpec, ShiftSpec
 from . import verify as verify_mod
 from . import __version__
 
@@ -57,8 +58,9 @@ def _config_error(msg: str) -> int:
     return 2
 
 
-def _merged(default, values: dict):
-    """``default`` with the fields that ``values`` names replaced.
+def _merged(default, values: dict, section: str | None = None):
+    """``default`` with the fields that ``values`` names replaced, then
+    those that its ``section`` names, if the config has that section.
 
     Keys that are not fields of ``default`` are left to other configs.
     JSON arrays become tuples, and a JSON object updates the dataclass
@@ -75,7 +77,8 @@ def _merged(default, values: dict):
         elif isinstance(value, list):
             value = tuple(value)
         updates[f.name] = value
-    return replace(default, **updates)
+    merged = replace(default, **updates)
+    return _merged(merged, values[section]) if section in values else merged
 
 
 @dataclass(frozen=True)
@@ -92,34 +95,60 @@ class RunConfig:
         return tuple(derive_seed(self.master_seed, 10 + g) for g in range(self.n_seeds))
 
 
-# the targets each task kind can serve
+@dataclass(frozen=True)
+class TaskConfig:
+    """The ``kind`` of a config's ``task`` section; its other keys set the
+    fields of that kind's generator spec."""
+
+    kind: str
+
+
+# the task kinds each pipeline serves, its default first; the generator
+# spec each kind starts from; and the transfer targets each kind can serve
+_KINDS = {"transfer": ("shift", "class_split"), "fewshot": ("class_split",),
+          "ood": ("shift",)}
+_SPECS = {"shift": default_shift_spec, "class_split": default_split_spec}
 _TARGETS = {"shift": ("same", "ood_sample"), "class_split": ("same", "novel")}
+
+
+def _task(cfg: dict, pipeline: str) -> tuple[str, ShiftSpec]:
+    """The task kind and generator spec a config asks of ``pipeline``.
+
+    The one reader of the task ``kind``: a kind the pipeline cannot serve
+    is a configuration error.
+    """
+    kinds = _KINDS[pipeline]
+    kind = _merged(TaskConfig(kinds[0]), cfg, "task").kind
+    if kind not in kinds:
+        raise ParameterError(f"task kind {kind!r} does not apply to the {pipeline} pipeline; "
+                             f"choose from {', '.join(kinds)}")
+    return kind, _merged(_SPECS[kind](), cfg, "task")
+
+
+def _split_tasks(spec: ShiftSpec, seed: int):
+    """Base and novel tasks: the first half of the classes and the rest."""
+    half = spec.n_classes // 2
+    return make_class_split_tasks(spec, seed, list(range(half)),
+                                  list(range(half, spec.n_classes)))
 
 
 def _transfer_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord]]:
     """Build the transfer config dataclasses; the returned call runs the pipeline."""
-    task_cfg = cfg.get("task", {})
-    kind = task_cfg.get("kind", "shift")
-    target_kind = cfg.get("target", "same")
-    if target_kind not in _TARGETS[kind]:
-        raise ParameterError(f"target {target_kind!r} does not apply to a {kind!r} task; "
-                             f"choose from {', '.join(_TARGETS[kind])}")
     tc = replace(_merged(TransferConfig(), cfg), seeds=run.seeds)
-    spec = _merged(default_split_spec() if kind == "class_split" else default_shift_spec(),
-                   task_cfg)
+    kind, spec = _task(cfg, "transfer")
+    if tc.target not in _TARGETS[kind]:
+        raise ParameterError(f"target {tc.target!r} does not apply to a {kind!r} task; "
+                             f"choose from {', '.join(_TARGETS[kind])}")
     master = run.master_seed
 
     def pipeline() -> list[RunRecord]:
         if kind == "class_split":
-            half = spec.n_classes // 2
-            base, novel = make_class_split_tasks(
-                spec, master + 2, list(range(half)), list(range(half, spec.n_classes)))
-            pretrain, target = base, (novel if target_kind == "novel" else base)
+            base, novel = _split_tasks(spec, master + 2)
+            pretrain, target = base, (novel if tc.target == "novel" else base)
         else:
             pretrain = make_shift_task(spec, master + 2)
-            if target_kind == "ood_sample":
-                target = make_ft_target(spec, derive_seed(master, 5),
-                                        cfg.get("target_rows", 120))
+            if tc.target == "ood_sample":
+                target = make_ft_target(spec, derive_seed(master, 5), tc.target_rows)
             else:
                 target = pretrain
         return run_transfer(pretrain, target, tc, run_id="transfer")
@@ -129,35 +158,28 @@ def _transfer_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord
 
 def _fewshot_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord]]:
     """Build the few-shot config dataclasses; the returned call runs the pipeline."""
-    spec = _merged(default_split_spec(), cfg.get("task", {}))
-    fs = cfg.get("fewshot", {})
-    episode_spec = _merged(EpisodeSpec(), fs)
-    fc = replace(_merged(_merged(FewshotConfig(), cfg), fs), seeds=run.seeds)
+    episode_spec = _merged(EpisodeSpec(), cfg, "fewshot")
+    fc = replace(_merged(FewshotConfig(), cfg, "fewshot"), seeds=run.seeds)
+    _, spec = _task(cfg, "fewshot")
 
     def pipeline() -> list[RunRecord]:
-        half = spec.n_classes // 2
-        base, novel_task = make_class_split_tasks(
-            spec, run.master_seed + 2, list(range(half)), list(range(half, spec.n_classes)))
+        base, novel_task = _split_tasks(spec, run.master_seed + 2)
         return run_fewshot(base, novel_task.train, episode_spec, fc, run_id="fewshot")
 
     return pipeline
 
 
-def make_ood_bundle(spec: ShiftSpec, seed: int):
+def make_ood_bundle(spec: ShiftSpec, seed: int) -> OodTask:
     """Environment bundle: train environments, one tune env, one test env."""
     train_envs, _, ood_test = gen_shift(spec, seed)
-    tune_spec = replace(spec, env_correlations=(spec.ood_correlation,))
-    tune_envs, _, _ = gen_shift(tune_spec, derive_seed(seed, 3))
-    envs = [*train_envs, tune_envs[0], ood_test]
-    roles = {"train": list(range(len(train_envs))),
-             "tune": len(train_envs), "test": len(train_envs) + 1}
-    return env_partition(envs, roles)
+    return OodTask(train_envs, ood_sample(spec, derive_seed(seed, 3), spec.n_per_env),
+                   ood_test)
 
 
 def _ood_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord]]:
     """Build the OOD config dataclasses; the returned call runs the pipeline."""
-    spec = _merged(default_shift_spec(), cfg.get("task", {}))
-    oc = replace(_merged(_merged(OodConfig(), cfg), cfg.get("ood", {})), seeds=run.seeds)
+    oc = replace(_merged(OodConfig(), cfg, "ood"), seeds=run.seeds)
+    _, spec = _task(cfg, "ood")
     # a frozen initialization trains its bank with the transfer settings; an
     # ood run takes no methods, so a methods key is left unread, as before
     bank_cfg = {key: value for key, value in cfg.items() if key != "methods"}
@@ -166,12 +188,11 @@ def _ood_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord]]:
 
     def pipeline() -> list[RunRecord]:
         task = make_ood_bundle(spec, master + 2)
-        bank = None
+        rep = None
         if tc is not None:
             (rep,) = build_representations([oc.init], pool(task.train_envs), tc, master,
                                            episode_offset=100)
-            bank = rep.bank
-        return run_ood(task, oc, init_bank=bank, run_id="ood", task_name="shift-ood")
+        return run_ood(task, oc, rep, run_id="ood", task_name="shift-ood")
 
     return pipeline
 

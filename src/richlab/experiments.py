@@ -50,7 +50,7 @@ from .richrep import (
     snapshot_episode,
     two_stage_finetune,
 )
-from .tasks import Dataset, EpisodeSpec, OodTask, ShiftSpec, gen_shift, pool, sample_episode, split_classes
+from .tasks import Dataset, EpisodeSpec, ShiftSpec, gen_shift, pool, sample_episode, split_classes
 
 SPLITS = ("id_train", "id_test", "ood_tune", "ood_test", "fewshot", "verify")
 CSV_HEADER = "run_id,seed,method,task,split,metric,value,extra"
@@ -160,6 +160,16 @@ class TransferTask:
     ood_train: Dataset | None = None
 
 
+@dataclass
+class OodTask:
+    """Data bundle for the OOD pipeline: training environments, the
+    environment that tunes hyper-parameters in ood mode, and the test one."""
+
+    train_envs: list[Dataset]
+    tune_env: Dataset
+    test_env: Dataset
+
+
 def default_shift_spec() -> ShiftSpec:
     """Shift task: strong spurious short cut in training environments."""
     return ShiftSpec(
@@ -192,7 +202,8 @@ def default_split_spec() -> ShiftSpec:
     )
 
 
-def _ood_sample(spec: ShiftSpec, seed: int, rows: int) -> Dataset:
+def ood_sample(spec: ShiftSpec, seed: int, rows: int) -> Dataset:
+    """``rows`` rows of one environment at the OOD correlation."""
     sample_spec = replace(spec, env_correlations=(spec.ood_correlation,),
                           n_per_env=rows)
     return gen_shift(sample_spec, seed)[0][0]
@@ -203,8 +214,8 @@ def make_shift_task(spec: ShiftSpec, seed: int, name: str = "shift",
     """Shift task with enlarged shifted splits (keeps evaluation noise small
     relative to the few-point effects being measured)."""
     train_envs, id_test, _ = gen_shift(spec, seed)
-    ood_train = _ood_sample(spec, derive_seed(seed, 7), ood_train_rows)
-    ood_test = _ood_sample(spec, derive_seed(seed, 8), ood_test_rows)
+    ood_train = ood_sample(spec, derive_seed(seed, 7), ood_train_rows)
+    ood_test = ood_sample(spec, derive_seed(seed, 8), ood_test_rows)
     return TransferTask(name, pool(train_envs), id_test, ood_test, ood_train)
 
 
@@ -213,18 +224,14 @@ def make_class_split_tasks(
     base_name: str = "base", novel_name: str = "novel",
     ood_train_rows: int = 600, ood_test_rows: int = 1500,
 ) -> tuple[TransferTask, TransferTask]:
-    train_envs, id_test, _ = gen_shift(spec, seed)
-    ood_train = _ood_sample(spec, derive_seed(seed, 7), ood_train_rows)
-    ood_test = _ood_sample(spec, derive_seed(seed, 8), ood_test_rows)
-    train = pool(train_envs)
-    base_tr, novel_tr = split_classes(train, base_classes, novel_classes)
-    base_id, novel_id = split_classes(id_test, base_classes, novel_classes)
-    base_ood, novel_ood = split_classes(ood_test, base_classes, novel_classes)
-    base_otr, novel_otr = split_classes(ood_train, base_classes, novel_classes)
-    return (
-        TransferTask(base_name, base_tr, base_id, base_ood, base_otr),
-        TransferTask(novel_name, novel_tr, novel_id, novel_ood, novel_otr),
-    )
+    """The shift task of ``spec`` and ``seed``, every split cut into its
+    base and its novel classes."""
+    task = make_shift_task(spec, seed, ood_train_rows=ood_train_rows,
+                           ood_test_rows=ood_test_rows)
+    parts = [split_classes(ds, base_classes, novel_classes)
+             for ds in (task.train, task.id_test, task.ood_test, task.ood_train)]
+    return (TransferTask(base_name, *(base for base, _ in parts)),
+            TransferTask(novel_name, *(novel for _, novel in parts)))
 
 
 def make_ft_target(spec: ShiftSpec, seed: int, n_rows: int,
@@ -234,12 +241,9 @@ def make_ft_target(spec: ShiftSpec, seed: int, n_rows: int,
     Fine-tuning data is scarce and shifted; evaluation uses a large fresh
     sample from the same shifted distribution.
     """
-    sample_spec = replace(spec, n_per_env=n_rows,
-                          env_correlations=(spec.ood_correlation,))
-    train_envs, _, _ = gen_shift(sample_spec, seed)
     eval_spec = replace(spec, env_correlations=(spec.ood_correlation,))
-    _, _, ood_eval = gen_shift(eval_spec, derive_seed(seed, 1))
-    return TransferTask(name, train_envs[0], None, ood_eval)
+    return TransferTask(name, ood_sample(spec, seed, n_rows), None,
+                        gen_shift(eval_spec, derive_seed(seed, 1))[2])
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +348,11 @@ class TransferConfig:
     seeds: tuple[int, ...] = (101, 202, 303, 404, 505)
     methods: tuple[str, ...] = ("erm", "cat", "distill", "joint", "catsub")
     include_anchors: bool = False
+    # the task the probes and fine-tunes are scored on: the pretraining task
+    # (same), its novel classes (novel), or a target_rows-row fine-tuning
+    # sample at the OOD correlation (ood_sample)
+    target: str = "same"
+    target_rows: int = 120
 
     def __post_init__(self):
         _check_methods("transfer", self.methods, TRANSFER_METHODS, self.n_episodes)
@@ -470,10 +479,8 @@ class FewshotConfig:
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         lr=0.05, epochs=40, batch_size=32, momentum=0.9))
     classifier: str = "linear"  # linear | cosine
-    episode_probe: ProbeConfig = field(default_factory=lambda: ProbeConfig(
+    probe: ProbeConfig = field(default_factory=lambda: ProbeConfig(
         l2=1e-3, max_iters=300, grad_tol=1e-6))
-    cosine_lr: float = 0.1
-    cosine_epochs: int = 60
     n_snapshots: int = 5
     snapshot_lr_mult: float = 8.0
     distill: DistillSpec = field(default_factory=lambda: DistillSpec(
@@ -559,7 +566,7 @@ def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConf
             fs = feature_fn(np.concatenate([s.X for s, _ in block]))
             probes = fit_probe(fs.reshape(len(block), -1, fs.shape[1]),
                                np.stack([s.y for s, _ in block]),
-                               cfg.episode_probe, n_classes=spec.n_way)
+                               cfg.probe, n_classes=spec.n_way)
         fq = feature_fn(query.X)
         if cfg.classifier == "linear":
             b = e % EPISODE_BLOCK
@@ -567,8 +574,7 @@ def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConf
         else:
             try:
                 head = fit_cosine_classifier(feature_fn(support.X), support.y, spec.n_way,
-                                             seed=derive_seed(seed, e),
-                                             lr=cfg.cosine_lr, epochs=cfg.cosine_epochs)
+                                             seed=derive_seed(seed, e))
                 pred = cosine_head_forward(fq, head).argmax(axis=1)
             except (NumericalError, TrainingError) as exc:
                 raise EpisodeError(f"cosine classifier of episode {e} failed: {exc}",
@@ -599,7 +605,6 @@ class OodConfig:
     lr_grid: tuple[float, ...] = (0.01, 0.1)
     wd_grid: tuple[float, ...] = (0.0, 1e-3)
     steps: int = 300
-    momentum: float = 0.9
     hidden: tuple[int, ...] = (16,)
     holdout_frac: float = 0.2
     seeds: tuple[int, ...] = (101, 202, 303, 404, 505)
@@ -652,7 +657,11 @@ def _env_objective_fn(y, env_ids, beta):
     return loss_fn
 
 
-def _fit_ood_model(net0: Network, X, y, env_ids, beta, lr, wd, steps, momentum):
+# the momentum of every OOD candidate fit
+OOD_MOMENTUM = 0.9
+
+
+def _fit_ood_model(net0: Network, X, y, env_ids, beta, lr, wd, steps):
     """Full-batch descent on the environment-risk objective, rows in data order."""
     net = net0.clone()
     params = layer_params(net.layers)
@@ -661,7 +670,7 @@ def _fit_ood_model(net0: Network, X, y, env_ids, beta, lr, wd, steps, momentum):
     for step in range(steps):
         _, grads = network_loss_grad(net, X, loss_fn)
         try:
-            sgd_step(params, grads, velocities, lr, momentum, wd)
+            sgd_step(params, grads, velocities, lr, OOD_MOMENTUM, wd)
         except NumericalError as exc:
             raise TrainingError(f"diverged at step {step}: {exc}", epoch=step) from exc
     return net
@@ -691,34 +700,31 @@ def select_hyperparams(records, tune_mode: str) -> str:
     return min(candidates, key=sort_key).extra["config_id"]
 
 
-def run_ood(task: OodTask, config: OodConfig, init_bank: RepresentationBank | None = None,
+def run_ood(task: OodTask, config: OodConfig, rep: Representation | None = None,
             run_id: str = "ood", task_name: str = "ood") -> list[RunRecord]:
     """Environment-risk training with hyper-parameter selection.
 
-    With ``init`` cat/distill the bank's representation is frozen and only
-    a linear head trains; scratch trains a full network.  Candidates are
+    With ``init`` cat or distill, ``rep`` is the representation that
+    :func:`build_representations` built for it: it is frozen, only a linear
+    head trains, and its name is the method column.  ``scratch`` takes no
+    representation, trains a full network and is named erm.  Candidates are
     scored on the tune environment (ood mode) or a held-out fraction of
     the pooled training rows (iid mode); the winner's test-environment
     accuracy is reported per seed plus a mean/std aggregate.
     """
-    if config.init in ("cat", "distill") and init_bank is None:
-        raise ParameterError(f"init={config.init!r} needs a representation bank")
+    given = "scratch" if rep is None else rep.method
+    if given != config.init:
+        raise ParameterError(f"init={config.init!r} needs its own representation, "
+                             f"got {given!r}")
     pooled = pool(task.train_envs)
-    if config.init in ("cat", "distill"):
-        def rep(X):
-            return cat_features(init_bank, X)
-    else:
-        def rep(X):
-            return np.asarray(X, dtype=np.float64)
-
-    X_all = rep(pooled.X)
-    X_tune_env = rep(task.tune_env.X)
-    X_test = rep(task.test_env.X)
+    X_all, X_tune_env, X_test = pooled.X, task.tune_env.X, task.test_env.X
+    if rep is not None:
+        X_all, X_tune_env, X_test = [cat_features(rep.bank, X)
+                                     for X in (X_all, X_tune_env, X_test)]
     k = pooled.n_classes
 
     betas = config.beta_grid if config.algorithm == "vrex" else (0.0,)
-    method = {"scratch": "erm", "cat": f"cat{len(init_bank) if init_bank else 0}",
-              "distill": "distill1"}[config.init]
+    method = "erm" if rep is None else rep.name
     base_extra = {"algorithm": config.algorithm, "tune": config.tune_mode,
                   "init": config.init}
 
@@ -734,7 +740,7 @@ def run_ood(task: OodTask, config: OodConfig, init_bank: RepresentationBank | No
             keep = np.arange(pooled.n)
         X_fit, y_fit, env_fit = X_all[keep], pooled.y[keep], pooled.env[keep]
 
-        if config.init == "scratch":
+        if rep is None:
             net0 = init_network([pooled.d, *config.hidden, k], seed=derive_seed(s, 1))
         else:
             net0 = Network([glorot_layer(k, X_all.shape[1],
@@ -748,7 +754,7 @@ def run_ood(task: OodTask, config: OodConfig, init_bank: RepresentationBank | No
                     cid = f"b{beta:g}-lr{lr:g}-wd{wd:g}"
                     try:
                         net = _fit_ood_model(net0, X_fit, y_fit, env_fit, beta, lr, wd,
-                                             config.steps, config.momentum)
+                                             config.steps)
                     except TrainingError as exc:
                         raise EpisodeError(f"ood candidate {cid} at seed {s} {exc}",
                                            seed=s, epoch=exc.epoch) from exc

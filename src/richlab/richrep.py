@@ -285,30 +285,20 @@ def _teacher_targets(bank: RepresentationBank, spec: DistillSpec, X: np.ndarray)
 
 
 def distill(bank: RepresentationBank, spec: DistillSpec, data: Dataset,
-            config: TrainConfig, student_init: Network | None = None,
-            head_inits: list[DenseLayer] | None = None) -> Network:
+            config: TrainConfig) -> Network:
     """Train one student trunk with one output head per frozen teacher.
 
     The per-teacher losses are summed; gradients flow through the shared
-    trunk and the heads only.  Returns the trunk (heads discarded).
-    ``student_init``/``head_inits`` override the seeded initialization
-    (warm starts; both default to fresh Glorot draws from the config seed).
+    trunk and the heads only.  Returns the trunk (heads discarded).  The
+    trunk and the heads start from Glorot draws of the config seed.
     """
     if data.n == 0:
         raise ParameterError("distillation data is empty")
     X, y = data.X, data.y
     targets = _teacher_targets(bank, spec, X)
-
+    trunk = init_trunk([data.d, *spec.student_arch], seed=config.seed)
     rng = SplitMix64(config.seed)
-    if student_init is None:
-        trunk = init_trunk([data.d, *spec.student_arch], seed=config.seed)
-    else:
-        trunk = student_init.clone()
-    feat_dim = trunk.layers[-1].n_out
-    if head_inits is None:
-        heads = [glorot_layer(tgt.shape[1], feat_dim, rng) for tgt in targets]
-    else:
-        heads = [_clone_layer(h) for h in head_inits]
+    heads = [glorot_layer(tgt.shape[1], trunk.layers[-1].n_out, rng) for tgt in targets]
     return _distill_train(trunk, heads, targets, spec, X, y, config)
 
 

@@ -1,5 +1,5 @@
-"""Data supply: synthetic shift generator, class splits, few-shot episode
-sampling, and environment partitions.
+"""Data supply: synthetic shift generator, class splits and few-shot
+episode sampling.
 
 The synthetic generator builds inputs out of three blocks.  The core
 block carries the label through a class prototype that is stable across
@@ -218,31 +218,3 @@ def sample_episode(novel: Dataset, spec: EpisodeSpec, rng: SplitMix64) -> tuple[
     query = Dataset(novel.X[qry_idx].copy(), np.asarray(qry_y, dtype=np.int64),
                     novel.env[qry_idx].copy(), spec.n_way)
     return support, query
-
-
-# ---------------------------------------------------------------------------
-# environment partitions for out-of-distribution training
-
-@dataclass
-class OodTask:
-    train_envs: list[Dataset]
-    tune_env: Dataset
-    test_env: Dataset
-
-
-def env_partition(envs, roles: dict) -> OodTask:
-    """Bundle environments into train/tune/test roles (indices must be disjoint)."""
-    envs = list(envs)
-    train_idx = list(roles["train"])
-    tune_idx = int(roles["tune"])
-    test_idx = int(roles["test"])
-    used = [*train_idx, tune_idx, test_idx]
-    if len(set(used)) != len(used):
-        raise ParameterError(f"environment roles overlap: {roles}")
-    for i in used:
-        if not (0 <= i < len(envs)):
-            raise ParameterError(f"environment index {i} outside [0, {len(envs)})")
-    if not train_idx:
-        raise ParameterError("at least one training environment required")
-    return OodTask([envs[i] for i in train_idx], envs[tune_idx], envs[test_idx])
-

@@ -119,13 +119,23 @@ def test_run_rejects_a_method_its_pipeline_does_not_build(tmp_path, capsys, pipe
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
-@pytest.mark.parametrize("kind,target", [("shift", "novel"), ("class_split", "ood_sample")])
-def test_run_rejects_a_target_its_task_kind_cannot_serve(tmp_path, capsys, kind, target):
-    cfg = write_config(tmp_path, **dict(FAST_TRANSFER, task=dict(FAST_TRANSFER["task"], kind=kind),
-                                        target=target, output_dir=str(tmp_path / "out")))
-    assert cli.cmd_run(cfg) == 2
+@pytest.mark.parametrize("pipeline,kind,target", [
+    pytest.param("transfer", "shift", "novel", id="shift-novel"),
+    pytest.param("transfer", "class_split", "ood_sample", id="class_split-ood_sample"),
+    pytest.param("fewshot", "shift", None, id="fewshot-shift"),
+    pytest.param("ood", "class_split", None, id="ood-class_split"),
+])
+def test_run_rejects_a_target_its_task_kind_cannot_serve(tmp_path, capsys, pipeline, kind,
+                                                          target):
+    # a pipeline that cannot serve the task kind is refused the same way
+    cfg = dict(FAST_TRANSFER, pipeline=pipeline, task=dict(FAST_TRANSFER["task"], kind=kind),
+               output_dir=str(tmp_path / "out"))
+    if target is not None:
+        cfg["target"] = target
+    assert cli.cmd_run(write_config(tmp_path, **cfg)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and repr(target) in err and repr(kind) in err
+    assert err.startswith("config error: ") and repr(kind) in err
+    assert (repr(target) if target else f"the {pipeline} pipeline") in err
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
@@ -257,7 +267,7 @@ def test_minimal_config_runs_with_dataclass_defaults(tmp_path, monkeypatch, pipe
     default = getattr(experiments, config_cls)()
     # n_episodes, the few-shot methods and n_episodes_eval are config fields too
     assert seen["config"] == replace(default, seeds=cli.RunConfig().seeds)
-    assert set(seen["kwargs"]) <= {"run_id", "init_bank", "task_name"}
+    assert set(seen["kwargs"]) <= {"run_id", "task_name"}
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["master_seed"] == 0 and manifest["seeds"] == list(cli.RunConfig().seeds)
     if pipeline == "fewshot":
@@ -284,3 +294,32 @@ def test_config_keys_override_only_what_they_name(tmp_path, monkeypatch):
     assert seen[0].train == want_train
     assert seen[0].train.schedule == Schedule("cosine", 0.1, 7)
     assert seen[0].distill_train == default.distill_train
+
+
+def test_fewshot_probe_key_sets_the_support_probes(tmp_path, capsys):
+    from richlab.experiments import FewshotConfig
+    from richlab.probing import ProbeConfig
+    from test_pipeline_bytes import CASES
+
+    assert FewshotConfig().probe == ProbeConfig(l2=1e-3, max_iters=300, grad_tol=1e-6)
+    results = []
+    for probe in ({}, {"probe": {"l2": 5, "max_iters": 1}}):
+        cfg = write_config(tmp_path, **CASES["fewshot-linear"], **probe)
+        assert cli.cmd_run(cfg, out=str(tmp_path / "out")) == 0
+        results.append((tmp_path / "out" / "results.csv").read_bytes())
+    capsys.readouterr()
+    assert results[0] != results[1]
+
+
+@pytest.mark.parametrize("config_cls,section", [
+    ("TransferConfig", None), ("FewshotConfig", "fewshot"), ("OodConfig", "ood")])
+def test_every_pipeline_config_field_is_a_schema_key(config_cls, section):
+    # a field no config key reaches is an option nobody can set
+    from dataclasses import fields
+
+    from richlab import experiments
+
+    keys = cli.load_schema()["properties"]
+    reachable = set(keys) | (set(keys[section]["properties"]) if section else set())
+    names = {f.name for f in fields(getattr(experiments, config_cls))} - {"seeds"}
+    assert sorted(names - reachable) == []

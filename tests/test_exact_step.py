@@ -171,16 +171,16 @@ def test_fit_ood_model_matches_reference_over_default_grid():
     diverged = 0
     for i, (beta, lr, wd) in enumerate(candidates):
         net0 = init_network([d, 6, 4, k] if i % 2 else [d, 6, k], seed=i)
-        ref, bad_step = reference_fit(net0, X, y, env, beta, lr, wd, 120, grid.momentum)
+        ref, bad_step = reference_fit(net0, X, y, env, beta, lr, wd, 120, 0.9)
         if bad_step is None:
-            net = _fit_ood_model(net0, X, y, env, beta, lr, wd, 120, grid.momentum)
+            net = _fit_ood_model(net0, X, y, env, beta, lr, wd, 120)
             for got, want in zip(net.layers, ref.layers, strict=True):
                 assert got.weights.tobytes() == want.weights.tobytes()
                 assert got.bias.tobytes() == want.bias.tobytes()
         else:
             diverged += 1
             with pytest.raises(TrainingError) as info:
-                _fit_ood_model(net0, X, y, env, beta, lr, wd, 120, grid.momentum)
+                _fit_ood_model(net0, X, y, env, beta, lr, wd, 120)
             assert info.value.epoch == bad_step
             assert isinstance(info.value.__cause__, NumericalError)
     assert diverged == 2

@@ -9,6 +9,8 @@ from richlab.experiments import (
     CSV_HEADER,
     FewshotConfig,
     OodConfig,
+    OodTask,
+    Representation,
     RunRecord,
     TransferConfig,
     default_shift_spec,
@@ -29,7 +31,7 @@ from richlab.experiments import (
     write_records_csv,
 )
 from richlab.rng import SplitMix64
-from richlab.tasks import Dataset, EpisodeSpec, ShiftSpec, env_partition, gen_shift, sample_episode
+from richlab.tasks import Dataset, EpisodeSpec, ShiftSpec, gen_shift, sample_episode
 
 FAST_TRAIN = TrainConfig(lr=0.1, epochs=8, batch_size=32, momentum=0.9)
 
@@ -426,14 +428,14 @@ def _episodes_and_reference():
     spec = EpisodeSpec(3, 2, 5)
     rng = SplitMix64(21)
     episodes = [sample_episode(novel.train, spec, rng) for _ in range(9)]
-    cfg = FewshotConfig(episode_probe=ProbeConfig(l2=1e-3, max_iters=150, grad_tol=1e-6))
+    cfg = FewshotConfig(probe=ProbeConfig(l2=1e-3, max_iters=150, grad_tol=1e-6))
 
     def feature_fn(X):
         return cat_features(bank, X)
 
     reference = []
     for support, query in episodes:
-        probe = fit_probe(feature_fn(support.X), support.y, cfg.episode_probe,
+        probe = fit_probe(feature_fn(support.X), support.y, cfg.probe,
                           n_classes=spec.n_way)
         reference.append(float((probe.predict(feature_fn(query.X)) == query.y).mean()))
     return feature_fn, episodes, spec, cfg, reference
@@ -502,7 +504,7 @@ def test_zero_norm_row_in_a_cosine_episode_names_the_episode(where, message, epo
     episodes = [(rows(), rows()) for _ in range(3)]
     support, query = episodes[2]
     (support if where == "support" else query).X[3] = 0.0
-    cfg = FewshotConfig(classifier="cosine", cosine_epochs=2)
+    cfg = FewshotConfig(classifier="cosine")
     with pytest.raises(EpisodeError) as info:
         episode_accuracies(lambda X: X, episodes, spec, cfg)
     assert str(info.value) == f"cosine classifier of episode 2 failed: {message}"
@@ -524,8 +526,7 @@ def tiny_ood_task(seed=900):
 
     tune = gen_shift(replace(spec, env_correlations=(spec.ood_correlation,)),
                      seed + 1)[0][0]
-    envs = [*train_envs, tune, ood_test]
-    return env_partition(envs, {"train": [0, 1], "tune": 2, "test": 3})
+    return OodTask(train_envs, tune, ood_test)
 
 
 def test_run_ood_scratch_emits_selection():
@@ -559,8 +560,7 @@ def test_run_ood_single_env_vrex_equals_erm_for_all_beta():
     from dataclasses import replace
 
     tune = gen_shift(replace(spec, env_correlations=(spec.ood_correlation,)), 32)[0][0]
-    task = env_partition([train_envs[0], tune, ood_test],
-                         {"train": [0], "tune": 1, "test": 2})
+    task = OodTask([train_envs[0]], tune, ood_test)
     common = dict(init="scratch", tune_mode="ood", lr_grid=(0.1,), wd_grid=(0.0,),
                   steps=40, hidden=(6,), seeds=(1,))
     erm = run_ood(task, OodConfig(algorithm="erm", **common), run_id="a", task_name="t")
@@ -599,13 +599,44 @@ def test_run_ood_cat_init_needs_bank():
         run_ood(task, cfg)
 
 
+@pytest.mark.parametrize("init,given", [("cat", "distill"), ("scratch", "cat")])
+def test_run_ood_refuses_a_representation_its_init_does_not_name(init, given):
+    from richlab.richrep import RepresentationBank, init_trunk
+
+    task = tiny_ood_task()
+    bank = RepresentationBank([init_trunk([task.test_env.d, 4], seed=1)])
+    cfg = OodConfig(algorithm="erm", init=init, tune_mode="ood", seeds=(1,))
+    with pytest.raises(ParameterError, match=f"init={init!r} .* got {given!r}"):
+        run_ood(task, cfg, Representation(given, given, bank))
+
+
 def test_run_ood_frozen_cat_trains_head_only():
-    from richlab.richrep import train_episodes
+    from richlab.experiments import build_representations
     from richlab.tasks import pool
 
     task = tiny_ood_task()
-    bank = train_episodes(pool(task.train_envs), (6,), FAST_TRAIN, [1, 2])
+    (rep,) = build_representations(["cat"], pool(task.train_envs),
+                                   TransferConfig(hidden=(6,), n_episodes=2, train=FAST_TRAIN), 1)
     cfg = OodConfig(algorithm="vrex", beta_grid=(1.0,), init="cat", tune_mode="ood",
                     lr_grid=(0.1,), wd_grid=(0.0,), steps=40, seeds=(1,))
-    recs = run_ood(task, cfg, init_bank=bank, run_id="ood", task_name="t")
-    assert any(r.method == "cat2" for r in recs)
+    recs = run_ood(task, cfg, rep, run_id="ood", task_name="t")
+    assert {r.method for r in recs} == {"cat2"}   # as build_representations names it
+
+
+def test_ood_bundle_draws_each_role_from_the_shift_generator():
+    # train and test environments from one gen_shift draw, and a tune
+    # environment of n_per_env rows at the OOD correlation from its own seed
+    from dataclasses import replace
+
+    from richlab.cli import make_ood_bundle
+    from richlab.rng import derive_seed
+
+    spec = tiny_spec()
+    task = make_ood_bundle(spec, 40)
+    train_envs, _, ood_test = gen_shift(spec, 40)
+    tune = gen_shift(replace(spec, env_correlations=(spec.ood_correlation,)),
+                     derive_seed(40, 3))[0][0]
+    for got, want in zip((*task.train_envs, task.tune_env, task.test_env),
+                         (*train_envs, tune, ood_test), strict=True):
+        assert got.X.tobytes() == want.X.tobytes()
+        assert (got.y.tobytes(), got.env.tobytes()) == (want.y.tobytes(), want.env.tobytes())

@@ -49,7 +49,7 @@ RESULTS_SHA256 = {
     "fewshot-cosine": "89330bea10d08689c7b3e268be6adc2a4169e20a45bc2a7dc250c85398eff427",
     "fewshot-linear": "43d017e1da51579e09d30e7fc85a36330a839f60320de66b0857a619e291f06b",
     "ood-init-cat": "23c77138ef8105d30b4d61e713babe11f9939238f518c27d4074f9908603618e",
-    "ood-init-distill": "09393b50b9e2c5f453fe41f41ca09ad4d7d0d58501dd2ff83c2cd454f996156f",
+    "ood-init-distill": "fdea8902c840cb0b340b4534dae0ced6b8e6fe773a34aae81adedae63949f2f7",
     "transfer-novel": "a1435453aafbf81cd30a5542cda562be1bbdd74939070769f050c7a32b7e88d6",
     "transfer-ood-sample": "6631a8ec7c0c82f7a0b62be4c100f8a5bbe2df8acb28220b828372f2db99f36c",
 }

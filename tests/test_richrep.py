@@ -8,7 +8,6 @@ from richlab.core_nn import (
     TrainConfig,
     extract_features,
     init_network,
-    kl_distill_loss,
     train,
 )
 from richlab.core_nn.layers import glorot_layer
@@ -344,22 +343,6 @@ def test_subset_ensemble_count_mismatch():
 
 # ---------------------------------------------------------------------------
 # distillation
-
-def test_self_distillation_is_fixed_point():
-    data = toy_data()
-    bank = train_episodes(data, (8,), CFG, [9])
-    spec = DistillSpec(mode="kl", tau=4.0, student_arch=(8,))
-    student_init = bank.extractors[0].clone()
-    head_init = [bank.heads[0]]
-    student_logits = (extract_features(student_init, data.X) @ head_init[0].weights.T
-                      + head_init[0].bias)
-    loss0, _ = kl_distill_loss(leg_logits(bank, 0, data.X), student_logits, spec.tau)
-    assert loss0 < 1e-10
-    cfg = TrainConfig(lr=0.1, epochs=2, batch_size=32, momentum=0.0, seed=1)
-    student = distill(bank, spec, data, cfg, student_init=student_init,
-                      head_inits=head_init)
-    assert trunks_equal(student, student_init)  # zero gradient, nothing moves
-
 
 def test_ce_kl_alpha_one_matches_kl_trajectory():
     data = toy_data()

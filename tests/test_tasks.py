@@ -8,7 +8,6 @@ from richlab.tasks import (
     Dataset,
     EpisodeSpec,
     ShiftSpec,
-    env_partition,
     gen_shift,
     pool,
     sample_episode,
@@ -165,25 +164,3 @@ def test_episode_insufficient_rows():
     spec = EpisodeSpec(n_way=5, k_shot=3, n_query=10)
     with pytest.raises(SamplingError):
         sample_episode(ds, spec, SplitMix64(1))
-
-
-# ---------------------------------------------------------------------------
-# environment partitions
-
-def five_envs():
-    return [ten_class_dataset(n=50, seed=s) for s in range(5)]
-
-
-def test_env_partition_hospital_roles():
-    task = env_partition(five_envs(), {"train": [0, 1, 2], "tune": 3, "test": 4})
-    assert len(task.train_envs) == 3
-
-
-def test_env_partition_overlap_rejected():
-    with pytest.raises(ParameterError):
-        env_partition(five_envs(), {"train": [0, 1, 2], "tune": 4, "test": 4})
-
-
-def test_env_partition_single_train_env():
-    task = env_partition(five_envs(), {"train": [0], "tune": 1, "test": 2})
-    assert len(task.train_envs) == 1
