@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import sys
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable
-
-import jsonschema
 
 from .errors import ParameterError, RichlabError
 # imported, not called: perfbench/tests checks that its tracer wraps cli.train_episodes
@@ -51,6 +50,82 @@ SCHEMA_VERSION = 1
 def load_schema() -> dict:
     text = resources.files("richlab").joinpath("config_schema.json").read_text()
     return json.loads(text)
+
+
+# keywords that annotate the config schema and check nothing
+_ANNOTATIONS = frozenset({"$schema", "title", "$defs"})
+# each numeric bound: the test a value breaks it by, and the words that say so
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum"),
+           "maximum": (operator.gt, "greater than the maximum"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+           "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum")}
+_LENGTHS = {"minLength": str, "minItems": list}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+
+def _is_type(value, name: str) -> bool:
+    """Draft-7 types: a bool is no number, and a float with no fraction is an integer."""
+    if name not in ("integer", "number"):
+        return isinstance(value, _TYPES[name])
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return name == "number" or isinstance(value, int) or value.is_integer()
+
+
+def schema_errors(value, schema: dict, root: dict | None = None,
+                  path: tuple = ()) -> list[tuple[tuple, str]]:
+    """The ``(path, message)`` of every rule of ``schema`` that ``value`` breaks.
+
+    Implements the Draft-7 keywords the config schema uses, with
+    jsonschema's messages, and raises ``ValueError`` on any other keyword.
+    ``$ref`` points into the ``$defs`` of ``root``, by default ``schema``.
+    """
+    root = schema if root is None else root
+    errors = []
+    for key, rule in schema.items():
+        message = None
+        if key == "$ref":
+            sub = root["$defs"][rule.removeprefix("#/$defs/")]
+            errors += schema_errors(value, sub, root, path)
+        elif key == "type":
+            if not _is_type(value, rule):
+                message = f"{value!r} is not of type {rule!r}"
+        elif key == "enum":
+            if not any(value == v and isinstance(value, bool) == isinstance(v, bool)
+                       for v in rule):
+                message = f"{value!r} is not one of {rule!r}"
+        elif key in _BOUNDS:
+            breaks, words = _BOUNDS[key]
+            if _is_type(value, "number") and breaks(value, rule):
+                message = f"{value!r} is {words} of {rule!r}"
+        elif key in _LENGTHS:
+            if isinstance(value, _LENGTHS[key]) and len(value) < rule:
+                message = f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif key == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    errors += schema_errors(item, rule, root, (*path, i))
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in rule.items():
+                    if name in value:
+                        errors += schema_errors(value[name], sub, root, (*path, name))
+        elif key == "required":
+            if isinstance(value, dict):
+                errors += [(path, f"{name!r} is a required property")
+                           for name in rule if name not in value]
+        elif key == "additionalProperties" and rule is False:
+            extras = set(value) - set(schema.get("properties", ())) \
+                if isinstance(value, dict) else set()
+            if extras:
+                names = ", ".join(repr(name) for name in sorted(extras, key=str))
+                message = (f"Additional properties are not allowed "
+                           f"({names} {'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif key not in _ANNOTATIONS:
+            raise ValueError(f"config schema keyword {key!r} is not implemented")
+        if message is not None:
+            errors.append((path, message))
+    return errors
 
 
 def _config_error(msg: str) -> int:
@@ -221,12 +296,11 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         return _config_error(f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    validator = jsonschema.Draft7Validator(load_schema())
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    errors = sorted(schema_errors(cfg, load_schema()), key=lambda e: e[0])
     if errors:
-        for err in errors:
-            path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-            print(f"config error: field {path}: {err.message}", file=sys.stderr)
+        for path, message in errors:
+            field = "/".join(str(p) for p in path) or "<root>"
+            print(f"config error: field {field}: {message}", file=sys.stderr)
         return 2
     if seed is not None:
         cfg["master_seed"] = seed

@@ -50,7 +50,16 @@ from .richrep import (
     snapshot_episode,
     two_stage_finetune,
 )
-from .tasks import Dataset, EpisodeSpec, ShiftSpec, gen_shift, pool, sample_episode, split_classes
+from .tasks import (
+    Dataset,
+    EpisodeSpec,
+    ShiftSpec,
+    draw_env,
+    gen_shift,
+    pool,
+    sample_episode,
+    split_classes,
+)
 
 SPLITS = ("id_train", "id_test", "ood_tune", "ood_test", "fewshot", "verify")
 CSV_HEADER = "run_id,seed,method,task,split,metric,value,extra"
@@ -203,10 +212,14 @@ def default_split_spec() -> ShiftSpec:
 
 
 def ood_sample(spec: ShiftSpec, seed: int, rows: int) -> Dataset:
-    """``rows`` rows of one environment at the OOD correlation."""
-    sample_spec = replace(spec, env_correlations=(spec.ood_correlation,),
-                          n_per_env=rows)
-    return gen_shift(sample_spec, seed)[0][0]
+    """``rows`` rows of one environment at the OOD correlation.
+
+    The same bytes as the first training environment of the shift task
+    whose one training correlation is the OOD one, drawn alone.
+    """
+    if rows < 1:
+        raise ParameterError(f"an OOD sample needs at least one row, got {rows}")
+    return draw_env(spec, spec.ood_correlation, rows, 0, SplitMix64(seed))
 
 
 def make_shift_task(spec: ShiftSpec, seed: int, name: str = "shift",

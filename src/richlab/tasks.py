@@ -116,7 +116,9 @@ class ShiftSpec:
         return slice(self.d_core + self.d_spur, self.d)
 
 
-def _draw_env(spec: ShiftSpec, rho: float, n: int, env_id: int, rng: SplitMix64) -> Dataset:
+def draw_env(spec: ShiftSpec, rho: float, n: int, env_id: int, rng: SplitMix64) -> Dataset:
+    """``n`` rows of environment ``env_id`` at spurious correlation ``rho``,
+    drawn from ``rng``."""
     k = spec.n_classes
     y = rng.integers(k, n)
     # spurious prototype index: the label with probability rho, else a
@@ -143,15 +145,15 @@ def gen_shift(spec: ShiftSpec, seed: int) -> tuple[list[Dataset], Dataset, Datas
     """
     rng = SplitMix64(seed)
     train_envs = [
-        _draw_env(spec, rho, spec.n_per_env, e, rng)
+        draw_env(spec, rho, spec.n_per_env, e, rng)
         for e, rho in enumerate(spec.env_correlations)
     ]
     id_test = pool(
-        _draw_env(spec, rho, spec.n_per_env, e, rng)
+        draw_env(spec, rho, spec.n_per_env, e, rng)
         for e, rho in enumerate(spec.env_correlations)
     )
-    ood_test = _draw_env(spec, spec.ood_correlation, spec.n_per_env,
-                         len(spec.env_correlations), rng)
+    ood_test = draw_env(spec, spec.ood_correlation, spec.n_per_env,
+                        len(spec.env_correlations), rng)
     return train_envs, id_test, ood_test
 
 

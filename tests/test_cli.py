@@ -62,6 +62,126 @@ def test_run_missing_file(capsys):
     assert cli.cmd_run("/nonexistent/config.json") == 2
 
 
+# (keyword, config, the errors the config breaks the schema by, as
+# "path: message"); the errors are those jsonschema's Draft7Validator gave
+SCHEMA_CASES = [
+    ("type", {"pipeline": "verify", "master_seed": True},
+     ["master_seed: True is not of type 'integer'"]),
+    ("type", {"pipeline": "transfer", "train": {"lr": True}},
+     ["train/lr: True is not of type 'number'"]),
+    ("type", [], ["<root>: [] is not of type 'object'"]),
+    ("type", {"pipeline": "transfer", "task": [1], "output_dir": 3, "include_anchors": 1,
+              "methods": "erm", "n_episodes": None},
+     ["include_anchors: 1 is not of type 'boolean'", "methods: 'erm' is not of type 'array'",
+      "n_episodes: None is not of type 'integer'", "output_dir: 3 is not of type 'string'",
+      "task: [1] is not of type 'object'"]),
+    ("enum", {"pipeline": "discombobulate"},
+     ["pipeline: 'discombobulate' is not one of ['transfer', 'fewshot', 'ood', 'verify']"]),
+    ("enum", {"pipeline": "verify", "schema_version": True},
+     ["schema_version: True is not of type 'integer'", "schema_version: True is not one of [1]"]),
+    ("enum", {"pipeline": "verify", "schema_version": 2}, ["schema_version: 2 is not one of [1]"]),
+    ("required", {}, ["<root>: 'pipeline' is a required property"]),
+    ("additionalProperties", {"pipeline": "verify", "tyop": 1, "abc": 2},
+     ["<root>: Additional properties are not allowed ('abc', 'tyop' were unexpected)"]),
+    ("additionalProperties", {"pipeline": "transfer", "train": {"schedule": {"evry": 3}},
+                              "task": {"kind": "shift", "n_class": 3}},
+     ["task: Additional properties are not allowed ('n_class' was unexpected)",
+      "train/schedule: Additional properties are not allowed ('evry' was unexpected)"]),
+    ("properties", {"master_seed": -1, "tyop": 1},
+     ["<root>: Additional properties are not allowed ('tyop' was unexpected)",
+      "<root>: 'pipeline' is a required property",
+      "master_seed: -1 is less than the minimum of 0"]),
+    ("items", {"pipeline": "transfer", "hidden": [4, 0, "x", True]},
+     ["hidden/1: 0 is less than the minimum of 1", "hidden/2: 'x' is not of type 'integer'",
+      "hidden/3: True is not of type 'integer'"]),
+    # paths sort with their indices as numbers: 2 before 10
+    ("items", {"pipeline": "transfer", "hidden": [1, 1, 0, 1, 1, 1, 1, 1, 1, 1, -1]},
+     ["hidden/2: 0 is less than the minimum of 1", "hidden/10: -1 is less than the minimum of 1"]),
+    ("minimum", {"pipeline": "transfer", "probe": {"l2": float("-inf")}},
+     ["probe/l2: -inf is less than the minimum of 0"]),
+    ("maximum", {"pipeline": "verify", "n_seeds": 51, "n_episodes": 50,
+                 "distill": {"alpha": float("inf")}},
+     ["distill/alpha: inf is greater than the maximum of 1",
+      "n_seeds: 51 is greater than the maximum of 50"]),
+    ("exclusiveMinimum", {"pipeline": "transfer", "train": {"lr": 0}, "stage2_lr": 0.0},
+     ["stage2_lr: 0.0 is less than or equal to the minimum of 0",
+      "train/lr: 0 is less than or equal to the minimum of 0"]),
+    ("exclusiveMaximum", {"pipeline": "ood", "ood": {"holdout_frac": 1},
+                          "train": {"momentum": 1.0}},
+     ["ood/holdout_frac: 1 is greater than or equal to the maximum of 1",
+      "train/momentum: 1.0 is greater than or equal to the maximum of 1"]),
+    ("minLength", {"pipeline": "verify", "output_dir": ""}, ["output_dir: '' should be non-empty"]),
+    ("minItems", {"pipeline": "transfer", "methods": [], "task": {"env_correlations": []}},
+     ["methods: [] should be non-empty", "task/env_correlations: [] should be non-empty"]),
+    ("$ref", {"pipeline": "transfer", "train": {"schedule": {"every": 0}},
+              "ft": {"schedule": {"kind": "linear"}}, "distill_train": {"epochs": -1}},
+     ["distill_train/epochs: -1 is less than the minimum of 0",
+      "ft/schedule/kind: 'linear' is not one of ['constant', 'step', 'cosine']",
+      "train/schedule/every: 0 is less than the minimum of 1"]),
+]
+
+
+@pytest.mark.parametrize("config,want", [
+    pytest.param(config, want, id=f"{keyword}-{i}")
+    for i, (keyword, config, want) in enumerate(SCHEMA_CASES)])
+def test_run_reports_every_schema_error_sorted_by_path(tmp_path, capsys, config, want):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.cmd_run(str(path), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "".join(f"config error: field {line}\n" for line in want)
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_integral_float_is_an_integer_and_a_bool_is_not():
+    schema = cli.load_schema()
+    assert cli.schema_errors({"pipeline": "verify", "n_seeds": 1.0, "schema_version": 1.0},
+                             schema) == []
+    assert cli.schema_errors({"pipeline": "verify", "n_seeds": 1.5}, schema) == [
+        (("n_seeds",), "1.5 is not of type 'integer'")]
+    assert cli.schema_errors({"pipeline": "verify", "n_seeds": False}, schema) == [
+        (("n_seeds",), "False is not of type 'integer'")]
+
+
+def _schema_keywords(schema: dict) -> set[str]:
+    found = set(schema)
+    for key, rule in schema.items():
+        subschemas = (rule.values() if key in ("properties", "$defs")
+                      else [rule] if key == "items" else [])
+        for sub in subschemas:
+            found |= _schema_keywords(sub)
+    return found
+
+
+def test_every_schema_keyword_is_implemented_and_has_a_case():
+    # a schema edit that uses a new keyword fails here until the validator has it
+    keywords = _schema_keywords(cli.load_schema()) - cli._ANNOTATIONS
+    assert keywords == {keyword for keyword, _, _ in SCHEMA_CASES}
+    with pytest.raises(ValueError, match="'maxLength'"):
+        cli.schema_errors("abc", {"maxLength": 2})
+    with pytest.raises(ValueError, match="'additionalProperties'"):
+        cli.schema_errors({}, {"additionalProperties": True})
+
+
+def test_start_up_loads_no_third_party_package_but_numpy():
+    # diffed against a bare interpreter, so what the site hooks load does not count
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def loaded(code):
+        out = subprocess.run(
+            [sys.executable, "-c", f"{code}; import sys; print(*sorted(sys.modules))"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        return set(out.split())
+
+    added = (loaded("from richlab import cli; cli.load_schema()") - loaded("pass"))
+    tops = {name.partition(".")[0] for name in added}
+    assert tops - set(sys.stdlib_module_names) - {"richlab"} == {"numpy"}
+
+
 def test_run_transfer_pipeline_writes_outputs(tmp_path):
     cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"), **FAST_TRANSFER)
     assert cli.cmd_run(cfg) == 0
@@ -79,11 +199,12 @@ def test_run_transfer_pipeline_writes_outputs(tmp_path):
 @pytest.mark.parametrize("field,value", [("grad_tol", float("inf")), ("l2", float("nan"))])
 def test_run_rejects_non_finite_probe_config(tmp_path, capsys, field, value):
     # Python's json reads NaN and Infinity, and the schema's bounds let both through
-    cfg = write_config(tmp_path, **dict(FAST_TRANSFER, probe={field: value},
-                                        output_dir=str(tmp_path / "out")))
-    assert cli.cmd_run(cfg) == 2
+    config = dict(FAST_TRANSFER, probe={field: value}, output_dir=str(tmp_path / "out"))
+    assert cli.schema_errors(config, cli.load_schema()) == []
+    assert cli.cmd_run(write_config(tmp_path, **config)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
+    assert "config error: field" not in err
     assert not (tmp_path / "out" / "results.csv").exists()
 
 

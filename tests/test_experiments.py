@@ -14,11 +14,13 @@ from richlab.experiments import (
     RunRecord,
     TransferConfig,
     default_shift_spec,
+    default_split_spec,
     episode_accuracies,
     fit_cosine_classifier,
     load_records_csv,
     make_class_split_tasks,
     make_shift_task,
+    ood_sample,
     parse_extra,
     SPLITS,
     records_to_csv_text,
@@ -640,3 +642,22 @@ def test_ood_bundle_draws_each_role_from_the_shift_generator():
                          (*train_envs, tune, ood_test), strict=True):
         assert got.X.tobytes() == want.X.tobytes()
         assert (got.y.tobytes(), got.env.tobytes()) == (want.y.tobytes(), want.env.tobytes())
+
+
+@pytest.mark.parametrize("make_spec", [default_shift_spec, default_split_spec])
+@pytest.mark.parametrize("rows", [600, 1500])
+def test_ood_sample_is_the_first_environment_of_a_one_environment_shift_task(make_spec, rows):
+    from dataclasses import replace
+
+    spec = make_spec()
+    got = ood_sample(spec, 77, rows)
+    want = gen_shift(replace(spec, env_correlations=(spec.ood_correlation,), n_per_env=rows),
+                     77)[0][0]
+    assert got.X.tobytes() == want.X.tobytes()
+    assert (got.y.tobytes(), got.env.tobytes()) == (want.y.tobytes(), want.env.tobytes())
+    assert (got.X.shape, got.n_classes) == (want.X.shape, want.n_classes)
+
+
+def test_ood_sample_refuses_an_empty_sample():
+    with pytest.raises(ParameterError):
+        ood_sample(default_shift_spec(), 1, 0)
