@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import operator
 import sys
 from dataclasses import dataclass, fields, replace
@@ -64,12 +65,13 @@ _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 
 
 def _is_type(value, name: str) -> bool:
-    """Draft-7 types: a bool is no number, and a float with no fraction is an integer."""
+    """JSON types, stricter than Draft 7: a bool is no number, ``2.0`` no integer, NaN
+    and infinity (which Python's json reads) no number."""
     if name not in ("integer", "number"):
         return isinstance(value, _TYPES[name])
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return name == "number" or isinstance(value, int) or value.is_integer()
+    return isinstance(value, int) if name == "integer" else math.isfinite(value)
 
 
 def schema_errors(value, schema: dict, root: dict | None = None,
@@ -133,27 +135,52 @@ def _config_error(msg: str) -> int:
     return 2
 
 
-def _merged(default, values: dict, section: str | None = None):
+def _field_errors(errors: list[tuple[tuple, str]]) -> int:
+    """Print one line per ``(path, message)``, sorted by path; returns exit code 2."""
+    for path, message in sorted(errors, key=lambda e: e[0]):
+        field = "/".join(str(p) for p in path) or "<root>"
+        print(f"config error: field {field}: {message}", file=sys.stderr)
+    return 2
+
+
+def _merged(default, values: dict, read: set, section: str | None = None, at: tuple = ()):
     """``default`` with the fields that ``values`` names replaced, then
     those that its ``section`` names, if the config has that section.
 
     Keys that are not fields of ``default`` are left to other configs.
     JSON arrays become tuples, and a JSON object updates the dataclass
     held in its field the same way, so every unset value keeps the one
-    default its dataclass declares.
+    default its dataclass declares.  The path of every key read, with
+    ``values`` at path ``at`` of the config, goes into ``read``.
     """
     updates = {}
     for f in fields(default):
         if f.name not in values:
             continue
+        read.add((*at, f.name))
         value = values[f.name]
         if isinstance(value, dict):
-            value = _merged(getattr(default, f.name), value)
+            value = _merged(getattr(default, f.name), value, read, at=(*at, f.name))
         elif isinstance(value, list):
             value = tuple(value)
         updates[f.name] = value
     merged = replace(default, **updates)
-    return _merged(merged, values[section]) if section in values else merged
+    if section not in values:
+        return merged
+    read.add((*at, section))
+    return _merged(merged, values[section], read, at=(*at, section))
+
+
+def _unread(values: dict, read: set, at: tuple = ()) -> list[tuple]:
+    """Paths of the keys in ``values`` that no config read, outermost only."""
+    paths = []
+    for key, value in values.items():
+        path = (*at, key)
+        if path not in read:
+            paths.append(path)
+        elif isinstance(value, dict):
+            paths += _unread(value, read, path)
+    return paths
 
 
 @dataclass(frozen=True)
@@ -184,20 +211,23 @@ _KINDS = {"transfer": ("shift", "class_split"), "fewshot": ("class_split",),
           "ood": ("shift",)}
 _SPECS = {"shift": default_shift_spec, "class_split": default_split_spec}
 _TARGETS = {"shift": ("same", "ood_sample"), "class_split": ("same", "novel")}
+# an ood run's frozen initialization trains its bank with the transfer
+# settings that build_representations reads, and no others
+_BANK_KEYS = ("hidden", "n_episodes", "train", "distill", "distill_train")
 
 
-def _task(cfg: dict, pipeline: str) -> tuple[str, ShiftSpec]:
+def _task(cfg: dict, read: set, pipeline: str) -> tuple[str, ShiftSpec]:
     """The task kind and generator spec a config asks of ``pipeline``.
 
     The one reader of the task ``kind``: a kind the pipeline cannot serve
     is a configuration error.
     """
     kinds = _KINDS[pipeline]
-    kind = _merged(TaskConfig(kinds[0]), cfg, "task").kind
+    kind = _merged(TaskConfig(kinds[0]), cfg, read, "task").kind
     if kind not in kinds:
         raise ParameterError(f"task kind {kind!r} does not apply to the {pipeline} pipeline; "
                              f"choose from {', '.join(kinds)}")
-    return kind, _merged(_SPECS[kind](), cfg, "task")
+    return kind, _merged(_SPECS[kind](), cfg, read, "task")
 
 
 def _split_tasks(spec: ShiftSpec, seed: int):
@@ -207,10 +237,10 @@ def _split_tasks(spec: ShiftSpec, seed: int):
                                   list(range(half, spec.n_classes)))
 
 
-def _transfer_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord]]:
+def _transfer_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[RunRecord]]:
     """Build the transfer config dataclasses; the returned call runs the pipeline."""
-    tc = replace(_merged(TransferConfig(), cfg), seeds=run.seeds)
-    kind, spec = _task(cfg, "transfer")
+    tc = replace(_merged(TransferConfig(), cfg, read), seeds=run.seeds)
+    kind, spec = _task(cfg, read, "transfer")
     if tc.target not in _TARGETS[kind]:
         raise ParameterError(f"target {tc.target!r} does not apply to a {kind!r} task; "
                              f"choose from {', '.join(_TARGETS[kind])}")
@@ -231,11 +261,11 @@ def _transfer_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord
     return pipeline
 
 
-def _fewshot_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord]]:
+def _fewshot_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[RunRecord]]:
     """Build the few-shot config dataclasses; the returned call runs the pipeline."""
-    episode_spec = _merged(EpisodeSpec(), cfg, "fewshot")
-    fc = replace(_merged(FewshotConfig(), cfg, "fewshot"), seeds=run.seeds)
-    _, spec = _task(cfg, "fewshot")
+    episode_spec = _merged(EpisodeSpec(), cfg, read, "fewshot")
+    fc = replace(_merged(FewshotConfig(), cfg, read, "fewshot"), seeds=run.seeds)
+    _, spec = _task(cfg, read, "fewshot")
 
     def pipeline() -> list[RunRecord]:
         base, novel_task = _split_tasks(spec, run.master_seed + 2)
@@ -251,14 +281,12 @@ def make_ood_bundle(spec: ShiftSpec, seed: int) -> OodTask:
                    ood_test)
 
 
-def _ood_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord]]:
+def _ood_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[RunRecord]]:
     """Build the OOD config dataclasses; the returned call runs the pipeline."""
-    oc = replace(_merged(OodConfig(), cfg, "ood"), seeds=run.seeds)
-    _, spec = _task(cfg, "ood")
-    # a frozen initialization trains its bank with the transfer settings; an
-    # ood run takes no methods, so a methods key is left unread, as before
-    bank_cfg = {key: value for key, value in cfg.items() if key != "methods"}
-    tc = _merged(TransferConfig(), bank_cfg) if oc.init != "scratch" else None
+    oc = replace(_merged(OodConfig(), cfg, read, "ood"), seeds=run.seeds)
+    _, spec = _task(cfg, read, "ood")
+    tc = (_merged(TransferConfig(), {key: cfg[key] for key in _BANK_KEYS if key in cfg}, read)
+          if oc.init != "scratch" else None)
     master = run.master_seed
 
     def pipeline() -> list[RunRecord]:
@@ -272,6 +300,7 @@ def _ood_pipeline(cfg: dict, run: RunConfig) -> Callable[[], list[RunRecord]]:
     return pipeline
 
 
+# each builder adds the path of every config key it reads to its ``read``
 _PIPELINES = {"transfer": _transfer_pipeline, "fewshot": _fewshot_pipeline,
              "ood": _ood_pipeline}
 
@@ -296,26 +325,30 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         return _config_error(f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    errors = sorted(schema_errors(cfg, load_schema()), key=lambda e: e[0])
+    errors = schema_errors(cfg, load_schema())
     if errors:
-        for path, message in errors:
-            field = "/".join(str(p) for p in path) or "<root>"
-            print(f"config error: field {field}: {message}", file=sys.stderr)
-        return 2
+        return _field_errors(errors)
     if seed is not None:
         cfg["master_seed"] = seed
     if out is not None:
         cfg["output_dir"] = out
-    run = _merged(RunConfig(), cfg)
+    # the schema checks the version; this reads the pipeline
+    read = {("schema_version",), ("pipeline",)}
+    run = _merged(RunConfig(), cfg, read)
     out_dir = Path(run.output_dir)
 
     pipeline = cfg["pipeline"]
     # every config dataclass is built before any pipeline work, so a value
-    # that one rejects is a configuration error, not a runtime failure
+    # that one rejects, or a key that none reads, is a configuration error,
+    # not a runtime failure or a setting that silently does nothing
     try:
-        work = _PIPELINES[pipeline](cfg, run) if pipeline in _PIPELINES else None
+        work = _PIPELINES[pipeline](cfg, run, read) if pipeline in _PIPELINES else None
     except ParameterError as exc:
         return _config_error(str(exc))
+    unread = _unread(cfg, read)
+    if unread:
+        return _field_errors([(path, f"the {pipeline} pipeline does not read this key")
+                              for path in unread])
     try:
         suites_ok = True
         if work is None:

@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DataError, ParameterError
-from .layers import Network, as_feature_matrix, layer_params, stack_backward, stack_forward
+from .layers import (Network, as_feature_matrix, forward, layer_params, stack_backward,
+                     stack_forward)
 from .losses import cross_entropy_loss
 from .optim import TrainConfig, sgd_fit
 
@@ -82,13 +83,7 @@ def train(
     return net, sgd_fit(layer_params(net.layers), loss_and_grad, n, config, hook, seeds)
 
 
-def predict_logits(net: Network, X) -> np.ndarray:
-    from .layers import forward
-
-    return forward(net, X)[0]
-
-
 def accuracy(net: Network, X, y) -> float:
     """Fraction of rows whose argmax logit (lowest index on ties) matches ``y``."""
-    logits = predict_logits(net, X)
+    logits = forward(net, X)[0]
     return float((logits.argmax(axis=1) == np.asarray(y)).mean())

@@ -38,7 +38,7 @@ from .core_nn.losses import (
 )
 from .core_nn.optim import TrainConfig, sgd_fit
 from .core_nn.train import train
-from .errors import EpisodeError, ParameterError, TrainingError
+from .errors import EpisodeError, ParameterError, ShapeError, TrainingError
 from .probing import ProbeCache, ProbeResult, fit_probe
 from .rng import SplitMix64, derive_seed
 from .tasks import Dataset
@@ -51,7 +51,9 @@ class RepresentationBank:
     ``heads`` keeps the classifier each trunk ended with (used as the
     frozen teacher heads in distillation and to initialize the two-stage
     fine-tuning classifier); trunks trained under a shared head, and a
-    distilled student, have none.
+    distilled student, have none.  A bank holds one architecture: every
+    trunk, and every head, has the layer shapes and activations of the
+    first, so the members of a bank always train as one stack.
     """
 
     extractors: list[Network]
@@ -62,6 +64,13 @@ class RepresentationBank:
             raise ParameterError("a bank needs at least one extractor")
         if self.heads is not None and len(self.heads) != len(self.extractors):
             raise ParameterError("one saved head per extractor required")
+        heads = [[head] for head in self.heads] if self.heads is not None else [[]] * len(self)
+        archs = [[(layer.weights.shape, layer.activation) for layer in [*net.layers, *head]]
+                 for net, head in zip(self.extractors, heads)]
+        for i, arch in enumerate(archs):
+            if arch != archs[0]:
+                raise ShapeError(f"bank member {i} differs from member 0 in a layer's shape "
+                                 f"or activation: {arch} against {archs[0]}")
 
     def __len__(self) -> int:
         return len(self.extractors)
@@ -111,25 +120,6 @@ def _clone_layer(layer: DenseLayer) -> DenseLayer:
     return DenseLayer(layer.weights.copy(), layer.bias.copy(), layer.activation)
 
 
-def _groups(keys) -> list[list[int]]:
-    """Positions of equal keys, one list per distinct key in order of first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
-def _layer_key(layer: DenseLayer) -> tuple:
-    """What layers must share to train as one stack."""
-    return layer.weights.shape, layer.activation
-
-
-def _slots(groups) -> list[tuple[int, int]]:
-    """``(group, position in group)`` of every member, in member order."""
-    where = {i: (g, j) for g, members in enumerate(groups) for j, i in enumerate(members)}
-    return [where[i] for i in range(len(where))]
-
-
 def _stack_nets(nets) -> list[DenseLayer]:
     """The layers of equal-shaped ``nets`` as one stacked layer per depth."""
     return [stack_layers(depth) for depth in zip(*(net.layers for net in nets))]
@@ -165,17 +155,15 @@ def split_head(net: Network) -> tuple[Network, DenseLayer]:
 def _train_members(nets, data: Dataset, config: TrainConfig, seeds, names) -> None:
     """Train each of ``nets`` in place, net ``i`` on the batch order of ``seeds[i]``.
 
-    The nets of one shape train as one stack through one :func:`train`,
-    which gives each the bits it would get alone.  A stack stops at the
-    first member to diverge, which need not be the first in order, so on
-    a divergence the nets are retrained one by one and the error names
-    ``names[i]`` of the first net that diverges, as a loop over them would.
+    The nets share one architecture and train as one stack through one
+    :func:`train`, which gives each the bits it would get alone.  A stack
+    stops at the first member to diverge, which need not be the first in
+    order, so on a divergence the nets are retrained one by one and the
+    error names ``names[i]`` of the first net that diverges, as a loop over
+    them would.
     """
-    groups = _groups([tuple(map(_layer_key, net.layers)) for net in nets])
     try:
-        stacks = [train(Network(_stack_nets([nets[i] for i in members])), data.X, data.y,
-                        config, seeds=[seeds[i] for i in members])[0]
-                  for members in groups]
+        stack = train(Network(_stack_nets(nets)), data.X, data.y, config, seeds=seeds)[0]
     except TrainingError:
         for net, seed, name in zip(nets, seeds, names):
             try:
@@ -184,8 +172,7 @@ def _train_members(nets, data: Dataset, config: TrainConfig, seeds, names) -> No
                 raise EpisodeError(f"{name} diverged: {exc}", seed=seed,
                                    epoch=exc.epoch) from exc
         return
-    for members, stack in zip(groups, stacks):
-        _unstack_nets([nets[i] for i in members], stack.layers)
+    _unstack_nets(nets, stack.layers)
 
 
 def train_episodes(data: Dataset, hidden, base_config: TrainConfig, seeds) -> RepresentationBank:
@@ -313,47 +300,41 @@ def _fit_episode(what: str, params, loss_and_grad, n_rows: int,
 
 
 def _distill_train(trunk, heads, targets, spec, X, y, config) -> Network:
-    """SGD over the trunk and the heads; the heads of one shape train as one stack.
+    """SGD over the trunk and the heads; the heads train as one stack.
 
-    Per batch each stack makes one head product, one loss call and one
+    Per batch the stack makes one head product, one loss call and one
     head-gradient product.  The per-teacher losses and trunk-gradient
     terms are then added in teacher order, from zero, as a loop over the
     heads would add them.
     """
     tau = float(spec.tau)
     alpha = float(spec.alpha) if spec.mode == "ce_kl" else 1.0
-    groups = _groups([_layer_key(head) for head in heads])
-    stacks = [stack_layers([heads[i] for i in members]) for members in groups]
-    targets = [np.stack([targets[i] for i in members]) for members in groups]
+    head = stack_layers(heads)
+    target = np.stack(targets)
     if spec.mode != "cosine":
-        # the tempered teacher targets are fixed: one log_softmax per stack
-        targets = [tempered_log_probs(tgt, tau) for tgt in targets]
-    slots = _slots(groups)
+        # the tempered teacher targets are fixed: one log_softmax for all
+        target = tempered_log_probs(target, tau)
 
     def loss_and_grad(idx):
         yb = y[idx]
         acts, pres = stack_forward(trunk.layers, X[idx])
         feat = acts[-1]
-        losses, d_feats, head_grads = [], [], []
-        for head, tgt in zip(stacks, targets):
-            out = feat @ head.weights.swapaxes(-1, -2)
-            out += head.bias
-            if spec.mode == "cosine":
-                loss, d_out = cosine_distill_loss(tgt[:, idx], out)
-            else:
-                logp, p = tgt
-                loss, d_out = distill_to_log_probs(logp[:, idx], p[:, idx], out, tau, yb, alpha)
-            losses.append(loss)
-            d_feats.append(d_out @ head.weights)
-            head_grads += (d_out.swapaxes(-1, -2) @ feat, d_out.sum(axis=-2, keepdims=True))
+        out = feat @ head.weights.swapaxes(-1, -2)
+        out += head.bias
+        if spec.mode == "cosine":
+            losses, d_out = cosine_distill_loss(target[:, idx], out)
+        else:
+            logp, p = target
+            losses, d_out = distill_to_log_probs(logp[:, idx], p[:, idx], out, tau, yb, alpha)
         batch_loss, d_feat = 0.0, np.zeros_like(feat)
-        for g, j in slots:
-            batch_loss += losses[g][j]
-            d_feat += d_feats[g][j]
+        for loss, d_teacher in zip(losses, d_out @ head.weights):
+            batch_loss += loss
+            d_feat += d_teacher
+        head_grads = [d_out.swapaxes(-1, -2) @ feat, d_out.sum(axis=-2, keepdims=True)]
         return batch_loss, head_grads + stack_backward(trunk.layers, acts, pres, d_feat)
 
     # the heads come first, so a divergence that reaches them names the teacher
-    _fit_episode("distillation", layer_params(stacks + trunk.layers), loss_and_grad,
+    _fit_episode("distillation", layer_params([head, *trunk.layers]), loss_and_grad,
                  X.shape[0], config)
     return trunk
 
@@ -366,31 +347,22 @@ def _train_multileg(legs: list[Network], head: DenseLayer, X, y, config: TrainCo
                     what: str) -> None:
     """In-place joint SGD over the legs and one head on their concatenated features.
 
-    Legs of one shape train as one stacked layer list, one
-    :func:`stack_forward` and one :func:`stack_backward` per batch; the
+    The legs share one architecture and train as one stacked layer list,
+    one :func:`stack_forward` and one :func:`stack_backward` per batch; the
     trained values are copied back into ``legs`` at the end.
     """
-    groups = _groups([tuple(map(_layer_key, leg.layers)) for leg in legs])
-    stacks = [_stack_nets([legs[i] for i in members]) for members in groups]
-    slots = _slots(groups)
-    offsets = np.cumsum([0, *(leg.layers[-1].n_out for leg in legs)])
+    stack = _stack_nets(legs)
 
     def loss_and_grad(idx):
-        xb = X[idx]
-        caches = [stack_forward(layers, xb) for layers in stacks]
-        feat = np.hstack([caches[g][0][-1][j] for g, j in slots])
+        acts, pres = stack_forward(stack, X[idx])
+        feat = np.concatenate(acts[-1], axis=1)
         loss, d_logits = cross_entropy_loss(feat @ head.weights.T + head.bias, y[idx])
-        d_feat = d_logits @ head.weights
-        grads = []
-        for members, layers, (acts, pres) in zip(groups, stacks, caches):
-            d_out = np.stack([d_feat[:, offsets[i]:offsets[i + 1]] for i in members])
-            grads += stack_backward(layers, acts, pres, d_out)
+        d_out = np.stack(np.hsplit(d_logits @ head.weights, len(legs)))
+        grads = stack_backward(stack, acts, pres, d_out)
         return loss, grads + [d_logits.T @ feat, d_logits.sum(axis=0)]
 
-    layers = [layer for group in stacks for layer in group] + [head]
-    _fit_episode(what, layer_params(layers), loss_and_grad, X.shape[0], config)
-    for members, group in zip(groups, stacks):
-        _unstack_nets([legs[i] for i in members], group)
+    _fit_episode(what, layer_params([*stack, head]), loss_and_grad, X.shape[0], config)
+    _unstack_nets(legs, stack)
 
 
 def naive_finetune(bank: RepresentationBank, data: Dataset,
@@ -438,7 +410,7 @@ def two_stage_finetune(
     """Fine-tune each leg separately, freeze, then train a concatenated head.
 
     Stage 1 trains every extractor with its own fresh classifier on the
-    target data; the legs of one shape train as one stack.  Stage 2
+    target data; the legs train as one stack.  Stage 2
     initializes the final classifier from the stacked leg classifiers (so
     before any step its logits equal the mean of the leg logits) and
     trains it briefly on frozen features.
@@ -494,23 +466,20 @@ def extractor_probes(bank: RepresentationBank, data: Dataset,
                      cache: ProbeCache) -> list[ProbeResult]:
     """One probe per extractor on its own features of the same rows.
 
-    Probes that ``cache`` holds are reused.  The other extractors of equal
-    width are fitted as one stacked problem, which gives each the probe it
-    would get alone, bit for bit; a lone one is fitted unstacked.
+    Probes that ``cache`` holds are reused.  The other extractors, a lone
+    one included, are fitted as one stacked problem, which gives each the
+    probe it would get alone, bit for bit.
     """
     feats = [extract_features(trunk, data.X) for trunk in bank.extractors]
     keys = [cache.key(f, data.y, data.n_classes) for f in feats]
     probes = [cache.probes.get(key) for key in keys]
-    for members in _groups(bank.dims):
-        miss = [i for i in members if probes[i] is None]
-        if len(miss) == 1:
-            probes[miss[0]] = cache.fit(feats[miss[0]], data.y, data.n_classes)
-        elif miss:
-            stack = fit_probe(np.stack([feats[i] for i in miss]),
-                              np.broadcast_to(data.y, (len(miss), data.n)),
-                              cache.config, n_classes=data.n_classes)
-            for j, i in enumerate(miss):
-                probes[i] = cache.probes[keys[i]] = stack[j]
+    miss = [i for i, probe in enumerate(probes) if probe is None]
+    if miss:
+        stack = fit_probe(np.stack([feats[i] for i in miss]),
+                          np.broadcast_to(data.y, (len(miss), data.n)),
+                          cache.config, n_classes=data.n_classes)
+        for j, i in enumerate(miss):
+            probes[i] = cache.probes[keys[i]] = stack[j]
     return probes
 
 

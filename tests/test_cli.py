@@ -52,6 +52,25 @@ def test_run_unknown_key_rejected(tmp_path, capsys):
     assert "tyop" in err
 
 
+@pytest.mark.parametrize("base,extra,unread", [
+    ("fewshot-linear", {"target": "ood_sample", "target_rows": 10, "stage2_epochs": 9,
+                        "ft": {"lr": 9.0}}, ["ft", "stage2_epochs", "target", "target_rows"]),
+    ("ood-init-cat", {"target": "novel", "methods": ["joint"]}, ["methods", "target"]),
+    # from scratch, an ood run builds no bank and reads none of its settings
+    ("ood-scratch", {}, ["distill_train", "n_episodes", "train"]),
+    ("verify", {"n_episodes": 5}, ["n_episodes"]),
+])
+def test_run_refuses_a_key_its_pipeline_does_not_read(tmp_path, capsys, base, extra, unread):
+    from test_pipeline_bytes import CASES, OOD
+
+    config = dict({**CASES, "ood-scratch": OOD, "verify": {"pipeline": "verify"}}[base], **extra)
+    assert cli.cmd_run(write_config(tmp_path, **config), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "".join(
+        f"config error: field {key}: the {config['pipeline']} pipeline does not read this key\n"
+        for key in unread)
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_bad_enum_value(tmp_path, capsys):
     cfg = write_config(tmp_path, pipeline="discombobulate")
     assert cli.cmd_run(cfg) == 2
@@ -63,7 +82,8 @@ def test_run_missing_file(capsys):
 
 
 # (keyword, config, the errors the config breaks the schema by, as
-# "path: message"); the errors are those jsonschema's Draft7Validator gave
+# "path: message"); the errors are those jsonschema's Draft7Validator gave,
+# which also holds for the stricter integer and number types here
 SCHEMA_CASES = [
     ("type", {"pipeline": "verify", "master_seed": True},
      ["master_seed: True is not of type 'integer'"]),
@@ -97,11 +117,11 @@ SCHEMA_CASES = [
     # paths sort with their indices as numbers: 2 before 10
     ("items", {"pipeline": "transfer", "hidden": [1, 1, 0, 1, 1, 1, 1, 1, 1, 1, -1]},
      ["hidden/2: 0 is less than the minimum of 1", "hidden/10: -1 is less than the minimum of 1"]),
-    ("minimum", {"pipeline": "transfer", "probe": {"l2": float("-inf")}},
-     ["probe/l2: -inf is less than the minimum of 0"]),
+    ("minimum", {"pipeline": "transfer", "probe": {"l2": -0.5}},
+     ["probe/l2: -0.5 is less than the minimum of 0"]),
     ("maximum", {"pipeline": "verify", "n_seeds": 51, "n_episodes": 50,
-                 "distill": {"alpha": float("inf")}},
-     ["distill/alpha: inf is greater than the maximum of 1",
+                 "distill": {"alpha": 1.5}},
+     ["distill/alpha: 1.5 is greater than the maximum of 1",
       "n_seeds: 51 is greater than the maximum of 50"]),
     ("exclusiveMinimum", {"pipeline": "transfer", "train": {"lr": 0}, "stage2_lr": 0.0},
      ["stage2_lr: 0.0 is less than or equal to the minimum of 0",
@@ -132,14 +152,49 @@ def test_run_reports_every_schema_error_sorted_by_path(tmp_path, capsys, config,
     assert not (tmp_path / "out").exists()
 
 
-def test_an_integral_float_is_an_integer_and_a_bool_is_not():
+def test_an_integral_float_and_a_bool_are_not_integers():
     schema = cli.load_schema()
-    assert cli.schema_errors({"pipeline": "verify", "n_seeds": 1.0, "schema_version": 1.0},
+    assert cli.schema_errors({"pipeline": "verify", "n_seeds": 1, "schema_version": 1},
                              schema) == []
+    assert cli.schema_errors({"pipeline": "verify", "n_seeds": 1.0, "schema_version": 1.0},
+                             schema) == [(("schema_version",), "1.0 is not of type 'integer'"),
+                                         (("n_seeds",), "1.0 is not of type 'integer'")]
     assert cli.schema_errors({"pipeline": "verify", "n_seeds": 1.5}, schema) == [
         (("n_seeds",), "1.5 is not of type 'integer'")]
     assert cli.schema_errors({"pipeline": "verify", "n_seeds": False}, schema) == [
         (("n_seeds",), "False is not of type 'integer'")]
+
+
+def test_run_refuses_an_integral_float_count(tmp_path, capsys):
+    cfg = write_config(tmp_path, **dict(FAST_TRANSFER, n_seeds=2.0))
+    assert cli.cmd_run(cfg, out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "config error: field n_seeds: 2.0 is not of type 'integer'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pipeline,path,value", [
+    ("transfer", ("task", "core_scale"), float("nan")),
+    ("transfer", ("stage2_lr",), float("inf")),
+    ("transfer", ("distill", "tau"), float("inf")),
+    ("transfer", ("train", "schedule", "factor"), float("nan")),
+    ("fewshot", ("fewshot", "snapshot_lr_mult"), float("inf")),
+    ("ood", ("ood", "beta_grid", 1), float("-inf")),
+], ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_run_refuses_a_non_finite_number_before_any_work(tmp_path, capsys, pipeline, path,
+                                                         value):
+    config = {"pipeline": pipeline, "task": {}, "train": {"schedule": {}}, "distill": {},
+              "fewshot": {}, "ood": {"beta_grid": [1.0, 2.0]}}
+    *parents, last = path
+    node = config
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    assert cli.cmd_run(write_config(tmp_path, **config), out=str(tmp_path / "out")) == 2
+    field = "/".join(map(str, path))
+    assert capsys.readouterr().err == (
+        f"config error: field {field}: {value!r} is not of type 'number'\n")
+    assert not (tmp_path / "out").exists()
 
 
 def _schema_keywords(schema: dict) -> set[str]:
@@ -198,13 +253,11 @@ def test_run_transfer_pipeline_writes_outputs(tmp_path):
 
 @pytest.mark.parametrize("field,value", [("grad_tol", float("inf")), ("l2", float("nan"))])
 def test_run_rejects_non_finite_probe_config(tmp_path, capsys, field, value):
-    # Python's json reads NaN and Infinity, and the schema's bounds let both through
+    # Python's json reads NaN and Infinity, and the schema's number type refuses both
     config = dict(FAST_TRANSFER, probe={field: value}, output_dir=str(tmp_path / "out"))
-    assert cli.schema_errors(config, cli.load_schema()) == []
     assert cli.cmd_run(write_config(tmp_path, **config)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and field in err
-    assert "config error: field" not in err
+    assert capsys.readouterr().err == (
+        f"config error: field probe/{field}: {value!r} is not of type 'number'\n")
     assert not (tmp_path / "out" / "results.csv").exists()
 
 

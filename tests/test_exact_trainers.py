@@ -30,7 +30,6 @@ from richlab.core_nn.losses import (
 from richlab.experiments import fit_cosine_classifier
 from richlab.richrep import (
     DistillSpec,
-    RepresentationBank,
     concat_head_init,
     distill,
     init_trunk,
@@ -212,31 +211,16 @@ def test_train_episodes_matches_reference_bitwise(hidden):
                     assert_same_layers([*trunk.layers, head], want.layers)
 
 
-def mixed_width_bank(data):
-    """Trunks 8, 6, 8 and 8 wide, the last with a linear layer: three stacks,
-    the first holding members 0 and 2.  No trunk maps a row to zero, which
-    cosine distillation rejects."""
-    wide = train_episodes(data, (8,), CFG, [11, 12])
-    narrow = train_episodes(data, (6,), CFG, [15])
-    trunks = [wide.extractors[0], narrow.extractors[0], wide.extractors[1],
-              init_trunk([data.d, 8], seed=14, activation="linear")]
-    return RepresentationBank(trunks)
-
-
 @pytest.mark.parametrize("mode,teachers", [
     pytest.param("kl", "two", id="kl"),
     pytest.param("ce_kl", "two", id="ce_kl"),
     pytest.param("cosine", "two", id="cosine"),
     pytest.param("kl", "one", id="kl-one-teacher"),
     pytest.param("cosine", "one", id="cosine-one-teacher"),
-    pytest.param("cosine", "mixed", id="cosine-mixed-widths"),
 ])
 def test_distill_matches_reference_bitwise(mode, teachers):
     data = toy_data()
-    if teachers == "mixed":
-        bank = mixed_width_bank(data)
-    else:
-        bank = train_episodes(data, (8,), CFG, [11, 12] if teachers == "two" else [11])
+    bank = train_episodes(data, (8,), CFG, [11, 12] if teachers == "two" else [11])
     spec = DistillSpec(mode=mode, tau=4.0, alpha=0.7, student_arch=(7, 5))
     student = distill(bank, spec, data, CFG)
     assert_same_layers(student.layers, ref_distill(bank, spec, data, CFG).layers)
@@ -258,9 +242,7 @@ def test_joint_train_matches_reference_bitwise():
 
 def test_naive_finetune_matches_reference_bitwise():
     data = toy_data()
-    banks = [train_episodes(data, (8,), CFG, [5, 6]), mixed_width_bank(data),
-             train_episodes(data, (8,), CFG, [5])]
-    for bank in banks:
+    for bank in (train_episodes(data, (8,), CFG, [5, 6]), train_episodes(data, (8,), CFG, [5])):
         ft_bank, got_head = naive_finetune(bank, data, CFG)
         head = glorot_layer(data.n_classes, bank.total_dim, SplitMix64(CFG.seed))
         legs, head = ref_multileg([t.clone() for t in bank.extractors], head,
@@ -272,7 +254,7 @@ def test_naive_finetune_matches_reference_bitwise():
 
 def test_two_stage_finetune_matches_reference_bitwise():
     data = toy_data()
-    for bank in (train_episodes(data, (8,), CFG, [5, 6]), mixed_width_bank(data)):
+    for bank in (train_episodes(data, (8,), CFG, [5, 6]), train_episodes(data, (8,), CFG, [5])):
         ft_bank, final = two_stage_finetune(bank, data, CFG, stage2_epochs=3, stage2_lr=0.01)
         want_trunks, want_heads = [], []
         for i, trunk in enumerate(bank.extractors):

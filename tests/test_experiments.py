@@ -342,11 +342,12 @@ def test_transfer_probe_cache_equals_refitting_every_problem(monkeypatch, kind, 
     fit_probe = probing.fit_probe
     monkeypatch.setattr(probing, "fit_probe", counted)
     monkeypatch.setattr(richrep, "fit_probe", counted)
-    run = cli._merged(cli.RunConfig(master_seed=3), cfg)
-    cached = cli._transfer_pipeline(cfg, run)()
+    read = set()
+    run = cli._merged(cli.RunConfig(master_seed=3), cfg, read)
+    cached = cli._transfer_pipeline(cfg, run, read)()
     n_cached, problems[:] = sum(problems), []
     monkeypatch.setattr(ProbeCache, "key", lambda self, *args: object())
-    refit = cli._transfer_pipeline(cfg, run)()
+    refit = cli._transfer_pipeline(cfg, run, read)()
     assert cached == refit
     assert n_cached < sum(problems)
 

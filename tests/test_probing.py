@@ -363,7 +363,7 @@ def test_cache_hit_fits_nothing_and_returns_the_held_probe(monkeypatch):
     assert_same_probe(first, fit_probe(X, y, TIGHT, n_classes=3))
 
 
-def test_cache_request_mixing_held_and_new_problems_of_two_widths(monkeypatch):
+def test_cache_request_mixing_held_and_new_problems(monkeypatch):
     from richlab import richrep
     from richlab.core_nn import extract_features, init_network
     from richlab.richrep import RepresentationBank, extractor_probes
@@ -371,21 +371,26 @@ def test_cache_request_mixing_held_and_new_problems_of_two_widths(monkeypatch):
 
     X, y = informative_features(8, n=120, d=5)
     data = Dataset(X, y, np.zeros(120, dtype=np.int64), 3)
-    widths = [8, 4, 8, 8, 4]
-    bank = RepresentationBank([init_network([5, w], 20 + i) for i, w in enumerate(widths)])
+    bank = RepresentationBank([init_network([5, 8], 20 + i) for i in range(5)])
     feats = [extract_features(trunk, X) for trunk in bank.extractors]
     cfg = ProbeConfig(l2=1e-3, max_iters=200, grad_tol=1e-7, standardize=True)
     cache = ProbeCache(cfg)
     held = [cache.fit(feats[i], y, 3) for i in (0, 4)]
     shapes = _count_fits(monkeypatch, richrep)
     probes = extractor_probes(bank, data, cache)
-    # width 8 misses legs 2 and 3 (one stack), width 4 misses leg 1 alone
-    assert shapes == [(2, 120, 8), (120, 4)]
+    # legs 1 to 3 miss and are fitted as one stack
+    assert shapes == [(3, 120, 8)]
     assert probes[0] is held[0] and probes[4] is held[1]
     for f, probe in zip(feats, probes, strict=True):
         assert_same_probe(probe, fit_probe(f, y, cfg, n_classes=3))
     again = extractor_probes(bank, data, cache)
-    assert all(a is b for a, b in zip(again, probes, strict=True)) and len(shapes) == 2
+    assert all(a is b for a, b in zip(again, probes, strict=True)) and len(shapes) == 1
+    # a lone miss is a stack of one
+    del cache.probes[cache.key(feats[2], y, 3)]
+    lone = extractor_probes(bank, data, cache)
+    assert shapes[1:] == [(1, 120, 8)]
+    assert [a is b for a, b in zip(lone, probes, strict=True)] == [True, True, False, True, True]
+    assert_same_probe(lone[2], probes[2])
 
 
 def _bytes_twins():

@@ -12,7 +12,7 @@ from richlab.core_nn import (
 )
 from richlab.core_nn.layers import glorot_layer
 from richlab.core_nn.train import flatten_params
-from richlab.errors import EpisodeError, ParameterError, TrainingError
+from richlab.errors import EpisodeError, ParameterError, ShapeError, TrainingError
 from richlab.probing import ProbeCache, ProbeConfig, fit_probe, optimal_cost
 from richlab.richrep import (
     DistillSpec,
@@ -67,14 +67,35 @@ def test_bank_needs_an_extractor_and_one_head_per_extractor():
 
 def test_bank_dims_follow_its_extractors():
     data = toy_data()
-    bank = RepresentationBank([init_trunk([data.d, 8], seed=1),
-                               init_trunk([data.d, 5, 3], seed=2)])
-    assert (bank.dims, bank.total_dim) == ([8, 3], 11)
+    bank = RepresentationBank([init_trunk([data.d, 5, 3], seed=s) for s in (1, 2)])
+    assert (bank.dims, bank.total_dim) == ([3, 3], 6)
     assert (bank.member(1).dims, bank.member(1).total_dim) == ([3], 3)
     joint, head = joint_train(data, (7,), 3, CFG)
     assert (joint.dims, joint.total_dim, head.n_in) == ([7, 7, 7], 21, 21)
     ft_bank, head = two_stage_finetune(bank, data, CFG, stage2_epochs=0)
-    assert (ft_bank.dims, ft_bank.total_dim, head.n_in) == ([8, 3], 11, 11)
+    assert (ft_bank.dims, ft_bank.total_dim, head.n_in) == ([3, 3], 6, 6)
+    # a bank of an 8-wide and a 5-then-3-wide trunk holds two architectures
+    with pytest.raises(ShapeError):
+        RepresentationBank([init_trunk([data.d, 8], seed=1), init_trunk([data.d, 5, 3], seed=2)])
+
+
+@pytest.mark.parametrize("sizes,activation", [
+    pytest.param((8, 6), "relu", id="width"),
+    pytest.param((8, 5, 5), "relu", id="depth"),
+    pytest.param((8, 5), "linear", id="activation"),
+])
+def test_a_bank_of_two_architectures_is_refused(sizes, activation):
+    d = toy_data().d
+    trunk = init_trunk([d, 8, 5], seed=1)
+    other = init_trunk([d, *sizes], seed=2, activation=activation)
+    for extractors in ([trunk, other], [trunk, trunk.clone(), other]):
+        with pytest.raises(ShapeError, match=f"member {len(extractors) - 1} differs"):
+            RepresentationBank(extractors)
+    # heads of two shapes over one trunk architecture are refused too
+    rng = SplitMix64(3)
+    with pytest.raises(ShapeError, match="member 1 differs"):
+        RepresentationBank([trunk, trunk.clone()],
+                           [glorot_layer(3, 5, rng), glorot_layer(4, 5, rng)])
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +477,11 @@ def test_leg_gap_zero_for_identical_legs():
 
 
 def test_extractor_probes_equal_one_fit_per_extractor():
-    # widths 8, 4, 8, 8: two stacks, results back in bank order
+    # four legs fitted as one stack, results back in bank order
     from test_probing import assert_same_probe
 
     data = toy_data(n=300)
-    wide = train_episodes(data, (8,), CFG, [5, 6, 7])
-    narrow = train_episodes(data, (4,), CFG, [8])
-    bank = RepresentationBank([wide.extractors[0], narrow.extractors[0], *wide.extractors[1:]])
+    bank = train_episodes(data, (8,), CFG, [5, 6, 7, 8])
     probes = extractor_probes(bank, data, ProbeCache(PROBE))
     assert len(probes) == 4
     for trunk, probe in zip(bank.extractors, probes, strict=True):
