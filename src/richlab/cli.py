@@ -325,13 +325,14 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         return _config_error(f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    errors = schema_errors(cfg, load_schema())
+    schema = load_schema()
+    errors = schema_errors(cfg, schema)
+    if not errors:  # the command-line overrides are config values, checked the same way
+        cfg.update({key: value for key, value in (("master_seed", seed), ("output_dir", out))
+                    if value is not None})
+        errors = schema_errors(cfg, schema)
     if errors:
         return _field_errors(errors)
-    if seed is not None:
-        cfg["master_seed"] = seed
-    if out is not None:
-        cfg["output_dir"] = out
     # the schema checks the version; this reads the pipeline
     read = {("schema_version",), ("pipeline",)}
     run = _merged(RunConfig(), cfg, read)

@@ -147,13 +147,6 @@ def stack_layers(layers) -> DenseLayer:
                       layers[0].activation)
 
 
-def unstack_into(layers, stacked: DenseLayer) -> None:
-    """Copy each member of ``stacked`` back into the matching plain layer."""
-    for t, layer in enumerate(layers):
-        layer.weights[...] = stacked.weights[t]
-        layer.bias[...] = stacked.bias[t, 0]
-
-
 def layer_params(layers) -> list[tuple[np.ndarray, bool]]:
     """Trainable arrays of a layer stack as ``(array, decayed)`` pairs.
 

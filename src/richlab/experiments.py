@@ -45,6 +45,7 @@ from .richrep import (
     leg_logits,
     leg_probe_gap,
     naive_finetune,
+    stack_nets,
     subset_ensemble_predict,
     train_episodes,
     snapshot_episode,
@@ -311,7 +312,8 @@ def build_representations(methods, data: Dataset, cfg, seed: int,
         if "distill" in methods:
             student_seed = derive_seed(seed, 500)
             student = distill(bank, cfg.distill, data, cfg.distill_train.with_seed(student_seed))
-            reps.append(Representation("distill", f"distill{n}", RepresentationBank([student])))
+            student = RepresentationBank(stack_nets([student]))
+            reps.append(Representation("distill", f"distill{n}", student))
     if "joint" in methods:
         joint, _ = joint_train(data, cfg.hidden, n, cfg.train.with_seed(derive_seed(seed, 600)))
         reps.append(Representation("joint", f"joint{n}", joint))
@@ -450,10 +452,8 @@ def run_transfer(pretrain: TransferTask, target: TransferTask, cfg: TransferConf
                 records.append(RunRecord(run_id, s, "2ft", target.name, split,
                                          "accuracy",
                                          bank_head_accuracy(ft_bank, head, ds.X, ds.y)))
-                best = max(
-                    float((leg_logits(ft_bank, i, ds.X).argmax(axis=1) == ds.y).mean())
-                    for i in range(len(ft_bank))
-                )
+                hits = leg_logits(ft_bank, ds.X).argmax(axis=-1) == ds.y
+                best = float(hits.mean(axis=-1).max())
                 records.append(RunRecord(run_id, s, "ft-best-leg", target.name, split,
                                          "accuracy", best))
     if cfg.include_anchors:
@@ -506,6 +506,12 @@ class FewshotConfig:
         _check_methods("few-shot", self.methods, FEWSHOT_METHODS, self.n_episodes)
         if self.classifier not in ("linear", "cosine"):
             raise ParameterError(f"unknown classifier {self.classifier!r}")
+        if self.n_episodes_eval < 2:
+            raise ParameterError("n_episodes_eval must be at least 2 for a ddof=1 std over "
+                                 f"episodes, got {self.n_episodes_eval}")
+        if {"cat-s", "snaps"} & set(self.methods) and self.train.epochs < 1:
+            raise ParameterError("snapshot methods (cat-s, snaps) need train.epochs of at "
+                                 f"least 1, got {self.train.epochs}")
 
 
 def fit_cosine_classifier(feats, y, n_classes: int, seed: int, lr: float = 0.1,

@@ -1,8 +1,11 @@
 """Rich-representation constructions.
 
-A representation here is a :class:`RepresentationBank`: one or more
-head-less trunks whose features concatenate, with the classifier each
-trunk ended with when it has one of its own.  The constructions below
+A representation here is a :class:`RepresentationBank`: one network
+whose layers stack one or more head-less trunks of one architecture
+along a leading member axis, so that their features concatenate, with
+the stacked classifiers the members ended with when they have their own.
+Every trainer returns the stack it trained as the bank, and every
+consumer reads all members in one stacked forward.  The constructions below
 build banks from independent training episodes, from snapshots of a
 single high-step-size episode, or from joint training of several legs
 under one head, and combine them by concatenation, ensembling,
@@ -19,7 +22,6 @@ import numpy as np
 from .core_nn.layers import (
     DenseLayer,
     Network,
-    as_feature_matrix,
     extract_features,
     glorot_layer,
     init_network,
@@ -27,7 +29,6 @@ from .core_nn.layers import (
     stack_backward,
     stack_forward,
     stack_layers,
-    unstack_into,
 )
 from .core_nn.losses import (
     cosine_distill_loss,
@@ -46,48 +47,69 @@ from .tasks import Dataset
 
 @dataclass
 class RepresentationBank:
-    """Ordered trunks whose features concatenate into one representation.
+    """T trunks of one architecture whose features concatenate into one representation.
 
-    ``heads`` keeps the classifier each trunk ended with (used as the
-    frozen teacher heads in distillation and to initialize the two-stage
-    fine-tuning classifier); trunks trained under a shared head, and a
-    distilled student, have none.  A bank holds one architecture: every
-    trunk, and every head, has the layer shapes and activations of the
-    first, so the members of a bank always train as one stack.
+    ``trunk`` is one network whose layers carry a leading member axis of
+    length T, as :func:`stack_nets` builds them.  ``head`` stacks the
+    classifier each member ended with (the frozen teacher heads in
+    distillation, and the two-stage fine-tuning classifier's init); trunks
+    trained under a shared head, and a distilled student, have none.
     """
 
-    extractors: list[Network]
-    heads: list[DenseLayer] | None = None
+    trunk: Network
+    head: DenseLayer | None = None
 
     def __post_init__(self):
-        if not self.extractors:
-            raise ParameterError("a bank needs at least one extractor")
-        if self.heads is not None and len(self.heads) != len(self.extractors):
-            raise ParameterError("one saved head per extractor required")
-        heads = [[head] for head in self.heads] if self.heads is not None else [[]] * len(self)
-        archs = [[(layer.weights.shape, layer.activation) for layer in [*net.layers, *head]]
-                 for net, head in zip(self.extractors, heads)]
-        for i, arch in enumerate(archs):
-            if arch != archs[0]:
-                raise ShapeError(f"bank member {i} differs from member 0 in a layer's shape "
-                                 f"or activation: {arch} against {archs[0]}")
+        layers = [*self.trunk.layers, *([] if self.head is None else [self.head])]
+        if any(layer.weights.ndim != 3 or len(layer.weights) != len(self) for layer in layers):
+            raise ShapeError("every layer of a bank must stack its members along a leading axis")
+        if self.head is not None and self.head.n_in != self.trunk.n_out:
+            raise ShapeError(f"head input {self.head.n_in} does not match trunk output "
+                             f"{self.trunk.n_out}")
 
     def __len__(self) -> int:
-        return len(self.extractors)
+        return len(self.trunk.layers[0].weights)
 
     @property
     def dims(self) -> list[int]:
-        """Output width of each extractor."""
-        return [net.layers[-1].n_out for net in self.extractors]
+        """Output width of each member."""
+        return [self.trunk.n_out] * len(self)
 
     @property
     def total_dim(self) -> int:
-        return sum(self.dims)
+        return self.trunk.n_out * len(self)
 
     def member(self, i: int) -> "RepresentationBank":
-        """Single-extractor bank holding a value-isolated copy of member ``i``."""
-        head = [_clone_layer(self.heads[i])] if self.heads is not None else None
-        return RepresentationBank([self.extractors[i].clone()], head)
+        """Single-member bank holding a value-isolated copy of member ``i``."""
+        def take(layer):
+            return DenseLayer(layer.weights[i:i + 1].copy(), layer.bias[i:i + 1].copy(),
+                              layer.activation)
+        return RepresentationBank(Network([*map(take, self.trunk.layers)]),
+                                  None if self.head is None else take(self.head))
+
+
+def stack_nets(nets) -> Network:
+    """One network whose layers stack ``nets`` along a leading member axis.
+
+    The nets must share one architecture: a net that differs from the
+    first in depth, or in a layer's weight shape or activation, is refused.
+    """
+    nets = list(nets)
+    if not nets:
+        raise ParameterError("a bank needs at least one member")
+    archs = [[(layer.weights.shape, layer.activation) for layer in net.layers] for net in nets]
+    for i, arch in enumerate(archs):
+        if arch != archs[0]:
+            raise ShapeError(f"bank member {i} differs from member 0 in depth, or in a layer's "
+                             f"shape or activation: {arch} against {archs[0]}")
+    return Network([stack_layers(depth) for depth in zip(*(net.layers for net in nets))])
+
+
+def _headed_bank(stack: Network) -> RepresentationBank:
+    """The bank of a trained stack: its hidden layers, and its last layer as the heads."""
+    if len(stack.layers) < 2:
+        raise ParameterError("network needs a hidden layer to yield a trunk")
+    return RepresentationBank(Network(stack.layers[:-1]), stack.layers[-1])
 
 
 @dataclass(frozen=True)
@@ -116,21 +138,6 @@ class DistillSpec:
             raise ParameterError("student_arch must list at least one width")
 
 
-def _clone_layer(layer: DenseLayer) -> DenseLayer:
-    return DenseLayer(layer.weights.copy(), layer.bias.copy(), layer.activation)
-
-
-def _stack_nets(nets) -> list[DenseLayer]:
-    """The layers of equal-shaped ``nets`` as one stacked layer per depth."""
-    return [stack_layers(depth) for depth in zip(*(net.layers for net in nets))]
-
-
-def _unstack_nets(nets, stacked) -> None:
-    """Copy each member of the stacked layers back into the matching net."""
-    for depth, layer in enumerate(stacked):
-        unstack_into([net.layers[depth] for net in nets], layer)
-
-
 def init_trunk(sizes, seed: int, activation: str = "relu") -> Network:
     """Head-less trunk: every layer keeps the hidden activation."""
     sizes = list(sizes)
@@ -141,38 +148,31 @@ def init_trunk(sizes, seed: int, activation: str = "relu") -> Network:
     return Network(layers)
 
 
-def split_head(net: Network) -> tuple[Network, DenseLayer]:
-    """Split a trained network into (trunk, classifier head)."""
-    if len(net.layers) < 2:
-        raise ParameterError("network needs a hidden layer to yield a trunk")
-    trunk = Network([_clone_layer(l) for l in net.layers[:-1]])
-    return trunk, _clone_layer(net.layers[-1])
-
-
 # ---------------------------------------------------------------------------
 # bank builders
 
-def _train_members(nets, data: Dataset, config: TrainConfig, seeds, names) -> None:
-    """Train each of ``nets`` in place, net ``i`` on the batch order of ``seeds[i]``.
+def _train_members(stack: Network, data: Dataset, config: TrainConfig, seeds,
+                   names) -> Network:
+    """The trained copy of ``stack``, member ``i`` on the batch order of ``seeds[i]``.
 
-    The nets share one architecture and train as one stack through one
-    :func:`train`, which gives each the bits it would get alone.  A stack
-    stops at the first member to diverge, which need not be the first in
-    order, so on a divergence the nets are retrained one by one and the
-    error names ``names[i]`` of the first net that diverges, as a loop over
-    them would.
+    One :func:`train` gives each member the bits it would get alone.  A
+    stack stops at the first member to diverge, which need not be the
+    first in order, so on a divergence the members are retrained alone, in
+    order, and the error names ``names[i]`` of the first that diverges, as
+    a loop over them would.
     """
     try:
-        stack = train(Network(_stack_nets(nets)), data.X, data.y, config, seeds=seeds)[0]
-    except TrainingError:
-        for net, seed, name in zip(nets, seeds, names):
+        return train(stack, data.X, data.y, config, seeds=seeds)[0]
+    except TrainingError as stopped:
+        for i, (seed, name) in enumerate(zip(seeds, names)):
+            alone = Network([DenseLayer(layer.weights[i], layer.bias[i, 0], layer.activation)
+                             for layer in stack.layers])
             try:
-                net.layers = train(net, data.X, data.y, config.with_seed(seed))[0].layers
+                train(alone, data.X, data.y, config.with_seed(seed))
             except TrainingError as exc:
                 raise EpisodeError(f"{name} diverged: {exc}", seed=seed,
                                    epoch=exc.epoch) from exc
-        return
-    _unstack_nets(nets, stack.layers)
+        raise stopped  # not reached: the member that stopped the stack diverges alone
 
 
 def train_episodes(data: Dataset, hidden, base_config: TrainConfig, seeds) -> RepresentationBank:
@@ -185,10 +185,9 @@ def train_episodes(data: Dataset, hidden, base_config: TrainConfig, seeds) -> Re
     if not seeds:
         raise ParameterError("need at least one seed")
     sizes = [data.d, *hidden, data.n_classes]
-    nets = [init_network(sizes, seed=s) for s in seeds]
-    _train_members(nets, data, base_config, seeds, [f"episode with seed {s}" for s in seeds])
-    extractors, heads = map(list, zip(*map(split_head, nets)))
-    return RepresentationBank(extractors, heads)
+    stack = stack_nets(init_network(sizes, seed=s) for s in seeds)
+    return _headed_bank(_train_members(stack, data, base_config, seeds,
+                                       [f"episode with seed {s}" for s in seeds]))
 
 
 def snapshot_episode(data: Dataset, hidden, config: TrainConfig,
@@ -223,30 +222,25 @@ def snapshot_episode(data: Dataset, hidden, config: TrainConfig,
     except TrainingError as exc:
         raise EpisodeError(f"snapshot episode diverged: {exc}", seed=config.seed,
                            epoch=exc.epoch) from exc
-    extractors, heads = map(list, zip(*(split_head(captured[e]) for e in snaps)))
-    return RepresentationBank(extractors, heads)
+    return _headed_bank(stack_nets(captured[e] for e in snaps))
 
 
 # ---------------------------------------------------------------------------
 # concatenation and ensembling
 
 def cat_features(bank: RepresentationBank, X) -> np.ndarray:
-    """Column-concatenated features, one contiguous block per extractor."""
-    X = as_feature_matrix(X)
-    return np.hstack([extract_features(trunk, X) for trunk in bank.extractors])
+    """Column-concatenated features, one contiguous block per member."""
+    return np.concatenate(extract_features(bank.trunk, X), axis=1)
 
 
 def subset_ensemble_predict(bank: RepresentationBank, probes: list[ProbeResult],
                             X) -> np.ndarray:
-    """Average of per-extractor probe softmax outputs (rows sum to 1)."""
+    """Average of per-member probe softmax outputs (rows sum to 1)."""
     if len(probes) != len(bank):
-        raise ParameterError(
-            f"{len(bank)} extractors but {len(probes)} probes"
-        )
-    X = as_feature_matrix(X)
+        raise ParameterError(f"{len(bank)} members but {len(probes)} probes")
     out = None
-    for trunk, probe in zip(bank.extractors, probes):
-        p = softmax_temperature(probe.logits(extract_features(trunk, X)), 1.0)
+    for feats, probe in zip(extract_features(bank.trunk, X), probes):
+        p = softmax_temperature(probe.logits(feats), 1.0)
         out = p if out is None else out + p
     return out / len(probes)
 
@@ -254,39 +248,25 @@ def subset_ensemble_predict(bank: RepresentationBank, probes: list[ProbeResult],
 # ---------------------------------------------------------------------------
 # distillation
 
-def _teacher_targets(bank: RepresentationBank, spec: DistillSpec, X: np.ndarray):
-    """Frozen per-teacher targets: logits for kl/ce_kl, features for cosine."""
-    targets = []
-    for i, trunk in enumerate(bank.extractors):
-        feats = extract_features(trunk, X)
-        if spec.mode == "cosine":
-            targets.append(feats)
-        else:
-            if bank.heads is None:
-                raise ParameterError(
-                    "kl/ce_kl distillation needs the saved teacher heads"
-                )
-            head = bank.heads[i]
-            targets.append(feats @ head.weights.T + head.bias)
-    return targets
-
-
 def distill(bank: RepresentationBank, spec: DistillSpec, data: Dataset,
             config: TrainConfig) -> Network:
     """Train one student trunk with one output head per frozen teacher.
 
     The per-teacher losses are summed; gradients flow through the shared
     trunk and the heads only.  Returns the trunk (heads discarded).  The
-    trunk and the heads start from Glorot draws of the config seed.
+    trunk and the heads start from Glorot draws of the config seed.  The
+    teachers' targets are their own-head logits for kl and ce_kl, and
+    their features for cosine.
     """
     if data.n == 0:
         raise ParameterError("distillation data is empty")
     X, y = data.X, data.y
-    targets = _teacher_targets(bank, spec, X)
+    target = extract_features(bank.trunk, X) if spec.mode == "cosine" else leg_logits(bank, X)
     trunk = init_trunk([data.d, *spec.student_arch], seed=config.seed)
     rng = SplitMix64(config.seed)
-    heads = [glorot_layer(tgt.shape[1], trunk.layers[-1].n_out, rng) for tgt in targets]
-    return _distill_train(trunk, heads, targets, spec, X, y, config)
+    head = stack_layers([glorot_layer(target.shape[-1], trunk.n_out, rng)
+                         for _ in range(len(bank))])
+    return _distill_train(trunk, head, target, spec, X, y, config)
 
 
 def _fit_episode(what: str, params, loss_and_grad, n_rows: int,
@@ -299,8 +279,8 @@ def _fit_episode(what: str, params, loss_and_grad, n_rows: int,
                            seed=config.seed, epoch=exc.epoch) from exc
 
 
-def _distill_train(trunk, heads, targets, spec, X, y, config) -> Network:
-    """SGD over the trunk and the heads; the heads train as one stack.
+def _distill_train(trunk, head, target, spec, X, y, config) -> Network:
+    """SGD over the trunk and the stacked teacher heads.
 
     Per batch the stack makes one head product, one loss call and one
     head-gradient product.  The per-teacher losses and trunk-gradient
@@ -309,8 +289,6 @@ def _distill_train(trunk, heads, targets, spec, X, y, config) -> Network:
     """
     tau = float(spec.tau)
     alpha = float(spec.alpha) if spec.mode == "ce_kl" else 1.0
-    head = stack_layers(heads)
-    target = np.stack(targets)
     if spec.mode != "cosine":
         # the tempered teacher targets are fixed: one log_softmax for all
         target = tempered_log_probs(target, tau)
@@ -343,34 +321,33 @@ def _distill_train(trunk, heads, targets, spec, X, y, config) -> Network:
 # legs under one head: naive fine-tuning of a concatenated trunk, and the
 # joint-training baseline (n parallel legs under a single head, one seed)
 
-def _train_multileg(legs: list[Network], head: DenseLayer, X, y, config: TrainConfig,
-                    what: str) -> None:
-    """In-place joint SGD over the legs and one head on their concatenated features.
+def _train_multileg(legs: Network, head: DenseLayer, X, y, config: TrainConfig,
+                    what: str) -> Network:
+    """Joint SGD over a copy of the stacked ``legs`` and, in place, one head
+    on their concatenated features; returns the trained legs.
 
-    The legs share one architecture and train as one stacked layer list,
-    one :func:`stack_forward` and one :func:`stack_backward` per batch; the
-    trained values are copied back into ``legs`` at the end.
+    One :func:`stack_forward` and one :func:`stack_backward` per batch.
     """
-    stack = _stack_nets(legs)
+    legs = legs.clone()
+    n_legs = len(legs.layers[0].weights)
 
     def loss_and_grad(idx):
-        acts, pres = stack_forward(stack, X[idx])
+        acts, pres = stack_forward(legs.layers, X[idx])
         feat = np.concatenate(acts[-1], axis=1)
         loss, d_logits = cross_entropy_loss(feat @ head.weights.T + head.bias, y[idx])
-        d_out = np.stack(np.hsplit(d_logits @ head.weights, len(legs)))
-        grads = stack_backward(stack, acts, pres, d_out)
+        d_out = np.stack(np.hsplit(d_logits @ head.weights, n_legs))
+        grads = stack_backward(legs.layers, acts, pres, d_out)
         return loss, grads + [d_logits.T @ feat, d_logits.sum(axis=0)]
 
-    _fit_episode(what, layer_params([*stack, head]), loss_and_grad, X.shape[0], config)
-    _unstack_nets(legs, stack)
+    _fit_episode(what, layer_params([*legs.layers, head]), loss_and_grad, X.shape[0], config)
+    return legs
 
 
 def naive_finetune(bank: RepresentationBank, data: Dataset,
                    config: TrainConfig) -> tuple[RepresentationBank, DenseLayer]:
     """Fine-tune the concatenated trunk and a fresh joint head in one episode."""
-    legs = [trunk.clone() for trunk in bank.extractors]
     head = glorot_layer(data.n_classes, bank.total_dim, SplitMix64(config.seed))
-    _train_multileg(legs, head, data.X, data.y, config, "naive fine-tune")
+    legs = _train_multileg(bank.trunk, head, data.X, data.y, config, "naive fine-tune")
     return RepresentationBank(legs), head
 
 
@@ -381,23 +358,22 @@ def joint_train(data: Dataset, hidden, n_legs: int,
         raise ParameterError("need at least one leg")
     rng = SplitMix64(config.seed)
     sizes = [data.d, *hidden]
-    legs = [Network([glorot_layer(sizes[i + 1], sizes[i], rng, "relu")
-                     for i in range(len(sizes) - 1)])
-            for _ in range(n_legs)]
+    legs = stack_nets([Network([glorot_layer(sizes[i + 1], sizes[i], rng, "relu")
+                                for i in range(len(sizes) - 1)])
+                       for _ in range(n_legs)])
     head = glorot_layer(data.n_classes, n_legs * sizes[-1], rng)
-    _train_multileg(legs, head, data.X, data.y, config, "joint training")
+    legs = _train_multileg(legs, head, data.X, data.y, config, "joint training")
     return RepresentationBank(legs), head
 
 
 # ---------------------------------------------------------------------------
 # two-stage fine-tuning
 
-def concat_head_init(heads: list[DenseLayer]) -> DenseLayer:
-    """Final classifier init: horizontally stacked leg classifiers over n."""
-    n = len(heads)
-    W = np.hstack([h.weights for h in heads]) / n
-    b = sum(h.bias for h in heads) / n
-    return DenseLayer(W, b, "linear")
+def concat_head_init(weights, biases) -> DenseLayer:
+    """Final classifier init: the leg classifiers' ``weights`` side by side and
+    their ``biases`` summed, both over the number of legs n."""
+    n = len(weights)
+    return DenseLayer(np.hstack(weights) / n, sum(biases) / n, "linear")
 
 
 def two_stage_finetune(
@@ -409,22 +385,20 @@ def two_stage_finetune(
 ) -> tuple[RepresentationBank, DenseLayer]:
     """Fine-tune each leg separately, freeze, then train a concatenated head.
 
-    Stage 1 trains every extractor with its own fresh classifier on the
+    Stage 1 trains every member with its own fresh classifier on the
     target data; the legs train as one stack.  Stage 2
     initializes the final classifier from the stacked leg classifiers (so
     before any step its logits equal the mean of the leg logits) and
     trains it briefly on frozen features.
     """
     leg_seeds = [derive_seed(ft_config.seed, i) for i in range(len(bank))]
-    nets = [Network([*map(_clone_layer, trunk.layers),
-                     glorot_layer(data.n_classes, dim, SplitMix64(seed))])
-            for trunk, dim, seed in zip(bank.extractors, bank.dims, leg_seeds)]
-    _train_members(nets, data, ft_config, leg_seeds,
-                   [f"stage-1 fine-tune of leg {i}" for i in range(len(nets))])
-    ft_trunks, ft_heads = map(list, zip(*map(split_head, nets)))
-    ft_bank = RepresentationBank(ft_trunks, ft_heads)
+    heads = stack_layers([glorot_layer(data.n_classes, bank.trunk.n_out, SplitMix64(seed))
+                          for seed in leg_seeds])
+    ft_bank = _headed_bank(_train_members(
+        Network([*bank.trunk.layers, heads]), data, ft_config, leg_seeds,
+        [f"stage-1 fine-tune of leg {i}" for i in range(len(bank))]))
 
-    final = concat_head_init(ft_heads)
+    final = concat_head_init(ft_bank.head.weights, ft_bank.head.bias[:, 0])
     if stage2_epochs > 0:
         feats = cat_features(ft_bank, data.X)
         head_net = Network([final])
@@ -450,13 +424,13 @@ def bank_head_accuracy(bank: RepresentationBank, head: DenseLayer, X, y) -> floa
     return float((bank_head_logits(bank, head, X).argmax(axis=1) == np.asarray(y)).mean())
 
 
-def leg_logits(bank: RepresentationBank, i: int, X) -> np.ndarray:
-    """Logits of leg ``i``'s own saved classifier on its features."""
-    if bank.heads is None:
+def leg_logits(bank: RepresentationBank, X) -> np.ndarray:
+    """(T, n, k) logits of every member's own saved classifier on its features."""
+    if bank.head is None:
         raise ParameterError("bank has no per-leg heads")
-    feats = extract_features(bank.extractors[i], X)
-    head = bank.heads[i]
-    return feats @ head.weights.T + head.bias
+    out = extract_features(bank.trunk, X) @ bank.head.weights.swapaxes(-1, -2)
+    out += bank.head.bias
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +438,18 @@ def leg_logits(bank: RepresentationBank, i: int, X) -> np.ndarray:
 
 def extractor_probes(bank: RepresentationBank, data: Dataset,
                      cache: ProbeCache) -> list[ProbeResult]:
-    """One probe per extractor on its own features of the same rows.
+    """One probe per member on its own features of the same rows.
 
-    Probes that ``cache`` holds are reused.  The other extractors, a lone
+    Probes that ``cache`` holds are reused.  The other members, a lone
     one included, are fitted as one stacked problem, which gives each the
     probe it would get alone, bit for bit.
     """
-    feats = [extract_features(trunk, data.X) for trunk in bank.extractors]
+    feats = extract_features(bank.trunk, data.X)
     keys = [cache.key(f, data.y, data.n_classes) for f in feats]
     probes = [cache.probes.get(key) for key in keys]
     miss = [i for i, probe in enumerate(probes) if probe is None]
     if miss:
-        stack = fit_probe(np.stack([feats[i] for i in miss]),
-                          np.broadcast_to(data.y, (len(miss), data.n)),
+        stack = fit_probe(feats[miss], np.broadcast_to(data.y, (len(miss), data.n)),
                           cache.config, n_classes=data.n_classes)
         for j, i in enumerate(miss):
             probes[i] = cache.probes[keys[i]] = stack[j]
@@ -488,4 +461,3 @@ def leg_probe_gap(bank: RepresentationBank, data: Dataset,
     """Fit a probe per leg on that leg's features; return accuracies + max gap."""
     accs = [probe.train_accuracy for probe in extractor_probes(bank, data, cache)]
     return accs, float(max(accs) - min(accs))
-

@@ -294,7 +294,7 @@ def exact_algebra_suite(seed: int = 0) -> SuiteResult:
     dims, k, n = (4, 3), 3, 12
     feats = [rng.normal(n * d).reshape(n, d) for d in dims]
     heads = [DenseLayer(rng.normal(k * d).reshape(k, d), rng.normal(k)) for d in dims]
-    combined = concat_head_init(heads)
+    combined = concat_head_init([h.weights for h in heads], [h.bias for h in heads])
     concat = np.hstack(feats)
     got = concat @ combined.weights.T + combined.bias
     want = sum(f @ h.weights.T + h.bias for f, h in zip(feats, heads)) / len(heads)

@@ -331,6 +331,56 @@ def test_run_seed_override_changes_results(tmp_path):
     assert a != c
 
 
+@pytest.mark.parametrize("flags,field,message", [
+    (["--seed", "-3"], "master_seed", "-3 is less than the minimum of 0"),
+    (["--out", ""], "output_dir", "'' should be non-empty"),
+])
+def test_run_checks_the_command_line_overrides_against_the_schema(tmp_path, capsys,
+                                                                  monkeypatch, flags, field,
+                                                                  message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, **FAST_TRANSFER)
+    assert cli.main(["run", cfg, *flags]) == 2
+    assert capsys.readouterr().err == f"config error: field {field}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def _refuse_work(monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+    monkeypatch.setattr(cli, "run_fewshot", work)
+
+
+def test_run_refuses_one_evaluation_episode_before_any_work(tmp_path, capsys, monkeypatch):
+    # the reported std is the ddof=1 std over the evaluation episodes
+    from test_pipeline_bytes import FEWSHOT
+
+    _refuse_work(monkeypatch)
+    cfg = dict(FEWSHOT, fewshot=dict(FEWSHOT["fewshot"], n_episodes_eval=1))
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "config error: field fewshot/n_episodes_eval: 1 is less than the minimum of 2\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("methods", [["erm", "cat-s"], ["snaps"]], ids="+".join)
+def test_run_refuses_snapshots_of_a_zero_epoch_run_before_any_work(tmp_path, capsys,
+                                                                   monkeypatch, methods):
+    from test_pipeline_bytes import FEWSHOT
+
+    _refuse_work(monkeypatch)
+    cfg = dict(FEWSHOT, methods=methods, train=dict(FEWSHOT["train"], epochs=0))
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "config error: snapshot methods (cat-s, snaps) need train.epochs of at least 1, "
+        "got 0\n")
+    assert not (tmp_path / "out").exists()
+    # without a snapshot method, zero epochs is a valid (untrained) run
+    monkeypatch.undo()
+    cfg = dict(cfg, methods=["erm", "cat"])
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 0
+
+
 # ---------------------------------------------------------------------------
 # report
 

@@ -41,7 +41,7 @@ from richlab.richrep import (
 )
 from richlab.rng import SplitMix64, derive_seed
 from test_exact_step import reference_backward, reference_forward
-from test_richrep import toy_data
+from test_richrep import plain_heads, plain_trunks, toy_data
 
 # toy_data has 120 rows; in batches of 32 the last batch of every epoch has 24
 CFG = TrainConfig(lr=0.05, epochs=5, batch_size=32, momentum=0.9, weight_decay=1e-3,
@@ -101,12 +101,12 @@ def ref_train(net, X, y, cfg, on_epoch_end=None):
 
 def ref_distill(bank, spec, data, cfg):
     X, y = data.X, data.y
-    feats = [reference_forward(t.layers, X)[0][-1] for t in bank.extractors]
+    feats = [reference_forward(t.layers, X)[0][-1] for t in plain_trunks(bank)]
     if spec.mode == "cosine":
         targets = feats
     else:
         targets = [tempered_log_probs(f @ h.weights.T + h.bias, spec.tau)
-                   for f, h in zip(feats, bank.heads)]
+                   for f, h in zip(feats, plain_heads(bank))]
     alpha = spec.alpha if spec.mode == "ce_kl" else 1.0
     trunk = init_trunk([data.d, *spec.student_arch], seed=cfg.seed)
     rng = SplitMix64(cfg.seed)
@@ -206,7 +206,7 @@ def test_train_episodes_matches_reference_bitwise(hidden):
             cfg = replace(CFG, batch_size=batch_size, schedule=schedule)
             for seeds in seed_sets:
                 bank = train_episodes(data, hidden, cfg, seeds)
-                for trunk, head, want in zip(bank.extractors, bank.heads,
+                for trunk, head, want in zip(plain_trunks(bank), plain_heads(bank),
                                              ref_episodes(data, hidden, cfg, seeds), strict=True):
                     assert_same_layers([*trunk.layers, head], want.layers)
 
@@ -235,7 +235,7 @@ def test_joint_train_matches_reference_bitwise():
                 for _ in range(n_legs)]
         head = glorot_layer(data.n_classes, 4 * n_legs, rng)
         legs, head = ref_multileg(legs, head, data.X, data.y, CFG)
-        for got, want in zip(bank.extractors, legs, strict=True):
+        for got, want in zip(plain_trunks(bank), legs, strict=True):
             assert_same_layers(got.layers, want.layers)
         assert_same_layers([got_head], [head])
 
@@ -245,9 +245,9 @@ def test_naive_finetune_matches_reference_bitwise():
     for bank in (train_episodes(data, (8,), CFG, [5, 6]), train_episodes(data, (8,), CFG, [5])):
         ft_bank, got_head = naive_finetune(bank, data, CFG)
         head = glorot_layer(data.n_classes, bank.total_dim, SplitMix64(CFG.seed))
-        legs, head = ref_multileg([t.clone() for t in bank.extractors], head,
+        legs, head = ref_multileg([t.clone() for t in plain_trunks(bank)], head,
                                   data.X, data.y, CFG)
-        for got, want in zip(ft_bank.extractors, legs, strict=True):
+        for got, want in zip(plain_trunks(ft_bank), legs, strict=True):
             assert_same_layers(got.layers, want.layers)
         assert_same_layers([got_head], [head])
 
@@ -257,20 +257,21 @@ def test_two_stage_finetune_matches_reference_bitwise():
     for bank in (train_episodes(data, (8,), CFG, [5, 6]), train_episodes(data, (8,), CFG, [5])):
         ft_bank, final = two_stage_finetune(bank, data, CFG, stage2_epochs=3, stage2_lr=0.01)
         want_trunks, want_heads = [], []
-        for i, trunk in enumerate(bank.extractors):
+        for i, trunk in enumerate(plain_trunks(bank)):
             leg_seed = derive_seed(CFG.seed, i)
             head = glorot_layer(data.n_classes, bank.dims[i], SplitMix64(leg_seed))
             net = ref_train(Network([*trunk.clone().layers, head]), data.X, data.y,
                             CFG.with_seed(leg_seed))
             want_trunks.append(net.layers[:-1])
             want_heads.append(net.layers[-1])
-        for got, want in zip(ft_bank.extractors, want_trunks, strict=True):
+        for got, want in zip(plain_trunks(ft_bank), want_trunks, strict=True):
             assert_same_layers(got.layers, want)
-        assert_same_layers(ft_bank.heads, want_heads)
+        assert_same_layers(plain_heads(ft_bank), want_heads)
         feats = np.hstack([reference_forward(layers, data.X)[0][-1] for layers in want_trunks])
         stage2 = TrainConfig(lr=0.01, epochs=3, batch_size=CFG.batch_size,
                              momentum=CFG.momentum, seed=derive_seed(CFG.seed, len(bank) + 1))
-        want_final = ref_train(Network([concat_head_init(want_heads)]), feats, data.y, stage2)
+        init = concat_head_init([h.weights for h in want_heads], [h.bias for h in want_heads])
+        want_final = ref_train(Network([init]), feats, data.y, stage2)
         assert_same_layers([final], want_final.layers)
 
 
@@ -287,7 +288,8 @@ def test_snapshot_episode_matches_reference_bitwise():
     ref_train(init_network([data.d, 8, data.n_classes], seed=CFG.seed), data.X, data.y,
               CFG, on_epoch_end=grab)
     for j, e in enumerate(snaps):
-        assert_same_layers([*bank.extractors[j].layers, bank.heads[j]], captured[e].layers)
+        assert_same_layers([*plain_trunks(bank)[j].layers, plain_heads(bank)[j]],
+                           captured[e].layers)
 
 
 def test_fit_cosine_classifier_matches_reference_bitwise():

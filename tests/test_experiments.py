@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,6 +298,7 @@ def test_transfer_leg_gap_and_catsub_equal_per_extractor_loops():
     from richlab.probing import fit_probe
     from richlab.richrep import subset_ensemble_predict, train_episodes
     from richlab.rng import derive_seed
+    from test_richrep import plain_trunks
 
     task = small_task()
     cfg = TransferConfig(hidden=(6,), n_episodes=3, train=FAST_TRAIN, methods=("cat", "catsub"),
@@ -305,7 +308,7 @@ def test_transfer_leg_gap_and_catsub_equal_per_extractor_loops():
 
     def loop(ds):
         return [fit_probe(extract_features(trunk, ds.X), ds.y, cfg.probe,
-                          n_classes=ds.n_classes) for trunk in bank.extractors]
+                          n_classes=ds.n_classes) for trunk in plain_trunks(bank)]
 
     accs = [p.train_accuracy for p in loop(task.train)]
     gap = by[("cat3", "id_train", "leg_gap")]
@@ -414,6 +417,19 @@ def test_fewshot_std_is_sample_std():
                               cfg, seed=derive_seed(4, 7000))
     assert mean == pytest.approx(accs.mean())
     assert std == pytest.approx(accs.std(ddof=1))
+
+
+@pytest.mark.parametrize("kwargs,words", [
+    ({"n_episodes_eval": 1}, "n_episodes_eval must be at least 2"),
+    ({"n_episodes_eval": 0}, "n_episodes_eval must be at least 2"),
+    ({"methods": ("erm", "cat-s"), "train": replace(FAST_TRAIN, epochs=0)}, "train.epochs"),
+    ({"methods": ("snaps",), "train": replace(FAST_TRAIN, epochs=0)}, "train.epochs"),
+], ids=["one-episode", "no-episode", "cat-s-zero-epochs", "snaps-zero-epochs"])
+def test_fewshot_config_refuses_what_the_run_would_fail_on(kwargs, words):
+    with pytest.raises(ParameterError, match=words):
+        FewshotConfig(**kwargs)
+    # zero epochs stays a valid (untrained) run of the other methods
+    FewshotConfig(methods=("erm", "cat"), train=replace(FAST_TRAIN, epochs=0))
 
 
 def _episodes_and_reference():
@@ -604,10 +620,10 @@ def test_run_ood_cat_init_needs_bank():
 
 @pytest.mark.parametrize("init,given", [("cat", "distill"), ("scratch", "cat")])
 def test_run_ood_refuses_a_representation_its_init_does_not_name(init, given):
-    from richlab.richrep import RepresentationBank, init_trunk
+    from richlab.richrep import RepresentationBank, init_trunk, stack_nets
 
     task = tiny_ood_task()
-    bank = RepresentationBank([init_trunk([task.test_env.d, 4], seed=1)])
+    bank = RepresentationBank(stack_nets([init_trunk([task.test_env.d, 4], seed=1)]))
     cfg = OodConfig(algorithm="erm", init=init, tune_mode="ood", seeds=(1,))
     with pytest.raises(ParameterError, match=f"init={init!r} .* got {given!r}"):
         run_ood(task, cfg, Representation(given, given, bank))

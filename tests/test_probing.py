@@ -366,13 +366,14 @@ def test_cache_hit_fits_nothing_and_returns_the_held_probe(monkeypatch):
 def test_cache_request_mixing_held_and_new_problems(monkeypatch):
     from richlab import richrep
     from richlab.core_nn import extract_features, init_network
-    from richlab.richrep import RepresentationBank, extractor_probes
+    from richlab.richrep import RepresentationBank, extractor_probes, stack_nets
     from richlab.tasks import Dataset
 
     X, y = informative_features(8, n=120, d=5)
     data = Dataset(X, y, np.zeros(120, dtype=np.int64), 3)
-    bank = RepresentationBank([init_network([5, 8], 20 + i) for i in range(5)])
-    feats = [extract_features(trunk, X) for trunk in bank.extractors]
+    nets = [init_network([5, 8], 20 + i) for i in range(5)]
+    bank = RepresentationBank(stack_nets(nets))
+    feats = [extract_features(net, X) for net in nets]
     cfg = ProbeConfig(l2=1e-3, max_iters=200, grad_tol=1e-7, standardize=True)
     cache = ProbeCache(cfg)
     held = [cache.fit(feats[i], y, 3) for i in (0, 4)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from richlab.core_nn import (
+    DenseLayer,
     Network,
     TrainConfig,
     extract_features,
@@ -29,7 +30,7 @@ from richlab.richrep import (
     leg_probe_gap,
     naive_finetune,
     snapshot_episode,
-    split_head,
+    stack_nets,
     subset_ensemble_predict,
     train_episodes,
     two_stage_finetune,
@@ -53,21 +54,38 @@ def trunks_equal(a, b):
     return np.array_equal(flatten_params(a), flatten_params(b))
 
 
+def _plain(layer, i):
+    return DenseLayer(layer.weights[i], layer.bias[i, 0], layer.activation)
+
+
+def plain_trunks(bank):
+    """Each member's trunk as a plain network (views of the bank's stack)."""
+    return [Network([_plain(layer, i) for layer in bank.trunk.layers]) for i in range(len(bank))]
+
+
+def plain_heads(bank):
+    """Each member's head as a plain layer (views of the bank's stack)."""
+    return [_plain(bank.head, i) for i in range(len(bank))]
+
+
 # ---------------------------------------------------------------------------
 # the bank
 
 def test_bank_needs_an_extractor_and_one_head_per_extractor():
     bank = train_episodes(toy_data(), (8,), CFG, [1, 2])
-    with pytest.raises(ParameterError, match="at least one extractor"):
-        RepresentationBank([])
-    for heads in (bank.heads[:1], [], bank.heads * 2):
-        with pytest.raises(ParameterError, match="one saved head per extractor"):
-            RepresentationBank(bank.extractors, heads)
+    with pytest.raises(ParameterError, match="at least one member"):
+        stack_nets([])
+    three = train_episodes(toy_data(), (8,), CFG, [1, 2, 3])
+    for head in (bank.member(0).head, three.head, plain_heads(bank)[0]):
+        with pytest.raises(ShapeError, match="stack its members"):
+            RepresentationBank(bank.trunk, head)
+    with pytest.raises(ShapeError, match="stack its members"):
+        RepresentationBank(plain_trunks(bank)[0])
 
 
 def test_bank_dims_follow_its_extractors():
     data = toy_data()
-    bank = RepresentationBank([init_trunk([data.d, 5, 3], seed=s) for s in (1, 2)])
+    bank = RepresentationBank(stack_nets(init_trunk([data.d, 5, 3], seed=s) for s in (1, 2)))
     assert (bank.dims, bank.total_dim) == ([3, 3], 6)
     assert (bank.member(1).dims, bank.member(1).total_dim) == ([3], 3)
     joint, head = joint_train(data, (7,), 3, CFG)
@@ -76,7 +94,7 @@ def test_bank_dims_follow_its_extractors():
     assert (ft_bank.dims, ft_bank.total_dim, head.n_in) == ([3, 3], 6, 6)
     # a bank of an 8-wide and a 5-then-3-wide trunk holds two architectures
     with pytest.raises(ShapeError):
-        RepresentationBank([init_trunk([data.d, 8], seed=1), init_trunk([data.d, 5, 3], seed=2)])
+        stack_nets([init_trunk([data.d, 8], seed=1), init_trunk([data.d, 5, 3], seed=2)])
 
 
 @pytest.mark.parametrize("sizes,activation", [
@@ -90,12 +108,12 @@ def test_a_bank_of_two_architectures_is_refused(sizes, activation):
     other = init_trunk([d, *sizes], seed=2, activation=activation)
     for extractors in ([trunk, other], [trunk, trunk.clone(), other]):
         with pytest.raises(ShapeError, match=f"member {len(extractors) - 1} differs"):
-            RepresentationBank(extractors)
+            stack_nets(extractors)
     # heads of two shapes over one trunk architecture are refused too
     rng = SplitMix64(3)
     with pytest.raises(ShapeError, match="member 1 differs"):
-        RepresentationBank([trunk, trunk.clone()],
-                           [glorot_layer(3, 5, rng), glorot_layer(4, 5, rng)])
+        stack_nets([Network([*trunk.layers, glorot_layer(3, 5, rng)]),
+                    Network([*trunk.layers, glorot_layer(4, 5, rng)])])
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +124,8 @@ def test_single_seed_bank_matches_single_train():
     bank = train_episodes(data, (8,), CFG, [77])
     net = init_network([data.d, 8, data.n_classes], seed=77)
     trained, _ = train(net, data.X, data.y, CFG.with_seed(77))
-    trunk, head = split_head(trained)
-    assert trunks_equal(bank.extractors[0], trunk)
-    assert np.array_equal(bank.heads[0].weights, head.weights)
+    assert trunks_equal(bank.trunk, Network(trained.layers[:-1]))
+    assert np.array_equal(bank.head.weights[0], trained.layers[-1].weights)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -151,7 +168,7 @@ def test_diverging_two_stage_finetune_names_the_leg_a_loop_would():
     bank = train_episodes(data, (4,), CFG, [11, 12, 13, 14])
     cfg = TrainConfig(lr=3e4, epochs=20, batch_size=16, momentum=0.9, seed=1)
     alone = []
-    for i, trunk in enumerate(bank.extractors):
+    for i, trunk in enumerate(plain_trunks(bank)):
         head = glorot_layer(data.n_classes, 4, SplitMix64(derive_seed(1, i)))
         alone.append(_alone(Network([*trunk.clone().layers, head]), data,
                             cfg.with_seed(derive_seed(1, i))))
@@ -211,13 +228,13 @@ def test_diverging_naive_finetune_names_its_seed():
 def test_duplicate_seeds_give_identical_extractors():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [5, 5])
-    assert trunks_equal(bank.extractors[0], bank.extractors[1])
+    assert trunks_equal(bank.member(0).trunk, bank.member(1).trunk)
 
 
 def test_different_seeds_give_different_extractors():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [5, 6])
-    assert not trunks_equal(bank.extractors[0], bank.extractors[1])
+    assert not trunks_equal(bank.member(0).trunk, bank.member(1).trunk)
     assert bank.dims == [8, 8]
 
 
@@ -225,8 +242,8 @@ def test_bank_members_are_value_isolated():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [5, 6])
     single = bank.member(0)
-    single.extractors[0].layers[0].weights[:] = 0.0
-    assert not np.allclose(bank.extractors[0].layers[0].weights, 0.0)
+    single.trunk.layers[0].weights[:] = 0.0
+    assert not np.allclose(bank.trunk.layers[0].weights[0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +255,7 @@ def test_snapshot_at_final_epoch_equals_full_run():
     bank = snapshot_episode(data, (8,), cfg, [cfg.epochs])
     net = init_network([data.d, 8, data.n_classes], seed=cfg.seed)
     trained, _ = train(net, data.X, data.y, cfg)
-    trunk, _ = split_head(trained)
-    assert trunks_equal(bank.extractors[0], trunk)
+    assert trunks_equal(bank.trunk, Network(trained.layers[:-1]))
 
 
 def test_snapshot_prefix_property():
@@ -251,16 +267,14 @@ def test_snapshot_prefix_property():
                      data.X, data.y, CFG.with_seed(8).__class__(
                          lr=CFG.lr, epochs=4, batch_size=CFG.batch_size,
                          momentum=CFG.momentum, seed=8))
-    trunk, _ = split_head(short)
-    assert trunks_equal(bank.extractors[0], trunk)
+    assert trunks_equal(bank.member(0).trunk, Network(short.layers[:-1]))
 
 
 def test_snapshot_reruns_reproduce_bytes():
     data = toy_data()
     a = snapshot_episode(data, (8,), CFG.with_seed(3), [3, 6])
     b = snapshot_episode(data, (8,), CFG.with_seed(3), [3, 6])
-    for x, y in zip(a.extractors, b.extractors):
-        assert trunks_equal(x, y)
+    assert trunks_equal(a.trunk, b.trunk)
 
 
 def test_snapshot_epoch_validation():
@@ -280,7 +294,7 @@ def test_cat_features_single_member():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [1])
     feats = cat_features(bank, data.X)
-    assert np.array_equal(feats, extract_features(bank.extractors[0], data.X))
+    assert np.array_equal(feats, extract_features(plain_trunks(bank)[0], data.X))
 
 
 def test_cat_features_block_layout():
@@ -288,8 +302,28 @@ def test_cat_features_block_layout():
     bank = train_episodes(data, (8,), CFG, [1, 2])
     feats = cat_features(bank, data.X)
     assert feats.shape[1] == 16
-    assert np.array_equal(feats[:, :8], extract_features(bank.extractors[0], data.X))
-    assert np.array_equal(feats[:, 8:], extract_features(bank.extractors[1], data.X))
+    first, second = plain_trunks(bank)
+    assert np.array_equal(feats[:, :8], extract_features(first, data.X))
+    assert np.array_equal(feats[:, 8:], extract_features(second, data.X))
+
+
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)], ids=str)
+@pytest.mark.parametrize("seeds", [[3], [3, 4, 5, 6, 7]], ids=["1-member", "5-member"])
+@pytest.mark.parametrize("rows", [1, 15, 25, 600, 900, 1500])
+def test_stacked_reads_equal_the_per_member_reads_bitwise(rows, seeds, hidden):
+    # the row counts the pipelines feed: a few-shot query, support and
+    # episode block, and the transfer probe and test sets
+    bank = train_episodes(toy_data(), hidden, CFG, seeds)
+    data = toy_data(n=rows, seed=9)
+    feats = [extract_features(trunk, data.X) for trunk in plain_trunks(bank)]
+    assert cat_features(bank, data.X).tobytes() == np.hstack(feats).tobytes()
+    logits = leg_logits(bank, data.X)
+    for f, head, got in zip(feats, plain_heads(bank), logits, strict=True):
+        assert got.tobytes() == (f @ head.weights.T + head.bias).tobytes()
+    # a probe is cached under the sha256 of the features it was fitted on
+    cache = ProbeCache(ProbeConfig(l2=1e-3, max_iters=1))
+    extractor_probes(bank, data, cache)
+    assert set(cache.probes) == {cache.key(f, data.y, data.n_classes) for f in feats}
 
 
 def test_duplicate_extractor_adds_no_information():
@@ -308,8 +342,7 @@ def test_probe_cost_monotone_under_concatenation():
     cfg = ProbeConfig(l2=1e-3, max_iters=3000, grad_tol=1e-8)
     prev = None
     for n in (1, 2, 3):
-        sub = RepresentationBank([bank3.extractors[i].clone() for i in range(n)],
-                                 bank3.heads[:n])
+        sub = RepresentationBank(stack_nets(plain_trunks(bank3)[:n]))
         cost = optimal_cost(cat_features(sub, data.X), data.y, cfg)
         if prev is not None:
             assert cost <= prev + 1e-3
@@ -334,7 +367,7 @@ def test_subset_ensemble_single_equals_probe_softmax():
 def test_subset_ensemble_identical_members():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [4, 4])
-    probe = fit_probe(extract_features(bank.extractors[0], data.X), data.y, PROBE,
+    probe = fit_probe(extract_features(plain_trunks(bank)[0], data.X), data.y, PROBE,
                       n_classes=data.n_classes)
     out = subset_ensemble_predict(bank, [probe, probe], data.X)
     single = subset_ensemble_predict(bank.member(0), [probe], data.X)
@@ -387,7 +420,7 @@ def test_cosine_distillation_runs_and_aligns():
 def test_distill_requires_teacher_heads_for_kl():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [9])
-    headless = RepresentationBank([t.clone() for t in bank.extractors])
+    headless = RepresentationBank(bank.trunk)
     with pytest.raises(ParameterError):
         distill(headless, DistillSpec(mode="kl", student_arch=(8,)), data,
                 TrainConfig(lr=0.05, epochs=1, batch_size=16))
@@ -401,9 +434,8 @@ def test_naive_finetune_zero_epochs_keeps_trunks():
     bank = train_episodes(data, (8,), CFG, [1, 2])
     cfg = TrainConfig(lr=0.05, epochs=0, batch_size=16, seed=3)
     ft_bank, head = naive_finetune(bank, data, cfg)
-    assert ft_bank.heads is None and head.n_in == bank.total_dim
-    for leg, trunk in zip(ft_bank.extractors, bank.extractors, strict=True):
-        assert trunks_equal(leg, trunk)
+    assert ft_bank.head is None and head.n_in == bank.total_dim
+    assert trunks_equal(ft_bank.trunk, bank.trunk)
     assert np.array_equal(cat_features(ft_bank, data.X), cat_features(bank, data.X))
 
 
@@ -412,7 +444,7 @@ def test_naive_finetune_trains_all_parts():
     bank = train_episodes(data, (8,), CFG, [1, 2])
     cfg = TrainConfig(lr=0.05, epochs=8, batch_size=16, momentum=0.9, seed=3)
     ft_bank, head = naive_finetune(bank, data, cfg)
-    assert not trunks_equal(ft_bank.extractors[0], bank.extractors[0])
+    assert not trunks_equal(ft_bank.member(0).trunk, bank.member(0).trunk)
     assert bank_head_accuracy(ft_bank, head, data.X, data.y) > 0.5
 
 
@@ -420,7 +452,7 @@ def test_joint_train_builds_bank_without_heads():
     data = toy_data()
     bank, head = joint_train(data, (8,), 2, TrainConfig(lr=0.05, epochs=8, batch_size=16,
                                                         momentum=0.9, seed=4))
-    assert bank.heads is None
+    assert bank.head is None
     assert bank.total_dim == 16 and head.n_in == 16
 
 
@@ -433,7 +465,7 @@ def test_two_stage_zero_stage2_equals_mean_of_leg_logits():
     ft_cfg = TrainConfig(lr=0.05, epochs=5, batch_size=16, momentum=0.9, seed=6)
     ft_bank, head = two_stage_finetune(bank, data, ft_cfg, stage2_epochs=0)
     got = bank_head_logits(ft_bank, head, data.X)
-    want = sum(leg_logits(ft_bank, i, data.X) for i in range(3)) / 3
+    want = sum(leg_logits(ft_bank, data.X)) / 3
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -443,16 +475,13 @@ def test_two_stage_single_leg_equals_plain_finetune():
     ft_cfg = TrainConfig(lr=0.05, epochs=5, batch_size=16, momentum=0.9, seed=6)
     ft_bank, head = two_stage_finetune(bank, data, ft_cfg, stage2_epochs=0)
     got = bank_head_logits(ft_bank, head, data.X)
-    want = leg_logits(ft_bank, 0, data.X)
+    want = leg_logits(ft_bank, data.X)[0]
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_concat_head_init_shapes():
-    from richlab.core_nn import DenseLayer
-
-    heads = [DenseLayer(np.ones((3, 4)), np.ones(3)),
-             DenseLayer(2 * np.ones((3, 5)), np.zeros(3))]
-    combined = concat_head_init(heads)
+    combined = concat_head_init([np.ones((3, 4)), 2 * np.ones((3, 5))],
+                                [np.ones(3), np.zeros(3)])
     assert combined.weights.shape == (3, 9)
     assert np.allclose(combined.bias, 0.5)
 
@@ -484,7 +513,7 @@ def test_extractor_probes_equal_one_fit_per_extractor():
     bank = train_episodes(data, (8,), CFG, [5, 6, 7, 8])
     probes = extractor_probes(bank, data, ProbeCache(PROBE))
     assert len(probes) == 4
-    for trunk, probe in zip(bank.extractors, probes, strict=True):
+    for trunk, probe in zip(plain_trunks(bank), probes, strict=True):
         alone = fit_probe(extract_features(trunk, data.X), data.y, PROBE,
                           n_classes=data.n_classes)
         assert_same_probe(probe, alone)
