@@ -150,25 +150,29 @@ def _merged(default, values: dict, read: set, section: str | None = None, at: tu
     Keys that are not fields of ``default`` are left to other configs.
     JSON arrays become tuples, and a JSON object updates the dataclass
     held in its field the same way, so every unset value keeps the one
-    default its dataclass declares.  The path of every key read, with
+    default its dataclass declares.  The dataclass is built once, so its
+    checks compare values from both levels (a section's ``n_snapshots``
+    with a top-level ``train.epochs``).  The path of every key read, with
     ``values`` at path ``at`` of the config, goes into ``read``.
     """
+    scopes = [(values, at)]
+    if section in values:
+        read.add((*at, section))
+        scopes.append((values[section], (*at, section)))
     updates = {}
-    for f in fields(default):
-        if f.name not in values:
-            continue
-        read.add((*at, f.name))
-        value = values[f.name]
-        if isinstance(value, dict):
-            value = _merged(getattr(default, f.name), value, read, at=(*at, f.name))
-        elif isinstance(value, list):
-            value = tuple(value)
-        updates[f.name] = value
-    merged = replace(default, **updates)
-    if section not in values:
-        return merged
-    read.add((*at, section))
-    return _merged(merged, values[section], read, at=(*at, section))
+    for scope, path in scopes:
+        for f in fields(default):
+            if f.name not in scope:
+                continue
+            read.add((*path, f.name))
+            value = scope[f.name]
+            if isinstance(value, dict):
+                value = _merged(updates.get(f.name, getattr(default, f.name)), value, read,
+                                at=(*path, f.name))
+            elif isinstance(value, list):
+                value = tuple(value)
+            updates[f.name] = value
+    return replace(default, **updates)
 
 
 def _unread(values: dict, read: set, at: tuple = ()) -> list[tuple]:

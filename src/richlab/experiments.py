@@ -509,9 +509,16 @@ class FewshotConfig:
         if self.n_episodes_eval < 2:
             raise ParameterError("n_episodes_eval must be at least 2 for a ddof=1 std over "
                                  f"episodes, got {self.n_episodes_eval}")
-        if {"cat-s", "snaps"} & set(self.methods) and self.train.epochs < 1:
-            raise ParameterError("snapshot methods (cat-s, snaps) need train.epochs of at "
-                                 f"least 1, got {self.train.epochs}")
+        if {"cat-s", "snaps"} & set(self.methods):
+            if self.train.epochs < 1:
+                raise ParameterError("snapshot methods (cat-s, snaps) need train.epochs of "
+                                     f"at least 1, got {self.train.epochs}")
+            # one snapshot per distinct epoch: more would silently give fewer
+            if self.n_snapshots > self.train.epochs:
+                raise ParameterError(
+                    "snapshot methods (cat-s, snaps) need n_snapshots of at most "
+                    f"train.epochs, got n_snapshots {self.n_snapshots} and train.epochs "
+                    f"{self.train.epochs}")
 
 
 def fit_cosine_classifier(feats, y, n_classes: int, seed: int, lr: float = 0.1,
@@ -642,10 +649,18 @@ class OodConfig:
 
 
 def _env_objective_fn(y, env_ids, beta):
-    """Closure computing the environment-risk objective and its logit gradient."""
+    """Closure computing the environment-risk objective and its logit gradient.
+
+    The objective equals ``vrex_objective(risks, beta)`` bit for bit: the
+    sums and divisions below are the ones ``ndarray.mean`` and
+    ``ndarray.var`` perform, without their per-call wrapping and checks.
+    """
+    if beta < 0:
+        raise ParameterError("beta must be nonnegative")
     y = np.asarray(y)
     envs, env_of = np.unique(env_ids, return_inverse=True)
     groups = [np.flatnonzero(env_of == j) for j in range(len(envs))]
+    n_env = len(groups)
     row_count = np.array([len(rows) for rows in groups], dtype=np.float64)[env_of][:, None]
     label_pos = {}  # n_classes -> (flat label positions, the same split by environment)
 
@@ -657,12 +672,13 @@ def _env_objective_fn(y, env_ids, beta):
         flat, env_pos = label_pos[k]
         logp = log_softmax(logits)
         lp = logp.reshape(-1)
-        risks = np.empty(len(groups))
+        risks = np.empty(n_env)
         for j, pos in enumerate(env_pos):
-            risks[j] = -lp.take(pos).mean()
-        mean_risk = risks.mean()
+            risks[j] = -(np.add.reduce(lp.take(pos)) / len(pos))
+        mean_risk = np.add.reduce(risks) / n_env
+        dev = risks - mean_risk
         # d objective / d risk_j = 1/E + beta * 2 (risk_j - mean) / E
-        coeff = 1.0 / len(groups) + beta * 2.0 * (risks - mean_risk) / len(groups)
+        coeff = 1.0 / n_env + beta * 2.0 * dev / n_env
         # No gathers or scatters, yet the same bits as a per-environment
         # loop: each risk averages the same values in the same row order,
         # and each gradient entry gets the same two roundings as
@@ -671,7 +687,7 @@ def _env_objective_fn(y, env_ids, beta):
         d_logits.reshape(-1)[flat] -= 1.0
         d_logits *= coeff[env_of][:, None]
         d_logits /= row_count
-        return vrex_objective(risks, beta), d_logits
+        return float(mean_risk + beta * (np.add.reduce(dev * dev) / n_env)), d_logits
 
     return loss_fn
 

@@ -101,13 +101,12 @@ class SplitMix64:
         """Fisher-Yates permutation of range(n)."""
         if n < 2:
             return np.arange(n, dtype=np.int64)
-        # One bounded draw per position, from the top index down to 1; the
-        # swaps run on Python ints, which is exact and much cheaper than
-        # indexing numpy scalars.
-        draws = self.u64(n - 1).tolist()
+        # One bounded draw per position, from the top index down to 1,
+        # reduced in one array pass; the swaps run on Python ints, which is
+        # exact and much cheaper than indexing numpy scalars.
+        draws = (self.u64(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
         perm = list(range(n))
-        for k, i in enumerate(range(n - 1, 0, -1)):
-            j = draws[k] % (i + 1)
+        for i, j in zip(range(n - 1, 0, -1), draws):
             perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.int64)
 

@@ -194,7 +194,8 @@ class EpisodeSpec:
 
 def sample_episode(novel: Dataset, spec: EpisodeSpec, rng: SplitMix64) -> tuple[Dataset, Dataset]:
     """Draw one ``n_way``-way episode: disjoint support/query, labels in [0, n_way)."""
-    classes = np.unique(novel.y)
+    # the labels are nonnegative; np.unique would import numpy.ma into the run
+    classes = np.flatnonzero(np.bincount(novel.y))
     if spec.n_way > len(classes):
         raise SamplingError(
             f"{spec.n_way}-way episode needs {spec.n_way} classes, dataset has {len(classes)}"

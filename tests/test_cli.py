@@ -237,6 +237,27 @@ def test_start_up_loads_no_third_party_package_but_numpy():
     assert tops - set(sys.stdlib_module_names) - {"richlab"} == {"numpy"}
 
 
+def test_a_fewshot_run_does_not_import_numpy_ma(tmp_path):
+    # numpy imports numpy.ma lazily, and np.unique without a return_* argument
+    # asks it whether its input is masked: one such call adds the import to
+    # every run's time and memory
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from test_pipeline_bytes import FEWSHOT
+
+    cfg = write_config(tmp_path, **FEWSHOT)
+    code = ("import sys; from richlab import cli; "
+            f"rc = cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ,
+                                              PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert out.stdout.splitlines()[-1] == "0 False"  # after the run's own lines
+
+
 def test_run_transfer_pipeline_writes_outputs(tmp_path):
     cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"), **FAST_TRANSFER)
     assert cli.cmd_run(cfg) == 0
@@ -379,6 +400,21 @@ def test_run_refuses_snapshots_of_a_zero_epoch_run_before_any_work(tmp_path, cap
     monkeypatch.undo()
     cfg = dict(cfg, methods=["erm", "cat"])
     assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 0
+
+
+def test_run_refuses_more_snapshots_than_epochs_before_any_work(tmp_path, capsys,
+                                                               monkeypatch):
+    # the schedule has at most one snapshot per epoch: 5 of 3 epochs would
+    # silently report cat3-s
+    from test_pipeline_bytes import FEWSHOT
+
+    _refuse_work(monkeypatch)
+    cfg = dict(FEWSHOT, fewshot=dict(FEWSHOT["fewshot"], n_snapshots=5))
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "config error: snapshot methods (cat-s, snaps) need n_snapshots of at most "
+        "train.epochs, got n_snapshots 5 and train.epochs 3\n")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

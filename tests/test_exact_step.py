@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from richlab.core_nn import DenseLayer
 from richlab.core_nn.layers import init_network, stack_backward, stack_forward, stack_layers
 from richlab.core_nn.losses import log_softmax
-from richlab.errors import NumericalError, TrainingError
+from richlab.errors import NumericalError, ParameterError, TrainingError
 from richlab.experiments import OodConfig, _env_objective_fn, _fit_ood_model, vrex_objective
 
 
@@ -120,6 +120,13 @@ def test_vrex_gradient_matches_central_differences(beta):
             num[i, c] = (f(up)[0] - f(down)[0]) / (2 * h)
     scale = np.abs(grad).max()
     assert np.abs(num - grad).max() <= 1e-6 * max(scale, 1.0)
+
+
+def test_negative_beta_is_refused_when_the_closure_is_built():
+    y, env = np.array([0, 1, 1]), np.array([0, 0, 1])
+    with pytest.raises(ParameterError, match="beta must be nonnegative"):
+        _env_objective_fn(y, env, -0.5)
+    _env_objective_fn(y, env, 0.0)  # zero is plain ERM over the environments
 
 
 # ---------------------------------------------------------------------------

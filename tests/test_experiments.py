@@ -424,12 +424,22 @@ def test_fewshot_std_is_sample_std():
     ({"n_episodes_eval": 0}, "n_episodes_eval must be at least 2"),
     ({"methods": ("erm", "cat-s"), "train": replace(FAST_TRAIN, epochs=0)}, "train.epochs"),
     ({"methods": ("snaps",), "train": replace(FAST_TRAIN, epochs=0)}, "train.epochs"),
-], ids=["one-episode", "no-episode", "cat-s-zero-epochs", "snaps-zero-epochs"])
+    ({"methods": ("erm", "cat-s"), "train": replace(FAST_TRAIN, epochs=2), "n_snapshots": 5},
+     "got n_snapshots 5 and train.epochs 2"),
+    ({"methods": ("snaps",), "train": replace(FAST_TRAIN, epochs=4), "n_snapshots": 5},
+     "got n_snapshots 5 and train.epochs 4"),
+], ids=["one-episode", "no-episode", "cat-s-zero-epochs", "snaps-zero-epochs",
+        "cat-s-more-snapshots-than-epochs", "snaps-more-snapshots-than-epochs"])
 def test_fewshot_config_refuses_what_the_run_would_fail_on(kwargs, words):
     with pytest.raises(ParameterError, match=words):
         FewshotConfig(**kwargs)
     # zero epochs stays a valid (untrained) run of the other methods
     FewshotConfig(methods=("erm", "cat"), train=replace(FAST_TRAIN, epochs=0))
+    # as do more snapshots than epochs without a snapshot method, and as
+    # many snapshots as epochs with one
+    FewshotConfig(methods=("erm", "cat"), train=replace(FAST_TRAIN, epochs=2), n_snapshots=5)
+    FewshotConfig(methods=("cat-s", "snaps"), train=replace(FAST_TRAIN, epochs=5),
+                  n_snapshots=5)
 
 
 def _episodes_and_reference():
@@ -533,6 +543,13 @@ def test_zero_norm_row_in_a_cosine_episode_names_the_episode(where, message, epo
 def test_snapshot_schedule_even():
     assert snapshot_schedule(100, 5) == [20, 40, 60, 80, 100]
     assert snapshot_schedule(12, 5) == [2, 5, 7, 10, 12]
+    # FewshotConfig refuses n_snapshots > train.epochs; up to that bound the
+    # schedule has one distinct epoch per snapshot, ending at the last one
+    for epochs in range(1, 61):
+        for n in range(1, epochs + 1):
+            snaps = snapshot_schedule(epochs, n)
+            assert len(snaps) == n and snaps[-1] == epochs
+    assert snapshot_schedule(2, 5) == [1, 2]  # why a config must not ask for more
 
 
 # ---------------------------------------------------------------------------

@@ -90,3 +90,16 @@ def test_permutation_of_short_ranges():
     assert rng.permutation(0).tolist() == [] and rng.permutation(0).dtype == np.int64
     assert rng.permutation(1).tolist() == [0]
     assert rng.next_u64() == SplitMix64(5).next_u64()     # no draws used
+
+
+def test_permutation_follows_the_docstring_recipe():
+    # Fisher-Yates with next_u64() % (i + 1), from i = n - 1 down to 1
+    for n in (2, 3, 25, 750, 900, 1500):
+        for seed in (0, 1, 2**63 + 5):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            want = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = ref.next_u64() % (i + 1)
+                want[i], want[j] = want[j], want[i]
+            assert rng.permutation(n).tolist() == want
+            assert rng.next_u64() == ref.next_u64()   # the stream is left in step
