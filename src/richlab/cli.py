@@ -8,7 +8,6 @@ found before any pipeline work); 3 runtime failures.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import operator
@@ -19,6 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ParameterError, RichlabError
+from .probing import sha256
 # imported, not called: perfbench/tests checks that its tracer wraps cli.train_episodes
 from .richrep import train_episodes
 from .rng import derive_seed
@@ -365,7 +365,7 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
         manifest = {
             "pipeline": pipeline,
             "version": f"richlab-{__version__}",
-            "config_hash": hashlib.sha256(
+            "config_hash": sha256(
                 json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
             "master_seed": run.master_seed,
             "seeds": list(run.seeds),

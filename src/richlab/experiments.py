@@ -132,10 +132,13 @@ def write_records_csv(records, path) -> None:
 
 
 def load_records_csv(path) -> list[RunRecord]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {exc.start}: not UTF-8: {exc.reason}") from exc
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
-        raise DataError(f"CSV header mismatch: expected {CSV_HEADER!r}")
+        raise DataError(f"{path}: CSV header mismatch: expected {CSV_HEADER!r}")
     records = []
     for number, line in enumerate(lines[1:], start=2):
         if not line:

@@ -32,10 +32,15 @@ per-leg gap already probed.  A ``ProbeCache`` per seed holds every probe
 fitted so far under its key, the digest of the problem's bytes, so each
 distinct problem is fitted once, and only the problems it does not hold
 reach the solver.
+
+The digests come from ``sha256``, CPython's built-in hash module (``_sha2``
+from Python 3.12, ``_sha256`` before), as in the standard ``random``
+module: ``hashlib`` would map OpenSSL's libcrypto into every run for two
+digests.  ``hashlib.sha256``, which gives the same bytes, serves only a
+build without those modules.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +49,14 @@ from .core_nn.layers import as_feature_matrix
 from .core_nn.losses import log_softmax
 from .errors import DataError, ParameterError, ShapeError
 from .rng import SplitMix64
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 # ndarray.sum without its Python wrapper: the same reduction, called per step
 _sum = np.add.reduce
@@ -305,7 +318,7 @@ class ProbeCache:
     def key(self, features, labels, n_classes: int) -> tuple:
         """Key of the single problem ``(features, labels)`` with ``n_classes``."""
         X = np.ascontiguousarray(features, dtype=np.float64)
-        digest = hashlib.sha256(X)
+        digest = sha256(X)
         digest.update(np.ascontiguousarray(labels, dtype=np.int64))
         return digest.digest(), X.shape, int(n_classes)
 

@@ -410,7 +410,11 @@ def two_stage_finetune(
             weight_decay=0.0,
             seed=derive_seed(ft_config.seed, len(bank) + 1),
         )
-        trained_head, _ = train(head_net, feats, data.y, cfg)
+        try:
+            trained_head, _ = train(head_net, feats, data.y, cfg)
+        except TrainingError as exc:
+            raise EpisodeError(f"stage-2 fine-tune with seed {cfg.seed} diverged: {exc}",
+                               seed=cfg.seed, epoch=exc.epoch) from exc
         final = trained_head.layers[0]
     return ft_bank, final
 

@@ -235,12 +235,16 @@ def test_start_up_loads_no_third_party_package_but_numpy():
     added = (loaded("from richlab import cli; cli.load_schema()") - loaded("pass"))
     tops = {name.partition(".")[0] for name in added}
     assert tops - set(sys.stdlib_module_names) - {"richlab"} == {"numpy"}
+    # hashlib would load _hashlib, which maps OpenSSL's libcrypto
+    assert "_hashlib" not in added
 
 
-def test_a_fewshot_run_does_not_import_numpy_ma(tmp_path):
+@pytest.mark.parametrize("config", ["fewshot", "transfer-catsub"])
+def test_a_run_imports_neither_numpy_ma_nor_hashlib(tmp_path, config):
     # numpy imports numpy.ma lazily, and np.unique without a return_* argument
-    # asks it whether its input is masked: one such call adds the import to
-    # every run's time and memory
+    # asks it whether its input is masked; hashlib loads OpenSSL's libcrypto.
+    # Either import adds to every run's time and memory.  catsub reuses the
+    # per-leg probes, so the transfer run computes ProbeCache keys.
     import os
     import subprocess
     import sys
@@ -248,14 +252,16 @@ def test_a_fewshot_run_does_not_import_numpy_ma(tmp_path):
 
     from test_pipeline_bytes import FEWSHOT
 
-    cfg = write_config(tmp_path, **FEWSHOT)
+    configs = {"fewshot": FEWSHOT,
+               "transfer-catsub": dict(FAST_TRANSFER, n_seeds=1, methods=["erm", "catsub"])}
+    cfg = write_config(tmp_path, **configs[config])
     code = ("import sys; from richlab import cli; "
             f"rc = cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
-            "print(rc, 'numpy.ma' in sys.modules)")
+            "print(rc, 'numpy.ma' in sys.modules, '_hashlib' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ,
                                               PYTHONPATH=str(Path(cli.__file__).parents[1])))
-    assert out.stdout.splitlines()[-1] == "0 False"  # after the run's own lines
+    assert out.stdout.splitlines()[-1] == "0 False False"  # after the run's own lines
 
 
 def test_run_transfer_pipeline_writes_outputs(tmp_path):
@@ -270,6 +276,30 @@ def test_run_transfer_pipeline_writes_outputs(tmp_path):
     assert meta["pipeline"] == "transfer"
     assert meta["version"].startswith("richlab-")
     assert len(meta["config_hash"]) == 64
+
+
+def test_manifest_config_hash_is_hashlib_sha256_of_the_sorted_config(tmp_path):
+    import hashlib
+
+    cfg = dict(FAST_TRANSFER, n_seeds=1, output_dir=str(tmp_path / "out"))
+    assert cli.cmd_run(write_config(tmp_path, **cfg)) == 0
+    meta = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert meta["config_hash"] == hashlib.sha256(
+        json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_stage_2_fine_tune_names_its_seed(tmp_path, capsys):
+    from richlab.rng import derive_seed
+
+    cfg = write_config(tmp_path, **dict(FAST_TRANSFER, methods=["cat", "2ft"], stage2_lr=1e308,
+                                        stage2_epochs=20))
+    assert cli.cmd_run(cfg, out=str(tmp_path / "out")) == 3
+    # the first seed's stage 2 diverges; its ft seed is derive_seed(s, 800)
+    seed = derive_seed(derive_seed(cli.RunConfig(master_seed=5, n_seeds=2).seeds[0], 800), 3)
+    assert capsys.readouterr().err == (
+        f"runtime error: stage-2 fine-tune with seed {seed} diverged: "
+        "training diverged at epoch 0: non-finite gradient in parameter 0\n")
 
 
 @pytest.mark.parametrize("field,value", [("grad_tol", float("inf")), ("l2", float("nan"))])
@@ -458,6 +488,15 @@ def test_report_header_mismatch(tmp_path, capsys):
     path = tmp_path / "r.csv"
     path.write_text("nope\n1,2,3\n")
     assert cli.cmd_report(str(path)) == 2
+    assert capsys.readouterr().err.startswith(f"report error: {path}: CSV header mismatch")
+
+
+def test_report_names_the_path_and_byte_of_invalid_utf8(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    path.write_bytes(CSV_HEADER.encode() + b"\nr,1,m,t,id_test,acc,0.5,a=\xff\n")
+    assert cli.cmd_report(str(path)) == 2
+    assert capsys.readouterr().err == (
+        f"report error: {path}: byte {len(CSV_HEADER) + 27}: not UTF-8: invalid start byte\n")
 
 
 def test_report_marks_anchors(tmp_path, capsys):

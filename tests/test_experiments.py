@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -170,6 +171,13 @@ def test_header_mismatch_detected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,header\n1,2\n")
     with pytest.raises(DataError):
+        load_records_csv(path)
+
+
+def test_invalid_utf8_is_data_error_naming_the_path_and_byte(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(CSV_HEADER.encode() + b"\n\x80\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: byte {len(CSV_HEADER) + 1}: "):
         load_records_csv(path)
 
 

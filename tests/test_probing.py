@@ -394,6 +394,25 @@ def test_cache_request_mixing_held_and_new_problems(monkeypatch):
     assert_same_probe(lone[2], probes[2])
 
 
+def test_sha256_is_the_built_in_module_and_digests_as_hashlib_does():
+    import hashlib
+    import importlib.util
+
+    from richlab.probing import sha256
+
+    built_in = [m for m in ("_sha2", "_sha256") if importlib.util.find_spec(m)]
+    if built_in:
+        assert sha256.__module__ == built_in[0]
+    # what ProbeCache.key hashes: a float64 leg slice of a stack, then int64 labels
+    legs = SplitMix64(3).normal(600).reshape(3, 50, 4)
+    y = np.arange(50) % 3
+    digest = sha256(legs[1])
+    digest.update(y.astype(np.int64))
+    want = hashlib.sha256(legs[1].tobytes() + y.astype(np.int64).tobytes()).digest()
+    assert digest.digest() == want
+    assert ProbeCache(TIGHT).key(legs[1], y.astype(np.int32), 3) == (want, (50, 4), 3)
+
+
 def _bytes_twins():
     """Two problems whose feature bytes followed by label bytes are equal."""
     y2 = np.array([0, 1, 0, 1])
