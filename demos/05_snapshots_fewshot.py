@@ -12,6 +12,7 @@ from richlab.experiments import (
     default_split_spec,
     episode_accuracies,
     make_class_split_tasks,
+    make_shift_task,
     snapshot_schedule,
 )
 from richlab.richrep import cat_features, snapshot_episode
@@ -19,7 +20,7 @@ from richlab.rng import SplitMix64, derive_seed
 from richlab.tasks import EpisodeSpec, sample_episode
 
 spec = default_split_spec()
-base, novel = make_class_split_tasks(spec, 42, list(range(5)), list(range(5, 10)))
+base, novel = make_class_split_tasks(make_shift_task(spec, 42))
 
 snap_cfg = TrainConfig(lr=0.8, epochs=60, batch_size=32, momentum=0.0,
                        schedule=Schedule.cosine(), seed=9)

@@ -24,11 +24,13 @@ from .richrep import train_episodes
 from .rng import derive_seed
 from .tasks import EpisodeSpec, ShiftSpec, gen_shift, pool
 from .experiments import (
+    METHODS,
     FewshotConfig,
     OodConfig,
     OodTask,
     RunRecord,
     TransferConfig,
+    TransferTask,
     build_representations,
     default_shift_spec,
     default_split_spec,
@@ -36,6 +38,7 @@ from .experiments import (
     make_class_split_tasks,
     make_ft_target,
     make_shift_task,
+    methods_of,
     ood_sample,
     run_fewshot,
     run_ood,
@@ -215,9 +218,6 @@ _KINDS = {"transfer": ("shift", "class_split"), "fewshot": ("class_split",),
           "ood": ("shift",)}
 _SPECS = {"shift": default_shift_spec, "class_split": default_split_spec}
 _TARGETS = {"shift": ("same", "ood_sample"), "class_split": ("same", "novel")}
-# an ood run's frozen initialization trains its bank with the transfer
-# settings that build_representations reads, and no others
-_BANK_KEYS = ("hidden", "n_episodes", "train", "distill", "distill_train")
 
 
 def _task(cfg: dict, read: set, pipeline: str) -> tuple[str, ShiftSpec]:
@@ -234,13 +234,6 @@ def _task(cfg: dict, read: set, pipeline: str) -> tuple[str, ShiftSpec]:
     return kind, _merged(_SPECS[kind](), cfg, read, "task")
 
 
-def _split_tasks(spec: ShiftSpec, seed: int):
-    """Base and novel tasks: the first half of the classes and the rest."""
-    half = spec.n_classes // 2
-    return make_class_split_tasks(spec, seed, list(range(half)),
-                                  list(range(half, spec.n_classes)))
-
-
 def _transfer_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[RunRecord]]:
     """Build the transfer config dataclasses; the returned call runs the pipeline."""
     tc = replace(_merged(TransferConfig(), cfg, read), seeds=run.seeds)
@@ -251,15 +244,12 @@ def _transfer_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], lis
     master = run.master_seed
 
     def pipeline() -> list[RunRecord]:
+        pretrain = target = make_shift_task(spec, master + 2)
         if kind == "class_split":
-            base, novel = _split_tasks(spec, master + 2)
-            pretrain, target = base, (novel if tc.target == "novel" else base)
-        else:
-            pretrain = make_shift_task(spec, master + 2)
-            if tc.target == "ood_sample":
-                target = make_ft_target(spec, derive_seed(master, 5), tc.target_rows)
-            else:
-                target = pretrain
+            pretrain, novel = make_class_split_tasks(pretrain)
+            target = novel if tc.target == "novel" else pretrain
+        elif tc.target == "ood_sample":
+            target = make_ft_target(spec, derive_seed(master, 5), tc.target_rows)
         return run_transfer(pretrain, target, tc, run_id="transfer")
 
     return pipeline
@@ -272,8 +262,10 @@ def _fewshot_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list
     _, spec = _task(cfg, read, "fewshot")
 
     def pipeline() -> list[RunRecord]:
-        base, novel_task = _split_tasks(spec, run.master_seed + 2)
-        return run_fewshot(base, novel_task.train, episode_spec, fc, run_id="fewshot")
+        # only the pooled training environments: few-shot reads no test split
+        train = pool(gen_shift(spec, run.master_seed + 2)[0])
+        base, novel = make_class_split_tasks(TransferTask("shift", train))
+        return run_fewshot(base, novel.train, episode_spec, fc, run_id="fewshot")
 
     return pipeline
 
@@ -289,7 +281,10 @@ def _ood_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[Run
     """Build the OOD config dataclasses; the returned call runs the pipeline."""
     oc = replace(_merged(OodConfig(), cfg, read, "ood"), seeds=run.seeds)
     _, spec = _task(cfg, read, "ood")
-    tc = (_merged(TransferConfig(), {key: cfg[key] for key in _BANK_KEYS if key in cfg}, read)
+    # an ood run's frozen initialization trains its bank with the transfer
+    # settings that the methods an init can name read, and no others
+    bank_keys = {key for name in methods_of("ood") for key in METHODS[name].reads}
+    tc = (_merged(TransferConfig(), {key: cfg[key] for key in bank_keys if key in cfg}, read)
           if oc.init != "scratch" else None)
     master = run.master_seed
 

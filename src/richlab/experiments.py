@@ -2,9 +2,11 @@
 evaluation, out-of-distribution training with environment-risk
 objectives and tuned model selection, plus CSV record emission.
 
-Every pipeline gets its representations from one builder,
-:func:`build_representations`, which maps a method name to the
-:class:`~richlab.richrep.RepresentationBank` the consumers take.
+A method is defined in one place, its row of :data:`METHODS`: its
+method column, the pipelines that take it, the config fields it reads,
+the bank it starts from, its seed, and its builder or, for a fine-tune,
+its scorer.  Every pipeline gets its representations from
+:func:`build_representations`, which reads that table.
 
 Every pipeline is deterministic given its seeds: representation
 training, classifier fitting, episode sampling, and hyper-parameter
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -236,19 +238,14 @@ def make_shift_task(spec: ShiftSpec, seed: int, name: str = "shift",
     return TransferTask(name, pool(train_envs), id_test, ood_test, ood_train)
 
 
-def make_class_split_tasks(
-    spec: ShiftSpec, seed: int, base_classes, novel_classes,
-    base_name: str = "base", novel_name: str = "novel",
-    ood_train_rows: int = 600, ood_test_rows: int = 1500,
-) -> tuple[TransferTask, TransferTask]:
-    """The shift task of ``spec`` and ``seed``, every split cut into its
-    base and its novel classes."""
-    task = make_shift_task(spec, seed, ood_train_rows=ood_train_rows,
-                           ood_test_rows=ood_test_rows)
-    parts = [split_classes(ds, base_classes, novel_classes)
+def make_class_split_tasks(task: TransferTask) -> tuple[TransferTask, TransferTask]:
+    """``task`` with every split it has cut into its base classes (the first
+    half) and its novel classes (the rest)."""
+    k = task.train.n_classes
+    parts = [(None, None) if ds is None else split_classes(ds, range(k // 2), range(k // 2, k))
              for ds in (task.train, task.id_test, task.ood_test, task.ood_train)]
-    return (TransferTask(base_name, *(base for base, _ in parts)),
-            TransferTask(novel_name, *(novel for _, novel in parts)))
+    return (TransferTask("base", *(base for base, _ in parts)),
+            TransferTask("novel", *(novel for _, novel in parts)))
 
 
 def make_ft_target(spec: ShiftSpec, seed: int, n_rows: int,
@@ -264,12 +261,115 @@ def make_ft_target(spec: ShiftSpec, seed: int, n_rows: int,
 
 
 # ---------------------------------------------------------------------------
-# representations
+# the method table
 
-# transfer methods that fine-tune or ensemble the episode bank on the target
-FINETUNES = ("catsub", "init-ft", "2ft")
-TRANSFER_METHODS = ("erm", "cat", "distill", "joint", *FINETUNES)
-FEWSHOT_METHODS = ("erm", "cat", "distill", "cat-s", "snaps")
+def _episode_bank(data: Dataset, cfg, seed: int, episode_offset: int) -> RepresentationBank:
+    """Episode ``i`` trains from ``derive_seed(seed, episode_offset + i)``."""
+    return train_episodes(data, cfg.hidden, cfg.train,
+                          [derive_seed(seed, episode_offset + i) for i in range(cfg.n_episodes)])
+
+
+def _snapshot_bank(data: Dataset, cfg, seed: int, episode_offset: int) -> RepresentationBank:
+    """Snapshots of one run that trains from ``derive_seed(seed, 42)``."""
+    # the high-step-size episode runs plain SGD: momentum on top of
+    # an 8x step would diverge rather than wander between minima
+    config = replace(cfg.train, lr=cfg.train.lr * cfg.snapshot_lr_mult, momentum=0.0,
+                     seed=derive_seed(seed, 42))
+    return snapshot_episode(data, cfg.hidden, config,
+                            snapshot_schedule(cfg.train.epochs, cfg.n_snapshots))
+
+
+def _distilled(bank: RepresentationBank, data: Dataset, cfg, seed: int):
+    student = distill(bank, cfg.distill, data, cfg.distill_train.with_seed(seed))
+    return [RepresentationBank(stack_nets([student]))]
+
+
+def _joint(_, data: Dataset, cfg, seed: int):
+    return [joint_train(data, cfg.hidden, cfg.n_episodes, cfg.train.with_seed(seed))[0]]
+
+
+def _test_splits(target: TransferTask):
+    return [(split, ds) for split, ds in (("id_test", target.id_test),
+                                          ("ood_test", target.ood_test)) if ds is not None]
+
+
+def _subset_ensemble(bank: RepresentationBank, target: TransferTask, cfg, seed, cache):
+    rows = []
+    for split, ds in _test_splits(target):
+        fit = target.train if split == "id_test" else target.ood_train or target.train
+        proba = subset_ensemble_predict(bank, extractor_probes(bank, fit, cache), ds.X)
+        rows.append(("catsub", split, "probe_accuracy",
+                     float((proba.argmax(axis=1) == ds.y).mean())))
+    return rows
+
+
+def _naive_ft(bank: RepresentationBank, target: TransferTask, cfg, seed: int, cache):
+    ft_bank, head = naive_finetune(bank, target.train, cfg.ft.with_seed(seed))
+    return [("init-ft", split, "accuracy", bank_head_accuracy(ft_bank, head, ds.X, ds.y))
+            for split, ds in _test_splits(target)]
+
+
+def _two_stage_ft(bank: RepresentationBank, target: TransferTask, cfg, seed: int, cache):
+    ft_bank, head = two_stage_finetune(bank, target.train, cfg.ft.with_seed(seed),
+                                       cfg.stage2_epochs, cfg.stage2_lr)
+    rows = []
+    for split, ds in _test_splits(target):
+        hits = leg_logits(ft_bank, ds.X).argmax(axis=-1) == ds.y
+        rows += [("2ft", split, "accuracy", bank_head_accuracy(ft_bank, head, ds.X, ds.y)),
+                 ("ft-best-leg", split, "accuracy", float(hits.mean(axis=-1).max()))]
+    return rows
+
+
+class Method(NamedTuple):
+    """One row of :data:`METHODS`.
+
+    ``build(bank, data, cfg, seed)`` trains the method's representations,
+    one bank per method column.  A fine-tune has ``score(bank, target, cfg,
+    seed, cache)`` instead, which returns ``(column, split, metric, value)``
+    rows.  Either takes the bank that ``start`` builds, once per run seed,
+    and the method's own seed, ``derive_seed(run seed, seed)``.
+    """
+
+    column: str                     # n: n_episodes, k: the bank's members, j: a member's number
+    pipelines: tuple[str, ...]
+    reads: tuple[str, ...]          # the config fields it reads
+    start: Callable | None          # (data, cfg, seed, episode_offset) -> the bank it starts from
+    seed: int | None = None
+    build: Callable | None = None
+    score: Callable | None = None
+    leg_gap: bool = False           # transfer records the spread of its legs' probes
+
+
+_EPISODES = ("hidden", "n_episodes", "train")
+_SNAPSHOTS = ("hidden", "train", "n_snapshots", "snapshot_lr_mult")
+
+# every method, in build order
+METHODS = {
+    "erm": Method("erm", ("transfer", "fewshot"), _EPISODES, _episode_bank,
+                  build=lambda bank, *_: [bank.member(0)]),
+    "cat": Method("cat{n}", ("transfer", "fewshot", "ood"), _EPISODES, _episode_bank,
+                  build=lambda bank, *_: [bank], leg_gap=True),
+    "distill": Method("distill{n}", ("transfer", "fewshot", "ood"),
+                      (*_EPISODES, "distill", "distill_train"), _episode_bank, 500,
+                      build=_distilled),
+    "joint": Method("joint{n}", ("transfer",), _EPISODES, None, 600, build=_joint,
+                    leg_gap=True),
+    "cat-s": Method("cat{k}-s", ("fewshot",), _SNAPSHOTS, _snapshot_bank,
+                    build=lambda bank, *_: [bank]),
+    "snaps": Method("snap{j}", ("fewshot",), _SNAPSHOTS, _snapshot_bank,
+                    build=lambda bank, *_: [bank.member(j) for j in range(len(bank))]),
+    "catsub": Method("catsub", ("transfer",), _EPISODES, _episode_bank, score=_subset_ensemble),
+    "init-ft": Method("init-ft", ("transfer",), (*_EPISODES, "ft"), _episode_bank, 700,
+                      score=_naive_ft),
+    # 2ft also writes the accuracy of its best fine-tuned leg as ft-best-leg
+    "2ft": Method("2ft", ("transfer",), (*_EPISODES, "ft", "stage2_epochs", "stage2_lr"),
+                  _episode_bank, 800, score=_two_stage_ft),
+}
+
+
+def methods_of(pipeline: str) -> tuple[str, ...]:
+    """The methods ``pipeline`` takes, in build order."""
+    return tuple(name for name, m in METHODS.items() if pipeline in m.pipelines)
 
 
 def _check_methods(pipeline: str, methods, allowed, n_episodes: int) -> None:
@@ -282,56 +382,42 @@ def _check_methods(pipeline: str, methods, allowed, n_episodes: int) -> None:
         raise ParameterError("n_episodes must be positive")
 
 
+def _start(m: Method, banks: dict, data: Dataset, cfg, seed: int, episode_offset: int = 0):
+    """The bank ``m`` starts from, built into ``banks`` on first use, and its own seed."""
+    if m.start is not None and m.start not in banks:
+        banks[m.start] = m.start(data, cfg, seed, episode_offset)
+    return banks.get(m.start), None if m.seed is None else derive_seed(seed, m.seed)
+
+
+def _named(column: str, seed: int, work, *args):
+    """``work(*args)``; an episode that fails in it names ``column`` and the run seed."""
+    try:
+        return work(*args)
+    except EpisodeError as exc:
+        raise EpisodeError(f"{column} with seed {seed}: {exc}", seed=seed,
+                           epoch=exc.epoch) from exc
+
+
 class Representation(NamedTuple):
     method: str                # the config's method name
     name: str                  # the method column of its records
     bank: RepresentationBank
 
 
-def build_representations(methods, data: Dataset, cfg, seed: int,
-                          episode_offset: int = 0) -> list[Representation]:
-    """Train on ``data`` the representation of each method in ``methods``.
-
-    Every pipeline builds its representations here, always in the order
-    erm, cat, distill, joint, cat-s, snaps; other names are the caller's.  ``cfg`` holds the
-    widths and training settings: ``hidden``, ``train``, ``n_episodes``,
-    ``distill`` and ``distill_train``, and for snapshots ``n_snapshots`` and
-    ``snapshot_lr_mult``.  Seeds derive from ``seed``: episode ``i`` from
-    ``derive_seed(seed, episode_offset + i)``, the distilled student from
-    ``(seed, 500)``, joint training from ``(seed, 600)`` and the snapshot
-    run from ``(seed, 42)``.  ``erm`` is episode 0, ``cat`` all episodes,
-    and ``snaps`` gives one representation per snapshot.
+def build_representations(methods, data: Dataset, cfg, seed: int, episode_offset: int = 0,
+                          banks: dict | None = None) -> list[Representation]:
+    """Train on ``data`` the representations of the methods in ``methods``
+    that :data:`METHODS` gives a builder, in table order, one per method
+    column.  Each bank a method starts from is built once, into ``banks``
+    if given.
     """
-    methods = set(methods)
-    n = cfg.n_episodes
+    banks = {} if banks is None else banks
     reps = []
-    if methods & {"erm", "cat", "distill"}:
-        bank = train_episodes(data, cfg.hidden, cfg.train,
-                              [derive_seed(seed, episode_offset + i) for i in range(n)])
-        if "erm" in methods:
-            reps.append(Representation("erm", "erm", bank.member(0)))
-        if "cat" in methods:
-            reps.append(Representation("cat", f"cat{n}", bank))
-        if "distill" in methods:
-            student_seed = derive_seed(seed, 500)
-            student = distill(bank, cfg.distill, data, cfg.distill_train.with_seed(student_seed))
-            student = RepresentationBank(stack_nets([student]))
-            reps.append(Representation("distill", f"distill{n}", student))
-    if "joint" in methods:
-        joint, _ = joint_train(data, cfg.hidden, n, cfg.train.with_seed(derive_seed(seed, 600)))
-        reps.append(Representation("joint", f"joint{n}", joint))
-    if methods & {"cat-s", "snaps"}:
-        snaps = snapshot_schedule(cfg.train.epochs, cfg.n_snapshots)
-        # the high-step-size episode runs plain SGD: momentum on top of
-        # an 8x step would diverge rather than wander between minima
-        snap_cfg = replace(cfg.train, lr=cfg.train.lr * cfg.snapshot_lr_mult,
-                           momentum=0.0, seed=derive_seed(seed, 42))
-        snap_bank = snapshot_episode(data, cfg.hidden, snap_cfg, snaps)
-        if "cat-s" in methods:
-            reps.append(Representation("cat-s", f"cat{len(snaps)}-s", snap_bank))
-        if "snaps" in methods:
-            reps += [Representation("snaps", f"snap{j + 1}", snap_bank.member(j))
-                     for j in range(len(snaps))]
+    for name, m in METHODS.items():
+        if m.build is not None and name in methods:
+            bank, own_seed = _start(m, banks, data, cfg, seed, episode_offset)
+            reps += [Representation(name, m.column.format(n=cfg.n_episodes, k=len(b), j=j + 1), b)
+                     for j, b in enumerate(m.build(bank, data, cfg, own_seed))]
     return reps
 
 
@@ -373,7 +459,7 @@ class TransferConfig:
     target_rows: int = 120
 
     def __post_init__(self):
-        _check_methods("transfer", self.methods, TRANSFER_METHODS, self.n_episodes)
+        _check_methods("transfer", self.methods, methods_of("transfer"), self.n_episodes)
 
 
 def _probe_records(records, run_id, seed, method, task: TransferTask,
@@ -406,59 +492,25 @@ def run_transfer(pretrain: TransferTask, target: TransferTask, cfg: TransferConf
     """Train single/concatenated/distilled/joint representations on the
     pretraining task and score probes and fine-tunes on the target task."""
     records: list[RunRecord] = []
-    wanted = set(cfg.methods)
-    if wanted & set(FINETUNES):
-        wanted.add("cat")  # catsub and the fine-tunes start from the episode bank
     for s in cfg.seeds:
         # the same problem recurs within a seed: erm is leg 0 of cat, and
         # catsub refits the legs that the leg gap already probed
         cache = ProbeCache(cfg.probe)
-        reps = build_representations(wanted, pretrain.train, cfg, s)
-        for rep in reps:
-            if rep.method not in cfg.methods:
-                continue
+        banks = {}
+        for rep in build_representations(cfg.methods, pretrain.train, cfg, s, banks=banks):
             _probe_records(records, run_id, s, rep.name, target,
                            lambda X, b=rep.bank: cat_features(b, X), cache)
-            if rep.method in ("cat", "joint"):
+            if METHODS[rep.method].leg_gap:
                 accs, gap = leg_probe_gap(rep.bank, pretrain.train, cache)
                 records.append(RunRecord(run_id, s, rep.name, pretrain.name,
                                          "id_train", "leg_gap", gap,
                                          {"legs": "/".join(f"{a:.4f}" for a in accs)}))
-        bank = next((rep.bank for rep in reps if rep.method == "cat"), None)
-        if "catsub" in cfg.methods:
-            fit_for = {"id_test": target.train,
-                       "ood_test": target.ood_train or target.train}
-            for split, ds in (("id_test", target.id_test), ("ood_test", target.ood_test)):
-                if ds is None:
-                    continue
-                probes = extractor_probes(bank, fit_for[split], cache)
-                proba = subset_ensemble_predict(bank, probes, ds.X)
-                acc = float((proba.argmax(axis=1) == ds.y).mean())
-                records.append(RunRecord(run_id, s, "catsub", target.name, split,
-                                         "probe_accuracy", acc))
-        if "init-ft" in cfg.methods:
-            ft_bank, head = naive_finetune(bank, target.train,
-                                           cfg.ft.with_seed(derive_seed(s, 700)))
-            for split, ds in (("id_test", target.id_test), ("ood_test", target.ood_test)):
-                if ds is None:
-                    continue
-                records.append(RunRecord(run_id, s, "init-ft", target.name, split, "accuracy",
-                                         bank_head_accuracy(ft_bank, head, ds.X, ds.y)))
-        if "2ft" in cfg.methods:
-            ft_bank, head = two_stage_finetune(
-                bank, target.train, cfg.ft.with_seed(derive_seed(s, 800)),
-                cfg.stage2_epochs, cfg.stage2_lr,
-            )
-            for split, ds in (("id_test", target.id_test), ("ood_test", target.ood_test)):
-                if ds is None:
-                    continue
-                records.append(RunRecord(run_id, s, "2ft", target.name, split,
-                                         "accuracy",
-                                         bank_head_accuracy(ft_bank, head, ds.X, ds.y)))
-                hits = leg_logits(ft_bank, ds.X).argmax(axis=-1) == ds.y
-                best = float(hits.mean(axis=-1).max())
-                records.append(RunRecord(run_id, s, "ft-best-leg", target.name, split,
-                                         "accuracy", best))
+        for name, m in METHODS.items():
+            if m.score is not None and name in cfg.methods:
+                bank, own_seed = _start(m, banks, pretrain.train, cfg, s)
+                records += [RunRecord(run_id, s, column, target.name, split, metric, value)
+                            for column, split, metric, value
+                            in _named(name, s, m.score, bank, target, cfg, own_seed, cache)]
     if cfg.include_anchors:
         records.extend(reference_anchor_records(run_id))
     return records
@@ -506,20 +558,22 @@ class FewshotConfig:
     seeds: tuple[int, ...] = (101, 202, 303, 404, 505)
 
     def __post_init__(self):
-        _check_methods("few-shot", self.methods, FEWSHOT_METHODS, self.n_episodes)
+        _check_methods("few-shot", self.methods, methods_of("fewshot"), self.n_episodes)
         if self.classifier not in ("linear", "cosine"):
             raise ParameterError(f"unknown classifier {self.classifier!r}")
         if self.n_episodes_eval < 2:
             raise ParameterError("n_episodes_eval must be at least 2 for a ddof=1 std over "
                                  f"episodes, got {self.n_episodes_eval}")
-        if {"cat-s", "snaps"} & set(self.methods):
+        snapshot_methods = [name for name, m in METHODS.items() if m.start is _snapshot_bank]
+        if set(snapshot_methods) & set(self.methods):
+            names = ", ".join(snapshot_methods)
             if self.train.epochs < 1:
-                raise ParameterError("snapshot methods (cat-s, snaps) need train.epochs of "
+                raise ParameterError(f"snapshot methods ({names}) need train.epochs of "
                                      f"at least 1, got {self.train.epochs}")
             # one snapshot per distinct epoch: more would silently give fewer
             if self.n_snapshots > self.train.epochs:
                 raise ParameterError(
-                    "snapshot methods (cat-s, snaps) need n_snapshots of at most "
+                    f"snapshot methods ({names}) need n_snapshots of at most "
                     f"train.epochs, got n_snapshots {self.n_snapshots} and train.epochs "
                     f"{self.train.epochs}")
 
@@ -557,12 +611,9 @@ def run_fewshot(base: TransferTask, novel: Dataset, spec: EpisodeSpec, cfg: Fews
         ep_rng = SplitMix64(derive_seed(s, 900))
         episodes = [sample_episode(novel, spec, ep_rng) for _ in range(cfg.n_episodes_eval)]
         for rep in reps:
-            try:
-                accs = episode_accuracies(lambda X, b=rep.bank: cat_features(b, X), episodes,
-                                          spec, cfg, seed=derive_seed(s, 7000))
-            except EpisodeError as exc:
-                raise EpisodeError(f"{rep.name} with seed {s}: {exc}", seed=s,
-                                   epoch=exc.epoch) from exc
+            accs = _named(rep.name, s, episode_accuracies,
+                          lambda X, b=rep.bank: cat_features(b, X), episodes, spec, cfg,
+                          derive_seed(s, 7000))
             extra = {"episodes": str(cfg.n_episodes_eval), "classifier": cfg.classifier}
             records.append(RunRecord(run_id, s, rep.name, base.name, "fewshot",
                                      "mean_accuracy", float(accs.mean()), extra))
@@ -641,7 +692,7 @@ class OodConfig:
     def __post_init__(self):
         if self.algorithm not in ("erm", "vrex"):
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
-        if self.init not in ("scratch", "cat", "distill"):
+        if self.init != "scratch" and self.init not in methods_of("ood"):
             raise ParameterError(f"unknown init {self.init!r}")
         if self.tune_mode not in ("iid", "ood"):
             raise ParameterError(f"unknown tune mode {self.tune_mode!r}")

@@ -264,6 +264,21 @@ def test_a_run_imports_neither_numpy_ma_nor_hashlib(tmp_path, config):
     assert out.stdout.splitlines()[-1] == "0 False False"  # after the run's own lines
 
 
+def test_python_m_richlab_runs_the_command_line_without_a_warning(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    csv = tmp_path / "results.csv"
+    write_records_csv([RunRecord("r", 1, "erm", "t", "id_test", "accuracy", 0.5)], csv)
+    out = subprocess.run([sys.executable, "-m", "richlab", "report", str(csv)],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("## task: t\n")
+
+
 def test_run_transfer_pipeline_writes_outputs(tmp_path):
     cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"), **FAST_TRANSFER)
     assert cli.cmd_run(cfg) == 0
@@ -296,9 +311,10 @@ def test_a_diverging_stage_2_fine_tune_names_its_seed(tmp_path, capsys):
                                         stage2_epochs=20))
     assert cli.cmd_run(cfg, out=str(tmp_path / "out")) == 3
     # the first seed's stage 2 diverges; its ft seed is derive_seed(s, 800)
-    seed = derive_seed(derive_seed(cli.RunConfig(master_seed=5, n_seeds=2).seeds[0], 800), 3)
+    run_seed = cli.RunConfig(master_seed=5, n_seeds=2).seeds[0]
+    seed = derive_seed(derive_seed(run_seed, 800), 3)
     assert capsys.readouterr().err == (
-        f"runtime error: stage-2 fine-tune with seed {seed} diverged: "
+        f"runtime error: 2ft with seed {run_seed}: stage-2 fine-tune with seed {seed} diverged: "
         "training diverged at epoch 0: non-finite gradient in parameter 0\n")
 
 

@@ -35,6 +35,7 @@ from richlab.experiments import (
     vrex_objective,
     write_records_csv,
 )
+from richlab.richrep import DistillSpec
 from richlab.rng import SplitMix64
 from richlab.tasks import Dataset, EpisodeSpec, ShiftSpec, gen_shift, sample_episode
 
@@ -379,6 +380,116 @@ def test_transfer_probe_cost_monotone_in_members():
 
 
 # ---------------------------------------------------------------------------
+# the method table
+
+def test_the_method_table_gives_each_pipeline_todays_methods():
+    from richlab import cli
+    from richlab.experiments import METHODS, methods_of
+
+    taken = {"transfer": ("erm", "cat", "distill", "joint", "catsub", "init-ft", "2ft"),
+             "fewshot": ("erm", "cat", "distill", "cat-s", "snaps"),
+             "ood": ("cat", "distill")}
+    assert list(METHODS) == ["erm", "cat", "distill", "joint", "cat-s", "snaps",
+                             "catsub", "init-ft", "2ft"]
+    for pipeline, names in taken.items():
+        assert methods_of(pipeline) == names
+    for name in METHODS:
+        for config, pipeline in ((TransferConfig, "transfer"), (FewshotConfig, "fewshot")):
+            if name in taken[pipeline]:
+                config(methods=(name,))
+            else:
+                with pytest.raises(ParameterError, match=f"unknown .*method.*'{name}'"):
+                    config(methods=(name,))
+        if name in taken["ood"]:
+            OodConfig(init=name)
+        else:
+            with pytest.raises(ParameterError, match="unknown init"):
+                OodConfig(init=name)
+    # an ood init's bank reads the settings of every method an init can name
+    bank_keys = {"hidden", "n_episodes", "train", "distill", "distill_train"}
+    assert {key for name in taken["ood"] for key in METHODS[name].reads} == bank_keys
+    transfer_keys = {"hidden": [4], "n_episodes": 2, "train": {"lr": 0.5},
+                     "distill": {"tau": 2.0}, "distill_train": {"lr": 0.5}, "ft": {"lr": 0.5},
+                     "stage2_epochs": 2, "stage2_lr": 0.5, "methods": ["cat"],
+                     "target": "same", "target_rows": 9, "include_anchors": True,
+                     "probe": {"l2": 0.5}}
+    read = set()
+    cli._ood_pipeline({"ood": {"init": "cat"}, **transfer_keys}, cli.RunConfig(), read)
+    assert {path[0] for path in read} & set(transfer_keys) == bank_keys
+
+
+# every setting a method can read, and a value of it that moves the bytes of
+# some method that reads it
+MOVED = {"hidden": (5,), "n_episodes": 3, "train": replace(FAST_TRAIN, lr=0.05),
+         "distill": DistillSpec(mode="ce_kl", tau=2.0, alpha=0.5, student_arch=(4,)),
+         "distill_train": TrainConfig(lr=0.05, epochs=3, batch_size=16, momentum=0.9),
+         "n_snapshots": 2, "snapshot_lr_mult": 4.0,
+         "ft": TrainConfig(lr=0.2, epochs=5, batch_size=8, momentum=0.9),
+         "stage2_epochs": 6, "stage2_lr": 1.0}
+
+
+def _settings(**moved):
+    from types import SimpleNamespace
+
+    return SimpleNamespace(**{
+        "hidden": (6,), "n_episodes": 2, "train": FAST_TRAIN,
+        "distill": DistillSpec(mode="kl", tau=10.0, alpha=0.9, student_arch=(6,)),
+        "distill_train": TrainConfig(lr=0.01, epochs=2, batch_size=32, momentum=0.9),
+        "n_snapshots": 4, "snapshot_lr_mult": 8.0, **moved})
+
+
+def _bank_bytes(reps):
+    return [(rep.name, [(layer.weights.tobytes(), layer.bias.tobytes())
+                        for layer in rep.bank.trunk.layers]) for rep in reps]
+
+
+def test_a_representation_reads_no_setting_outside_its_row():
+    from richlab.experiments import METHODS, build_representations
+
+    data = small_task().train
+    assert set(MOVED) == {key for m in METHODS.values() for key in m.reads}
+    built = {}
+    for name, m in METHODS.items():
+        if m.build is None:
+            continue
+        built[name] = _bank_bytes(build_representations([name], data, _settings(), 7))
+        unread = {key: value for key, value in MOVED.items() if key not in m.reads}
+        assert _bank_bytes(build_representations([name], data, _settings(**unread), 7)) \
+            == built[name], name
+    # each moved value counts: it moves a representation that reads it
+    for key in ("hidden", "n_episodes", "train", "distill", "distill_train", "n_snapshots",
+                "snapshot_lr_mult"):
+        readers = [name for name in built if key in METHODS[name].reads]
+        assert any(_bank_bytes(build_representations(
+            [name], data, _settings(**{key: MOVED[key]}), 7)) != built[name]
+            for name in readers), key
+
+
+def test_a_fine_tune_reads_no_setting_outside_its_row():
+    from dataclasses import fields
+
+    from richlab.experiments import METHODS
+
+    task = small_task()
+    settings = vars(_settings())
+    base = TransferConfig(**{f.name: settings[f.name] for f in fields(TransferConfig)
+                             if f.name in settings}, seeds=(7,))
+    tunes = [name for name, m in METHODS.items() if m.score is not None]
+    assert tunes == ["catsub", "init-ft", "2ft"]
+    for name in tunes:
+        cfg = replace(base, methods=(name,))
+        want = run_transfer(task, task, cfg)
+        unread = {key: value for key, value in MOVED.items()
+                  if key not in METHODS[name].reads and hasattr(cfg, key)}
+        assert run_transfer(task, task, replace(cfg, **unread)) == want, name
+    # the fine-tune settings move the records of 2ft, which reads them all
+    cfg = replace(base, methods=("2ft",))
+    want = run_transfer(task, task, cfg)
+    for key in ("ft", "stage2_epochs", "stage2_lr"):
+        assert run_transfer(task, task, replace(cfg, **{key: MOVED[key]})) != want, key
+
+
+# ---------------------------------------------------------------------------
 # few-shot pipeline
 
 def test_fewshot_oracle_representation_is_perfect():
@@ -389,8 +500,8 @@ def test_fewshot_oracle_representation_is_perfect():
         core_scale=1.0, spur_scale=2.0, noise_std=0.0,
         env_correlations=(1.0,), ood_correlation=1.0, n_per_env=240,
     )
-    base, novel = make_class_split_tasks(spec, 77, [0, 1, 2], [3, 4, 5],
-                                         ood_train_rows=60, ood_test_rows=60)
+    base, novel = make_class_split_tasks(
+        make_shift_task(spec, 77, ood_train_rows=60, ood_test_rows=60))
     cfg = FewshotConfig(hidden=(6,), methods=("erm",), n_episodes_eval=20, train=FAST_TRAIN,
                         seeds=(9,))
     recs = run_fewshot(base, novel.train, EpisodeSpec(3, 1, 5), cfg, run_id="fs")
@@ -400,11 +511,11 @@ def test_fewshot_oracle_representation_is_perfect():
 
 def test_fewshot_std_is_sample_std():
     spec = tiny_spec()
-    base, novel = make_class_split_tasks(ShiftSpec(
+    base, novel = make_class_split_tasks(make_shift_task(ShiftSpec(
         n_classes=4, d_core=4, d_spur=4, d_noise=2,
         core_scale=1.0, spur_scale=2.0, noise_std=0.6,
         env_correlations=(0.9,), ood_correlation=0.25, n_per_env=200,
-    ), 3, [0, 1], [2, 3], ood_train_rows=100, ood_test_rows=100)
+    ), 3, ood_train_rows=100, ood_test_rows=100))
     cfg = FewshotConfig(hidden=(6,), methods=("erm",), n_episodes_eval=12, train=FAST_TRAIN,
                         seeds=(4,))
     spec_ep = EpisodeSpec(2, 2, 6)
@@ -456,11 +567,11 @@ def _episodes_and_reference():
     from richlab.probing import ProbeConfig, fit_probe
     from richlab.richrep import cat_features, train_episodes
 
-    base, novel = make_class_split_tasks(ShiftSpec(
+    base, novel = make_class_split_tasks(make_shift_task(ShiftSpec(
         n_classes=5, d_core=5, d_spur=5, d_noise=2,
         core_scale=1.0, spur_scale=2.0, noise_std=0.8,
         env_correlations=(0.9,), ood_correlation=0.25, n_per_env=200,
-    ), 5, [0, 1], [2, 3, 4], ood_train_rows=100, ood_test_rows=100)
+    ), 5, ood_train_rows=100, ood_test_rows=100))
     bank = train_episodes(base.train, (6,), FAST_TRAIN, [11, 12])
     spec = EpisodeSpec(3, 2, 5)
     rng = SplitMix64(21)
