@@ -260,6 +260,12 @@ def _fewshot_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list
     episode_spec = _merged(EpisodeSpec(), cfg, read, "fewshot")
     fc = replace(_merged(FewshotConfig(), cfg, read, "fewshot"), seeds=run.seeds)
     _, spec = _task(cfg, read, "fewshot")
+    # episodes draw from the novel classes: the second half of the split
+    novel = spec.n_classes - spec.n_classes // 2
+    if episode_spec.n_way > novel:
+        raise ParameterError(f"field fewshot/n_way: a {episode_spec.n_way}-way episode needs "
+                             f"{episode_spec.n_way} novel classes, a {spec.n_classes}-class "
+                             f"task has {novel}")
 
     def pipeline() -> list[RunRecord]:
         # only the pooled training environments: few-shot reads no test split
@@ -281,6 +287,10 @@ def _ood_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[Run
     """Build the OOD config dataclasses; the returned call runs the pipeline."""
     oc = replace(_merged(OodConfig(), cfg, read, "ood"), seeds=run.seeds)
     _, spec = _task(cfg, read, "ood")
+    n_rows = spec.n_per_env * len(spec.env_correlations)
+    if oc.tune_mode == "iid" and oc.n_hold(n_rows) >= n_rows:
+        raise ParameterError(f"field ood/holdout_frac: {oc.holdout_frac!r} holds out all "
+                             f"{n_rows} pooled training rows and leaves none to train on")
     # an ood run's frozen initialization trains its bank with the transfer
     # settings that the methods an init can name read, and no others
     bank_keys = {key for name in methods_of("ood") for key in METHODS[name].reads}
@@ -350,12 +360,15 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
         return _field_errors([(path, f"the {pipeline} pipeline does not read this key")
                               for path in unread])
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _field_errors([(("output_dir",), str(exc))])
+    try:
         suites_ok = True
         if work is None:
             records, suites_ok = _run_verify_pipeline(run.master_seed)
         else:
             records = work()
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_records_csv(records, out_dir / "results.csv")
         manifest = {
             "pipeline": pipeline,

@@ -15,6 +15,7 @@ pipeline with the same configuration reproduces its CSV byte for byte.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -696,10 +697,23 @@ class OodConfig:
             raise ParameterError(f"unknown init {self.init!r}")
         if self.tune_mode not in ("iid", "ood"):
             raise ParameterError(f"unknown tune mode {self.tune_mode!r}")
-        if self.algorithm == "vrex" and not self.beta_grid:
-            raise ParameterError("vrex needs a nonempty beta grid")
+        # the grids the candidates are drawn from: erm trains at beta 0 alone
+        grids = {"beta_grid": self.beta_grid} if self.algorithm == "vrex" else {}
+        for name, grid in {**grids, "lr_grid": self.lr_grid, "wd_grid": self.wd_grid}.items():
+            if not grid:
+                raise ParameterError(f"{name} must be nonempty")
+            # config ids print values with :g: two alike would name two candidates the same
+            ids = [f"{v:g}" for v in grid]
+            for i, v in enumerate(grid):
+                if ids[i] in ids[:i]:
+                    raise ParameterError(f"{name} value {v!r} prints as {ids[i]!r} in "
+                                         f"config ids, as an earlier value does")
         if not (0.0 < self.holdout_frac < 1.0):
             raise ParameterError("holdout_frac must lie in (0, 1)")
+
+    def n_hold(self, n_rows: int) -> int:
+        """Rows that iid tuning holds out of ``n_rows`` pooled training rows."""
+        return max(1, int(round(self.holdout_frac * n_rows)))
 
 
 def _env_objective_fn(y, env_ids, beta):
@@ -765,30 +779,6 @@ def _fit_ood_model(net0: Network, X, y, env_ids, beta, lr, wd, steps):
     return net
 
 
-def select_hyperparams(records, tune_mode: str) -> str:
-    """Config id with the best tune-split accuracy (ties: smallest beta, lr, wd).
-
-    Selection only ever sees the tune split; test rows are filtered out
-    structurally before the argmax.
-    """
-    split = "ood_tune" if tune_mode == "ood" else "id_test"
-    candidates = [r for r in records
-                  if r.split == split and r.metric == "accuracy"
-                  and "config_id" in r.extra]
-    if not candidates:
-        raise DataError(f"no tune records with split {split!r}")
-
-    def sort_key(r: RunRecord):
-        return (
-            -r.value,
-            float(r.extra.get("beta", "0")),
-            float(r.extra.get("lr", "0")),
-            float(r.extra.get("wd", "0")),
-        )
-
-    return min(candidates, key=sort_key).extra["config_id"]
-
-
 def run_ood(task: OodTask, config: OodConfig, rep: Representation | None = None,
             run_id: str = "ood", task_name: str = "ood") -> list[RunRecord]:
     """Environment-risk training with hyper-parameter selection.
@@ -798,8 +788,10 @@ def run_ood(task: OodTask, config: OodConfig, rep: Representation | None = None,
     head trains, and its name is the method column.  ``scratch`` takes no
     representation, trains a full network and is named erm.  Candidates are
     scored on the tune environment (ood mode) or a held-out fraction of
-    the pooled training rows (iid mode); the winner's test-environment
-    accuracy is reported per seed plus a mean/std aggregate.
+    the pooled training rows (iid mode).  Per seed the best tune accuracy
+    wins, ties going to the smallest beta, then lr, then wd, and only the
+    winner meets the test environment: its accuracy is reported per seed
+    plus a mean/std aggregate.
     """
     given = "scratch" if rep is None else rep.method
     if given != config.init:
@@ -816,18 +808,18 @@ def run_ood(task: OodTask, config: OodConfig, rep: Representation | None = None,
     method = "erm" if rep is None else rep.name
     base_extra = {"algorithm": config.algorithm, "tune": config.tune_mode,
                   "init": config.init}
+    split = "ood_tune" if config.tune_mode == "ood" else "id_test"
 
     records: list[RunRecord] = []
     test_accs = []
     for s in config.seeds:
+        X_fit, y_fit, env_fit = X_all, pooled.y, pooled.env
+        X_tune, y_tune = X_tune_env, task.tune_env.y
         if config.tune_mode == "iid":
             perm = SplitMix64(derive_seed(s, 2)).permutation(pooled.n)
-            n_hold = max(1, int(round(config.holdout_frac * pooled.n)))
-            hold, keep = perm[:n_hold], perm[n_hold:]
-        else:
-            hold = None
-            keep = np.arange(pooled.n)
-        X_fit, y_fit, env_fit = X_all[keep], pooled.y[keep], pooled.env[keep]
+            hold, keep = np.split(perm, [config.n_hold(pooled.n)])
+            X_fit, y_fit, env_fit = X_all[keep], pooled.y[keep], pooled.env[keep]
+            X_tune, y_tune = X_all[hold], pooled.y[hold]
 
         if rep is None:
             net0 = init_network([pooled.d, *config.hidden, k], seed=derive_seed(s, 1))
@@ -835,34 +827,26 @@ def run_ood(task: OodTask, config: OodConfig, rep: Representation | None = None,
             net0 = Network([glorot_layer(k, X_all.shape[1],
                                          SplitMix64(derive_seed(s, 1)))])
 
-        seed_records: list[RunRecord] = []
-        models: dict[str, Network] = {}
-        for beta in betas:
-            for lr in config.lr_grid:
-                for wd in config.wd_grid:
-                    cid = f"b{beta:g}-lr{lr:g}-wd{wd:g}"
-                    try:
-                        net = _fit_ood_model(net0, X_fit, y_fit, env_fit, beta, lr, wd,
-                                             config.steps)
-                    except TrainingError as exc:
-                        raise EpisodeError(f"ood candidate {cid} at seed {s} {exc}",
-                                           seed=s, epoch=exc.epoch) from exc
-                    models[cid] = net
-                    if config.tune_mode == "ood":
-                        tune_acc = accuracy(net, X_tune_env, task.tune_env.y)
-                        split = "ood_tune"
-                    else:
-                        tune_acc = accuracy(net, X_all[hold], pooled.y[hold])
-                        split = "id_test"
-                    seed_records.append(RunRecord(
-                        run_id, s, method, task_name, split, "accuracy", tune_acc,
-                        {**base_extra, "config_id": cid, "beta": f"{beta:g}",
-                         "lr": f"{lr:g}", "wd": f"{wd:g}"},
-                    ))
-        chosen = select_hyperparams(seed_records, config.tune_mode)
-        test_acc = accuracy(models[chosen], X_test, task.test_env.y)
+        best = None  # (key, config id, network) of the best candidate so far
+        for beta, lr, wd in itertools.product(betas, config.lr_grid, config.wd_grid):
+            cid = f"b{beta:g}-lr{lr:g}-wd{wd:g}"
+            try:
+                net = _fit_ood_model(net0, X_fit, y_fit, env_fit, beta, lr, wd, config.steps)
+            except TrainingError as exc:
+                raise EpisodeError(f"ood candidate {cid} at seed {s} {exc}",
+                                   seed=s, epoch=exc.epoch) from exc
+            tune_acc = accuracy(net, X_tune, y_tune)
+            records.append(RunRecord(
+                run_id, s, method, task_name, split, "accuracy", tune_acc,
+                {**base_extra, "config_id": cid, "beta": f"{beta:g}",
+                 "lr": f"{lr:g}", "wd": f"{wd:g}"},
+            ))
+            key = (-tune_acc, beta, lr, wd)
+            if best is None or key < best[0]:
+                best = key, cid, net
+        _, chosen, winner = best
+        test_acc = accuracy(winner, X_test, task.test_env.y)
         test_accs.append(test_acc)
-        records.extend(seed_records)
         records.append(RunRecord(run_id, s, method, task_name, "ood_test",
                                  "accuracy", test_acc,
                                  {**base_extra, "chosen": chosen}))

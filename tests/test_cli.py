@@ -415,7 +415,8 @@ def test_run_checks_the_command_line_overrides_against_the_schema(tmp_path, caps
 def _refuse_work(monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("the pipeline ran")
-    monkeypatch.setattr(cli, "run_fewshot", work)
+    for runner in ("run_transfer", "run_fewshot", "run_ood", "_run_verify_pipeline"):
+        monkeypatch.setattr(cli, runner, work)
 
 
 def test_run_refuses_one_evaluation_episode_before_any_work(tmp_path, capsys, monkeypatch):
@@ -461,6 +462,78 @@ def test_run_refuses_more_snapshots_than_epochs_before_any_work(tmp_path, capsys
         "config error: snapshot methods (cat-s, snaps) need n_snapshots of at most "
         "train.epochs, got n_snapshots 5 and train.epochs 3\n")
     assert not (tmp_path / "out").exists()
+
+
+def _pinned(name: str) -> dict:
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / f"{name}.json"
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("grid,values,message", [
+    ("lr_grid", [0.01, 0.01], "lr_grid value 0.01 prints as '0.01'"),
+    ("beta_grid", [1.0, 1.0000001], "beta_grid value 1.0000001 prints as '1'"),
+])
+def test_run_refuses_an_ood_grid_with_a_repeated_value_before_any_work(
+        tmp_path, capsys, monkeypatch, grid, values, message):
+    # two candidates would share a config id, and so a results row
+    _refuse_work(monkeypatch)
+    cfg = _pinned("ood-vrex")
+    cfg["ood"][grid] = values
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {message} in config ids, as an earlier value does\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_an_iid_hold_out_of_every_training_row_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # 3 environments of 300 rows: 0.9995 of 900 rounds to 900
+    cfg = _pinned("ood-vrex")
+    cfg["ood"]["holdout_frac"] = 0.9995
+    _refuse_work(monkeypatch)
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "config error: field ood/holdout_frac: 0.9995 holds out all 900 pooled training "
+        "rows and leaves none to train on\n")
+    assert not (tmp_path / "out").exists()
+    # one row left to train on is a run; so is any fraction when tuning on the tune env
+    for frac, mode in ((0.9994, "iid"), (0.9999, "ood")):
+        cfg["ood"].update(holdout_frac=frac, tune_mode=mode)
+        cli._ood_pipeline(cfg, cli.RunConfig(), set())
+    assert cli.OodConfig(holdout_frac=0.9994).n_hold(900) == 899
+
+
+@pytest.mark.parametrize("pinned", ["verify", "fewshot"])
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_run_refuses_an_output_dir_that_cannot_be_a_directory_before_any_work(
+        tmp_path, capsys, monkeypatch, pinned, sub):
+    _refuse_work(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / sub if sub else blocker
+    assert cli.cmd_run(write_config(tmp_path, **_pinned(pinned)), out=str(out)) == 2
+    reason = "Not a directory" if sub else "File exists"
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field output_dir: [Errno ")
+    assert err.endswith(f"] {reason}: {str(out)!r}\n") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
+def test_run_refuses_more_ways_than_novel_classes_before_any_work(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a 10-class split leaves 10 - 10 // 2 = 5 novel classes to draw episodes from
+    _refuse_work(monkeypatch)
+    cfg = _pinned("fewshot")
+    cfg["fewshot"]["n_way"] = 6
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "config error: field fewshot/n_way: a 6-way episode needs 6 novel classes, "
+        "a 10-class task has 5\n")
+    assert not (tmp_path / "out").exists()
+    cfg["fewshot"]["n_way"] = 5
+    cli._fewshot_pipeline(cfg, cli.RunConfig(), set())
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from richlab.experiments import (
     run_fewshot,
     run_ood,
     run_transfer,
-    select_hyperparams,
     snapshot_schedule,
     vrex_objective,
     write_records_csv,
@@ -213,43 +212,6 @@ def test_any_one_line_body_loads_or_is_data_error(tmp_path_factory, body):
 
 def test_parse_extra_empty():
     assert parse_extra("") == {}
-
-
-# ---------------------------------------------------------------------------
-# hyper-parameter selection
-
-def tune_rec(value, beta, lr, wd, split="ood_tune"):
-    cid = f"b{beta:g}-lr{lr:g}-wd{wd:g}"
-    return RunRecord("r", 1, "erm", "t", split, "accuracy", value,
-                     {"config_id": cid, "beta": f"{beta:g}", "lr": f"{lr:g}",
-                      "wd": f"{wd:g}"})
-
-
-def test_select_single_candidate():
-    assert select_hyperparams([tune_rec(0.7, 1, 0.1, 0)], "ood") == "b1-lr0.1-wd0"
-
-
-def test_select_best_accuracy():
-    recs = [tune_rec(0.7, 1, 0.1, 0), tune_rec(0.9, 5, 0.01, 0)]
-    assert select_hyperparams(recs, "ood") == "b5-lr0.01-wd0"
-
-
-def test_select_tie_break_smallest_beta_lr_wd():
-    recs = [tune_rec(0.8, 10, 0.1, 0), tune_rec(0.8, 0.5, 0.1, 0.001),
-            tune_rec(0.8, 0.5, 0.01, 0.001)]
-    assert select_hyperparams(recs, "ood") == "b0.5-lr0.01-wd0.001"
-
-
-def test_select_never_sees_test_split():
-    lure = RunRecord("r", 1, "erm", "t", "ood_test", "accuracy", 1.0,
-                     {"config_id": "b99-lr9-wd9", "beta": "99", "lr": "9", "wd": "9"})
-    recs = [tune_rec(0.6, 1, 0.1, 0), lure]
-    assert select_hyperparams(recs, "ood") == "b1-lr0.1-wd0"
-
-
-def test_select_missing_split_is_data_error():
-    with pytest.raises(DataError):
-        select_hyperparams([tune_rec(0.6, 1, 0.1, 0, split="id_test")], "ood")
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +695,112 @@ def test_run_ood_iid_mode_uses_holdout_split():
     recs = run_ood(task, cfg, run_id="ood", task_name="t")
     assert any(r.split == "id_test" for r in recs)
     assert not any(r.split == "ood_tune" for r in recs)
+
+
+def scripted_run_ood(monkeypatch, scores, tune_mode="ood", **grid):
+    """``run_ood`` on the tiny task, each candidate's tune accuracy read
+    from ``scores`` by its ``(beta, lr, wd)`` (0.5 if absent), and every
+    test accuracy 1.0; returns the records and the candidates whose test
+    accuracy was computed."""
+    import richlab.experiments as ex
+
+    task = tiny_ood_task()
+    tested = []
+
+    def accuracy(net, X, y):
+        if X is task.test_env.X:
+            tested.append(net)
+            return 1.0
+        return scores.get(net, 0.5)
+
+    monkeypatch.setattr(ex, "_fit_ood_model",
+                        lambda net0, X, y, env, beta, lr, wd, steps: (beta, lr, wd))
+    monkeypatch.setattr(ex, "accuracy", accuracy)
+    cfg = OodConfig(algorithm="vrex", init="scratch", tune_mode=tune_mode, hidden=(6,),
+                    seeds=(1, 2), **grid)
+    return run_ood(task, cfg, run_id="ood", task_name="t"), tested
+
+
+def chosen_ids(records):
+    return [r.extra["chosen"] for r in records if r.split == "ood_test" and r.metric == "accuracy"]
+
+
+def test_run_ood_chooses_the_best_tune_accuracy(monkeypatch):
+    scores = {(1.0, 0.1, 0.0): 0.7, (5.0, 0.01, 0.0): 0.9}
+    recs, tested = scripted_run_ood(monkeypatch, scores, beta_grid=(1.0, 5.0),
+                                    lr_grid=(0.01, 0.1), wd_grid=(0.0,))
+    assert chosen_ids(recs) == ["b5-lr0.01-wd0"] * 2
+    # one test accuracy per seed, the winner's, computed after its tune scores
+    assert tested == [(5.0, 0.01, 0.0)] * 2
+    assert [r.split for r in recs if r.seed == 1] == ["ood_tune"] * 4 + ["ood_test"]
+
+
+@pytest.mark.parametrize("tune_mode", ["ood", "iid"])
+def test_run_ood_chooses_a_tune_record_of_its_own_seed(monkeypatch, tune_mode):
+    recs, _ = scripted_run_ood(monkeypatch, {(5.0, 0.1, 0.0): 0.9}, tune_mode=tune_mode,
+                               beta_grid=(1.0, 5.0), lr_grid=(0.1,), wd_grid=(0.0,))
+    split = "ood_tune" if tune_mode == "ood" else "id_test"
+    for seed, chosen in zip((1, 2), chosen_ids(recs), strict=True):
+        tune = {r.extra["config_id"]: r.value for r in recs
+                if r.seed == seed and r.split == split and r.metric == "accuracy"}
+        assert chosen in tune and tune[chosen] == max(tune.values())
+
+
+def test_run_ood_breaks_ties_by_smallest_beta_then_lr_then_wd(monkeypatch):
+    scores = {(10.0, 0.1, 0.0): 0.8, (0.5, 0.1, 0.001): 0.8, (0.5, 0.01, 0.001): 0.8}
+    recs, _ = scripted_run_ood(monkeypatch, scores, beta_grid=(10.0, 0.5),
+                               lr_grid=(0.1, 0.01), wd_grid=(0.0, 0.001))
+    assert chosen_ids(recs) == ["b0.5-lr0.01-wd0.001"] * 2
+    # 0 and -0 print apart but compare equal: the first listed wins
+    recs, _ = scripted_run_ood(monkeypatch, {}, beta_grid=(1.0,), lr_grid=(0.1,),
+                               wd_grid=(0.0, -0.0))
+    assert chosen_ids(recs) == ["b1-lr0.1-wd0"] * 2
+
+
+@pytest.mark.parametrize("tune_mode", ["ood", "iid"])
+def test_run_ood_breaks_a_real_tie_by_the_smallest_values_of_a_descending_grid(tune_mode):
+    # a step at learning rates this small leaves every prediction as it
+    # was, so all eight candidates score alike
+    task = tiny_ood_task()
+    cfg = OodConfig(algorithm="vrex", init="scratch", tune_mode=tune_mode, hidden=(6,),
+                    beta_grid=(10.0, 0.5), lr_grid=(2e-9, 1e-9), wd_grid=(1e-3, 0.0),
+                    steps=1, seeds=(1, 2))
+    recs = run_ood(task, cfg, run_id="ood", task_name="t")
+    for seed in (1, 2):
+        tune = [r.value for r in recs if r.seed == seed and r.extra.get("config_id")]
+        assert len(tune) == 8 and len(set(tune)) == 1
+    assert chosen_ids(recs) == ["b0.5-lr1e-09-wd0"] * 2
+
+
+def test_run_ood_with_one_candidate_chooses_it():
+    task = tiny_ood_task()
+    cfg = OodConfig(algorithm="vrex", init="scratch", tune_mode="ood", hidden=(6,),
+                    beta_grid=(1.0,), lr_grid=(0.1,), wd_grid=(0.0,), steps=20, seeds=(1,))
+    recs = run_ood(task, cfg, run_id="ood", task_name="t")
+    assert chosen_ids(recs) == ["b1-lr0.1-wd0"]
+    assert [r.extra.get("config_id") for r in recs if r.split == "ood_tune"] == ["b1-lr0.1-wd0"]
+
+
+@pytest.mark.parametrize("grid", ["beta_grid", "lr_grid", "wd_grid"])
+def test_ood_config_refuses_an_empty_grid(grid):
+    # so every seed has a winner
+    with pytest.raises(ParameterError, match=f"{grid} must be nonempty"):
+        OodConfig(algorithm="vrex", **{grid: ()})
+
+
+@pytest.mark.parametrize("grid,values,twice", [
+    ("lr_grid", (0.01, 0.1, 0.01), "0.01"),
+    ("wd_grid", (0.0, 1e-3, 0.0010000001), "0.001"),
+    ("beta_grid", (1.0, 1.0000001), "1"),
+])
+def test_ood_config_refuses_two_grid_values_that_print_alike(grid, values, twice):
+    with pytest.raises(ParameterError, match=f"{grid} value .* prints as '{twice}'"):
+        OodConfig(algorithm="vrex", **{grid: values})
+
+
+def test_ood_config_reads_no_beta_grid_for_erm():
+    # erm trains at beta 0 alone, so its beta grid names no candidate
+    assert OodConfig(algorithm="erm", beta_grid=(1.0, 1.0)).beta_grid == (1.0, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
