@@ -22,7 +22,7 @@ from .probing import sha256
 # imported, not called: perfbench/tests checks that its tracer wraps cli.train_episodes
 from .richrep import train_episodes
 from .rng import derive_seed
-from .tasks import EpisodeSpec, ShiftSpec, gen_shift, pool
+from .tasks import EpisodeSpec, ShiftSpec, gen_shift, pool, split_point
 from .experiments import (
     METHODS,
     FewshotConfig,
@@ -38,7 +38,6 @@ from .experiments import (
     make_class_split_tasks,
     make_ft_target,
     make_shift_task,
-    methods_of,
     ood_sample,
     run_fewshot,
     run_ood,
@@ -204,14 +203,6 @@ class RunConfig:
         return tuple(derive_seed(self.master_seed, 10 + g) for g in range(self.n_seeds))
 
 
-@dataclass(frozen=True)
-class TaskConfig:
-    """The ``kind`` of a config's ``task`` section; its other keys set the
-    fields of that kind's generator spec."""
-
-    kind: str
-
-
 # the task kinds each pipeline serves, its default first; the generator
 # spec each kind starts from; and the transfer targets each kind can serve
 _KINDS = {"transfer": ("shift", "class_split"), "fewshot": ("class_split",),
@@ -223,11 +214,13 @@ _TARGETS = {"shift": ("same", "ood_sample"), "class_split": ("same", "novel")}
 def _task(cfg: dict, read: set, pipeline: str) -> tuple[str, ShiftSpec]:
     """The task kind and generator spec a config asks of ``pipeline``.
 
-    The one reader of the task ``kind``: a kind the pipeline cannot serve
-    is a configuration error.
+    The one reader of the task ``kind``; the other keys of the ``task``
+    section set the fields of that kind's generator spec.  A kind the
+    pipeline cannot serve is a configuration error.
     """
     kinds = _KINDS[pipeline]
-    kind = _merged(TaskConfig(kinds[0]), cfg, read, "task").kind
+    kind = cfg.get("task", {}).get("kind", kinds[0])
+    read.add(("task", "kind"))
     if kind not in kinds:
         raise ParameterError(f"task kind {kind!r} does not apply to the {pipeline} pipeline; "
                              f"choose from {', '.join(kinds)}")
@@ -260,8 +253,8 @@ def _fewshot_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list
     episode_spec = _merged(EpisodeSpec(), cfg, read, "fewshot")
     fc = replace(_merged(FewshotConfig(), cfg, read, "fewshot"), seeds=run.seeds)
     _, spec = _task(cfg, read, "fewshot")
-    # episodes draw from the novel classes: the second half of the split
-    novel = spec.n_classes - spec.n_classes // 2
+    # episodes draw from the novel classes of the split
+    novel = spec.n_classes - split_point(spec.n_classes)
     if episode_spec.n_way > novel:
         raise ParameterError(f"field fewshot/n_way: a {episode_spec.n_way}-way episode needs "
                              f"{episode_spec.n_way} novel classes, a {spec.n_classes}-class "
@@ -291,11 +284,14 @@ def _ood_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[Run
     if oc.tune_mode == "iid" and oc.n_hold(n_rows) >= n_rows:
         raise ParameterError(f"field ood/holdout_frac: {oc.holdout_frac!r} holds out all "
                              f"{n_rows} pooled training rows and leaves none to train on")
-    # an ood run's frozen initialization trains its bank with the transfer
-    # settings that the methods an init can name read, and no others
-    bank_keys = {key for name in methods_of("ood") for key in METHODS[name].reads}
-    tc = (_merged(TransferConfig(), {key: cfg[key] for key in bank_keys if key in cfg}, read)
-          if oc.init != "scratch" else None)
+    if oc.algorithm == "erm":  # erm trains at beta 0 alone
+        read.discard(("ood", "beta_grid"))
+    if oc.tune_mode == "ood":  # the tune environment scores the candidates, no row is held out
+        read.discard(("ood", "holdout_frac"))
+    tc = None
+    if oc.init != "scratch":  # the settings its bank is built with, and no others
+        tc = _merged(TransferConfig(), {key: cfg[key] for key in METHODS[oc.init].reads
+                                        if key in cfg}, read)
     master = run.master_seed
 
     def pipeline() -> list[RunRecord]:

@@ -16,6 +16,7 @@ pipeline with the same configuration reproduces its CSV byte for byte.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -226,7 +227,7 @@ def ood_sample(spec: ShiftSpec, seed: int, rows: int) -> Dataset:
     """
     if rows < 1:
         raise ParameterError(f"an OOD sample needs at least one row, got {rows}")
-    return draw_env(spec, spec.ood_correlation, rows, 0, SplitMix64(seed))
+    return draw_env(spec, spec.ood_correlation, rows, SplitMix64(seed))
 
 
 def make_shift_task(spec: ShiftSpec, seed: int, name: str = "shift",
@@ -242,8 +243,7 @@ def make_shift_task(spec: ShiftSpec, seed: int, name: str = "shift",
 def make_class_split_tasks(task: TransferTask) -> tuple[TransferTask, TransferTask]:
     """``task`` with every split it has cut into its base classes (the first
     half) and its novel classes (the rest)."""
-    k = task.train.n_classes
-    parts = [(None, None) if ds is None else split_classes(ds, range(k // 2), range(k // 2, k))
+    parts = [(None, None) if ds is None else split_classes(ds)
              for ds in (task.train, task.id_test, task.ood_test, task.ood_train)]
     return (TransferTask("base", *(base for base, _ in parts)),
             TransferTask("novel", *(novel for _, novel in parts)))
@@ -390,10 +390,11 @@ def _start(m: Method, banks: dict, data: Dataset, cfg, seed: int, episode_offset
     return banks.get(m.start), None if m.seed is None else derive_seed(seed, m.seed)
 
 
-def _named(column: str, seed: int, work, *args):
-    """``work(*args)``; an episode that fails in it names ``column`` and the run seed."""
+@contextmanager
+def _named(column: str, seed: int):
+    """An episode that fails in this block names ``column`` and the run seed."""
     try:
-        return work(*args)
+        yield
     except EpisodeError as exc:
         raise EpisodeError(f"{column} with seed {seed}: {exc}", seed=seed,
                            epoch=exc.epoch) from exc
@@ -410,15 +411,18 @@ def build_representations(methods, data: Dataset, cfg, seed: int, episode_offset
     """Train on ``data`` the representations of the methods in ``methods``
     that :data:`METHODS` gives a builder, in table order, one per method
     column.  Each bank a method starts from is built once, into ``banks``
-    if given.
+    if given, and a failure while building it names the first method that
+    needs it.
     """
     banks = {} if banks is None else banks
     reps = []
     for name, m in METHODS.items():
         if m.build is not None and name in methods:
-            bank, own_seed = _start(m, banks, data, cfg, seed, episode_offset)
+            with _named(name, seed):
+                bank, own_seed = _start(m, banks, data, cfg, seed, episode_offset)
+                built = m.build(bank, data, cfg, own_seed)
             reps += [Representation(name, m.column.format(n=cfg.n_episodes, k=len(b), j=j + 1), b)
-                     for j, b in enumerate(m.build(bank, data, cfg, own_seed))]
+                     for j, b in enumerate(built)]
     return reps
 
 
@@ -508,10 +512,11 @@ def run_transfer(pretrain: TransferTask, target: TransferTask, cfg: TransferConf
                                          {"legs": "/".join(f"{a:.4f}" for a in accs)}))
         for name, m in METHODS.items():
             if m.score is not None and name in cfg.methods:
-                bank, own_seed = _start(m, banks, pretrain.train, cfg, s)
+                with _named(name, s):
+                    bank, own_seed = _start(m, banks, pretrain.train, cfg, s)
+                    rows = m.score(bank, target, cfg, own_seed, cache)
                 records += [RunRecord(run_id, s, column, target.name, split, metric, value)
-                            for column, split, metric, value
-                            in _named(name, s, m.score, bank, target, cfg, own_seed, cache)]
+                            for column, split, metric, value in rows]
     if cfg.include_anchors:
         records.extend(reference_anchor_records(run_id))
     return records
@@ -612,9 +617,9 @@ def run_fewshot(base: TransferTask, novel: Dataset, spec: EpisodeSpec, cfg: Fews
         ep_rng = SplitMix64(derive_seed(s, 900))
         episodes = [sample_episode(novel, spec, ep_rng) for _ in range(cfg.n_episodes_eval)]
         for rep in reps:
-            accs = _named(rep.name, s, episode_accuracies,
-                          lambda X, b=rep.bank: cat_features(b, X), episodes, spec, cfg,
-                          derive_seed(s, 7000))
+            with _named(rep.name, s):
+                accs = episode_accuracies(lambda X, b=rep.bank: cat_features(b, X), episodes,
+                                          spec, cfg, derive_seed(s, 7000))
             extra = {"episodes": str(cfg.n_episodes_eval), "classifier": cfg.classifier}
             records.append(RunRecord(run_id, s, rep.name, base.name, "fewshot",
                                      "mean_accuracy", float(accs.mean()), extra))
@@ -798,6 +803,8 @@ def run_ood(task: OodTask, config: OodConfig, rep: Representation | None = None,
         raise ParameterError(f"init={config.init!r} needs its own representation, "
                              f"got {given!r}")
     pooled = pool(task.train_envs)
+    # a training row's environment is its dataset's position in train_envs
+    env_all = np.repeat(np.arange(len(task.train_envs)), [ds.n for ds in task.train_envs])
     X_all, X_tune_env, X_test = pooled.X, task.tune_env.X, task.test_env.X
     if rep is not None:
         X_all, X_tune_env, X_test = [cat_features(rep.bank, X)
@@ -813,12 +820,12 @@ def run_ood(task: OodTask, config: OodConfig, rep: Representation | None = None,
     records: list[RunRecord] = []
     test_accs = []
     for s in config.seeds:
-        X_fit, y_fit, env_fit = X_all, pooled.y, pooled.env
+        X_fit, y_fit, env_fit = X_all, pooled.y, env_all
         X_tune, y_tune = X_tune_env, task.tune_env.y
         if config.tune_mode == "iid":
             perm = SplitMix64(derive_seed(s, 2)).permutation(pooled.n)
             hold, keep = np.split(perm, [config.n_hold(pooled.n)])
-            X_fit, y_fit, env_fit = X_all[keep], pooled.y[keep], pooled.env[keep]
+            X_fit, y_fit, env_fit = X_all[keep], pooled.y[keep], env_all[keep]
             X_tune, y_tune = X_all[hold], pooled.y[hold]
 
         if rep is None:

@@ -23,22 +23,17 @@ from .rng import SplitMix64
 class Dataset:
     X: np.ndarray          # (n, d) float64
     y: np.ndarray          # (n,) int64 labels in [0, n_classes)
-    env: np.ndarray        # (n,) int64 environment ids
     n_classes: int
 
     def __post_init__(self):
         self.X = as_feature_matrix(self.X)
         self.y = np.asarray(self.y, dtype=np.int64)
-        self.env = np.asarray(self.env, dtype=np.int64)
-        n = self.X.shape[0]
-        if self.y.shape != (n,) or self.env.shape != (n,):
-            raise ShapeError("X, y, env row counts disagree")
+        if self.y.shape != (self.X.shape[0],):
+            raise ShapeError("X and y row counts disagree")
         if self.n_classes < 1:
             raise DataError("n_classes must be positive")
         if len(self.y) and (self.y.min() < 0 or self.y.max() >= self.n_classes):
             raise DataError(f"labels outside [0, {self.n_classes})")
-        if len(self.env) and self.env.min() < 0:
-            raise DataError("environment ids must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -50,17 +45,13 @@ class Dataset:
 
 
 def pool(datasets) -> Dataset:
-    """Row-concatenate datasets (environment ids preserved)."""
+    """Row-concatenate datasets."""
     datasets = list(datasets)
     if not datasets:
         raise ParameterError("cannot pool zero datasets")
-    k = max(ds.n_classes for ds in datasets)
-    return Dataset(
-        np.vstack([ds.X for ds in datasets]),
-        np.concatenate([ds.y for ds in datasets]),
-        np.concatenate([ds.env for ds in datasets]),
-        k,
-    )
+    return Dataset(np.vstack([ds.X for ds in datasets]),
+                   np.concatenate([ds.y for ds in datasets]),
+                   max(ds.n_classes for ds in datasets))
 
 
 @dataclass(frozen=True)
@@ -116,9 +107,9 @@ class ShiftSpec:
         return slice(self.d_core + self.d_spur, self.d)
 
 
-def draw_env(spec: ShiftSpec, rho: float, n: int, env_id: int, rng: SplitMix64) -> Dataset:
-    """``n`` rows of environment ``env_id`` at spurious correlation ``rho``,
-    drawn from ``rng``."""
+def draw_env(spec: ShiftSpec, rho: float, n: int, rng: SplitMix64) -> Dataset:
+    """``n`` rows of one environment at spurious correlation ``rho``, drawn
+    from ``rng``."""
     k = spec.n_classes
     y = rng.integers(k, n)
     # spurious prototype index: the label with probability rho, else a
@@ -134,7 +125,7 @@ def draw_env(spec: ShiftSpec, rho: float, n: int, env_id: int, rng: SplitMix64) 
     X[np.arange(n), spec.d_core + s] += spec.spur_scale
     if spec.d_noise:
         X[:, spec.noise_slice] = spec.noise_std * rng.normal(n * spec.d_noise).reshape(n, spec.d_noise)
-    return Dataset(X, y, np.full(n, env_id, dtype=np.int64), k)
+    return Dataset(X, y, k)
 
 
 def gen_shift(spec: ShiftSpec, seed: int) -> tuple[list[Dataset], Dataset, Dataset]:
@@ -144,41 +135,30 @@ def gen_shift(spec: ShiftSpec, seed: int) -> tuple[list[Dataset], Dataset, Datas
     ``n_per_env`` rows each; the OOD test uses ``ood_correlation``.
     """
     rng = SplitMix64(seed)
-    train_envs = [
-        draw_env(spec, rho, spec.n_per_env, e, rng)
-        for e, rho in enumerate(spec.env_correlations)
-    ]
-    id_test = pool(
-        draw_env(spec, rho, spec.n_per_env, e, rng)
-        for e, rho in enumerate(spec.env_correlations)
-    )
-    ood_test = draw_env(spec, spec.ood_correlation, spec.n_per_env,
-                        len(spec.env_correlations), rng)
+    train_envs = [draw_env(spec, rho, spec.n_per_env, rng) for rho in spec.env_correlations]
+    id_test = pool(draw_env(spec, rho, spec.n_per_env, rng) for rho in spec.env_correlations)
+    ood_test = draw_env(spec, spec.ood_correlation, spec.n_per_env, rng)
     return train_envs, id_test, ood_test
 
 
 # ---------------------------------------------------------------------------
 # class splits and few-shot episodes
 
-def split_classes(ds: Dataset, base_classes, novel_classes) -> tuple[Dataset, Dataset]:
-    """Split by class sets; labels re-index densely in the given order."""
-    base = list(dict.fromkeys(int(c) for c in base_classes))
-    novel = list(dict.fromkeys(int(c) for c in novel_classes))
-    if not base or not novel:
-        raise ParameterError("both class sets must be nonempty")
-    if set(base) & set(novel):
-        raise ParameterError("base and novel class sets overlap")
-    for c in base + novel:
-        if not (0 <= c < ds.n_classes):
-            raise ParameterError(f"class {c} outside [0, {ds.n_classes})")
+def split_point(n_classes: int) -> int:
+    """The number of base classes of a class split: the first half of
+    ``n_classes``; the novel classes are the rest."""
+    if n_classes < 2:
+        raise ParameterError(f"a class split needs at least 2 classes, got {n_classes}")
+    return n_classes // 2
 
-    def take(classes) -> Dataset:
-        remap = {c: i for i, c in enumerate(classes)}
-        mask = np.isin(ds.y, classes)
-        y = np.array([remap[int(c)] for c in ds.y[mask]], dtype=np.int64)
-        return Dataset(ds.X[mask].copy(), y, ds.env[mask].copy(), len(classes))
 
-    return take(base), take(novel)
+def split_classes(ds: Dataset) -> tuple[Dataset, Dataset]:
+    """The rows of the base classes and those of the novel classes, each in
+    row order; the novel labels start at 0."""
+    cut = split_point(ds.n_classes)
+    base = ds.y < cut
+    return (Dataset(ds.X[base], ds.y[base], cut),
+            Dataset(ds.X[~base], ds.y[~base] - cut, ds.n_classes - cut))
 
 
 @dataclass(frozen=True)
@@ -216,8 +196,6 @@ def sample_episode(novel: Dataset, spec: EpisodeSpec, rng: SplitMix64) -> tuple[
         qry_y.extend([new_label] * spec.n_query)
     sup_idx = np.asarray(sup_idx)
     qry_idx = np.asarray(qry_idx)
-    support = Dataset(novel.X[sup_idx].copy(), np.asarray(sup_y, dtype=np.int64),
-                      novel.env[sup_idx].copy(), spec.n_way)
-    query = Dataset(novel.X[qry_idx].copy(), np.asarray(qry_y, dtype=np.int64),
-                    novel.env[qry_idx].copy(), spec.n_way)
+    support = Dataset(novel.X[sup_idx], np.asarray(sup_y, dtype=np.int64), spec.n_way)
+    query = Dataset(novel.X[qry_idx], np.asarray(qry_y, dtype=np.int64), spec.n_way)
     return support, query

@@ -318,6 +318,26 @@ def test_a_diverging_stage_2_fine_tune_names_its_seed(tmp_path, capsys):
         "training diverged at epoch 0: non-finite gradient in parameter 0\n")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("methods,named", [
+    (["erm", "cat"], "erm"),
+    # the episode bank is built once, and named by the first method that needs it
+    (["cat", "2ft"], "cat"),
+    (["catsub"], "catsub"),
+])
+def test_a_diverging_bank_names_its_method_and_run_seed(tmp_path, capsys, methods, named):
+    from richlab.rng import derive_seed
+
+    cfg = write_config(tmp_path, **dict(FAST_TRANSFER, methods=methods,
+                                        train=dict(FAST_TRANSFER["train"], lr=1e300)))
+    assert cli.cmd_run(cfg, out=str(tmp_path / "out")) == 3
+    run_seed = cli.RunConfig(master_seed=5, n_seeds=2).seeds[0]
+    assert capsys.readouterr().err == (
+        f"runtime error: {named} with seed {run_seed}: episode with seed "
+        f"{derive_seed(run_seed, 0)} diverged: training diverged at epoch 0: "
+        "non-finite gradient in parameter 0\n")
+
+
 @pytest.mark.parametrize("field,value", [("grad_tol", float("inf")), ("l2", float("nan"))])
 def test_run_rejects_non_finite_probe_config(tmp_path, capsys, field, value):
     # Python's json reads NaN and Infinity, and the schema's number type refuses both
@@ -503,6 +523,36 @@ def test_run_refuses_an_iid_hold_out_of_every_training_row_before_any_work(
         cfg["ood"].update(holdout_frac=frac, tune_mode=mode)
         cli._ood_pipeline(cfg, cli.RunConfig(), set())
     assert cli.OodConfig(holdout_frac=0.9994).n_hold(900) == 899
+
+
+@pytest.mark.parametrize("top,ood,unread", [
+    ({}, {"algorithm": "erm"}, ["ood/beta_grid"]),
+    ({}, {"tune_mode": "ood"}, ["ood/holdout_frac"]),
+    # cat's bank reads hidden, n_episodes and train, and no distill_train
+    ({"n_episodes": 2, "train": {"epochs": 2}, "distill_train": {"epochs": 2}},
+     {"init": "cat"}, ["distill_train"]),
+    ({"distill_train": {"epochs": 2}},
+     {"algorithm": "erm", "tune_mode": "ood", "init": "cat"},
+     ["distill_train", "ood/beta_grid", "ood/holdout_frac"]),
+])
+def test_run_refuses_an_ood_setting_its_run_does_not_read_before_any_work(
+        tmp_path, capsys, monkeypatch, top, ood, unread):
+    # the pinned config (vrex, iid, scratch) reads every key it sets
+    _refuse_work(monkeypatch)
+    cfg = _pinned("ood-vrex")
+    cfg = dict(cfg, **top, ood=dict(cfg["ood"], **ood))
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "".join(
+        f"config error: field {key}: the ood pipeline does not read this key\n"
+        for key in unread)
+    assert not (tmp_path / "out").exists()
+    # the same keys are read where the run uses them: beta_grid under vrex,
+    # holdout_frac under iid tuning, distill_train by a distill bank
+    read = {("schema_version",), ("pipeline",)}
+    cli._merged(cli.RunConfig(), cfg, read)
+    cfg["ood"].update(algorithm="vrex", tune_mode="iid", init="distill")
+    cli._ood_pipeline(cfg, cli.RunConfig(), read)
+    assert cli._unread(cfg, read) == []
 
 
 @pytest.mark.parametrize("pinned", ["verify", "fewshot"])
@@ -711,3 +761,50 @@ def test_every_pipeline_config_field_is_a_schema_key(config_cls, section):
     reachable = set(keys) | (set(keys[section]["properties"]) if section else set())
     names = {f.name for f in fields(getattr(experiments, config_cls))} - {"seeds"}
     assert sorted(names - reachable) == []
+
+
+def _schema_node(schema: dict, root: dict) -> dict:
+    return root["$defs"][schema["$ref"].removeprefix("#/$defs/")] if "$ref" in schema else schema
+
+
+def _schema_paths(schema: dict, root: dict, at: tuple = ()):
+    for key, sub in _schema_node(schema, root).get("properties", {}).items():
+        yield (*at, key)
+        yield from _schema_paths(sub, root, (*at, key))
+
+
+def _schema_part(value, schema: dict, root: dict):
+    """The keys of ``value`` (dicts of defaults) that ``schema`` has, as JSON values."""
+    node = _schema_node(schema, root)
+    if "properties" not in node:
+        return list(value) if isinstance(value, tuple) else value
+    return {key: _schema_part(value[key], sub, root)
+            for key, sub in node["properties"].items() if key in value}
+
+
+def test_every_schema_key_is_read_by_some_pipeline():
+    # the other direction: a schema key no reader reaches is a setting a
+    # config can write and no run uses.  Each pipeline gets every key its
+    # dataclasses have defaults for, in the run that reads the most of them
+    from dataclasses import asdict
+
+    from richlab import experiments as ex
+    from richlab.tasks import EpisodeSpec
+
+    schema = cli.load_schema()
+    run = {"schema_version": 1, **asdict(cli.RunConfig())}
+    shift = {"kind": "shift", **asdict(ex.default_shift_spec())}
+    fewshot = {**asdict(EpisodeSpec()), **asdict(ex.FewshotConfig())}
+    configs = {
+        "transfer": {**run, **asdict(ex.TransferConfig()), "task": shift},
+        "fewshot": {**run, **fewshot, "fewshot": fewshot,
+                    "task": {"kind": "class_split", **asdict(ex.default_split_spec())}},
+        "ood": {**run, **asdict(ex.TransferConfig()), "task": shift,
+                "ood": asdict(ex.OodConfig(algorithm="vrex", tune_mode="iid", init="distill"))},
+    }
+    read = {("schema_version",), ("pipeline",)}  # as cmd_run reads them
+    for pipeline, values in configs.items():
+        cfg = _schema_part(dict(values, pipeline=pipeline), schema, schema)
+        assert cli.schema_errors(cfg, schema) == []
+        cli._PIPELINES[pipeline](cfg, cli._merged(cli.RunConfig(), cfg, read), read)
+    assert sorted(set(_schema_paths(schema, schema)) - read) == []

@@ -367,17 +367,19 @@ def test_the_method_table_gives_each_pipeline_todays_methods():
         else:
             with pytest.raises(ParameterError, match="unknown init"):
                 OodConfig(init=name)
-    # an ood init's bank reads the settings of every method an init can name
-    bank_keys = {"hidden", "n_episodes", "train", "distill", "distill_train"}
-    assert {key for name in taken["ood"] for key in METHODS[name].reads} == bank_keys
+    # an ood init's bank reads the settings of its own method's row, and no others
     transfer_keys = {"hidden": [4], "n_episodes": 2, "train": {"lr": 0.5},
                      "distill": {"tau": 2.0}, "distill_train": {"lr": 0.5}, "ft": {"lr": 0.5},
                      "stage2_epochs": 2, "stage2_lr": 0.5, "methods": ["cat"],
                      "target": "same", "target_rows": 9, "include_anchors": True,
                      "probe": {"l2": 0.5}}
-    read = set()
-    cli._ood_pipeline({"ood": {"init": "cat"}, **transfer_keys}, cli.RunConfig(), read)
-    assert {path[0] for path in read} & set(transfer_keys) == bank_keys
+    bank_keys = {"cat": {"hidden", "n_episodes", "train"},
+                 "distill": {"hidden", "n_episodes", "train", "distill", "distill_train"}}
+    for init in taken["ood"]:
+        assert set(METHODS[init].reads) == bank_keys[init]
+        read = set()
+        cli._ood_pipeline({"ood": {"init": init}, **transfer_keys}, cli.RunConfig(), read)
+        assert {path[0] for path in read} & set(transfer_keys) == bank_keys[init]
 
 
 # every setting a method can read, and a value of it that moves the bytes of
@@ -609,7 +611,7 @@ def test_zero_norm_row_in_a_cosine_episode_names_the_episode(where, message, epo
     y = np.repeat(np.arange(3), 2)
 
     def rows():
-        return Dataset(rng.normal(6 * 4).reshape(6, 4), y, np.zeros(6), 3)
+        return Dataset(rng.normal(6 * 4).reshape(6, 4), y, 3)
 
     episodes = [(rows(), rows()) for _ in range(3)]
     support, query = episodes[2]
@@ -695,6 +697,33 @@ def test_run_ood_iid_mode_uses_holdout_split():
     recs = run_ood(task, cfg, run_id="ood", task_name="t")
     assert any(r.split == "id_test" for r in recs)
     assert not any(r.split == "ood_tune" for r in recs)
+
+
+@pytest.mark.parametrize("tune_mode", ["ood", "iid"])
+def test_run_ood_groups_training_rows_by_their_environments_position(monkeypatch, tune_mode):
+    # the first and last environments hold the same rows: a row's environment
+    # is where its dataset sits in train_envs, not what the dataset holds
+    import richlab.experiments as ex
+    from richlab.rng import derive_seed
+    from richlab.tasks import pool
+
+    first = tiny_ood_task().train_envs[0]
+    envs = [first, Dataset(first.X[:20], first.y[:20], first.n_classes), first]
+    task = replace(tiny_ood_task(), train_envs=envs)
+    fitted = []
+    monkeypatch.setattr(ex, "_fit_ood_model",
+                        lambda net0, X, y, env, *_: fitted.append((X, y, env)) or net0)
+    cfg = OodConfig(algorithm="vrex", beta_grid=(1.0,), lr_grid=(0.1,), wd_grid=(0.0,),
+                    tune_mode=tune_mode, hidden=(6,), seeds=(1,))
+    run_ood(task, cfg, run_id="ood", task_name="t")
+    ((X, y, env),) = fitted
+    pooled = pool(envs)
+    rows = np.arange(pooled.n)
+    if tune_mode == "iid":
+        rows = SplitMix64(derive_seed(1, 2)).permutation(pooled.n)[cfg.n_hold(pooled.n):]
+    want = np.repeat([0, 1, 2], [first.n, 20, first.n])[rows]
+    assert (env.dtype, env.tobytes()) == (np.int64, want.tobytes())
+    assert (X.tobytes(), y.tobytes()) == (pooled.X[rows].tobytes(), pooled.y[rows].tobytes())
 
 
 def scripted_run_ood(monkeypatch, scores, tune_mode="ood", **grid):
@@ -861,8 +890,7 @@ def test_ood_bundle_draws_each_role_from_the_shift_generator():
                      derive_seed(40, 3))[0][0]
     for got, want in zip((*task.train_envs, task.tune_env, task.test_env),
                          (*train_envs, tune, ood_test), strict=True):
-        assert got.X.tobytes() == want.X.tobytes()
-        assert (got.y.tobytes(), got.env.tobytes()) == (want.y.tobytes(), want.env.tobytes())
+        assert (got.X.tobytes(), got.y.tobytes()) == (want.X.tobytes(), want.y.tobytes())
 
 
 @pytest.mark.parametrize("make_spec", [default_shift_spec, default_split_spec])
@@ -874,8 +902,7 @@ def test_ood_sample_is_the_first_environment_of_a_one_environment_shift_task(mak
     got = ood_sample(spec, 77, rows)
     want = gen_shift(replace(spec, env_correlations=(spec.ood_correlation,), n_per_env=rows),
                      77)[0][0]
-    assert got.X.tobytes() == want.X.tobytes()
-    assert (got.y.tobytes(), got.env.tobytes()) == (want.y.tobytes(), want.env.tobytes())
+    assert (got.X.tobytes(), got.y.tobytes()) == (want.X.tobytes(), want.y.tobytes())
     assert (got.X.shape, got.n_classes) == (want.X.shape, want.n_classes)
 
 

@@ -370,7 +370,7 @@ def test_cache_request_mixing_held_and_new_problems(monkeypatch):
     from richlab.tasks import Dataset
 
     X, y = informative_features(8, n=120, d=5)
-    data = Dataset(X, y, np.zeros(120, dtype=np.int64), 3)
+    data = Dataset(X, y, 3)
     nets = [init_network([5, 8], 20 + i) for i in range(5)]
     bank = RepresentationBank(stack_nets(nets))
     feats = [extract_features(net, X) for net in nets]

@@ -47,7 +47,7 @@ def toy_data(n=120, d=6, k=3, seed=2):
     y = rng.integers(k, n)
     proto = 1.5 * np.eye(k, d)
     X = proto[y] + 0.4 * rng.normal(n * d).reshape(n, d)
-    return Dataset(X, y, np.zeros(n, dtype=np.int64), k)
+    return Dataset(X, y, k)
 
 
 def trunks_equal(a, b):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from richlab.errors import ParameterError, SamplingError
+from richlab.errors import DataError, ParameterError, SamplingError, ShapeError
 from richlab.probing import ProbeConfig, fit_probe
 from richlab.rng import SplitMix64
 from richlab.tasks import (
@@ -12,6 +12,7 @@ from richlab.tasks import (
     pool,
     sample_episode,
     split_classes,
+    split_point,
 )
 
 
@@ -26,14 +27,22 @@ def small_spec(**over):
 
 
 def test_gen_shift_shapes_and_envs():
+    # one dataset per training environment; the in-distribution test pools one per environment
     spec = small_spec()
     train, id_test, ood = gen_shift(spec, 7)
     assert len(train) == 2
-    for e, ds in enumerate(train):
-        assert ds.n == 150 and ds.d == 11
-        assert set(np.unique(ds.env)) == {e}
-    assert id_test.n == 300
-    assert set(np.unique(ood.env)) == {2}
+    for ds in (*train, ood):
+        assert (ds.n, ds.d, ds.n_classes) == (150, 11, 4)
+    assert (id_test.n, id_test.d) == (300, 11)
+
+
+def test_dataset_is_rows_labels_and_class_count():
+    ds = Dataset(np.zeros((3, 2)), [0, 2, 1], 3)
+    assert (ds.n, ds.d, ds.y.dtype) == (3, 2, np.int64)
+    with pytest.raises(ShapeError):
+        Dataset(np.zeros((3, 2)), [0, 1], 3)
+    with pytest.raises(DataError):
+        Dataset(np.zeros((3, 2)), [0, 1, 3], 3)
 
 
 def test_gen_shift_deterministic():
@@ -101,31 +110,49 @@ def ten_class_dataset(n=200, seed=1):
     rng = SplitMix64(seed)
     y = rng.integers(10, n)
     X = rng.normal(n * 3).reshape(n, 3)
-    return Dataset(X, y, np.zeros(n, dtype=np.int64), 10)
+    return Dataset(X, y, 10)
 
 
 def test_split_classes_reindexes_densely():
     ds = ten_class_dataset()
-    base, novel = split_classes(ds, list(range(5)), list(range(5, 10)))
+    base, novel = split_classes(ds)
     assert base.n_classes == 5 and novel.n_classes == 5
     assert set(np.unique(base.y)) <= set(range(5))
     assert set(np.unique(novel.y)) <= set(range(5))
     assert base.n + novel.n == ds.n
 
 
-def test_split_classes_rejects_overlap_and_empty():
+def test_split_classes_halves_are_disjoint_and_cover_every_row():
     ds = ten_class_dataset()
-    with pytest.raises(ParameterError):
-        split_classes(ds, [0, 1], [1, 2])
-    with pytest.raises(ParameterError):
-        split_classes(ds, list(range(10)), [])
+    base, novel = split_classes(ds)
+    assert base.n > 0 and novel.n > 0
+    assert np.array_equal(np.sort(np.concatenate([base.y, novel.y + 5])), np.sort(ds.y))
 
 
 def test_split_preserves_row_order():
     ds = ten_class_dataset()
-    base, _ = split_classes(ds, [0, 1, 2], [3, 4])
-    mask = np.isin(ds.y, [0, 1, 2])
-    assert np.array_equal(base.X, ds.X[mask])
+    base, novel = split_classes(ds)
+    assert np.array_equal(base.X, ds.X[ds.y < 5])
+    assert np.array_equal(base.y, ds.y[ds.y < 5])
+    assert np.array_equal(novel.X, ds.X[ds.y >= 5])
+    assert np.array_equal(novel.y, ds.y[ds.y >= 5] - 5)
+
+
+def test_split_classes_of_an_odd_class_count_puts_the_extra_class_in_the_novel_half():
+    rng = SplitMix64(4)
+    y = rng.integers(5, 60)
+    ds = Dataset(rng.normal(60 * 2).reshape(60, 2), y, 5)
+    base, novel = split_classes(ds)
+    assert (base.n_classes, novel.n_classes) == (2, 3)
+    assert np.array_equal(base.y, y[y < 2])
+    assert np.array_equal(novel.y, y[y >= 2] - 2)
+    assert np.array_equal(novel.X, ds.X[y >= 2])
+    assert split_point(5) == 2
+
+
+def test_split_classes_refuses_fewer_than_two_classes():
+    with pytest.raises(ParameterError, match="a class split needs at least 2 classes, got 1"):
+        split_classes(Dataset(np.zeros((4, 2)), np.zeros(4), 1))
 
 
 # ---------------------------------------------------------------------------
