@@ -29,19 +29,21 @@ bank = snapshot_episode(base.train, (8,), snap_cfg, snaps)
 
 episode_spec = EpisodeSpec(n_way=5, k_shot=5, n_query=15)
 rng = SplitMix64(derive_seed(9, 900))
-episodes = [sample_episode(novel.train, episode_spec, rng) for _ in range(150)]
+# each episode is the positions of its rows in the novel split
+episodes = np.stack([sample_episode(novel.train, episode_spec, rng) for _ in range(150)])
 cfg = FewshotConfig()
 
 print(f"snapshots taken after epochs {snaps} of one lr={snap_cfg.lr} run")
 per_snap = []
 for j in range(len(bank)):
     member = bank.member(j)
-    accs = episode_accuracies(lambda X, b=member: cat_features(b, X),
+    accs = episode_accuracies(lambda rows, b=member: cat_features(b, novel.train.X[rows]),
                               episodes, episode_spec, cfg)
     per_snap.append(accs.mean())
     print(f"  snapshot {j + 1}: few-shot accuracy {accs.mean():.3f}")
 
-accs = episode_accuracies(lambda X: cat_features(bank, X), episodes, episode_spec, cfg)
+accs = episode_accuracies(lambda rows: cat_features(bank, novel.train.X[rows]), episodes,
+                          episode_spec, cfg)
 print(f"\nconcatenation of the 5 snapshots: {accs.mean():.3f} "
       f"(best single was {max(per_snap):.3f})")
 print("\nfeatures are discovered and then abandoned along the trajectory;")

@@ -17,6 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .errors import ParameterError, RichlabError
 from .probing import sha256
 # imported, not called: perfbench/tests checks that its tracer wraps cli.train_episodes
@@ -249,21 +251,32 @@ def _transfer_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], lis
 
 
 def _fewshot_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[RunRecord]]:
-    """Build the few-shot config dataclasses; the returned call runs the pipeline."""
+    """Build the few-shot config dataclasses and the class split; the
+    returned call runs the pipeline."""
     episode_spec = _merged(EpisodeSpec(), cfg, read, "fewshot")
     fc = replace(_merged(FewshotConfig(), cfg, read, "fewshot"), seeds=run.seeds)
     _, spec = _task(cfg, read, "fewshot")
     # episodes draw from the novel classes of the split
-    novel = spec.n_classes - split_point(spec.n_classes)
-    if episode_spec.n_way > novel:
+    n_novel = spec.n_classes - split_point(spec.n_classes)
+    if episode_spec.n_way > n_novel:
         raise ParameterError(f"field fewshot/n_way: a {episode_spec.n_way}-way episode needs "
                              f"{episode_spec.n_way} novel classes, a {spec.n_classes}-class "
-                             f"task has {novel}")
+                             f"task has {n_novel}")
+    # only the pooled training environments: few-shot reads no test split;
+    # drawing them is cheap, and tells how many rows each novel class has
+    train = pool(gen_shift(spec, run.master_seed + 2)[0])
+    base, novel = make_class_split_tasks(TransferTask("shift", train))
+    counts = np.bincount(novel.train.y, minlength=n_novel)
+    need = episode_spec.k_shot + episode_spec.n_query
+    if counts.min() < need:
+        c = int(counts.argmin())
+        raise ParameterError(
+            f"field fewshot/n_query: an episode takes {need} rows of each class "
+            f"({episode_spec.k_shot} support, {episode_spec.n_query} query); class "
+            f"{spec.n_classes - n_novel + c} of the {spec.n_classes}-class task has "
+            f"{counts[c]} training rows")
 
     def pipeline() -> list[RunRecord]:
-        # only the pooled training environments: few-shot reads no test split
-        train = pool(gen_shift(spec, run.master_seed + 2)[0])
-        base, novel = make_class_split_tasks(TransferTask("shift", train))
         return run_fewshot(base, novel.train, episode_spec, fc, run_id="fewshot")
 
     return pipeline
@@ -361,10 +374,13 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
         return _field_errors([(("output_dir",), str(exc))])
     try:
         suites_ok = True
-        if work is None:
-            records, suites_ok = _run_verify_pipeline(run.master_seed)
-        else:
-            records = work()
+        # the trainers turn every non-finite value into a named error, so
+        # numpy's floating-point warnings would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if work is None:
+                records, suites_ok = _run_verify_pipeline(run.master_seed)
+            else:
+                records = work()
         write_records_csv(records, out_dir / "results.csv")
         manifest = {
             "pipeline": pipeline,
@@ -407,6 +423,12 @@ def cmd_report(csv_path: str, kind: str = "table") -> int:
         return 2
     measured = [r for r in records if r.extra.get("kind") != "anchor"]
     anchors = [r for r in records if r.extra.get("kind") == "anchor"]
+    # an ood run scores every grid candidate on its tune split; a seed's
+    # table cell counts only the candidate its ood_test row names as chosen
+    chosen = {(r.run_id, r.seed, r.method, r.task): r.extra["chosen"]
+              for r in measured if "chosen" in r.extra}
+    shown = [r for r in measured if "config_id" not in r.extra
+             or chosen.get((r.run_id, r.seed, r.method, r.task)) == r.extra["config_id"]]
     tasks = sorted({r.task for r in measured})
     out = []
     for task in tasks:
@@ -425,15 +447,13 @@ def cmd_report(csv_path: str, kind: str = "table") -> int:
         for method in methods:
             row = [method]
             for col in cols:
-                vals = [r.value for r in rows_for_task
-                        if r.method == method and (r.split, r.metric) == col]
+                vals = [r.value for r in shown if r.task == task and r.method == method
+                        and (r.split, r.metric) == col]
                 if not vals:
                     row.append("-")
                 elif len(vals) == 1:
                     row.append(_fmt(vals[0]))
                 else:
-                    import numpy as np
-
                     row.append(f"{_fmt(float(np.mean(vals)))} ± "
                                f"{_fmt(float(np.std(vals, ddof=1)))}")
             table_rows.append(row)

@@ -10,8 +10,8 @@ its scorer.  Every pipeline gets its representations from
 
 Every pipeline is deterministic given its seeds: representation
 training, classifier fitting, episode sampling, and hyper-parameter
-selection all draw from derived SplitMix64 streams, and rerunning a
-pipeline with the same configuration reproduces its CSV byte for byte.
+selection all draw from derived SplitMix64 streams, and a rerun of the
+same configuration reproduces its CSV byte for byte.
 """
 from __future__ import annotations
 
@@ -428,9 +428,8 @@ def build_representations(methods, data: Dataset, cfg, seed: int, episode_offset
 
 def snapshot_schedule(epochs: int, n_snapshots: int) -> list[int]:
     """Evenly spaced snapshot epochs ending at the final epoch."""
-    snaps = sorted({max(1, round(epochs * (j + 1) / n_snapshots))
-                    for j in range(n_snapshots)})
-    return snaps
+    return sorted({max(1, round(epochs * (j + 1) / n_snapshots))
+                   for j in range(n_snapshots)})
 
 
 # ---------------------------------------------------------------------------
@@ -607,20 +606,19 @@ def run_fewshot(base: TransferTask, novel: Dataset, spec: EpisodeSpec, cfg: Fews
                 run_id: str = "fewshot") -> list[RunRecord]:
     """Evaluate representations on sampled episodes of novel classes.
 
-    Every method within a seed group sees the same episode stream (paired
-    comparison); reported std is the ddof=1 standard deviation over
-    episode accuracies.
+    Every method of a seed group sees the same episodes (a paired
+    comparison); std is the ddof=1 standard deviation over episodes.
     """
     records: list[RunRecord] = []
+    extra = {"episodes": str(cfg.n_episodes_eval), "classifier": cfg.classifier}
     for s in cfg.seeds:
         reps = build_representations(cfg.methods, base.train, cfg, s)
-        ep_rng = SplitMix64(derive_seed(s, 900))
-        episodes = [sample_episode(novel, spec, ep_rng) for _ in range(cfg.n_episodes_eval)]
+        rng = SplitMix64(derive_seed(s, 900))
+        episodes = np.stack([sample_episode(novel, spec, rng) for _ in range(cfg.n_episodes_eval)])
         for rep in reps:
             with _named(rep.name, s):
-                accs = episode_accuracies(lambda X, b=rep.bank: cat_features(b, X), episodes,
-                                          spec, cfg, derive_seed(s, 7000))
-            extra = {"episodes": str(cfg.n_episodes_eval), "classifier": cfg.classifier}
+                accs = episode_accuracies(lambda rows, b=rep.bank: cat_features(b, novel.X[rows]),
+                                          episodes, spec, cfg, derive_seed(s, 7000))
             records.append(RunRecord(run_id, s, rep.name, base.name, "fewshot",
                                      "mean_accuracy", float(accs.mean()), extra))
             records.append(RunRecord(run_id, s, rep.name, base.name, "fewshot",
@@ -637,35 +635,37 @@ def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConf
                        seed: int = 0) -> np.ndarray:
     """Per-episode query accuracies of support-fitted classifiers.
 
-    The linear classifier fits the support probes of ``EPISODE_BLOCK``
-    episodes at a time in one stacked ``fit_probe`` call, on features
-    extracted once for the block's support rows; query features are
-    extracted episode by episode.  Memory stays flat in the number of
-    episodes, and each probe is the one it would be if fitted alone.  A
-    cosine fit or prediction that meets a zero-norm feature row raises an
-    :class:`EpisodeError` naming the episode index.
+    ``episodes`` is an (E, n_way, k_shot + n_query) stack of
+    ``sample_episode`` row positions; ``feature_fn`` maps positions to
+    features.  The linear classifier fits ``EPISODE_BLOCK`` episodes'
+    support probes in one stacked ``fit_probe`` call, each the probe it
+    would be alone.  A cosine fit or prediction that meets a zero-norm
+    feature row raises an :class:`EpisodeError` naming the episode.
     """
+    k = spec.k_shot
+    sup_y = np.repeat(np.arange(spec.n_way), k)
+    qry_y = np.repeat(np.arange(spec.n_way), spec.n_query)
     accs = np.empty(len(episodes))
-    for e, (support, query) in enumerate(episodes):
+    for e, rows in enumerate(episodes):
         if cfg.classifier == "linear" and e % EPISODE_BLOCK == 0:
             block = episodes[e:e + EPISODE_BLOCK]
-            fs = feature_fn(np.concatenate([s.X for s, _ in block]))
+            fs = feature_fn(block[:, :, :k].reshape(-1))
             probes = fit_probe(fs.reshape(len(block), -1, fs.shape[1]),
-                               np.stack([s.y for s, _ in block]),
+                               np.tile(sup_y, (len(block), 1)),
                                cfg.probe, n_classes=spec.n_way)
-        fq = feature_fn(query.X)
+        fq = feature_fn(rows[:, k:].reshape(-1))
         if cfg.classifier == "linear":
             b = e % EPISODE_BLOCK
             pred = (fq @ probes.weights[b].T + probes.bias[b]).argmax(axis=1)
         else:
             try:
-                head = fit_cosine_classifier(feature_fn(support.X), support.y, spec.n_way,
-                                             seed=derive_seed(seed, e))
+                head = fit_cosine_classifier(feature_fn(rows[:, :k].reshape(-1)), sup_y,
+                                             spec.n_way, seed=derive_seed(seed, e))
                 pred = cosine_head_forward(fq, head).argmax(axis=1)
             except (NumericalError, TrainingError) as exc:
                 raise EpisodeError(f"cosine classifier of episode {e} failed: {exc}",
                                    epoch=getattr(exc, "epoch", None)) from exc
-        accs[e] = float((pred == query.y).mean())
+        accs[e] = (pred == qry_y).mean()
     return accs
 
 

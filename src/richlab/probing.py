@@ -21,7 +21,8 @@ stack of one.  For stacked input the result's arrays gain a leading
 ``result[e]`` is problem ``e`` as a single probe.
 
 Two pipelines fit stacks: few-shot evaluation fits the support sets of
-a block of episodes at once (``experiments.episode_accuracies``), and
+a block of episodes at once, gathered from the episodes' row positions
+(``experiments.episode_accuracies``), and
 the transfer pipeline fits one probe per extractor on the same rows
 (``richrep.extractor_probes``) for the per-leg probe gap and for the
 per-leg ensemble ``catsub``.

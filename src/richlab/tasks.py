@@ -1,5 +1,6 @@
 """Data supply: synthetic shift generator, class splits and few-shot
-episode sampling.
+episode sampling; an episode is the positions of its rows in the novel
+split, not a copy of them.
 
 The synthetic generator builds inputs out of three blocks.  The core
 block carries the label through a class prototype that is stable across
@@ -172,8 +173,14 @@ class EpisodeSpec:
             raise ParameterError("n_way, k_shot, n_query must all be positive")
 
 
-def sample_episode(novel: Dataset, spec: EpisodeSpec, rng: SplitMix64) -> tuple[Dataset, Dataset]:
-    """Draw one ``n_way``-way episode: disjoint support/query, labels in [0, n_way)."""
+def sample_episode(novel: Dataset, spec: EpisodeSpec, rng: SplitMix64) -> np.ndarray:
+    """Draw one ``n_way``-way episode: the positions in ``novel`` of its rows,
+    as one ``(n_way, k_shot + n_query)`` array.
+
+    Row j holds the rows of the j-th drawn class, which is label j of the
+    episode: its ``k_shot`` support rows, then its ``n_query`` query rows,
+    so support and query are disjoint.
+    """
     # the labels are nonnegative; np.unique would import numpy.ma into the run
     classes = np.flatnonzero(np.bincount(novel.y))
     if spec.n_way > len(classes):
@@ -181,21 +188,13 @@ def sample_episode(novel: Dataset, spec: EpisodeSpec, rng: SplitMix64) -> tuple[
             f"{spec.n_way}-way episode needs {spec.n_way} classes, dataset has {len(classes)}"
         )
     chosen = classes[rng.permutation(len(classes))[: spec.n_way]]
-    sup_idx, qry_idx, sup_y, qry_y = [], [], [], []
     need = spec.k_shot + spec.n_query
-    for new_label, c in enumerate(chosen):
+    positions = np.empty((spec.n_way, need), dtype=np.int64)
+    for label, c in enumerate(chosen):
         rows = np.flatnonzero(novel.y == c)
         if len(rows) < need:
             raise SamplingError(
                 f"class {int(c)} has {len(rows)} rows, episode needs {need}"
             )
-        picked = rows[rng.permutation(len(rows))[:need]]
-        sup_idx.extend(picked[: spec.k_shot])
-        qry_idx.extend(picked[spec.k_shot:])
-        sup_y.extend([new_label] * spec.k_shot)
-        qry_y.extend([new_label] * spec.n_query)
-    sup_idx = np.asarray(sup_idx)
-    qry_idx = np.asarray(qry_idx)
-    support = Dataset(novel.X[sup_idx], np.asarray(sup_y, dtype=np.int64), spec.n_way)
-    query = Dataset(novel.X[qry_idx], np.asarray(qry_y, dtype=np.int64), spec.n_way)
-    return support, query
+        positions[label] = rows[rng.permutation(len(rows))[:need]]
+    return positions

@@ -303,7 +303,6 @@ def test_manifest_config_hash_is_hashlib_sha256_of_the_sorted_config(tmp_path):
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_diverging_stage_2_fine_tune_names_its_seed(tmp_path, capsys):
     from richlab.rng import derive_seed
 
@@ -318,7 +317,6 @@ def test_a_diverging_stage_2_fine_tune_names_its_seed(tmp_path, capsys):
         "training diverged at epoch 0: non-finite gradient in parameter 0\n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("methods,named", [
     (["erm", "cat"], "erm"),
     # the episode bank is built once, and named by the first method that needs it
@@ -586,6 +584,51 @@ def test_run_refuses_more_ways_than_novel_classes_before_any_work(tmp_path, caps
     cli._fewshot_pipeline(cfg, cli.RunConfig(), set())
 
 
+
+def test_a_diverging_run_writes_one_line_to_stderr(tmp_path):
+    # numpy's overflow and invalid-value warnings would come first, with
+    # their source lines
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    cfg = write_config(tmp_path, **dict(FAST_TRANSFER, train=dict(FAST_TRANSFER["train"],
+                                                                  lr=1e300)))
+    out = subprocess.run([sys.executable, "-m", "richlab", "run", cfg,
+                          "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert out.returncode == 3
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("runtime error: erm with seed ")
+
+
+def test_run_refuses_a_novel_class_with_fewer_rows_than_an_episode_takes_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # 3 environments of 20 rows leave class 7 of the 10-class task 3 training
+    # rows, and a 5-shot episode with 15 queries takes 20 rows of each class
+    from richlab import experiments
+
+    def train(*args, **kwargs):
+        raise AssertionError("a bank was trained")
+
+    _refuse_work(monkeypatch)
+    monkeypatch.setattr(experiments, "train_episodes", train)
+    cfg = _pinned("fewshot")
+    cfg["task"]["n_per_env"] = 20
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "config error: field fewshot/n_query: an episode takes 20 rows of each class "
+        "(5 support, 15 query); class 7 of the 10-class task has 3 training rows\n")
+    assert not (tmp_path / "out").exists()
+    # an episode may take every row of the smallest class, and no more
+    cfg["fewshot"].update(k_shot=1, n_query=2)
+    cli._fewshot_pipeline(cfg, cli.RunConfig(), set())
+    cfg["fewshot"]["n_query"] = 3
+    with pytest.raises(cli.ParameterError, match="takes 4 rows .* class 7 .* has 3 training"):
+        cli._fewshot_pipeline(cfg, cli.RunConfig(), set())
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -636,6 +679,50 @@ def test_report_names_the_path_and_byte_of_invalid_utf8(tmp_path, capsys):
     assert cli.cmd_report(str(path)) == 2
     assert capsys.readouterr().err == (
         f"report error: {path}: byte {len(CSV_HEADER) + 27}: not UTF-8: invalid start byte\n")
+
+
+def _report_row(out: str, method: str) -> list[str]:
+    (line,) = [line for line in out.splitlines() if line.startswith(f"| {method} |")]
+    return [cell.strip() for cell in line.strip("|").split("|")]
+
+
+def test_report_shows_the_ood_candidate_each_seed_chose(capsys):
+    # the golden ood run tunes 24 candidates per seed on held-out id_test
+    # rows; the table shows the rows of the two chosen ones, not all 48
+    from pathlib import Path
+
+    import numpy as np
+
+    from richlab.experiments import load_records_csv
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "ood-vrex.csv"
+    records = load_records_csv(path)
+    chosen = {r.seed: r.extra["chosen"] for r in records if "chosen" in r.extra}
+    vals = [r.value for r in records
+            if r.split == "id_test" and chosen[r.seed] == r.extra["config_id"]]
+    assert len(vals) == 2
+    assert cli.cmd_report(str(path)) == 0
+    cell = _report_row(capsys.readouterr().out, "erm")[1]
+    assert cell == f"{np.mean(vals):.6g} ± {np.std(vals, ddof=1):.6g}"
+    assert cell == "0.941666 ± 0.00392798"
+
+
+def test_report_shows_the_chosen_candidate_of_an_ood_tuned_run(tmp_path, capsys):
+    # two seeds, three candidates each, scored on the tune environment
+    records = []
+    for seed, choice in ((1, "c"), (2, "b")):
+        for cid, value in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
+            records.append(RunRecord("ood", seed, "cat2", "t", "ood_tune", "accuracy",
+                                     value + seed / 100, {"config_id": cid, "tune": "ood"}))
+        records.append(RunRecord("ood", seed, "cat2", "t", "ood_test", "accuracy", 0.5,
+                                 {"chosen": choice, "tune": "ood"}))
+    path = tmp_path / "r.csv"
+    write_records_csv(records, path)
+    assert cli.cmd_report(str(path)) == 0
+    # columns ood_test/accuracy, ood_tune/accuracy; the chosen tune rows are
+    # 0.31 at seed 1 and 0.22 at seed 2
+    assert _report_row(capsys.readouterr().out, "cat2") == [
+        "cat2", "0.5 ± 0", "0.265 ± 0.0636396"]
 
 
 def test_report_marks_anchors(tmp_path, capsys):

@@ -495,9 +495,9 @@ def test_fewshot_std_is_sample_std():
                           [derive_seed(4, i) for i in range(5)])
     single = bank.member(0)
     rng = SplitMix64(derive_seed(4, 900))
-    episodes = [sample_episode(novel.train, spec_ep, rng) for _ in range(12)]
-    accs = episode_accuracies(lambda X: cat_features(single, X), episodes, spec_ep,
-                              cfg, seed=derive_seed(4, 7000))
+    episodes = np.stack([sample_episode(novel.train, spec_ep, rng) for _ in range(12)])
+    accs = episode_accuracies(lambda rows: cat_features(single, novel.train.X[rows]), episodes,
+                              spec_ep, cfg, seed=derive_seed(4, 7000))
     assert mean == pytest.approx(accs.mean())
     assert std == pytest.approx(accs.std(ddof=1))
 
@@ -526,8 +526,9 @@ def test_fewshot_config_refuses_what_the_run_would_fail_on(kwargs, words):
 
 
 def _episodes_and_reference():
-    """Nine episodes, a feature function, and the accuracies of fitting each
-    episode alone on features extracted per episode."""
+    """Nine episodes' row positions, a feature function of positions, and the
+    accuracies of fitting each episode alone on features extracted per
+    episode."""
     from richlab.probing import ProbeConfig, fit_probe
     from richlab.richrep import cat_features, train_episodes
 
@@ -539,17 +540,21 @@ def _episodes_and_reference():
     bank = train_episodes(base.train, (6,), FAST_TRAIN, [11, 12])
     spec = EpisodeSpec(3, 2, 5)
     rng = SplitMix64(21)
-    episodes = [sample_episode(novel.train, spec, rng) for _ in range(9)]
+    episodes = np.stack([sample_episode(novel.train, spec, rng) for _ in range(9)])
     cfg = FewshotConfig(probe=ProbeConfig(l2=1e-3, max_iters=150, grad_tol=1e-6))
 
-    def feature_fn(X):
-        return cat_features(bank, X)
+    def feature_fn(rows):
+        return cat_features(bank, novel.train.X[rows])
 
+    # drawn class j is label j; each class's support rows come first
+    support_y = np.repeat(np.arange(spec.n_way), spec.k_shot)
+    query_y = np.repeat(np.arange(spec.n_way), spec.n_query)
     reference = []
-    for support, query in episodes:
-        probe = fit_probe(feature_fn(support.X), support.y, cfg.probe,
+    for rows in episodes:
+        probe = fit_probe(feature_fn(rows[:, :spec.k_shot].reshape(-1)), support_y, cfg.probe,
                           n_classes=spec.n_way)
-        reference.append(float((probe.predict(feature_fn(query.X)) == query.y).mean()))
+        query = feature_fn(rows[:, spec.k_shot:].reshape(-1))
+        reference.append(float((probe.predict(query) == query_y).mean()))
     return feature_fn, episodes, spec, cfg, reference
 
 
@@ -570,6 +575,36 @@ def test_episode_blocks_match_one_episode_at_a_time(monkeypatch, block):
     feature_fn, episodes, spec, cfg, reference = _episodes_and_reference()
     monkeypatch.setattr(experiments, "EPISODE_BLOCK", block)
     assert episode_accuracies(feature_fn, episodes, spec, cfg).tolist() == reference
+
+
+def test_few_shot_memory_stays_flat_in_the_episode_count(monkeypatch):
+    # identity features on a wide novel split; episodes held as row copies
+    # grew the peak by episodes x rows x width x 8 bytes, 5.7 MB from 20 to
+    # 200 episodes here.  Blocks of 20 keep the stacked solve one size, so
+    # only the episode count changes between the two runs.
+    import tracemalloc
+
+    from richlab import experiments
+    from richlab.probing import ProbeConfig
+
+    monkeypatch.setattr(experiments, "EPISODE_BLOCK", 20)
+    rng = SplitMix64(5)
+    novel = Dataset(rng.normal(400 * 200).reshape(400, 200), np.arange(400) % 4, 4)
+    spec = EpisodeSpec(2, 2, 8)
+    cfg = FewshotConfig(probe=ProbeConfig(l2=1e-3, max_iters=20, grad_tol=1e-6))
+
+    def peak(n_episodes):
+        tracemalloc.start()
+        try:
+            ep_rng = SplitMix64(7)
+            episodes = np.stack([sample_episode(novel, spec, ep_rng)
+                                 for _ in range(n_episodes)])
+            episode_accuracies(lambda rows: novel.X[rows], episodes, spec, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200) - peak(20) < 1 << 20
 
 
 def test_fewshot_cosine_classifier_runs():
@@ -608,17 +643,14 @@ def test_zero_feature_row_in_cosine_classifier_names_the_epoch():
 def test_zero_norm_row_in_a_cosine_episode_names_the_episode(where, message, epoch):
     rng = SplitMix64(9)
     spec = EpisodeSpec(3, 2, 2)
-    y = np.repeat(np.arange(3), 2)
-
-    def rows():
-        return Dataset(rng.normal(6 * 4).reshape(6, 4), y, 3)
-
-    episodes = [(rows(), rows()) for _ in range(3)]
-    support, query = episodes[2]
-    (support if where == "support" else query).X[3] = 0.0
+    # three 3-way episodes over 36 distinct rows, each class 2 support + 2 query
+    X = rng.normal(36 * 4).reshape(36, 4)
+    episodes = np.arange(36).reshape(3, 3, 4)
+    # the fourth support (query) row of episode 2: class 1's second support (query) row
+    X[episodes[2, 1, 1 if where == "support" else 3]] = 0.0
     cfg = FewshotConfig(classifier="cosine")
     with pytest.raises(EpisodeError) as info:
-        episode_accuracies(lambda X: X, episodes, spec, cfg)
+        episode_accuracies(lambda rows: X[rows], episodes, spec, cfg)
     assert str(info.value) == f"cosine classifier of episode 2 failed: {message}"
     assert info.value.epoch == epoch
 

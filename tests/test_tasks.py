@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from richlab.errors import DataError, ParameterError, SamplingError, ShapeError
-from richlab.probing import ProbeConfig, fit_probe
+from richlab.probing import ProbeConfig, fit_probe, sha256
 from richlab.rng import SplitMix64
 from richlab.tasks import (
     Dataset,
@@ -158,21 +158,35 @@ def test_split_classes_refuses_fewer_than_two_classes():
 # ---------------------------------------------------------------------------
 # few-shot episode sampling
 
+def _check_episode(ds, spec, positions):
+    """Positions are in range and distinct, so support and query are
+    disjoint; every row of an episode holds the rows of one drawn class,
+    the class of its label, and no two rows hold the same class."""
+    assert positions.shape == (spec.n_way, spec.k_shot + spec.n_query)
+    assert positions.dtype == np.int64
+    assert positions.min() >= 0 and positions.max() < ds.n
+    assert len(np.unique(positions)) == positions.size
+    support, query = positions[:, :spec.k_shot], positions[:, spec.k_shot:]
+    assert not set(support.ravel()) & set(query.ravel())
+    classes = ds.y[positions]
+    assert (classes == classes[:, :1]).all()
+    assert len(set(classes[:, 0])) == spec.n_way
+
+
 def test_episode_shapes():
     ds = ten_class_dataset(n=400)
     spec = EpisodeSpec(n_way=5, k_shot=1, n_query=15)
-    support, query = sample_episode(ds, spec, SplitMix64(3))
-    assert support.n == 5 and query.n == 75
-    assert set(np.unique(support.y)) == set(range(5))
+    positions = sample_episode(ds, spec, SplitMix64(3))
+    _check_episode(ds, spec, positions)    # 5 support rows, 75 query rows
 
 
 def test_episode_deterministic():
     ds = ten_class_dataset(n=400)
     spec = EpisodeSpec(n_way=5, k_shot=2, n_query=5)
-    s1, q1 = sample_episode(ds, spec, SplitMix64(9))
-    s2, q2 = sample_episode(ds, spec, SplitMix64(9))
-    assert np.array_equal(s1.X, s2.X)
-    assert np.array_equal(q1.X, q2.X)
+    p1 = sample_episode(ds, spec, SplitMix64(9))
+    p2 = sample_episode(ds, spec, SplitMix64(9))
+    assert np.array_equal(p1, p2)
+    _check_episode(ds, spec, p1)
 
 
 def test_episode_support_query_disjoint_over_100_draws():
@@ -180,10 +194,26 @@ def test_episode_support_query_disjoint_over_100_draws():
     spec = EpisodeSpec(n_way=4, k_shot=3, n_query=4)
     rng = SplitMix64(17)
     for _ in range(100):
-        support, query = sample_episode(ds, spec, rng)
-        srows = {tuple(row) for row in support.X}
-        qrows = {tuple(row) for row in query.X}
-        assert not (srows & qrows)
+        _check_episode(ds, spec, sample_episode(ds, spec, rng))
+
+
+def test_episode_positions_give_the_rows_and_labels_episodes_held_as_copies():
+    # sha256 of the support and query rows and labels at fixed seeds,
+    # recorded when sample_episode returned copies of the rows
+    digest = sha256()
+    for seed, spec in ((3, EpisodeSpec(5, 1, 15)), (9, EpisodeSpec(5, 2, 5)),
+                       (17, EpisodeSpec(4, 3, 4))):
+        ds = ten_class_dataset(n=500, seed=seed)
+        rng = SplitMix64(seed)
+        for _ in range(5):
+            positions = sample_episode(ds, spec, rng)
+            support = positions[:, :spec.k_shot].reshape(-1)
+            query = positions[:, spec.k_shot:].reshape(-1)
+            for a in (ds.X[support], np.repeat(np.arange(spec.n_way), spec.k_shot),
+                      ds.X[query], np.repeat(np.arange(spec.n_way), spec.n_query)):
+                digest.update(a.tobytes())
+    assert digest.hexdigest() == (
+        "55f85044e40c2fcdc8d5c591c96b8b34fc1904cdcb85e9ea223c5ec3bf184ed2")
 
 
 def test_episode_insufficient_rows():
