@@ -1,5 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and :func:`named`, the
+one place where a training failure becomes an :class:`EpisodeError`.
+
+A trainer turns a :class:`NumericalError` into a :class:`TrainingError`
+that carries the epoch; each run that holds several episodes wraps them
+in :func:`named`, which adds the episode's name and seed to the message.
+"""
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class RichlabError(Exception):
@@ -40,3 +48,15 @@ class EpisodeError(TrainingError):
 
 class SamplingError(RichlabError, ValueError):
     """An episode sampler cannot satisfy its class/row requirements."""
+
+
+@contextmanager
+def named(prefix: str, seed: int | None = None):
+    """A :class:`NumericalError` or :class:`TrainingError` in this block becomes
+    an :class:`EpisodeError` whose message is ``prefix`` and the failure's, with
+    ``seed`` and the failure's epoch; any other exception passes through."""
+    try:
+        yield
+    except (NumericalError, TrainingError) as exc:
+        raise EpisodeError(f"{prefix}{exc}", seed=seed,
+                           epoch=getattr(exc, "epoch", None)) from exc

@@ -16,7 +16,6 @@ same configuration reproduces its CSV byte for byte.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -35,7 +34,7 @@ from .core_nn.layers import (
 from .core_nn.losses import cross_entropy_loss, log_softmax
 from .core_nn.optim import Schedule, TrainConfig, sgd_fit, sgd_step
 from .core_nn.train import accuracy, network_loss_grad
-from .errors import DataError, EpisodeError, NumericalError, ParameterError, TrainingError
+from .errors import DataError, NumericalError, ParameterError, TrainingError, named
 from .probing import ProbeCache, ProbeConfig, fit_probe
 from .rng import SplitMix64, derive_seed
 from .richrep import (
@@ -390,16 +389,6 @@ def _start(m: Method, banks: dict, data: Dataset, cfg, seed: int, episode_offset
     return banks.get(m.start), None if m.seed is None else derive_seed(seed, m.seed)
 
 
-@contextmanager
-def _named(column: str, seed: int):
-    """An episode that fails in this block names ``column`` and the run seed."""
-    try:
-        yield
-    except EpisodeError as exc:
-        raise EpisodeError(f"{column} with seed {seed}: {exc}", seed=seed,
-                           epoch=exc.epoch) from exc
-
-
 class Representation(NamedTuple):
     method: str                # the config's method name
     name: str                  # the method column of its records
@@ -418,7 +407,7 @@ def build_representations(methods, data: Dataset, cfg, seed: int, episode_offset
     reps = []
     for name, m in METHODS.items():
         if m.build is not None and name in methods:
-            with _named(name, seed):
+            with named(f"{name} with seed {seed}: ", seed=seed):
                 bank, own_seed = _start(m, banks, data, cfg, seed, episode_offset)
                 built = m.build(bank, data, cfg, own_seed)
             reps += [Representation(name, m.column.format(n=cfg.n_episodes, k=len(b), j=j + 1), b)
@@ -511,7 +500,7 @@ def run_transfer(pretrain: TransferTask, target: TransferTask, cfg: TransferConf
                                          {"legs": "/".join(f"{a:.4f}" for a in accs)}))
         for name, m in METHODS.items():
             if m.score is not None and name in cfg.methods:
-                with _named(name, s):
+                with named(f"{name} with seed {s}: ", seed=s):
                     bank, own_seed = _start(m, banks, pretrain.train, cfg, s)
                     rows = m.score(bank, target, cfg, own_seed, cache)
                 records += [RunRecord(run_id, s, column, target.name, split, metric, value)
@@ -616,7 +605,7 @@ def run_fewshot(base: TransferTask, novel: Dataset, spec: EpisodeSpec, cfg: Fews
         rng = SplitMix64(derive_seed(s, 900))
         episodes = np.stack([sample_episode(novel, spec, rng) for _ in range(cfg.n_episodes_eval)])
         for rep in reps:
-            with _named(rep.name, s):
+            with named(f"{rep.name} with seed {s}: ", seed=s):
                 accs = episode_accuracies(lambda rows, b=rep.bank: cat_features(b, novel.X[rows]),
                                           episodes, spec, cfg, derive_seed(s, 7000))
             records.append(RunRecord(run_id, s, rep.name, base.name, "fewshot",
@@ -658,13 +647,10 @@ def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConf
             b = e % EPISODE_BLOCK
             pred = (fq @ probes.weights[b].T + probes.bias[b]).argmax(axis=1)
         else:
-            try:
+            with named(f"cosine classifier of episode {e} failed: "):
                 head = fit_cosine_classifier(feature_fn(rows[:, :k].reshape(-1)), sup_y,
                                              spec.n_way, seed=derive_seed(seed, e))
                 pred = cosine_head_forward(fq, head).argmax(axis=1)
-            except (NumericalError, TrainingError) as exc:
-                raise EpisodeError(f"cosine classifier of episode {e} failed: {exc}",
-                                   epoch=getattr(exc, "epoch", None)) from exc
         accs[e] = (pred == qry_y).mean()
     return accs
 
@@ -828,20 +814,14 @@ def run_ood(task: OodTask, config: OodConfig, rep: Representation | None = None,
             X_fit, y_fit, env_fit = X_all[keep], pooled.y[keep], env_all[keep]
             X_tune, y_tune = X_all[hold], pooled.y[hold]
 
-        if rep is None:
-            net0 = init_network([pooled.d, *config.hidden, k], seed=derive_seed(s, 1))
-        else:
-            net0 = Network([glorot_layer(k, X_all.shape[1],
-                                         SplitMix64(derive_seed(s, 1)))])
+        net0 = init_network([X_all.shape[1], *(config.hidden if rep is None else ()), k],
+                            seed=derive_seed(s, 1))
 
         best = None  # (key, config id, network) of the best candidate so far
         for beta, lr, wd in itertools.product(betas, config.lr_grid, config.wd_grid):
             cid = f"b{beta:g}-lr{lr:g}-wd{wd:g}"
-            try:
+            with named(f"ood candidate {cid} at seed {s} ", seed=s):
                 net = _fit_ood_model(net0, X_fit, y_fit, env_fit, beta, lr, wd, config.steps)
-            except TrainingError as exc:
-                raise EpisodeError(f"ood candidate {cid} at seed {s} {exc}",
-                                   seed=s, epoch=exc.epoch) from exc
             tune_acc = accuracy(net, X_tune, y_tune)
             records.append(RunRecord(
                 run_id, s, method, task_name, split, "accuracy", tune_acc,

@@ -39,7 +39,7 @@ from .core_nn.losses import (
 )
 from .core_nn.optim import TrainConfig, sgd_fit
 from .core_nn.train import train
-from .errors import EpisodeError, ParameterError, ShapeError, TrainingError
+from .errors import ParameterError, ShapeError, TrainingError, named
 from .probing import ProbeCache, ProbeResult, fit_probe
 from .rng import SplitMix64, derive_seed
 from .tasks import Dataset
@@ -69,11 +69,6 @@ class RepresentationBank:
 
     def __len__(self) -> int:
         return len(self.trunk.layers[0].weights)
-
-    @property
-    def dims(self) -> list[int]:
-        """Output width of each member."""
-        return [self.trunk.n_out] * len(self)
 
     @property
     def total_dim(self) -> int:
@@ -167,11 +162,8 @@ def _train_members(stack: Network, data: Dataset, config: TrainConfig, seeds,
         for i, (seed, name) in enumerate(zip(seeds, names)):
             alone = Network([DenseLayer(layer.weights[i], layer.bias[i, 0], layer.activation)
                              for layer in stack.layers])
-            try:
+            with named(f"{name} diverged: ", seed=seed):
                 train(alone, data.X, data.y, config.with_seed(seed))
-            except TrainingError as exc:
-                raise EpisodeError(f"{name} diverged: {exc}", seed=seed,
-                                   epoch=exc.epoch) from exc
         raise stopped  # not reached: the member that stopped the stack diverges alone
 
 
@@ -217,11 +209,8 @@ def snapshot_episode(data: Dataset, hidden, config: TrainConfig,
         if done in want:
             captured[done] = current.clone()
 
-    try:
+    with named("snapshot episode diverged: ", seed=config.seed):
         train(net, data.X, data.y, config, on_epoch_end=grab)
-    except TrainingError as exc:
-        raise EpisodeError(f"snapshot episode diverged: {exc}", seed=config.seed,
-                           epoch=exc.epoch) from exc
     return _headed_bank(stack_nets(captured[e] for e in snaps))
 
 
@@ -269,16 +258,6 @@ def distill(bank: RepresentationBank, spec: DistillSpec, data: Dataset,
     return _distill_train(trunk, head, target, spec, X, y, config)
 
 
-def _fit_episode(what: str, params, loss_and_grad, n_rows: int,
-                 config: TrainConfig) -> None:
-    """:func:`sgd_fit` whose divergence names the episode seed."""
-    try:
-        sgd_fit(params, loss_and_grad, n_rows, config)
-    except TrainingError as exc:
-        raise EpisodeError(f"{what} with seed {config.seed} diverged: {exc}",
-                           seed=config.seed, epoch=exc.epoch) from exc
-
-
 def _distill_train(trunk, head, target, spec, X, y, config) -> Network:
     """SGD over the trunk and the stacked teacher heads.
 
@@ -312,8 +291,8 @@ def _distill_train(trunk, head, target, spec, X, y, config) -> Network:
         return batch_loss, head_grads + stack_backward(trunk.layers, acts, pres, d_feat)
 
     # the heads come first, so a divergence that reaches them names the teacher
-    _fit_episode("distillation", layer_params([head, *trunk.layers]), loss_and_grad,
-                 X.shape[0], config)
+    with named(f"distillation with seed {config.seed} diverged: ", seed=config.seed):
+        sgd_fit(layer_params([head, *trunk.layers]), loss_and_grad, X.shape[0], config)
     return trunk
 
 
@@ -339,7 +318,8 @@ def _train_multileg(legs: Network, head: DenseLayer, X, y, config: TrainConfig,
         grads = stack_backward(legs.layers, acts, pres, d_out)
         return loss, grads + [d_logits.T @ feat, d_logits.sum(axis=0)]
 
-    _fit_episode(what, layer_params([*legs.layers, head]), loss_and_grad, X.shape[0], config)
+    with named(f"{what} with seed {config.seed} diverged: ", seed=config.seed):
+        sgd_fit(layer_params([*legs.layers, head]), loss_and_grad, X.shape[0], config)
     return legs
 
 
@@ -410,11 +390,8 @@ def two_stage_finetune(
             weight_decay=0.0,
             seed=derive_seed(ft_config.seed, len(bank) + 1),
         )
-        try:
+        with named(f"stage-2 fine-tune with seed {cfg.seed} diverged: ", seed=cfg.seed):
             trained_head, _ = train(head_net, feats, data.y, cfg)
-        except TrainingError as exc:
-            raise EpisodeError(f"stage-2 fine-tune with seed {cfg.seed} diverged: {exc}",
-                               seed=cfg.seed, epoch=exc.epoch) from exc
         final = trained_head.layers[0]
     return ft_bank, final
 

@@ -259,7 +259,7 @@ def test_two_stage_finetune_matches_reference_bitwise():
         want_trunks, want_heads = [], []
         for i, trunk in enumerate(plain_trunks(bank)):
             leg_seed = derive_seed(CFG.seed, i)
-            head = glorot_layer(data.n_classes, bank.dims[i], SplitMix64(leg_seed))
+            head = glorot_layer(data.n_classes, bank.trunk.n_out, SplitMix64(leg_seed))
             net = ref_train(Network([*trunk.clone().layers, head]), data.X, data.y,
                             CFG.with_seed(leg_seed))
             want_trunks.append(net.layers[:-1])

@@ -429,6 +429,20 @@ def test_a_representation_reads_no_setting_outside_its_row():
             for name in readers), key
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_snapshot_run_names_the_method_and_the_run_seed():
+    from richlab.experiments import build_representations
+    from richlab.rng import derive_seed
+
+    with pytest.raises(EpisodeError) as info:
+        build_representations(["cat-s"], small_task().train, _settings(snapshot_lr_mult=1e7), 7)
+    inner = info.value.__cause__
+    assert str(info.value) == f"cat-s with seed 7: {inner}"
+    assert str(inner) == f"snapshot episode diverged: {inner.__cause__}"
+    assert (info.value.seed, inner.seed) == (7, derive_seed(7, 42))
+    assert info.value.epoch == inner.epoch is not None
+
+
 def test_a_fine_tune_reads_no_setting_outside_its_row():
     from dataclasses import fields
 
@@ -871,6 +885,7 @@ def test_run_ood_divergence_names_seed_and_candidate():
                     lr_grid=(50.0,), wd_grid=(0.0,), steps=40, hidden=(6,), seeds=(7,))
     with pytest.raises(TrainingError, match="b100-lr50-wd0 at seed 7") as info:
         run_ood(task, cfg, run_id="ood", task_name="t")
+    assert str(info.value) == f"ood candidate b100-lr50-wd0 at seed 7 {info.value.__cause__}"
     assert isinstance(info.value, EpisodeError)
     assert info.value.seed == 7
     assert info.value.epoch is not None

@@ -86,12 +86,13 @@ def test_bank_needs_an_extractor_and_one_head_per_extractor():
 def test_bank_dims_follow_its_extractors():
     data = toy_data()
     bank = RepresentationBank(stack_nets(init_trunk([data.d, 5, 3], seed=s) for s in (1, 2)))
-    assert (bank.dims, bank.total_dim) == ([3, 3], 6)
-    assert (bank.member(1).dims, bank.member(1).total_dim) == ([3], 3)
+    assert (len(bank), bank.trunk.n_out, bank.total_dim) == (2, 3, 6)
+    member = bank.member(1)
+    assert (len(member), member.trunk.n_out, member.total_dim) == (1, 3, 3)
     joint, head = joint_train(data, (7,), 3, CFG)
-    assert (joint.dims, joint.total_dim, head.n_in) == ([7, 7, 7], 21, 21)
+    assert (len(joint), joint.trunk.n_out, joint.total_dim, head.n_in) == (3, 7, 21, 21)
     ft_bank, head = two_stage_finetune(bank, data, CFG, stage2_epochs=0)
-    assert (ft_bank.dims, ft_bank.total_dim, head.n_in) == ([3, 3], 6, 6)
+    assert (len(ft_bank), ft_bank.trunk.n_out, ft_bank.total_dim, head.n_in) == (2, 3, 6, 6)
     # a bank of an 8-wide and a 5-then-3-wide trunk holds two architectures
     with pytest.raises(ShapeError):
         stack_nets([init_trunk([data.d, 8], seed=1), init_trunk([data.d, 5, 3], seed=2)])
@@ -188,6 +189,7 @@ def test_diverging_distillation_names_its_seed():
     bank = train_episodes(data, (8,), CFG, [11, 12])
     with pytest.raises(EpisodeError, match="seed 21 diverged") as info:
         distill(bank, DistillSpec(student_arch=(8,)), data, DIVERGE)
+    assert str(info.value) == f"distillation with seed 21 diverged: {info.value.__cause__}"
     assert info.value.seed == 21
     assert info.value.epoch is not None
     # the teacher heads train as one stack: the message names the teacher
@@ -203,12 +205,14 @@ def test_zero_norm_student_row_in_cosine_distillation_names_its_seed():
         distill(bank, DistillSpec(mode="cosine", student_arch=(6,)), data, cfg.with_seed(21))
     assert (info.value.seed, info.value.epoch) == (21, 0)
     assert str(info.value).endswith("cosine distillation saw a zero-norm feature row")
+    assert str(info.value) == f"distillation with seed 21 diverged: {info.value.__cause__}"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_joint_training_names_its_seed():
     with pytest.raises(EpisodeError, match="seed 21 diverged") as info:
         joint_train(toy_data(), (8,), 2, DIVERGE)
+    assert str(info.value) == f"joint training with seed 21 diverged: {info.value.__cause__}"
     assert info.value.seed == 21
     assert info.value.epoch is not None
     # the legs train as one stack: the message names the leg
@@ -221,7 +225,17 @@ def test_diverging_naive_finetune_names_its_seed():
     bank = train_episodes(data, (8,), CFG, [5, 6])
     with pytest.raises(EpisodeError, match="seed 21 diverged") as info:
         naive_finetune(bank, data, DIVERGE)
+    assert str(info.value) == f"naive fine-tune with seed 21 diverged: {info.value.__cause__}"
     assert info.value.seed == 21
+    assert info.value.epoch is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_snapshot_episode_names_its_seed():
+    with pytest.raises(EpisodeError) as info:
+        snapshot_episode(toy_data(), (8,), DIVERGE, [5, 10])
+    assert str(info.value) == f"snapshot episode diverged: {info.value.__cause__}"
+    assert (info.value.seed, info.value.epoch) == (21, info.value.__cause__.epoch)
     assert info.value.epoch is not None
 
 
@@ -235,7 +249,7 @@ def test_different_seeds_give_different_extractors():
     data = toy_data()
     bank = train_episodes(data, (8,), CFG, [5, 6])
     assert not trunks_equal(bank.member(0).trunk, bank.member(1).trunk)
-    assert bank.dims == [8, 8]
+    assert (len(bank), bank.trunk.n_out) == (2, 8)
 
 
 def test_bank_members_are_value_isolated():
