@@ -160,40 +160,39 @@ def layer_params(layers) -> list[tuple[np.ndarray, bool]]:
 # forward / backward over a layer stack
 
 def stack_forward(layers, X: np.ndarray):
-    """Run ``X`` through the layer stack.
+    """Run ``X`` through the layer stack; returns activations ``acts[0]=X .. acts[L]``.
 
-    Returns ``(acts, pres)``: activations ``acts[0]=X .. acts[L]`` and the
-    pre-activation of each layer (needed for relu backward).  With stacked
-    layers every activation after ``X`` is (T, n, width); ``X`` itself may
-    be one (n, d_in) input shared by the members or (T, n, d_in).
+    Relu runs in place on each layer's fresh product, so a layer keeps one
+    array.  With stacked layers every activation after ``X`` is (T, n, width);
+    ``X`` itself may be one (n, d_in) input shared by the members or (T, n, d_in).
     """
     acts = [X]
-    pres = []
-    h = X
     for layer in layers:
-        z = h @ layer.weights.swapaxes(-1, -2)
-        z += layer.bias  # in place on the fresh product: the same sums, one array fewer
-        pres.append(z)
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        h = acts[-1] @ layer.weights.swapaxes(-1, -2)
+        h += layer.bias  # in place on the fresh product: the same sums, one array fewer
+        if layer.activation == "relu":
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
-    return acts, pres
+    return acts
 
 
-def stack_backward(layers, acts, pres, d_out: np.ndarray):
-    """Backpropagate ``d_out`` (gradient at the stack output).
+def stack_backward(layers, acts, d_out: np.ndarray):
+    """Backpropagate ``d_out``, the gradient at the output of :func:`stack_forward`'s ``acts``.
 
     Returns the layer grads only, flat in :func:`layer_params` order:
     ``[dW_0, db_0, dW_1, db_1, ...]``.  The gradient with respect to the
     stack input is never formed: every caller trains the stack and none
-    needs it.  For stacked layers ``d_out`` is (T, n, n_out), and each
-    gradient has the shape of its stacked parameter.
+    needs it.  A relu passes the gradient where its activation is positive,
+    which is where its pre-activation is, signed zeros and NaN included.
+    For stacked layers ``d_out`` is (T, n, n_out), and each gradient has
+    the shape of its stacked parameter.
     """
     grads = [None] * (2 * len(layers))
     d = d_out
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         if layer.activation == "relu":
-            d = d * (pres[i] > 0)
+            d = d * (acts[i + 1] > 0)
         grads[2 * i] = d.swapaxes(-1, -2) @ acts[i]
         grads[2 * i + 1] = d.sum(axis=-2, keepdims=d.ndim == 3)  # the bias's shape
         if i:
@@ -250,7 +249,7 @@ def forward(net: Network, X) -> tuple[np.ndarray, np.ndarray]:
     X = as_feature_matrix(X)
     if X.shape[1] != net.n_in:
         raise ShapeError(f"input width {X.shape[1]} does not match network input {net.n_in}")
-    acts, _ = stack_forward(net.layers, X)
+    acts = stack_forward(net.layers, X)
     return acts[-1], acts[-2]
 
 
@@ -259,6 +258,5 @@ def extract_features(trunk: Network, X) -> np.ndarray:
     X = as_feature_matrix(X)
     if X.shape[1] != trunk.n_in:
         raise ShapeError(f"input width {X.shape[1]} does not match trunk input {trunk.n_in}")
-    acts, _ = stack_forward(trunk.layers, X)
-    return acts[-1]
+    return stack_forward(trunk.layers, X)[-1]
 

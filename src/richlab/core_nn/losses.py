@@ -30,7 +30,7 @@ def log_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
     if not 0 < k < 8 or z.size < 32 * k * k:
         # the ufunc reductions behind ndarray.max/sum, without their Python wrappers
         z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-        return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+        return np.subtract(z, np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True)), out=z)
     # A reduction over a short last axis runs one inner loop per row, so on
     # many rows a chain over the k columns is cheaper (from 32*k rows on).
     # It gives the same bits: a max is exact in any order (zero signs
@@ -45,7 +45,8 @@ def log_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
     s = e[..., :1]
     for j in range(1, k):
         s = s + e[..., j:j + 1]
-    return z - np.log(s)
+    del e
+    return np.subtract(z, np.log(s), out=z)  # into this call's own z - m buffer
 
 
 def softmax_temperature(v, tau: float) -> np.ndarray:
@@ -94,7 +95,8 @@ def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     loss = -logp[picked].mean(axis=-1)
     grad = np.exp(logp)
     grad[picked] -= 1.0
-    return _per_member(loss), grad / n
+    grad /= n
+    return _per_member(loss), grad
 
 
 def tempered_log_probs(teacher_logits, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +123,10 @@ def distill_to_log_probs(teacher_logp, teacher_p, student_logits, tau: float,
     n = s.shape[-2]
     logq = log_softmax(s, tau)
     kl_loss = tau * tau * (teacher_p * (teacher_logp - logq)).sum(axis=-1).mean(axis=-1)
-    kl_grad = tau * (np.exp(logq) - teacher_p) / n
+    kl_grad = np.exp(logq)  # tau * (exp(logq) - teacher_p) / n, in place
+    kl_grad -= teacher_p
+    kl_grad *= tau
+    kl_grad /= n
     if alpha == 1.0:
         return _per_member(kl_loss), kl_grad
     ce_loss, ce_grad = cross_entropy_loss(s, labels)

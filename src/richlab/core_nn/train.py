@@ -25,9 +25,9 @@ LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 def network_loss_grad(net: Network, X: np.ndarray,
                       loss_fn: LossFn) -> tuple[float, list[np.ndarray]]:
     """Loss and gradients, in :func:`layer_params` order, of ``loss_fn(logits) -> (loss, dlogits)``."""
-    acts, pres = stack_forward(net.layers, X)
+    acts = stack_forward(net.layers, X)
     loss, d_logits = loss_fn(acts[-1])
-    return loss, stack_backward(net.layers, acts, pres, d_logits)
+    return loss, stack_backward(net.layers, acts, d_logits)
 
 
 def flatten_params(net: Network) -> np.ndarray:

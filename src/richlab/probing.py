@@ -160,9 +160,14 @@ def _cost(W, b, X, flat_y, l2):
     return reg - data_sum / n, logp
 
 
-def _gradient(W, X, Y_onehot, logp, l2):
-    """Gradients ``(gW, gb)`` of the objective at ``W`` from its log-probabilities."""
-    D = (np.exp(logp) - Y_onehot) / X.shape[1]
+def _gradient(W, X, flat_y, logp, l2):
+    """Gradients ``(gW, gb)`` of the objective at ``W`` from its log-probabilities.
+
+    The logit gradient ``(softmax - onehot) / n`` takes -1 at the label
+    positions ``flat_y`` of :func:`_cost` in place: no one-hot target."""
+    D = np.exp(logp)
+    D.reshape(-1)[flat_y] -= 1.0
+    D /= X.shape[1]
     return D.transpose(0, 2, 1) @ X + l2 * W, _sum(D, axis=1, keepdims=True)
 
 
@@ -184,11 +189,9 @@ def _descend(W, b, X, y, config: ProbeConfig):
     E, n, _ = X.shape
     k = W.shape[1]
     flat_y = (np.arange(E * n) * k + y.ravel()).reshape(E, n, 1)
-    Y = np.zeros((E, n, k))
-    Y.reshape(-1)[flat_y] = 1.0
     l2, tol = config.l2, config.grad_tol
     f, logp = _cost(W, b, X, flat_y, l2)
-    gW, gb = _gradient(W, X, Y, logp, l2)
+    gW, gb = _gradient(W, X, flat_y, logp, l2)
     step = np.ones((E, 1, 1))
     live = np.ones(E, dtype=bool)      # neither converged nor stalled
     all_live = True
@@ -209,6 +212,7 @@ def _descend(W, b, X, y, config: ProbeConfig):
         search = live
         whole = all_live               # every problem is still searching
         while True:
+            logp = None  # the last trial's log-probabilities are spent: free them first
             W_new = W - t * gW
             b_new = b - t * gb
             f_new, logp = _cost(W_new, b_new, X, flat_y, l2)
@@ -217,7 +221,7 @@ def _descend(W, b, X, y, config: ProbeConfig):
             # gradients are computed only for trials that some problem accepts
             if whole and n_ok == E:
                 W, b, f = W_new, b_new, f_new
-                gW, gb = _gradient(W, X, Y, logp, l2)
+                gW, gb = _gradient(W, X, flat_y, logp, l2)
                 step = np.minimum(1.0, 2.0 * t)
                 break
             if whole and n_ok == 0:
@@ -226,7 +230,7 @@ def _descend(W, b, X, y, config: ProbeConfig):
                 whole = False
                 acc = search & ok.ravel()
                 if np.count_nonzero(acc):
-                    gW_new, gb_new = _gradient(W_new, X, Y, logp, l2)
+                    gW_new, gb_new = _gradient(W_new, X, flat_y, logp, l2)
                     W[acc], b[acc], f[acc] = W_new[acc], b_new[acc], f_new[acc]
                     gW[acc], gb[acc] = gW_new[acc], gb_new[acc]
                     step = np.where(acc[:, None, None], np.minimum(1.0, 2.0 * t), step)

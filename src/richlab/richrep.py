@@ -274,7 +274,7 @@ def _distill_train(trunk, head, target, spec, X, y, config) -> Network:
 
     def loss_and_grad(idx):
         yb = y[idx]
-        acts, pres = stack_forward(trunk.layers, X[idx])
+        acts = stack_forward(trunk.layers, X[idx])
         feat = acts[-1]
         out = feat @ head.weights.swapaxes(-1, -2)
         out += head.bias
@@ -288,7 +288,7 @@ def _distill_train(trunk, head, target, spec, X, y, config) -> Network:
             batch_loss += loss
             d_feat += d_teacher
         head_grads = [d_out.swapaxes(-1, -2) @ feat, d_out.sum(axis=-2, keepdims=True)]
-        return batch_loss, head_grads + stack_backward(trunk.layers, acts, pres, d_feat)
+        return batch_loss, head_grads + stack_backward(trunk.layers, acts, d_feat)
 
     # the heads come first, so a divergence that reaches them names the teacher
     with named(f"distillation with seed {config.seed} diverged: ", seed=config.seed):
@@ -311,11 +311,11 @@ def _train_multileg(legs: Network, head: DenseLayer, X, y, config: TrainConfig,
     n_legs = len(legs.layers[0].weights)
 
     def loss_and_grad(idx):
-        acts, pres = stack_forward(legs.layers, X[idx])
+        acts = stack_forward(legs.layers, X[idx])
         feat = np.concatenate(acts[-1], axis=1)
         loss, d_logits = cross_entropy_loss(feat @ head.weights.T + head.bias, y[idx])
         d_out = np.stack(np.hsplit(d_logits @ head.weights, n_legs))
-        grads = stack_backward(legs.layers, acts, pres, d_out)
+        grads = stack_backward(legs.layers, acts, d_out)
         return loss, grads + [d_logits.T @ feat, d_logits.sum(axis=0)]
 
     with named(f"{what} with seed {config.seed} diverged: ", seed=config.seed):
@@ -430,7 +430,8 @@ def extractor_probes(bank: RepresentationBank, data: Dataset,
     probes = [cache.probes.get(key) for key in keys]
     miss = [i for i, probe in enumerate(probes) if probe is None]
     if miss:
-        stack = fit_probe(feats[miss], np.broadcast_to(data.y, (len(miss), data.n)),
+        feats = feats[miss]  # only the members to fit stay alive
+        stack = fit_probe(feats, np.broadcast_to(data.y, (len(miss), data.n)),
                           cache.config, n_classes=data.n_classes)
         for j, i in enumerate(miss):
             probes[i] = cache.probes[keys[i]] = stack[j]

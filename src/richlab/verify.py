@@ -67,8 +67,10 @@ def gradcheck_instance(seed: int, loss_name: str, sizes=(5, 7, 6, 4), n: int = 8
         X = rng.normal(n * sizes[0]).reshape(n, sizes[0])
         teacher = 2.0 * rng.normal(n * k).reshape(n, k)
         y = rng.integers(k, n)
-        acts, pres = stack_forward(net.layers, X)
-        min_pre = min(np.abs(p).min() for p in pres[:-1]) if len(pres) > 1 else np.inf
+        acts = stack_forward(net.layers, X)
+        # each hidden layer's pre-activation, recomputed from the activation it reads
+        zs = (h @ layer.weights.T + layer.bias for layer, h in zip(net.layers[:-1], acts))
+        min_pre = min((np.abs(z).min() for z in zs), default=np.inf)
         if min_pre <= 1e-3:
             continue
         if loss_name == "cosine" and np.linalg.norm(acts[-1], axis=1).min() <= 1e-3:

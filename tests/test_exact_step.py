@@ -5,7 +5,9 @@ and ``stack_backward`` skips the unused input gradient.  Frozen copies
 of the straightforward versions live here, and the tests compare the
 two by bytes: objective values, logit gradients, layer gradients and
 whole candidate fits.  Layers stacked along a member axis are compared
-by bytes with each member's plain forward and backward pass.
+by bytes with each member's reference forward and backward pass, and the
+relu mask that ``stack_backward`` reads off the activations with the
+reference mask on the pre-activations, signed zeros and NaN included.
 """
 import numpy as np
 import pytest
@@ -197,21 +199,23 @@ def test_fit_ood_model_matches_reference_over_default_grid():
 # (d) layer gradients without the input gradient, plain and stacked
 
 def assert_stacked_matches_members(members, X, d_out):
-    """Stacked forward/backward equals each member's plain calls, by bytes.
+    """Stacked forward/backward equals each member's reference pass, by bytes.
 
     ``X`` is one (n, d) input shared by the members or (T, n, d);
-    ``d_out`` is (T, n, n_out).
+    ``d_out`` is (T, n, n_out).  Every activation and every gradient of
+    member ``t`` is compared.
     """
     stacked = [stack_layers(depth) for depth in zip(*members)]
-    acts, pres = stack_forward(stacked, X)
-    grads = stack_backward(stacked, acts, pres, d_out)
+    acts = stack_forward(stacked, X)
+    grads = stack_backward(stacked, acts, d_out)
+    assert len(acts) == len(stacked) + 1
     for t, layers in enumerate(members):
-        x = X if X.ndim == 2 else X[t]
-        want_acts, want_pres = stack_forward(layers, x)
-        for got, want in zip(acts[1:] + pres, want_acts[1:] + want_pres, strict=True):
+        want_acts, want_pres = reference_forward(layers, X if X.ndim == 2 else X[t])
+        for got, want in zip(acts[1:], want_acts[1:], strict=True):
             assert got[t].tobytes() == want.tobytes()
-        want_grads = stack_backward(layers, want_acts, want_pres, d_out[t])
-        for got, want in zip(grads, want_grads, strict=True):
+        want_grads, _ = reference_backward(layers, want_acts, want_pres, d_out[t])
+        flat_want = [g for pair in want_grads for g in pair]
+        for got, want in zip(grads, flat_want, strict=True):
             assert got[t].reshape(want.shape).tobytes() == want.tobytes()
 
 
@@ -230,11 +234,11 @@ def test_stack_backward_matches_reference_bitwise(widths, acts):
     layers = draw_layers()
     X = rng.normal(size=(40, widths[0]))
     d_out = rng.normal(size=(40, widths[-1]))
-    got_acts, got_pres = stack_forward(layers, X)
+    got_acts = stack_forward(layers, X)
     ref_acts, ref_pres = reference_forward(layers, X)
-    for a, b in zip(got_acts + got_pres, ref_acts + ref_pres, strict=True):
+    for a, b in zip(got_acts, ref_acts, strict=True):
         assert a.tobytes() == b.tobytes()
-    grads = stack_backward(layers, got_acts, got_pres, d_out)
+    grads = stack_backward(layers, got_acts, d_out)
     ref_grads, _ = reference_backward(layers, ref_acts, ref_pres, d_out)
     flat_ref = [g for pair in ref_grads for g in pair]  # dW_0, db_0, dW_1, ...
     for got, want in zip(grads, flat_ref, strict=True):
@@ -249,3 +253,39 @@ def test_stack_backward_matches_reference_bitwise(widths, acts):
             d_out = rng.normal(size=(T, n, widths[-1]))
             assert_stacked_matches_members(members, rng.normal(size=(n, widths[0])), d_out)
             assert_stacked_matches_members(members, rng.normal(size=(T, n, widths[0])), d_out)
+
+
+@pytest.mark.parametrize("T", [None, 3])
+def test_relu_mask_from_activations_matches_reference_at_zeros_and_nan(T):
+    """The relu mask read off the activation, ``max(z, 0) > 0``, gives the
+    reference gradients, which mask with ``z > 0``, byte for byte.
+
+    A BLAS product never yields -0.0, so the pre-activations are chosen
+    here, with exact +0.0, -0.0 and NaN entries, and the activations are
+    formed from them as ``stack_forward`` forms them.
+    """
+    rng = np.random.default_rng(11)
+    members = [[DenseLayer(rng.normal(size=(6, 4)), rng.normal(size=6), "relu"),
+                DenseLayer(rng.normal(size=(3, 6)), rng.normal(size=3), "linear")]
+               for _ in range(T or 1)]
+    layers = members[0] if T is None else [stack_layers(depth) for depth in zip(*members)]
+    lead = () if T is None else (T,)
+    X = rng.normal(size=lead + (20, 4))
+    z0 = rng.normal(size=lead + (20, 6))
+    special = rng.integers(0, 4, size=z0.shape)  # 0: keep, 1: +0.0, 2: -0.0, 3: NaN
+    z0[special == 1], z0[special == 2], z0[special == 3] = 0.0, -0.0, np.nan
+    assert np.signbit(z0[special == 2]).all() and not np.signbit(z0[special == 1]).any()
+    act1 = z0.copy()
+    np.maximum(act1, 0.0, out=act1)
+    with np.errstate(invalid="ignore"):  # the NaN rows are the point
+        z1 = act1 @ layers[1].weights.swapaxes(-1, -2) + layers[1].bias
+        d_out = rng.normal(size=z1.shape)
+        grads = stack_backward(layers, [X, act1, z1], d_out)
+        for t, plain in enumerate(members):
+            i = ... if T is None else t  # a[...] is all of a plain array
+            ref_grads, _ = reference_backward(plain, [X[i], act1[i], z1[i]], [z0[i], z1[i]],
+                                              d_out[i])
+            for got, want in zip(grads, [g for pair in ref_grads for g in pair], strict=True):
+                assert got[i].reshape(want.shape).tobytes() == want.tobytes()
+    # the NaN activations reach the last layer's weight gradient, not the mask
+    assert np.isnan(grads[2]).any() and not np.isnan(grads[0]).any()

@@ -89,6 +89,20 @@ def test_log_softmax_signed_zero_rows_bitwise(k):
     assert log_softmax(-z, 2.0).tobytes() == _reduced_log_softmax(-z, 2.0).tobytes()
 
 
+@pytest.mark.parametrize("tau", [1.0, 2.5])
+@pytest.mark.parametrize("shape", [
+    (5, 3), (4, 5, 3), (300, 9),   # reductions: under 32*k*k entries, or k >= 8
+    (900, 5), (5, 900, 5),         # column chains
+])
+def test_log_softmax_leaves_its_input_alone(shape, tau):
+    # the result is formed in place in a buffer of log_softmax's own
+    z = np.random.default_rng(sum(shape)).standard_normal(shape)
+    before = z.copy()
+    got = log_softmax(z, tau)
+    assert z.tobytes() == before.tobytes()
+    assert not np.shares_memory(got, z)
+
+
 def test_softmax_extreme_logits_stable():
     p = softmax_temperature(np.array([1000.0, 0.0]), 1.0)
     assert np.isfinite(p).all() and abs(p.sum() - 1.0) <= 1e-12
