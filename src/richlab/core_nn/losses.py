@@ -45,7 +45,6 @@ def log_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
     s = e[..., :1]
     for j in range(1, k):
         s = s + e[..., j:j + 1]
-    del e
     return np.subtract(z, np.log(s), out=z)  # into this call's own z - m buffer
 
 

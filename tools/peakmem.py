@@ -30,6 +30,8 @@ import sys
 import tempfile
 import tracemalloc
 
+TOP_SITES = 10  # allocation sites listed at the traced peak
+
 
 def vmhwm_mb() -> float:
     with open("/proc/self/status") as fh:
@@ -85,7 +87,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("config", help="a richlab run config, e.g. perfbench/workloads/transfer.json")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--top", type=int, default=10, help="allocation sites to list (0: none)")
     args = parser.parse_args(argv)
 
     from richlab import cli
@@ -97,18 +98,17 @@ def main(argv=None) -> int:
         return rc
     print(f"vmhwm_end_mb         {vmhwm_mb():.2f}")
     print(f"tracemalloc_peak_kb  {traced(cli, args.config, args.seed) / 1000:.1f}")
-    if args.top <= 0:
-        return 0
 
     finder = PeakFinder()
     traced(cli, args.config, args.seed, finder)
     taker = PeakFinder(at=finder.best_event)
     traced(cli, args.config, args.seed, taker)
-    if taker.snapshot is None:
-        return "the run took a different path the second time: no snapshot"
+    if taker.events != finder.events:
+        return (f"the runs took different paths: {finder.events:,} call events, "
+                f"then {taker.events:,}")
     print(f"top sites live at call boundary {finder.best_event:,} "
           f"(traced {taker.best / 1000:.1f} KB there):")
-    for stat in taker.snapshot.statistics("lineno")[:args.top]:
+    for stat in taker.snapshot.statistics("lineno")[:TOP_SITES]:
         frame = stat.traceback[0]
         print(f"  {stat.size / 1000:9.1f} KB  {stat.count:6d} blocks  "
               f"{frame.filename}:{frame.lineno}")
