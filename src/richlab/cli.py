@@ -236,6 +236,8 @@ def _transfer_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], lis
     if tc.target not in _TARGETS[kind]:
         raise ParameterError(f"target {tc.target!r} does not apply to a {kind!r} task; "
                              f"choose from {', '.join(_TARGETS[kind])}")
+    if tc.target != "ood_sample":  # only the OOD sample is drawn with target_rows rows
+        read.discard(("target_rows",))
     master = run.master_seed
 
     def pipeline() -> list[RunRecord]:

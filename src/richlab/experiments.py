@@ -27,6 +27,7 @@ from .core_nn.layers import (
     Network,
     cosine_head_backward,
     cosine_head_forward,
+    extract_features,
     glorot_layer,
     init_network,
     layer_params,
@@ -43,7 +44,6 @@ from .richrep import (
     bank_head_accuracy,
     cat_features,
     distill,
-    extractor_probes,
     joint_train,
     leg_logits,
     leg_probe_gap,
@@ -289,15 +289,19 @@ def _joint(_, data: Dataset, cfg, seed: int):
 
 
 def _test_splits(target: TransferTask):
-    return [(split, ds) for split, ds in (("id_test", target.id_test),
-                                          ("ood_test", target.ood_test)) if ds is not None]
+    """``(split, fit rows, test rows)`` for each test split of ``target``: the
+    shifted test's probe fits on ``ood_train`` when there is one, and every
+    other probe on ``train``."""
+    ood_fit = target.train if target.ood_train is None else target.ood_train
+    splits = (("id_test", target.train, target.id_test), ("ood_test", ood_fit, target.ood_test))
+    return [(split, fit, ds) for split, fit, ds in splits if ds is not None]
 
 
 def _subset_ensemble(bank: RepresentationBank, target: TransferTask, cfg, seed, cache):
     rows = []
-    for split, ds in _test_splits(target):
-        fit = target.train if split == "id_test" else target.ood_train or target.train
-        proba = subset_ensemble_predict(bank, extractor_probes(bank, fit, cache), ds.X)
+    for split, fit, ds in _test_splits(target):
+        probes = cache.fit(extract_features(bank.trunk, fit.X), fit.y, fit.n_classes)
+        proba = subset_ensemble_predict(bank, probes, ds.X)
         rows.append(("catsub", split, "probe_accuracy",
                      float((proba.argmax(axis=1) == ds.y).mean())))
     return rows
@@ -306,14 +310,14 @@ def _subset_ensemble(bank: RepresentationBank, target: TransferTask, cfg, seed, 
 def _naive_ft(bank: RepresentationBank, target: TransferTask, cfg, seed: int, cache):
     ft_bank, head = naive_finetune(bank, target.train, cfg.ft.with_seed(seed))
     return [("init-ft", split, "accuracy", bank_head_accuracy(ft_bank, head, ds.X, ds.y))
-            for split, ds in _test_splits(target)]
+            for split, _, ds in _test_splits(target)]
 
 
 def _two_stage_ft(bank: RepresentationBank, target: TransferTask, cfg, seed: int, cache):
     ft_bank, head = two_stage_finetune(bank, target.train, cfg.ft.with_seed(seed),
                                        cfg.stage2_epochs, cfg.stage2_lr)
     rows = []
-    for split, ds in _test_splits(target):
+    for split, _, ds in _test_splits(target):
         hits = leg_logits(ft_bank, ds.X).argmax(axis=-1) == ds.y
         rows += [("2ft", split, "accuracy", bank_head_accuracy(ft_bank, head, ds.X, ds.y)),
                  ("ft-best-leg", split, "accuracy", float(hits.mean(axis=-1).max()))]
@@ -462,22 +466,13 @@ def _probe_records(records, run_id, seed, method, task: TransferTask,
                              "probe_cost", probe.cost))
     records.append(RunRecord(run_id, seed, method, task.name, "id_train",
                              "probe_accuracy", probe.train_accuracy))
-    if task.id_test is not None:
-        acc = float((probe.predict(feature_fn(task.id_test.X)) == task.id_test.y).mean())
-        records.append(RunRecord(run_id, seed, method, task.name, "id_test",
-                                 "probe_accuracy", acc))
-    if task.ood_test is not None:
-        if task.ood_train is not None:
-            ood_probe = cache.fit(feature_fn(task.ood_train.X), task.ood_train.y,
-                                  task.ood_train.n_classes)
-            extra = {"probe": "refit"}
-        else:
-            ood_probe, extra = probe, {"probe": "reuse"}
-        acc = float((ood_probe.predict(feature_fn(task.ood_test.X))
-                     == task.ood_test.y).mean())
-        records.append(RunRecord(run_id, seed, method, task.name, "ood_test",
+    for split, fit, ds in _test_splits(task):
+        reuse = fit is task.train
+        fitted = probe if reuse else cache.fit(feature_fn(fit.X), fit.y, fit.n_classes)
+        extra = {} if split == "id_test" else {"probe": "reuse" if reuse else "refit"}
+        acc = float((fitted.predict(feature_fn(ds.X)) == ds.y).mean())
+        records.append(RunRecord(run_id, seed, method, task.name, split,
                                  "probe_accuracy", acc, extra))
-    return probe
 
 
 def run_transfer(pretrain: TransferTask, target: TransferTask, cfg: TransferConfig,

@@ -22,10 +22,9 @@ stack of one.  For stacked input the result's arrays gain a leading
 
 Two pipelines fit stacks: few-shot evaluation fits the support sets of
 a block of episodes at once, gathered from the episodes' row positions
-(``experiments.episode_accuracies``), and
-the transfer pipeline fits one probe per extractor on the same rows
-(``richrep.extractor_probes``) for the per-leg probe gap and for the
-per-leg ensemble ``catsub``.
+(``experiments.episode_accuracies``), and the transfer pipeline fits one
+probe per leg of a bank on the same rows, through ``ProbeCache.fit``, for
+the per-leg probe gap and for the per-leg ensemble ``catsub``.
 
 The transfer pipeline also poses the same problem more than once: ``erm``
 is leg 0 of the concatenation, and ``catsub`` probes the legs that the
@@ -327,12 +326,28 @@ class ProbeCache:
         digest.update(np.ascontiguousarray(labels, dtype=np.int64))
         return digest.digest(), X.shape, int(n_classes)
 
-    def fit(self, features, labels, n_classes: int) -> ProbeResult:
-        """The probe of one ``(n, d)`` problem, fitted unless already held."""
-        key = self.key(features, labels, n_classes)
-        if key not in self.probes:
-            self.probes[key] = fit_probe(features, labels, self.config, n_classes=n_classes)
-        return self.probes[key]
+    def fit(self, features, labels, n_classes: int) -> ProbeResult | list[ProbeResult]:
+        """The probe of one ``(n, d)`` problem, or the list of probes of an
+        ``(E, n, d)`` stack on shared labels ``(n,)``, each fitted unless held.
+
+        A stack's members that are not held, a lone one included, are fitted
+        as one stacked problem, each bit for bit as alone.  Pass a stack made
+        for the call: only the members to fit stay alive through the solve.
+        """
+        if np.ndim(features) == 2:
+            key = self.key(features, labels, n_classes)
+            if key not in self.probes:
+                self.probes[key] = fit_probe(features, labels, self.config, n_classes=n_classes)
+            return self.probes[key]
+        keys = [self.key(f, labels, n_classes) for f in features]
+        miss = [i for i, key in enumerate(keys) if key not in self.probes]
+        if miss:
+            features = features[miss]
+            stack = fit_probe(features, np.broadcast_to(labels, (len(miss), len(labels))),
+                              self.config, n_classes=n_classes)
+            for j, i in enumerate(miss):
+                self.probes[keys[i]] = stack[j]
+        return [self.probes[key] for key in keys]
 
 
 def optimal_cost(features, labels, config: ProbeConfig, n_classes: int | None = None) -> float:

@@ -40,6 +40,7 @@ from .core_nn.losses import (
 from .core_nn.optim import TrainConfig, sgd_fit
 from .core_nn.train import train
 from .errors import ParameterError, ShapeError, TrainingError, named
+# fit_probe is imported, not called: perfbench/tests checks that its tracer wraps it
 from .probing import ProbeCache, ProbeResult, fit_probe
 from .rng import SplitMix64, derive_seed
 from .tasks import Dataset
@@ -187,8 +188,10 @@ def snapshot_episode(data: Dataset, hidden, config: TrainConfig,
     """Capture parameter snapshots of one training run at the listed epochs.
 
     ``snapshot_epochs`` counts completed epochs (ascending, each within
-    ``config.epochs``); a snapshot at epoch ``E`` equals the final model
-    of an ``E``-epoch run with the same seed.
+    ``config.epochs``).  When the schedule's rate does not depend on the
+    run length (``constant``, ``step``), a snapshot at epoch ``E`` equals
+    the final model of an ``E``-epoch run with the same seed; under
+    ``cosine`` the shorter run decays faster, and the two differ.
     """
     snaps = [int(e) for e in snapshot_epochs]
     if not snaps:
@@ -417,29 +420,9 @@ def leg_logits(bank: RepresentationBank, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # per-leg probing disparity
 
-def extractor_probes(bank: RepresentationBank, data: Dataset,
-                     cache: ProbeCache) -> list[ProbeResult]:
-    """One probe per member on its own features of the same rows.
-
-    Probes that ``cache`` holds are reused.  The other members, a lone
-    one included, are fitted as one stacked problem, which gives each the
-    probe it would get alone, bit for bit.
-    """
-    feats = extract_features(bank.trunk, data.X)
-    keys = [cache.key(f, data.y, data.n_classes) for f in feats]
-    probes = [cache.probes.get(key) for key in keys]
-    miss = [i for i, probe in enumerate(probes) if probe is None]
-    if miss:
-        feats = feats[miss]  # only the members to fit stay alive
-        stack = fit_probe(feats, np.broadcast_to(data.y, (len(miss), data.n)),
-                          cache.config, n_classes=data.n_classes)
-        for j, i in enumerate(miss):
-            probes[i] = cache.probes[keys[i]] = stack[j]
-    return probes
-
-
 def leg_probe_gap(bank: RepresentationBank, data: Dataset,
                   cache: ProbeCache) -> tuple[list[float], float]:
     """Fit a probe per leg on that leg's features; return accuracies + max gap."""
-    accs = [probe.train_accuracy for probe in extractor_probes(bank, data, cache)]
+    probes = cache.fit(extract_features(bank.trunk, data.X), data.y, data.n_classes)
+    accs = [probe.train_accuracy for probe in probes]
     return accs, float(max(accs) - min(accs))

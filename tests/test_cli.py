@@ -59,6 +59,9 @@ def test_run_unknown_key_rejected(tmp_path, capsys):
     # from scratch, an ood run builds no bank and reads none of its settings
     ("ood-scratch", {}, ["distill_train", "n_episodes", "train"]),
     ("verify", {"n_episodes": 5}, ["n_episodes"]),
+    # only an ood_sample target is drawn with target_rows rows
+    ("transfer-ood-sample", {"target": "same"}, ["target_rows"]),
+    ("transfer-novel", {"target_rows": 70}, ["target_rows"]),
 ])
 def test_run_refuses_a_key_its_pipeline_does_not_read(tmp_path, capsys, base, extra, unread):
     from test_pipeline_bytes import CASES, OOD
@@ -883,7 +886,7 @@ def test_every_schema_key_is_read_by_some_pipeline():
     shift = {"kind": "shift", **asdict(ex.default_shift_spec())}
     fewshot = {**asdict(EpisodeSpec()), **asdict(ex.FewshotConfig())}
     configs = {
-        "transfer": {**run, **asdict(ex.TransferConfig()), "task": shift},
+        "transfer": {**run, **asdict(ex.TransferConfig(target="ood_sample")), "task": shift},
         "fewshot": {**run, **fewshot, "fewshot": fewshot,
                     "task": {"kind": "class_split", **asdict(ex.default_split_spec())}},
         "ood": {**run, **asdict(ex.TransferConfig()), "task": shift,

@@ -297,7 +297,7 @@ def test_transfer_probe_cache_equals_refitting_every_problem(monkeypatch, kind, 
     # targets that differ from the pretraining task still repeat problems
     # (erm is leg 0 of catsub's stacks); a held probe must give the records
     # of a refit
-    from richlab import cli, probing, richrep
+    from richlab import cli, probing
     from richlab.probing import ProbeCache
 
     cfg = {"n_seeds": 1, "n_episodes": 2, "hidden": [6], "target": target,
@@ -315,7 +315,6 @@ def test_transfer_probe_cache_equals_refitting_every_problem(monkeypatch, kind, 
 
     fit_probe = probing.fit_probe
     monkeypatch.setattr(probing, "fit_probe", counted)
-    monkeypatch.setattr(richrep, "fit_probe", counted)
     read = set()
     run = cli._merged(cli.RunConfig(master_seed=3), cfg, read)
     cached = cli._transfer_pipeline(cfg, run, read)()

@@ -32,7 +32,7 @@ def test_transfer_fits_each_distinct_probe_problem_once(tmp_path, capsys, monkey
     # and ood refit are leg 0 of those stacks
     import numpy as np
 
-    from richlab import experiments, probing, richrep
+    from richlab import experiments, probing
 
     fit_probe, problems = probing.fit_probe, []
 
@@ -40,7 +40,7 @@ def test_transfer_fits_each_distinct_probe_problem_once(tmp_path, capsys, monkey
         problems.append(np.shape(features)[0] if np.ndim(features) == 3 else 1)
         return fit_probe(features, *args, **kwargs)
 
-    for module in (experiments, probing, richrep):
+    for module in (experiments, probing):
         monkeypatch.setattr(module, "fit_probe", counted)
     workload = WORKLOADS["workloads"]["transfer"]
     assert cli.cmd_run(str(PERFBENCH / workload["config"]), seed=WORKLOADS["pinned_seed"],

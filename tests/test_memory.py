@@ -14,7 +14,7 @@ import numpy as np
 from richlab.core_nn.layers import extract_features
 from richlab.core_nn.losses import log_softmax
 from richlab.probing import ProbeCache, ProbeConfig
-from richlab.richrep import RepresentationBank, extractor_probes, init_trunk, stack_nets
+from richlab.richrep import RepresentationBank, init_trunk, leg_probe_gap, stack_nets
 from richlab.tasks import Dataset
 
 
@@ -46,11 +46,12 @@ def test_extract_features_keeps_one_array_per_relu_layer():
     assert peak <= 1.25 * out.nbytes
 
 
-def test_extractor_probes_holds_two_feature_stacks():
+def test_leg_probe_gap_holds_two_feature_stacks():
+    # the call extracts the leg features itself, so extraction counts too
     bank, data = bank_and_data()
     cache = ProbeCache(ProbeConfig(l2=1e-3, max_iters=20, grad_tol=1e-7, standardize=True))
-    probes, peak = peak_bytes(extractor_probes, bank, data, cache)
-    assert len(probes) == len(cache.probes) == 5  # no member was cached
+    (accs, _), peak = peak_bytes(leg_probe_gap, bank, data, cache)
+    assert len(accs) == len(cache.probes) == 5  # no member was cached
     feature_stack = 5 * 900 * 16 * 8
     logit_stack = 5 * 900 * 5 * 8
     assert peak <= 2 * feature_stack + 5 * logit_stack

@@ -27,7 +27,7 @@ COMMON = {"master_seed": 3, "n_seeds": 1, "n_episodes": 2, "hidden": [6], "train
 OOD = dict(COMMON, pipeline="ood", task=SHIFT,
            ood={"algorithm": "vrex", "beta_grid": [1.0], "lr_grid": [0.1], "wd_grid": [0.0],
                 "steps": 20})
-TRANSFER = dict(COMMON, pipeline="transfer", target_rows=30,
+TRANSFER = dict(COMMON, pipeline="transfer",
                 methods=["erm", "cat", "distill", "joint", "catsub", "init-ft", "2ft"],
                 probe={"l2": 1e-3, "max_iters": 60},
                 ft={"lr": 0.02, "epochs": 2, "batch_size": 16, "momentum": 0.9})
@@ -41,7 +41,7 @@ CASES = {
     "ood-init-cat": dict({key: value for key, value in OOD.items() if key != "distill_train"},
                          ood=dict(OOD["ood"], init="cat")),
     "ood-init-distill": dict(OOD, ood=dict(OOD["ood"], init="distill")),
-    "transfer-ood-sample": dict(TRANSFER, task=SHIFT, target="ood_sample"),
+    "transfer-ood-sample": dict(TRANSFER, task=SHIFT, target="ood_sample", target_rows=30),
     "transfer-novel": dict(TRANSFER, task=SPLIT, target="novel"),
     "fewshot-linear": FEWSHOT,
     "fewshot-cosine": dict(FEWSHOT, fewshot=dict(FEWSHOT["fewshot"], classifier="cosine")),

@@ -364,31 +364,28 @@ def test_cache_hit_fits_nothing_and_returns_the_held_probe(monkeypatch):
 
 
 def test_cache_request_mixing_held_and_new_problems(monkeypatch):
-    from richlab import richrep
     from richlab.core_nn import extract_features, init_network
-    from richlab.richrep import RepresentationBank, extractor_probes, stack_nets
-    from richlab.tasks import Dataset
+    from richlab.richrep import stack_nets
 
     X, y = informative_features(8, n=120, d=5)
-    data = Dataset(X, y, 3)
     nets = [init_network([5, 8], 20 + i) for i in range(5)]
-    bank = RepresentationBank(stack_nets(nets))
+    trunk = stack_nets(nets)
     feats = [extract_features(net, X) for net in nets]
     cfg = ProbeConfig(l2=1e-3, max_iters=200, grad_tol=1e-7, standardize=True)
     cache = ProbeCache(cfg)
     held = [cache.fit(feats[i], y, 3) for i in (0, 4)]
-    shapes = _count_fits(monkeypatch, richrep)
-    probes = extractor_probes(bank, data, cache)
+    shapes = _count_fits(monkeypatch)
+    probes = cache.fit(extract_features(trunk, X), y, 3)
     # legs 1 to 3 miss and are fitted as one stack
     assert shapes == [(3, 120, 8)]
     assert probes[0] is held[0] and probes[4] is held[1]
     for f, probe in zip(feats, probes, strict=True):
         assert_same_probe(probe, fit_probe(f, y, cfg, n_classes=3))
-    again = extractor_probes(bank, data, cache)
+    again = cache.fit(extract_features(trunk, X), y, 3)
     assert all(a is b for a, b in zip(again, probes, strict=True)) and len(shapes) == 1
     # a lone miss is a stack of one
     del cache.probes[cache.key(feats[2], y, 3)]
-    lone = extractor_probes(bank, data, cache)
+    lone = cache.fit(extract_features(trunk, X), y, 3)
     assert shapes[1:] == [(1, 120, 8)]
     assert [a is b for a, b in zip(lone, probes, strict=True)] == [True, True, False, True, True]
     assert_same_probe(lone[2], probes[2])

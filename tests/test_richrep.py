@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from richlab.core_nn import (
     DenseLayer,
     Network,
+    Schedule,
     TrainConfig,
     extract_features,
     init_network,
@@ -23,7 +25,6 @@ from richlab.richrep import (
     cat_features,
     concat_head_init,
     distill,
-    extractor_probes,
     init_trunk,
     joint_train,
     leg_logits,
@@ -272,16 +273,19 @@ def test_snapshot_at_final_epoch_equals_full_run():
     assert trunks_equal(bank.trunk, Network(trained.layers[:-1]))
 
 
-def test_snapshot_prefix_property():
-    # a snapshot at epoch 4 equals the final model of a 4-epoch run
+@pytest.mark.parametrize("schedule,equal", [(Schedule.constant(), True),
+                                             (Schedule.step(0.5, 3), True),
+                                             (Schedule.cosine(), False)],
+                         ids=["constant", "step", "cosine"])
+def test_snapshot_prefix_property(schedule, equal):
+    # a snapshot at epoch 4 equals the final model of a 4-epoch run when the
+    # schedule's rate does not depend on the run length; cosine's does
     data = toy_data()
-    cfg = CFG.with_seed(8)
+    cfg = replace(CFG, schedule=schedule, seed=8)
     bank = snapshot_episode(data, (8,), cfg, [4, 8, 12])
     short, _ = train(init_network([data.d, 8, data.n_classes], seed=8),
-                     data.X, data.y, CFG.with_seed(8).__class__(
-                         lr=CFG.lr, epochs=4, batch_size=CFG.batch_size,
-                         momentum=CFG.momentum, seed=8))
-    assert trunks_equal(bank.member(0).trunk, Network(short.layers[:-1]))
+                     data.X, data.y, replace(cfg, epochs=4))
+    assert trunks_equal(bank.member(0).trunk, Network(short.layers[:-1])) == equal
 
 
 def test_snapshot_reruns_reproduce_bytes():
@@ -336,7 +340,7 @@ def test_stacked_reads_equal_the_per_member_reads_bitwise(rows, seeds, hidden):
         assert got.tobytes() == (f @ head.weights.T + head.bias).tobytes()
     # a probe is cached under the sha256 of the features it was fitted on
     cache = ProbeCache(ProbeConfig(l2=1e-3, max_iters=1))
-    extractor_probes(bank, data, cache)
+    leg_probe_gap(bank, data, cache)
     assert set(cache.probes) == {cache.key(f, data.y, data.n_classes) for f in feats}
 
 
@@ -519,13 +523,14 @@ def test_leg_gap_zero_for_identical_legs():
     assert accs[0] == accs[1]
 
 
-def test_extractor_probes_equal_one_fit_per_extractor():
+def test_cache_fit_of_leg_features_equals_one_fit_per_extractor():
     # four legs fitted as one stack, results back in bank order
     from test_probing import assert_same_probe
 
     data = toy_data(n=300)
     bank = train_episodes(data, (8,), CFG, [5, 6, 7, 8])
-    probes = extractor_probes(bank, data, ProbeCache(PROBE))
+    probes = ProbeCache(PROBE).fit(extract_features(bank.trunk, data.X), data.y,
+                                   data.n_classes)
     assert len(probes) == 4
     for trunk, probe in zip(plain_trunks(bank), probes, strict=True):
         alone = fit_probe(extract_features(trunk, data.X), data.y, PROBE,
