@@ -20,7 +20,7 @@ from richlab.core_nn import (
 )
 from richlab.errors import NumericalError, TrainingError
 from richlab.experiments import fit_cosine_classifier
-from richlab.rng import SplitMix64
+from richlab.rng import SplitMix64, derive_seed
 
 
 def params_equal(a, b):
@@ -141,7 +141,8 @@ def test_schedule_changes_trajectory():
 # kept away from relu kinks (where the subgradient convention makes the
 # comparison meaningless)
 
-from richlab.verify import gradcheck_instance, max_grad_rel_error
+from richlab.verify import (GRAD_LOSSES, _loss_fn, _name_offset, gradcheck_instance,
+                            max_grad_rel_error)
 
 
 def test_backprop_matches_fd_cross_entropy():
@@ -173,6 +174,26 @@ def test_backprop_matches_fd_cosine_distill():
     worst = max_grad_rel_error(net, X, lambda logits: cosine_distill_loss(teacher, logits),
                                n_coords=60)
     assert worst < 1e-4
+
+
+# the worst relative error of each gradient_suite check at seed 0, by float.hex
+GRADIENT_SUITE_SEED_0 = {
+    "ce": "0x1.d4e0b51429866p-28",
+    "kl_tau1": "0x1.a1593132ae6a5p-27",
+    "kl_tau10": "0x1.0be2f17f6c8b8p-18",
+    "ce_kl": "0x1.aad74944d7756p-26",
+    "cosine": "0x1.043a3a8757c30p-29",
+}
+
+
+@pytest.mark.parametrize("loss_name", GRAD_LOSSES)
+def test_gradient_suite_worst_errors_at_seed_0_are_pinned(loss_name):
+    """The finite differences perturb each sampled coordinate by the same
+    roundings, so the worst error is the same float on every run."""
+    net, X, teacher, y = gradcheck_instance(derive_seed(0, _name_offset(loss_name)),
+                                            loss_name)
+    worst = max_grad_rel_error(net, X, _loss_fn(loss_name, teacher, y), seed=0)
+    assert worst.hex() == GRADIENT_SUITE_SEED_0[loss_name]
 
 
 def test_backprop_matches_fd_cosine_head():
