@@ -229,8 +229,18 @@ def _task(cfg: dict, read: set, pipeline: str) -> tuple[str, ShiftSpec]:
     return kind, _merged(_SPECS[kind](), cfg, read, "task")
 
 
+def _class_split(task: TransferTask) -> tuple[TransferTask, TransferTask]:
+    """``make_class_split_tasks(task)``; a split with no row of one side is
+    a configuration error."""
+    try:
+        return make_class_split_tasks(task)
+    except ParameterError as exc:
+        raise ParameterError(f"field task/n_per_env: {exc}") from None
+
+
 def _transfer_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[RunRecord]]:
-    """Build the transfer config dataclasses; the returned call runs the pipeline."""
+    """Build the transfer config dataclasses and draw the task; the returned
+    call runs the pipeline."""
     tc = replace(_merged(TransferConfig(), cfg, read), seeds=run.seeds)
     kind, spec = _task(cfg, read, "transfer")
     if tc.target not in _TARGETS[kind]:
@@ -238,18 +248,13 @@ def _transfer_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], lis
                              f"choose from {', '.join(_TARGETS[kind])}")
     if tc.target != "ood_sample":  # only the OOD sample is drawn with target_rows rows
         read.discard(("target_rows",))
-    master = run.master_seed
-
-    def pipeline() -> list[RunRecord]:
-        pretrain = target = make_shift_task(spec, master + 2)
-        if kind == "class_split":
-            pretrain, novel = make_class_split_tasks(pretrain)
-            target = novel if tc.target == "novel" else pretrain
-        elif tc.target == "ood_sample":
-            target = make_ft_target(spec, derive_seed(master, 5), tc.target_rows)
-        return run_transfer(pretrain, target, tc, run_id="transfer")
-
-    return pipeline
+    pretrain = target = make_shift_task(spec, run.master_seed + 2)
+    if kind == "class_split":
+        pretrain, novel = _class_split(pretrain)
+        target = novel if tc.target == "novel" else pretrain
+    elif tc.target == "ood_sample":
+        target = make_ft_target(spec, derive_seed(run.master_seed, 5), tc.target_rows)
+    return lambda: run_transfer(pretrain, target, tc, run_id="transfer")
 
 
 def _fewshot_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[RunRecord]]:
@@ -267,7 +272,7 @@ def _fewshot_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list
     # only the pooled training environments: few-shot reads no test split;
     # drawing them is cheap, and tells how many rows each novel class has
     train = pool(gen_shift(spec, run.master_seed + 2)[0])
-    base, novel = make_class_split_tasks(TransferTask("shift", train))
+    base, novel = _class_split(TransferTask("shift", train))
     counts = np.bincount(novel.train.y, minlength=n_novel)
     need = episode_spec.k_shot + episode_spec.n_query
     if counts.min() < need:
@@ -277,11 +282,7 @@ def _fewshot_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list
             f"({episode_spec.k_shot} support, {episode_spec.n_query} query); class "
             f"{spec.n_classes - n_novel + c} of the {spec.n_classes}-class task has "
             f"{counts[c]} training rows")
-
-    def pipeline() -> list[RunRecord]:
-        return run_fewshot(base, novel.train, episode_spec, fc, run_id="fewshot")
-
-    return pipeline
+    return lambda: run_fewshot(base, novel.train, episode_spec, fc, run_id="fewshot")
 
 
 def make_ood_bundle(spec: ShiftSpec, seed: int) -> OodTask:

@@ -122,15 +122,15 @@ def glorot_layer(n_out: int, n_in: int, rng: SplitMix64, activation: str = "line
     return DenseLayer(W, np.zeros(n_out), activation)
 
 
-def init_network(sizes, seed: int, hidden_activation: str = "relu") -> Network:
-    """Feed-forward net over ``sizes=[d_in, h1, ..., d_out]``; last layer linear."""
+def init_network(sizes, seed: int) -> Network:
+    """Feed-forward net over ``sizes=[d_in, h1, ..., d_out]``: relu layers, the last linear."""
     sizes = list(sizes)
     if len(sizes) < 2:
         raise ParameterError("sizes must list at least input and output widths")
     rng = SplitMix64(seed)
     layers = []
     for i in range(len(sizes) - 1):
-        act = hidden_activation if i < len(sizes) - 2 else "linear"
+        act = "relu" if i < len(sizes) - 2 else "linear"
         layers.append(glorot_layer(sizes[i + 1], sizes[i], rng, act))
     return Network(layers)
 
@@ -240,23 +240,11 @@ def cosine_head_backward(Z: np.ndarray, head: CosineHead, d_logits: np.ndarray):
     return dU, dg
 
 
-def forward(net: Network, X) -> tuple[np.ndarray, np.ndarray]:
-    """Network forward pass: ``(logits, penultimate)``.
-
-    ``penultimate`` is the activation entering the head, the input of the
-    final dense layer.  Pure function of ``(net, X)``.
-    """
+def extract_features(net: Network, X) -> np.ndarray:
+    """The last activation of ``net``'s layer stack on the checked input ``X``:
+    a head-less trunk's representation, or a network's logits."""
     X = as_feature_matrix(X)
     if X.shape[1] != net.n_in:
         raise ShapeError(f"input width {X.shape[1]} does not match network input {net.n_in}")
-    acts = stack_forward(net.layers, X)
-    return acts[-1], acts[-2]
-
-
-def extract_features(trunk: Network, X) -> np.ndarray:
-    """Representation computed by a head-less trunk: output of the full stack."""
-    X = as_feature_matrix(X)
-    if X.shape[1] != trunk.n_in:
-        raise ShapeError(f"input width {X.shape[1]} does not match trunk input {trunk.n_in}")
-    return stack_forward(trunk.layers, X)[-1]
+    return stack_forward(net.layers, X)[-1]
 

@@ -13,9 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DataError, ParameterError
-from .layers import (Network, as_feature_matrix, forward, layer_params, stack_backward,
-                     stack_forward)
+from ..errors import DataError
+from .layers import (Network, as_feature_matrix, extract_features, layer_params,
+                     stack_backward, stack_forward)
 from .losses import cross_entropy_loss
 from .optim import TrainConfig, sgd_fit
 
@@ -28,23 +28,6 @@ def network_loss_grad(net: Network, X: np.ndarray,
     acts = stack_forward(net.layers, X)
     loss, d_logits = loss_fn(acts[-1])
     return loss, stack_backward(net.layers, acts, d_logits)
-
-
-def flatten_params(net: Network) -> np.ndarray:
-    return np.concatenate([w.ravel() for w, _ in layer_params(net.layers)])
-
-
-def set_flat_params(net: Network, flat: np.ndarray) -> None:
-    off = 0
-    for w, _ in layer_params(net.layers):
-        w[...] = flat[off:off + w.size].reshape(w.shape)
-        off += w.size
-    if off != flat.size:
-        raise ParameterError(f"parameter vector length {flat.size} != {off}")
-
-
-def flatten_grads(grads: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([g.ravel() for g in grads])
 
 
 def train(
@@ -85,5 +68,4 @@ def train(
 
 def accuracy(net: Network, X, y) -> float:
     """Fraction of rows whose argmax logit (lowest index on ties) matches ``y``."""
-    logits = forward(net, X)[0]
-    return float((logits.argmax(axis=1) == np.asarray(y)).mean())
+    return float((extract_features(net, X).argmax(axis=1) == np.asarray(y)).mean())

@@ -639,8 +639,7 @@ def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConf
                                cfg.probe, n_classes=spec.n_way)
         fq = feature_fn(rows[:, k:].reshape(-1))
         if cfg.classifier == "linear":
-            b = e % EPISODE_BLOCK
-            pred = (fq @ probes.weights[b].T + probes.bias[b]).argmax(axis=1)
+            pred = probes[e % EPISODE_BLOCK].predict(fq)
         else:
             with named(f"cosine classifier of episode {e} failed: "):
                 head = fit_cosine_classifier(feature_fn(rows[:, :k].reshape(-1)), sup_y,

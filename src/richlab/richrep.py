@@ -134,13 +134,13 @@ class DistillSpec:
             raise ParameterError("student_arch must list at least one width")
 
 
-def init_trunk(sizes, seed: int, activation: str = "relu") -> Network:
-    """Head-less trunk: every layer keeps the hidden activation."""
+def init_trunk(sizes, seed: int) -> Network:
+    """Head-less trunk: every layer is relu."""
     sizes = list(sizes)
     if len(sizes) < 2:
         raise ParameterError("trunk sizes must list input and at least one width")
     rng = SplitMix64(seed)
-    layers = [glorot_layer(sizes[i + 1], sizes[i], rng, activation) for i in range(len(sizes) - 1)]
+    layers = [glorot_layer(sizes[i + 1], sizes[i], rng, "relu") for i in range(len(sizes) - 1)]
     return Network(layers)
 
 

@@ -155,9 +155,12 @@ def split_point(n_classes: int) -> int:
 
 def split_classes(ds: Dataset) -> tuple[Dataset, Dataset]:
     """The rows of the base classes and those of the novel classes, each in
-    row order; the novel labels start at 0."""
+    row order; the novel labels start at 0.  Each side must hold a row."""
     cut = split_point(ds.n_classes)
     base = ds.y < cut
+    if base.all() or not base.any():
+        raise ParameterError(f"the {ds.n} rows of a {ds.n_classes}-class split hold no row "
+                             f"of its {'novel' if base.all() else 'base'} classes")
     return (Dataset(ds.X[base], ds.y[base], cut),
             Dataset(ds.X[~base], ds.y[~base] - cut, ds.n_classes - cut))
 

@@ -18,12 +18,10 @@ from .core_nn import (
     cosine_distill_loss,
     cosine_head_forward,
     cross_entropy_loss,
-    flatten_grads,
-    flatten_params,
     init_network,
     kl_distill_loss,
+    layer_params,
     network_loss_grad,
-    set_flat_params,
     stack_forward,
 )
 from .probing import ProbeConfig, fit_probe, mixture_cost
@@ -95,24 +93,27 @@ def _loss_fn(loss_name: str, teacher, y):
 
 def max_grad_rel_error(net, X, loss_fn, n_coords: int = 100, seed: int = 0,
                        h: float = 1e-5) -> float:
-    """Worst relative error between backprop and central finite differences."""
+    """Worst relative error between backprop and central finite differences.
+
+    The sampled coordinates count through the entries of the
+    :func:`layer_params` arrays in order.  Each is set in place in a clone
+    to ``theta + h``, then to ``theta + h - 2 * h``, then back to ``theta``.
+    """
     _, grads = network_loss_grad(net, X, loss_fn)
-    g = flatten_grads(grads)
-    theta = flatten_params(net)
     probe = net.clone()
-    coords = SplitMix64(seed).integers(theta.size, n_coords)
+    entries = [(w, g, i) for (w, _), g in zip(layer_params(probe.layers), grads)
+               for i in range(w.size)]
     worst = 0.0
-    for c in coords:
-        c = int(c)
-        tp = theta.copy()
-        tp[c] += h
-        set_flat_params(probe, tp)
+    for c in SplitMix64(seed).integers(len(entries), n_coords):
+        w, g, i = entries[c]
+        theta = w.flat[i]
+        w.flat[i] = theta + h
         fp, _ = network_loss_grad(probe, X, loss_fn)
-        tp[c] -= 2 * h
-        set_flat_params(probe, tp)
+        w.flat[i] = theta + h - 2 * h
         fm, _ = network_loss_grad(probe, X, loss_fn)
+        w.flat[i] = theta
         fd = (fp - fm) / (2 * h)
-        rel = abs(fd - g[c]) / max(abs(fd), abs(g[c]), 1e-5)
+        rel = abs(fd - g.flat[i]) / max(abs(fd), abs(g.flat[i]), 1e-5)
         worst = max(worst, rel)
     return worst
 

@@ -632,6 +632,26 @@ def test_run_refuses_a_novel_class_with_fewer_rows_than_an_episode_takes_before_
         cli._fewshot_pipeline(cfg, cli.RunConfig(), set())
 
 
+@pytest.mark.parametrize("pipeline", ["fewshot", "transfer"])
+def test_run_refuses_a_class_split_with_an_empty_side_before_any_work(tmp_path, capsys,
+                                                                      monkeypatch, pipeline):
+    # one row per environment: at master seed 0 the 3 pooled training rows
+    # all belong to base classes of the 10-class task
+    from richlab import experiments
+
+    def train(*args, **kwargs):
+        raise AssertionError("a bank was trained")
+
+    _refuse_work(monkeypatch)
+    monkeypatch.setattr(experiments, "train_episodes", train)
+    cfg = write_config(tmp_path, pipeline=pipeline, task={"kind": "class_split", "n_per_env": 1})
+    assert cli.cmd_run(cfg, seed=0, out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "config error: field task/n_per_env: the 3 rows of a 10-class split hold no row "
+        "of its novel classes\n")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # report
 

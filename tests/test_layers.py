@@ -7,8 +7,8 @@ from richlab.core_nn import (
     Network,
     cosine_head_forward,
     extract_features,
-    forward,
     init_network,
+    stack_forward,
 )
 from richlab.errors import NumericalError, ShapeError
 
@@ -19,23 +19,22 @@ def identity_net(d):
 
 def test_identity_layer_passes_input_through():
     X = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.0]])
-    logits, penultimate = forward(identity_net(2), X)
-    assert np.array_equal(logits, X)
+    net = identity_net(2)
+    assert np.array_equal(extract_features(net, X), X)
     # the single layer is the head, so the representation is the input itself
-    assert np.array_equal(penultimate, X)
+    assert stack_forward(net.layers, X)[-2] is X
 
 
 def test_relu_layer_hand_computed():
     # W @ x for x=[1,-1]: [1*1 + (-1)(-1), 2*1 + 2*(-1)] = [2, 0]
     layer = DenseLayer(np.array([[1.0, -1.0], [2.0, 2.0]]), np.zeros(2), "relu")
     net = Network([layer])
-    logits, _ = forward(net, np.array([[1.0, -1.0]]))
-    assert np.allclose(logits, [[2.0, 0.0]])
+    assert np.allclose(extract_features(net, np.array([[1.0, -1.0]])), [[2.0, 0.0]])
 
 
 def test_forward_rejects_wrong_width():
     with pytest.raises(ShapeError):
-        forward(identity_net(2), np.ones((3, 5)))
+        extract_features(identity_net(2), np.ones((3, 5)))
 
 
 def test_layer_shape_consistency_enforced():
@@ -48,9 +47,10 @@ def test_layer_shape_consistency_enforced():
 def test_penultimate_is_head_input():
     net = init_network([4, 8, 3], seed=0)
     X = SplitRandom(4)
-    logits, pen = forward(net, X)
+    pen = extract_features(Network(net.layers[:-1]), X)
     assert pen.shape == (X.shape[0], 8)
-    assert np.allclose(logits, pen @ net.layers[-1].weights.T + net.layers[-1].bias)
+    assert np.allclose(extract_features(net, X),
+                       pen @ net.layers[-1].weights.T + net.layers[-1].bias)
 
 
 def SplitRandom(d, n=6, seed=123):
@@ -107,6 +107,4 @@ def test_extract_features_runs_full_stack():
     net = init_network([4, 8, 3], seed=0)
     trunk = Network(net.layers[:-1])
     X = SplitRandom(4)
-    feats = extract_features(trunk, X)
-    _, pen = forward(net, X)
-    assert np.array_equal(feats, pen)
+    assert np.array_equal(extract_features(trunk, X), stack_forward(net.layers, X)[-2])

@@ -11,10 +11,10 @@ from richlab.core_nn import (
     TrainConfig,
     extract_features,
     init_network,
+    layer_params,
     train,
 )
 from richlab.core_nn.layers import glorot_layer
-from richlab.core_nn.train import flatten_params
 from richlab.errors import EpisodeError, ParameterError, ShapeError, TrainingError
 from richlab.probing import ProbeCache, ProbeConfig, fit_probe, optimal_cost
 from richlab.richrep import (
@@ -52,7 +52,9 @@ def toy_data(n=120, d=6, k=3, seed=2):
 
 
 def trunks_equal(a, b):
-    return np.array_equal(flatten_params(a), flatten_params(b))
+    """Equal entries in every parameter array: a one-member stack equals its plain net."""
+    return all(np.array_equal(p.ravel(), q.ravel()) for (p, _), (q, _) in
+               zip(layer_params(a.layers), layer_params(b.layers), strict=True))
 
 
 def _plain(layer, i):
@@ -107,7 +109,9 @@ def test_bank_dims_follow_its_extractors():
 def test_a_bank_of_two_architectures_is_refused(sizes, activation):
     d = toy_data().d
     trunk = init_trunk([d, 8, 5], seed=1)
-    other = init_trunk([d, *sizes], seed=2, activation=activation)
+    other = init_trunk([d, *sizes], seed=2)
+    last = other.layers[-1]  # init_trunk makes relu layers only
+    other.layers[-1] = DenseLayer(last.weights, last.bias, activation)
     for extractors in ([trunk, other], [trunk, trunk.clone(), other]):
         with pytest.raises(ShapeError, match=f"member {len(extractors) - 1} differs"):
             stack_nets(extractors)

@@ -150,6 +150,14 @@ def test_split_classes_of_an_odd_class_count_puts_the_extra_class_in_the_novel_h
     assert split_point(5) == 2
 
 
+@pytest.mark.parametrize("labels,side", [([0, 1, 1], "novel"), ([2, 3, 2], "base")])
+def test_split_classes_refuses_a_side_with_no_row(labels, side):
+    ds = Dataset(np.ones((3, 2)), labels, 4)
+    with pytest.raises(ParameterError, match=f"the 3 rows of a 4-class split hold no row "
+                                             f"of its {side} classes"):
+        split_classes(ds)
+
+
 def test_split_classes_refuses_fewer_than_two_classes():
     with pytest.raises(ParameterError, match="a class split needs at least 2 classes, got 1"):
         split_classes(Dataset(np.zeros((4, 2)), np.zeros(4), 1))

@@ -12,9 +12,9 @@ from richlab.core_nn import (
     cosine_head_backward,
     cosine_head_forward,
     cross_entropy_loss,
-    flatten_params,
     init_network,
     kl_distill_loss,
+    layer_params,
     stack_layers,
     train,
 )
@@ -24,7 +24,8 @@ from richlab.rng import SplitMix64, derive_seed
 
 
 def params_equal(a, b):
-    return np.array_equal(flatten_params(a), flatten_params(b))
+    return all(np.array_equal(p, q) for (p, _), (q, _) in
+               zip(layer_params(a.layers), layer_params(b.layers), strict=True))
 
 
 def two_blobs(n=60, seed=0):
@@ -114,10 +115,10 @@ def test_stacked_members_train_each_as_alone():
 
 def test_train_is_pure():
     net = init_network([2, 4, 2], seed=1)
-    before = flatten_params(net).copy()
+    before = net.clone()
     X, y = two_blobs()
     train(net, X, y, TrainConfig(lr=0.1, epochs=3, batch_size=8))
-    assert np.array_equal(flatten_params(net), before)
+    assert params_equal(net, before)
 
 
 def test_cosine_head_network_trains():
