@@ -13,7 +13,7 @@ from richlab.rng import derive_seed
 
 task = make_shift_task(default_shift_spec(), seed=42)
 train_cfg = TrainConfig(lr=0.1, epochs=60, batch_size=32, momentum=0.9,
-                        schedule=Schedule.cosine())
+                        schedule=Schedule("cosine"))
 probe_cfg = ProbeConfig(l2=1e-3, max_iters=600, grad_tol=1e-7, standardize=True)
 
 bank = train_episodes(task.train, (8,), train_cfg, [derive_seed(3, i) for i in range(5)])
@@ -22,7 +22,7 @@ student = distill(
     DistillSpec(mode="kl", tau=10.0, student_arch=(16,)),
     task.train,
     TrainConfig(lr=0.01, epochs=120, batch_size=32, momentum=0.9,
-                schedule=Schedule.cosine(), seed=derive_seed(3, 99)),
+                schedule=Schedule("cosine"), seed=derive_seed(3, 99)),
 )
 
 

@@ -19,7 +19,7 @@ pretrain = make_shift_task(spec, seed=42)
 target = make_ft_target(spec, seed=43, n_rows=120)
 
 train_cfg = TrainConfig(lr=0.1, epochs=60, batch_size=32, momentum=0.9,
-                        schedule=Schedule.cosine())
+                        schedule=Schedule("cosine"))
 ft_cfg = TrainConfig(lr=0.02, epochs=30, batch_size=16, momentum=0.9, seed=7)
 
 bank = train_episodes(pretrain.train, (8,), train_cfg,

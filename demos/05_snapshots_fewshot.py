@@ -23,7 +23,7 @@ spec = default_split_spec()
 base, novel = make_class_split_tasks(make_shift_task(spec, 42))
 
 snap_cfg = TrainConfig(lr=0.8, epochs=60, batch_size=32, momentum=0.0,
-                       schedule=Schedule.cosine(), seed=9)
+                       schedule=Schedule("cosine"), seed=9)
 snaps = snapshot_schedule(snap_cfg.epochs, 5)
 bank = snapshot_episode(base.train, (8,), snap_cfg, snaps)
 

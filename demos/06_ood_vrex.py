@@ -21,7 +21,7 @@ spec = default_shift_spec()
 task = make_ood_bundle(spec, seed=42)
 
 train_cfg = TrainConfig(lr=0.1, epochs=60, batch_size=32, momentum=0.9,
-                        schedule=Schedule.cosine())
+                        schedule=Schedule("cosine"))
 # five episodes of width 8, concatenated: the frozen cat initialization
 (cat,) = build_representations(["cat"], pool(task.train_envs),
                                TransferConfig(hidden=(8,), n_episodes=5, train=train_cfg),

@@ -200,15 +200,15 @@ def stack_backward(layers, acts, d_out: np.ndarray):
     return grads
 
 
-def cosine_head_forward(z: np.ndarray, head: CosineHead) -> np.ndarray:
-    """Cosine-classifier logits for one vector or a batch of row vectors.
+def cosine_head_forward(Z: np.ndarray, head: CosineHead) -> np.ndarray:
+    """Cosine-classifier logits of the (n, d) rows ``Z``, one row per input.
 
-    The input is normalized before the dot product, so the output is
-    invariant to positive rescaling of ``z``.
+    Each row is normalized before the dot product, so its logits are
+    invariant to positive rescaling of the row.
     """
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    Z = z[None, :] if single else z
+    Z = np.asarray(Z, dtype=np.float64)
+    if Z.ndim != 2:
+        raise ShapeError(f"cosine head input must be (n, d) rows, got shape {Z.shape}")
     if Z.shape[1] != head.directions.shape[1]:
         raise ShapeError(
             f"feature width {Z.shape[1]} does not match head width {head.directions.shape[1]}"
@@ -218,8 +218,7 @@ def cosine_head_forward(z: np.ndarray, head: CosineHead) -> np.ndarray:
         raise NumericalError("cosine head input has a zero-norm row")
     u_norms = np.linalg.norm(head.directions, axis=1, keepdims=True)
     cosines = (Z / z_norms) @ (head.directions / u_norms).T
-    logits = cosines * head.gains
-    return logits[0] if single else logits
+    return cosines * head.gains
 
 
 def cosine_head_backward(Z: np.ndarray, head: CosineHead, d_logits: np.ndarray):

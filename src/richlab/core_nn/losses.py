@@ -1,25 +1,19 @@
 """Classification and distillation losses with exact analytic gradients.
 
-Every loss returns ``(loss, grad_wrt_its_trainable_logits_or_features)``
-where the loss is a mean over rows.  All softmax paths subtract the row
-max before exponentiation.  :func:`cross_entropy_loss`,
-:func:`distill_to_log_probs` and :func:`cosine_distill_loss` also take
-(T, n, k) arrays, T members over the same rows, and then return one loss
-per member; member ``t`` equals the loss of the (n, k) slice ``t``, bit
-for bit.
+:func:`cross_entropy_loss`, :func:`distill_to_log_probs` (tempered KL,
+optionally blended with cross-entropy, against the teacher targets of
+:func:`tempered_log_probs`) and :func:`cosine_distill_loss` each return
+``(loss, grad_wrt_its_trainable_logits_or_features)``, the loss a mean
+over rows.  Every softmax is :func:`log_softmax`, which subtracts the row
+max before exponentiation.  The losses also take (T, n, k) arrays, T
+members over the same rows, and then return one loss per member; member
+``t`` equals the loss of the (n, k) slice ``t``, bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import DataError, NumericalError, ParameterError, ShapeError
-
-
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not np.isfinite(tau) or tau <= 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
-    return tau
 
 
 def log_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
@@ -46,15 +40,6 @@ def log_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
     for j in range(1, k):
         s = s + e[..., j:j + 1]
     return np.subtract(z, np.log(s), out=z)  # into this call's own z - m buffer
-
-
-def softmax_temperature(v, tau: float) -> np.ndarray:
-    """Temperature softmax ``exp(v_i/tau) / sum_k exp(v_k/tau)`` (rows for 2-D input)."""
-    tau = _check_tau(tau)
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise NumericalError("softmax input must be finite")
-    return np.exp(log_softmax(v, tau))
 
 
 def _per_member(loss):
@@ -103,9 +88,12 @@ def tempered_log_probs(teacher_logits, tau: float) -> tuple[np.ndarray, np.ndarr
 
     Both work row by row, so a row slice of the result equals the result
     on that row slice, bit for bit: a trainer can compute them once per
-    teacher and index them per mini-batch.
+    teacher and index them per mini-batch.  ``[1]`` is the tempered softmax.
     """
-    logp = log_softmax(np.asarray(teacher_logits, dtype=np.float64), _check_tau(tau))
+    tau = float(tau)
+    if not np.isfinite(tau) or tau <= 0:
+        raise ParameterError(f"temperature must be positive, got {tau}")
+    logp = log_softmax(np.asarray(teacher_logits, dtype=np.float64), tau)
     return logp, np.exp(logp)
 
 
@@ -113,8 +101,10 @@ def distill_to_log_probs(teacher_logp, teacher_p, student_logits, tau: float,
                          labels=None, alpha: float = 1.0) -> tuple[float, np.ndarray]:
     """Distillation loss against precomputed :func:`tempered_log_probs` targets.
 
-    ``alpha=1`` is the pure ``tau^2 * mean KL``; below 1 it is blended
-    with the cross-entropy on ``labels`` as in :func:`ce_kl_distill_loss`.
+    ``alpha=1`` is the pure ``tau^2 * mean KL(s_tau(teacher) || s_tau(student))``;
+    below 1 it is the convex blend ``(1-alpha)*CE(student, labels) + alpha*tau^2*KL``.
+    The gradient flows only to the student; the ``tau^2`` factor keeps its
+    magnitude comparable to a cross-entropy gradient.
     """
     s = np.asarray(student_logits, dtype=np.float64)
     if teacher_logp.shape != s.shape:
@@ -132,27 +122,6 @@ def distill_to_log_probs(teacher_logp, teacher_p, student_logits, tau: float,
     loss = (1.0 - alpha) * ce_loss + alpha * kl_loss
     grad = (1.0 - alpha) * ce_grad + alpha * kl_grad
     return _per_member(loss), grad
-
-
-def kl_distill_loss(teacher_logits, student_logits, tau: float) -> tuple[float, np.ndarray]:
-    """Tempered distillation loss ``tau^2 * mean KL(s_tau(t) || s_tau(s))``.
-
-    The gradient flows only to the student; the classic ``tau^2`` factor
-    keeps its magnitude comparable to a cross-entropy gradient.
-    """
-    tau = _check_tau(tau)
-    return distill_to_log_probs(*tempered_log_probs(teacher_logits, tau), student_logits, tau)
-
-
-def ce_kl_distill_loss(teacher_logits, student_logits, labels, alpha: float,
-                       tau: float) -> tuple[float, np.ndarray]:
-    """Convex blend ``(1-alpha)*CE(student, labels) + alpha*tau^2*KL``."""
-    alpha = float(alpha)
-    if not (0.0 <= alpha <= 1.0):
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    tau = _check_tau(tau)
-    return distill_to_log_probs(*tempered_log_probs(teacher_logits, tau), student_logits,
-                                tau, labels, alpha)
 
 
 def cosine_distill_loss(teacher_feat, student_feat) -> tuple[float, np.ndarray]:

@@ -18,6 +18,10 @@ from ..rng import shuffle_rng
 
 @dataclass(frozen=True)
 class Schedule:
+    """A learning-rate schedule, built as ``Schedule(kind, factor, every)``:
+    ``Schedule()`` is constant, ``Schedule("step", 0.5, 2)`` multiplies the
+    rate by 0.5 every 2 epochs, ``Schedule("cosine")`` anneals it toward 0."""
+
     kind: str = "constant"  # constant | step | cosine
     factor: float = 0.1     # step only
     every: int = 30         # step only
@@ -27,18 +31,6 @@ class Schedule:
             raise ParameterError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "step" and self.every < 1:
             raise ParameterError("step schedule needs every >= 1")
-
-    @staticmethod
-    def constant() -> "Schedule":
-        return Schedule("constant")
-
-    @staticmethod
-    def step(factor: float, every: int) -> "Schedule":
-        return Schedule("step", factor=factor, every=every)
-
-    @staticmethod
-    def cosine() -> "Schedule":
-        return Schedule("cosine")
 
 
 def lr_at(schedule: Schedule, base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -57,7 +49,7 @@ class TrainConfig:
     batch_size: int
     momentum: float = 0.0
     weight_decay: float = 0.0
-    schedule: Schedule = field(default_factory=Schedule.constant)
+    schedule: Schedule = field(default_factory=Schedule)
     seed: int = 0
 
     def __post_init__(self):

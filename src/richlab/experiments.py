@@ -434,14 +434,14 @@ class TransferConfig:
     n_episodes: int = 5
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         lr=0.1, epochs=100, batch_size=32, momentum=0.9,
-        schedule=Schedule.cosine()))
+        schedule=Schedule("cosine")))
     probe: ProbeConfig = field(default_factory=lambda: ProbeConfig(
         l2=1e-3, max_iters=800, grad_tol=1e-7, standardize=True))
     distill: DistillSpec = field(default_factory=lambda: DistillSpec(
         mode="kl", tau=10.0, alpha=0.9, student_arch=(16,)))
     distill_train: TrainConfig = field(default_factory=lambda: TrainConfig(
         lr=0.01, epochs=200, batch_size=32, momentum=0.9,
-        schedule=Schedule.cosine()))
+        schedule=Schedule("cosine")))
     ft: TrainConfig = field(default_factory=lambda: TrainConfig(
         lr=0.02, epochs=30, batch_size=16, momentum=0.9))
     stage2_epochs: int = 1

@@ -34,7 +34,6 @@ from .core_nn.losses import (
     cosine_distill_loss,
     cross_entropy_loss,
     distill_to_log_probs,
-    softmax_temperature,
     tempered_log_probs,
 )
 from .core_nn.optim import TrainConfig, sgd_fit
@@ -232,7 +231,7 @@ def subset_ensemble_predict(bank: RepresentationBank, probes: list[ProbeResult],
         raise ParameterError(f"{len(bank)} members but {len(probes)} probes")
     out = None
     for feats, probe in zip(extract_features(bank.trunk, X), probes):
-        p = softmax_temperature(probe.logits(feats), 1.0)
+        p = tempered_log_probs(probe.logits(feats), 1.0)[1]
         out = p if out is None else out + p
     return out / len(probes)
 

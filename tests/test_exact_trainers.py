@@ -45,7 +45,7 @@ from test_richrep import plain_heads, plain_trunks, toy_data
 
 # toy_data has 120 rows; in batches of 32 the last batch of every epoch has 24
 CFG = TrainConfig(lr=0.05, epochs=5, batch_size=32, momentum=0.9, weight_decay=1e-3,
-                  schedule=Schedule.step(0.5, 2), seed=3)
+                  schedule=Schedule("step", 0.5, 2), seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_train_episodes_matches_reference_bitwise(hidden):
     data = toy_data()
     seed_sets = [[5], [5, 5], [1, 2, 3], [derive_seed(7, i) for i in range(6)]]
     for batch_size in (32, 16, 7):  # last batches of 24, 8 and 1 rows
-        for schedule in (Schedule.step(0.5, 2), Schedule.cosine()):
+        for schedule in (Schedule("step", 0.5, 2), Schedule("cosine")):
             cfg = replace(CFG, batch_size=batch_size, schedule=schedule)
             for seeds in seed_sets:
                 bank = train_episodes(data, hidden, cfg, seeds)

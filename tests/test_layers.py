@@ -72,9 +72,10 @@ def test_cosine_head_recovers_gain_on_aligned_input():
     head = CosineHead(np.array([[3.0, 0.0], [0.0, 2.0]]), np.array([5.0, 7.0]))
     # z parallel to u_0 at any positive scale gives h_0 = g_0, and z
     # orthogonal to u_1 gives h_1 = 0
-    h = cosine_head_forward(np.array([10.0, 0.0]), head)
-    assert h[0] == pytest.approx(5.0)
-    assert h[1] == pytest.approx(0.0)
+    h = cosine_head_forward(np.array([[10.0, 0.0]]), head)
+    assert h.shape == (1, 2)
+    assert h[0, 0] == pytest.approx(5.0)
+    assert h[0, 1] == pytest.approx(0.0)
 
 
 def test_cosine_head_scale_invariance_bitwise():
@@ -82,7 +83,7 @@ def test_cosine_head_scale_invariance_bitwise():
 
     rng = SplitMix64(77)
     head = CosineHead(rng.normal(12).reshape(3, 4), rng.normal(3))
-    z = rng.normal(4)
+    z = rng.normal(4).reshape(1, 4)
     for c in (2.0, 0.5, 1024.0):
         assert np.array_equal(cosine_head_forward(c * z, head),
                               cosine_head_forward(z, head))
@@ -91,7 +92,14 @@ def test_cosine_head_scale_invariance_bitwise():
 def test_cosine_head_zero_input_rejected():
     head = CosineHead(np.eye(2), np.ones(2))
     with pytest.raises(NumericalError):
-        cosine_head_forward(np.zeros(2), head)
+        cosine_head_forward(np.zeros((1, 2)), head)
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 3, 2)], ids=["1-D", "3-D"])
+def test_cosine_head_reads_only_rows(shape):
+    head = CosineHead(np.eye(2), np.ones(2))
+    with pytest.raises(ShapeError, match="must be \\(n, d\\) rows"):
+        cosine_head_forward(np.ones(shape), head)
 
 
 def test_cosine_network_forward_shapes():

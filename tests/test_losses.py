@@ -4,39 +4,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richlab.core_nn import (
-    ce_kl_distill_loss,
     cosine_distill_loss,
     cross_entropy_loss,
     distill_to_log_probs,
-    kl_distill_loss,
-    softmax_temperature,
     tempered_log_probs,
 )
 from richlab.core_nn.losses import log_softmax
 from richlab.errors import DataError, NumericalError, ParameterError, ShapeError
+from richlab.richrep import DistillSpec
 from richlab.rng import SplitMix64
 
 
+def distill(teacher, student, tau, labels=None, alpha=1.0):
+    """The loss distillation training computes: tempered targets, then the blend."""
+    return distill_to_log_probs(*tempered_log_probs(teacher, tau), student, tau, labels, alpha)
+
+
 # ---------------------------------------------------------------------------
-# softmax with temperature
+# softmax with temperature: tempered_log_probs(v, tau)[1]
 
 def test_softmax_symmetry():
-    assert np.allclose(softmax_temperature(np.array([0.0, 0.0]), 1.0), [0.5, 0.5])
-    assert np.allclose(softmax_temperature(np.array([1.0, 1.0, 1.0]), 10.0),
+    assert np.allclose(tempered_log_probs(np.array([0.0, 0.0]), 1.0)[1], [0.5, 0.5])
+    assert np.allclose(tempered_log_probs(np.array([1.0, 1.0, 1.0]), 10.0)[1],
                        [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_softmax_closed_form():
     # exp(ln4 / 2) = 2, so the probabilities are (2/3, 1/3)
-    p = softmax_temperature(np.array([np.log(4.0), 0.0]), 2.0)
+    p = tempered_log_probs(np.array([np.log(4.0), 0.0]), 2.0)[1]
     assert np.allclose(p, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_softmax_rejects_nonpositive_tau():
     with pytest.raises(ParameterError):
-        softmax_temperature(np.array([1.0, 2.0]), 0.0)
+        tempered_log_probs(np.array([1.0, 2.0]), 0.0)
     with pytest.raises(ParameterError):
-        softmax_temperature(np.array([1.0, 2.0]), -3.0)
+        tempered_log_probs(np.array([1.0, 2.0]), -3.0)
 
 
 @settings(deadline=None, max_examples=50)
@@ -45,10 +48,10 @@ def test_softmax_rejects_nonpositive_tau():
 def test_softmax_sums_to_one_and_shift_invariant(vals, tau, shift):
     # spread/tau stays under ~700 nats, where exp cannot underflow to 0
     v = np.array(vals)
-    p = softmax_temperature(v, tau)
+    p = tempered_log_probs(v, tau)[1]
     assert abs(p.sum() - 1.0) <= 1e-12
     assert np.all(p > 0)
-    q = softmax_temperature(v + shift, tau)
+    q = tempered_log_probs(v + shift, tau)[1]
     assert np.allclose(p, q, atol=1e-9)
 
 
@@ -104,7 +107,7 @@ def test_log_softmax_leaves_its_input_alone(shape, tau):
 
 
 def test_softmax_extreme_logits_stable():
-    p = softmax_temperature(np.array([1000.0, 0.0]), 1.0)
+    p = tempered_log_probs(np.array([1000.0, 0.0]), 1.0)[1]
     assert np.isfinite(p).all() and abs(p.sum() - 1.0) <= 1e-12
 
 
@@ -180,7 +183,7 @@ def test_ce_gradient_matches_finite_difference():
 def test_kl_zero_when_equal():
     rng = SplitMix64(2)
     t = rng.normal(10).reshape(2, 5)
-    loss, grad = kl_distill_loss(t, t.copy(), tau=3.0)
+    loss, grad = distill(t, t.copy(), 3.0)
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(grad, 0.0, atol=1e-15)
 
@@ -189,7 +192,7 @@ def test_kl_zero_under_row_shift():
     rng = SplitMix64(3)
     t = rng.normal(8).reshape(2, 4)
     s = t + 7.5  # softmax is shift invariant
-    loss, _ = kl_distill_loss(t, s, tau=2.0)
+    loss, _ = distill(t, s, 2.0)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -198,7 +201,7 @@ def test_kl_direct_formula():
     # KL(p||q) = (2/3)ln(4/3) + (1/3)ln(2/3)
     t = np.array([[np.log(2.0), 0.0]])
     s = np.array([[0.0, 0.0]])
-    loss, _ = kl_distill_loss(t, s, tau=1.0)
+    loss, _ = distill(t, s, 1.0)
     expected = (2 / 3) * np.log((2 / 3) / 0.5) + (1 / 3) * np.log((1 / 3) / 0.5)
     assert loss == pytest.approx(expected, abs=1e-12)
     assert loss == pytest.approx(0.056633, abs=1e-6)
@@ -209,13 +212,13 @@ def test_kl_nonnegative_property():
     for _ in range(50):
         t = rng.normal(12).reshape(3, 4) * 3
         s = rng.normal(12).reshape(3, 4) * 3
-        loss, _ = kl_distill_loss(t, s, tau=rng.uniform(0.5, 10.0))
+        loss, _ = distill(t, s, rng.uniform(0.5, 10.0))
         assert loss >= 0.0
 
 
 def test_kl_shape_mismatch():
     with pytest.raises(ShapeError):
-        kl_distill_loss(np.zeros((2, 3)), np.zeros((2, 4)), tau=1.0)
+        distill(np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +229,11 @@ def test_ce_kl_boundaries():
     t = rng.normal(12).reshape(4, 3)
     s = rng.normal(12).reshape(4, 3)
     y = np.array([0, 1, 2, 0])
-    kl_loss, kl_grad = kl_distill_loss(t, s, tau=4.0)
-    l1, g1 = ce_kl_distill_loss(t, s, y, alpha=1.0, tau=4.0)
+    kl_loss, kl_grad = distill(t, s, 4.0)
+    l1, g1 = distill(t, s, 4.0, y, alpha=1.0)
     assert l1 == pytest.approx(kl_loss) and np.allclose(g1, kl_grad)
     ce_loss, ce_grad = cross_entropy_loss(s, y)
-    l0, g0 = ce_kl_distill_loss(t, s, y, alpha=0.0, tau=4.0)
+    l0, g0 = distill(t, s, 4.0, y, alpha=0.0)
     assert l0 == pytest.approx(ce_loss) and np.allclose(g0, ce_grad)
 
 
@@ -240,8 +243,8 @@ def test_ce_kl_convex_combination():
     s = rng.normal(6).reshape(2, 3)
     y = np.array([1, 0])
     ce_loss, _ = cross_entropy_loss(s, y)
-    kl_loss, _ = kl_distill_loss(t, s, tau=2.0)
-    mixed, _ = ce_kl_distill_loss(t, s, y, alpha=0.5, tau=2.0)
+    kl_loss, _ = distill(t, s, 2.0)
+    mixed, _ = distill(t, s, 2.0, y, alpha=0.5)
     assert mixed == pytest.approx(0.5 * ce_loss + 0.5 * kl_loss, abs=1e-12)
 
 
@@ -277,9 +280,9 @@ def test_precomputed_teacher_targets_match_per_batch_bitwise(seed, k, n, batch, 
 
 
 def test_ce_kl_alpha_out_of_range():
+    # the alpha check on the training path
     with pytest.raises(ParameterError):
-        ce_kl_distill_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0]),
-                           alpha=1.5, tau=1.0)
+        DistillSpec(mode="ce_kl", alpha=1.5)
 
 
 # ---------------------------------------------------------------------------

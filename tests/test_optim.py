@@ -81,11 +81,11 @@ def test_nonfinite_stacked_gradient_names_its_first_member():
 # schedules
 
 def test_constant_schedule():
-    assert lr_at(Schedule.constant(), 0.3, 17, 100) == 0.3
+    assert lr_at(Schedule(), 0.3, 17, 100) == 0.3
 
 
 def test_step_schedule_tenth_every_30():
-    sched = Schedule.step(0.1, 30)
+    sched = Schedule("step", 0.1, 30)
     assert lr_at(sched, 1.0, 0, 90) == pytest.approx(1.0)
     assert lr_at(sched, 1.0, 29, 90) == pytest.approx(1.0)
     assert lr_at(sched, 1.0, 30, 90) == pytest.approx(0.1)
@@ -93,7 +93,7 @@ def test_step_schedule_tenth_every_30():
 
 
 def test_cosine_schedule_closed_form():
-    sched = Schedule.cosine()
+    sched = Schedule("cosine")
     assert lr_at(sched, 0.8, 0, 100) == pytest.approx(0.8)
     assert lr_at(sched, 0.8, 50, 100) == pytest.approx(0.4)
 

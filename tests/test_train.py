@@ -7,15 +7,15 @@ from richlab.core_nn import (
     Schedule,
     TrainConfig,
     accuracy,
-    ce_kl_distill_loss,
     cosine_distill_loss,
     cosine_head_backward,
     cosine_head_forward,
     cross_entropy_loss,
+    distill_to_log_probs,
     init_network,
-    kl_distill_loss,
     layer_params,
     stack_layers,
+    tempered_log_probs,
     train,
 )
 from richlab.errors import NumericalError, TrainingError
@@ -133,7 +133,7 @@ def test_schedule_changes_trajectory():
     X, y = two_blobs()
     a, _ = train(net, X, y, TrainConfig(lr=0.1, epochs=10, batch_size=8, seed=0))
     b, _ = train(net, X, y, TrainConfig(lr=0.1, epochs=10, batch_size=8, seed=0,
-                                        schedule=Schedule.cosine()))
+                                        schedule=Schedule("cosine")))
     assert not params_equal(a, b)
 
 
@@ -156,15 +156,17 @@ def test_backprop_matches_fd_cross_entropy():
 @pytest.mark.parametrize("tau", [1.0, 10.0])
 def test_backprop_matches_fd_kl(tau):
     net, X, teacher, _ = gradcheck_instance(11, "kl")
-    worst = max_grad_rel_error(net, X, lambda logits: kl_distill_loss(teacher, logits, tau),
+    targets = tempered_log_probs(teacher, tau)
+    worst = max_grad_rel_error(net, X, lambda logits: distill_to_log_probs(*targets, logits, tau),
                                n_coords=60)
     assert worst < 1e-4
 
 
 def test_backprop_matches_fd_ce_kl():
     net, X, teacher, y = gradcheck_instance(12, "ce_kl")
+    targets = tempered_log_probs(teacher, 4.0)
     worst = max_grad_rel_error(
-        net, X, lambda logits: ce_kl_distill_loss(teacher, logits, y, alpha=0.9, tau=4.0),
+        net, X, lambda logits: distill_to_log_probs(*targets, logits, 4.0, y, alpha=0.9),
         n_coords=60,
     )
     assert worst < 1e-4

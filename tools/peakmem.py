@@ -11,10 +11,14 @@ that the benchmark reports as ``peak_rss_mb``).  It then runs
 VmHWM also moves with the heap layout, which the byte size of the loaded
 source can shift by a few tenths of a MB while the run's work stays the
 same.  The tracemalloc peak of a second, identical run does not: it
-counts the bytes held by Python objects and numpy buffers, and gives the
-same number on every run of one tree.  A third and a fourth run find the
-last call boundary at which the traced size is largest and list the
-source lines whose allocations are live there.
+counts the bytes held by Python objects and numpy buffers.  It still
+moves by a few KB between invocations of one tree: at seed 0, ``transfer``
+read 2,691-2,696 KB in five runs on one copy of a tree and 2,697-2,700 KB
+in three on another, and ``ood-vrex`` 1,122-1,125 KB, so a move under
+about 5 KB within one copy, or 10 KB between copies, is not a
+measurement.  A third and a fourth run, each after a cycle collection,
+find the last call boundary at which the traced size is largest and
+list the source lines whose allocations are live there.
 
 Every run writes its outputs to a temporary directory, and its standard
 output is discarded.  Runs after the first find their modules imported,
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import sys
 import tempfile
@@ -99,8 +104,15 @@ def main(argv=None) -> int:
     print(f"vmhwm_end_mb         {vmhwm_mb():.2f}")
     print(f"tracemalloc_peak_kb  {traced(cli, args.config, args.seed) / 1000:.1f}")
 
+    # A cycle collection that falls inside one of the two runs, and not at
+    # the same call in the other, runs the ``__del__`` of leftover garbage
+    # there and shifts every later call count; so both start collected.
+    # The traced run above does not: collecting before it moves the
+    # ``transfer`` peak at seed 0 from about 2,693 to about 2,726 KB.
+    gc.collect()
     finder = PeakFinder()
     traced(cli, args.config, args.seed, finder)
+    gc.collect()
     taker = PeakFinder(at=finder.best_event)
     traced(cli, args.config, args.seed, taker)
     if taker.events != finder.events:
