@@ -242,6 +242,9 @@ def _transfer_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], lis
     """Build the transfer config dataclasses and draw the task; the returned
     call runs the pipeline."""
     tc = replace(_merged(TransferConfig(), cfg, read), seeds=run.seeds)
+    # the pinned perfbench transfer config still sets this key, which the
+    # schema accepts only as false; it goes once ROADMAP item 10 drops it there
+    read.add(("include_anchors",))
     kind, spec = _task(cfg, read, "transfer")
     if tc.target not in _TARGETS[kind]:
         raise ParameterError(f"target {tc.target!r} does not apply to a {kind!r} task; "
@@ -424,18 +427,16 @@ def cmd_report(csv_path: str, kind: str = "table") -> int:
     except (OSError, RichlabError, ValueError) as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return 2
-    measured = [r for r in records if r.extra.get("kind") != "anchor"]
-    anchors = [r for r in records if r.extra.get("kind") == "anchor"]
     # an ood run scores every grid candidate on its tune split; a seed's
     # table cell counts only the candidate its ood_test row names as chosen
     chosen = {(r.run_id, r.seed, r.method, r.task): r.extra["chosen"]
-              for r in measured if "chosen" in r.extra}
-    shown = [r for r in measured if "config_id" not in r.extra
+              for r in records if "chosen" in r.extra}
+    shown = [r for r in records if "config_id" not in r.extra
              or chosen.get((r.run_id, r.seed, r.method, r.task)) == r.extra["config_id"]]
-    tasks = sorted({r.task for r in measured})
+    tasks = sorted({r.task for r in records})
     out = []
     for task in tasks:
-        rows_for_task = [r for r in measured if r.task == task]
+        rows_for_task = [r for r in records if r.task == task]
         cols = sorted({(r.split, r.metric) for r in rows_for_task})
         methods = sorted({r.method for r in rows_for_task})
         out.append(f"## task: {task}")
@@ -464,23 +465,8 @@ def cmd_report(csv_path: str, kind: str = "table") -> int:
         out.append("")
         out.append("Measured rows are desk-scale analogs from this lab's synthetic tasks.")
         out.append("")
-    if anchors:
-        out.append("## reference anchors")
-        out.append("Published large-scale reference numbers, for context only "
-                   "(not produced by this lab):")
-        out.append("")
-        header = ["method", "task", "split/metric", "value", "notes"]
-        rows = [[r.method, r.task, f"{r.split}/{r.metric}", _fmt(r.value),
-                 format_notes(r.extra)] for r in anchors]
-        out.append(_markdown_table(header, rows))
-        out.append("")
     print("\n".join(out))
     return 0
-
-
-def format_notes(extra: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(extra.items())
-                    if k not in ("kind",))
 
 
 def cmd_verify(seed: int = 0) -> int:

@@ -377,11 +377,16 @@ def methods_of(pipeline: str) -> tuple[str, ...]:
 
 
 def _check_methods(pipeline: str, methods, allowed, n_episodes: int) -> None:
-    """Refuse a method the pipeline does not take, and an empty bank."""
+    """Refuse a method the pipeline does not take, a method named twice, and
+    an empty bank."""
     unknown = [m for m in methods if m not in allowed]
     if unknown:
         raise ParameterError(f"unknown {pipeline} method(s) {', '.join(map(repr, unknown))}; "
                              f"choose from {', '.join(allowed)}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ParameterError(f"{pipeline} method(s) {', '.join(map(repr, repeated))} "
+                             "named more than once")
     if n_episodes < 1:
         raise ParameterError("n_episodes must be positive")
 
@@ -448,7 +453,6 @@ class TransferConfig:
     stage2_lr: float = 1e-3
     seeds: tuple[int, ...] = (101, 202, 303, 404, 505)
     methods: tuple[str, ...] = ("erm", "cat", "distill", "joint", "catsub")
-    include_anchors: bool = False
     # the task the probes and fine-tunes are scored on: the pretraining task
     # (same), its novel classes (novel), or a target_rows-row fine-tuning
     # sample at the OOD correlation (ood_sample)
@@ -500,28 +504,7 @@ def run_transfer(pretrain: TransferTask, target: TransferTask, cfg: TransferConf
                     rows = m.score(bank, target, cfg, own_seed, cache)
                 records += [RunRecord(run_id, s, column, target.name, split, metric, value)
                             for column, split, metric, value in rows]
-    if cfg.include_anchors:
-        records.extend(reference_anchor_records(run_id))
     return records
-
-
-def reference_anchor_records(run_id: str) -> list[RunRecord]:
-    """Published large-scale reference numbers, emitted for context only."""
-    a = {"kind": "anchor", "source": "published-reference"}
-    return [
-        RunRecord(run_id, 0, "erm", "cifar10-to-cifar100", "id_test",
-                  "probe_accuracy_mean", 49.68, {**a, "wd": "0", "std": "0.72"}),
-        RunRecord(run_id, 0, "erm", "cifar10-to-cifar100", "id_test",
-                  "probe_accuracy_mean", 29.17, {**a, "wd": "5e-4", "std": "0.50"}),
-        RunRecord(run_id, 0, "joint2", "imagenet-legs", "id_train",
-                  "leg_probe_accuracy", 73.94, {**a, "leg": "0"}),
-        RunRecord(run_id, 0, "joint2", "imagenet-legs", "id_train",
-                  "leg_probe_accuracy", 18.05, {**a, "leg": "1"}),
-        RunRecord(run_id, 0, "cat5-s", "cub-5way-1shot", "fewshot",
-                  "mean_accuracy", 72.62, {**a, "std": "0.98"}),
-        RunRecord(run_id, 0, "snap-best", "cub-5way-1shot", "fewshot",
-                  "mean_accuracy", 59.70, {**a, "std": "1.38"}),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,8 @@ class EpisodeSpec:
     n_query: int = 15
 
     def __post_init__(self):
-        if min(self.n_way, self.k_shot, self.n_query) < 1:
-            raise ParameterError("n_way, k_shot, n_query must all be positive")
+        if self.n_way < 2 or min(self.k_shot, self.n_query) < 1:
+            raise ParameterError("n_way must be at least 2, k_shot and n_query positive")
 
 
 def sample_episode(novel: Dataset, spec: EpisodeSpec, rng: SplitMix64) -> np.ndarray:

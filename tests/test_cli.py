@@ -95,7 +95,7 @@ SCHEMA_CASES = [
     ("type", [], ["<root>: [] is not of type 'object'"]),
     ("type", {"pipeline": "transfer", "task": [1], "output_dir": 3, "include_anchors": 1,
               "methods": "erm", "n_episodes": None},
-     ["include_anchors: 1 is not of type 'boolean'", "methods: 'erm' is not of type 'array'",
+     ["include_anchors: 1 is not one of [False]", "methods: 'erm' is not of type 'array'",
       "n_episodes: None is not of type 'integer'", "output_dir: 3 is not of type 'string'",
       "task: [1] is not of type 'object'"]),
     ("enum", {"pipeline": "discombobulate"},
@@ -141,6 +141,9 @@ SCHEMA_CASES = [
      ["distill_train/epochs: -1 is less than the minimum of 0",
       "ft/schedule/kind: 'linear' is not one of ['constant', 'step', 'cosine']",
       "train/schedule/every: 0 is less than the minimum of 1"]),
+    # a run writes only what it measured: no published reference numbers
+    ("enum", {"pipeline": "transfer", "include_anchors": True},
+     ["include_anchors: True is not one of [False]"]),
 ]
 
 
@@ -587,6 +590,20 @@ def test_run_refuses_more_ways_than_novel_classes_before_any_work(tmp_path, caps
     cli._fewshot_pipeline(cfg, cli.RunConfig(), set())
 
 
+@pytest.mark.parametrize("pinned,methods,repeated", [
+    ("transfer", ["erm", "cat", "erm"], "transfer method(s) 'erm'"),
+    ("fewshot", ["snaps", "cat", "snaps", "cat"], "few-shot method(s) 'cat', 'snaps'"),
+])
+def test_run_refuses_a_repeated_method_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       pinned, methods, repeated):
+    # a second naming would write nothing the first does not
+    _refuse_work(monkeypatch)
+    cfg = dict(_pinned(pinned), methods=methods)
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"config error: {repeated} named more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
 
 def test_a_diverging_run_writes_one_line_to_stderr(tmp_path):
     # numpy's overflow and invalid-value warnings would come first, with
@@ -730,6 +747,28 @@ def test_report_shows_the_ood_candidate_each_seed_chose(capsys):
     assert cell == "0.941666 ± 0.00392798"
 
 
+# sha256 of what report prints for each golden CSV, one task table each
+GOLDEN_REPORTS = {
+    "fewshot": "f3c2f1452897a7ef9cbba25cc207c4ad76a907413f76025d16c99a03e2cf53c6",
+    "ood-vrex": "9304cf6cb0c0c0ba1c36537b96623d049ea4451b9b3d73f0e8e151c2e1f60376",
+    "transfer": "dbfceaf00070594ddec7f9e71df1de63e8290f0c887da41606362548b39c818b",
+    "verify": "c4cb40d54e4d5c1a59b516b4d4a5d509df4c1810ceb2fe222381785ac2f811fe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_renders_each_golden_csv(capsys, name):
+    from hashlib import sha256
+    from pathlib import Path
+
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    assert sorted(p.stem for p in golden.glob("*.csv")) == sorted(GOLDEN_REPORTS)
+    assert cli.cmd_report(str(golden / f"{name}.csv")) == 0
+    out = capsys.readouterr().out
+    assert out.count("## task: ") == 1
+    assert sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[name]
+
+
 def test_report_shows_the_chosen_candidate_of_an_ood_tuned_run(tmp_path, capsys):
     # two seeds, three candidates each, scored on the tune environment
     records = []
@@ -746,17 +785,6 @@ def test_report_shows_the_chosen_candidate_of_an_ood_tuned_run(tmp_path, capsys)
     # 0.31 at seed 1 and 0.22 at seed 2
     assert _report_row(capsys.readouterr().out, "cat2") == [
         "cat2", "0.5 ± 0", "0.265 ± 0.0636396"]
-
-
-def test_report_marks_anchors(tmp_path, capsys):
-    from richlab.experiments import reference_anchor_records
-
-    path = tmp_path / "r.csv"
-    write_records_csv(sample_records() + reference_anchor_records("r"), path)
-    cli.cmd_report(str(path))
-    out = capsys.readouterr().out
-    assert "reference anchors" in out
-    assert "context only" in out
 
 
 # ---------------------------------------------------------------------------

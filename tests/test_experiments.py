@@ -370,7 +370,7 @@ def test_the_method_table_gives_each_pipeline_todays_methods():
     transfer_keys = {"hidden": [4], "n_episodes": 2, "train": {"lr": 0.5},
                      "distill": {"tau": 2.0}, "distill_train": {"lr": 0.5}, "ft": {"lr": 0.5},
                      "stage2_epochs": 2, "stage2_lr": 0.5, "methods": ["cat"],
-                     "target": "same", "target_rows": 9, "include_anchors": True,
+                     "target": "same", "target_rows": 9, "include_anchors": False,
                      "probe": {"l2": 0.5}}
     bank_keys = {"cat": {"hidden", "n_episodes", "train"},
                  "distill": {"hidden", "n_episodes", "train", "distill", "distill_train"}}

@@ -224,6 +224,15 @@ def test_episode_positions_give_the_rows_and_labels_episodes_held_as_copies():
         "55f85044e40c2fcdc8d5c591c96b8b34fc1904cdcb85e9ea223c5ec3bf184ed2")
 
 
+@pytest.mark.parametrize("n_way,k_shot,n_query", [(1, 5, 15), (0, 5, 15), (5, 0, 15),
+                                                 (5, 5, 0)])
+def test_episode_spec_refuses_fewer_than_two_ways_and_empty_sides(n_way, k_shot, n_query):
+    # a one-way episode has one label, so every classifier scores 1.0
+    with pytest.raises(ParameterError, match="n_way must be at least 2"):
+        EpisodeSpec(n_way, k_shot, n_query)
+    EpisodeSpec(2, 1, 1)
+
+
 def test_episode_insufficient_rows():
     ds = ten_class_dataset(n=30)
     spec = EpisodeSpec(n_way=5, k_shot=3, n_query=10)
