@@ -1,16 +1,17 @@
 """Command-line front end: run experiment configs, render CSV results as
 markdown tables, and execute the property suites.
 
-Exit codes: 0 success; 1 failed property suites; 2 configuration errors
-(with line/field diagnostics, and values a config dataclass rejects,
-found before any pipeline work); 3 runtime failures.
+The schema checks a config's structure (types, required and unknown keys,
+enums); then the config dataclasses, all built before any pipeline work,
+each bound their own values.  Each refusal prints ``config error: field
+<path>: <message>``.  Exit codes: 0 success; 1 failed property suites;
+2 configuration errors; 3 runtime failures.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, RichlabError
+from .errors import ParameterError, RichlabError, check_bounds
 from .probing import sha256
 # imported, not called: perfbench/tests checks that its tracer wraps cli.train_episodes
 from .richrep import train_episodes
@@ -59,12 +60,6 @@ def load_schema() -> dict:
 
 # keywords that annotate the config schema and check nothing
 _ANNOTATIONS = frozenset({"$schema", "title", "$defs"})
-# each numeric bound: the test a value breaks it by, and the words that say so
-_BOUNDS = {"minimum": (operator.lt, "less than the minimum"),
-           "maximum": (operator.gt, "greater than the maximum"),
-           "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
-           "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum")}
-_LENGTHS = {"minLength": str, "minItems": list}
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 
 
@@ -82,7 +77,7 @@ def schema_errors(value, schema: dict, root: dict | None = None,
                   path: tuple = ()) -> list[tuple[tuple, str]]:
     """The ``(path, message)`` of every rule of ``schema`` that ``value`` breaks.
 
-    Implements the Draft-7 keywords the config schema uses, with
+    Implements the Draft-7 structure keywords the config schema uses, with
     jsonschema's messages, and raises ``ValueError`` on any other keyword.
     ``$ref`` points into the ``$defs`` of ``root``, by default ``schema``.
     """
@@ -100,13 +95,6 @@ def schema_errors(value, schema: dict, root: dict | None = None,
             if not any(value == v and isinstance(value, bool) == isinstance(v, bool)
                        for v in rule):
                 message = f"{value!r} is not one of {rule!r}"
-        elif key in _BOUNDS:
-            breaks, words = _BOUNDS[key]
-            if _is_type(value, "number") and breaks(value, rule):
-                message = f"{value!r} is {words} of {rule!r}"
-        elif key in _LENGTHS:
-            if isinstance(value, _LENGTHS[key]) and len(value) < rule:
-                message = f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
         elif key == "items":
             if isinstance(value, list):
                 for i, item in enumerate(value):
@@ -134,11 +122,6 @@ def schema_errors(value, schema: dict, root: dict | None = None,
     return errors
 
 
-def _config_error(msg: str) -> int:
-    print(f"config error: {msg}", file=sys.stderr)
-    return 2
-
-
 def _field_errors(errors: list[tuple[tuple, str]]) -> int:
     """Print one line per ``(path, message)``, sorted by path; returns exit code 2."""
     for path, message in sorted(errors, key=lambda e: e[0]):
@@ -156,27 +139,32 @@ def _merged(default, values: dict, read: set, section: str | None = None, at: tu
     held in its field the same way, so every unset value keeps the one
     default its dataclass declares.  The dataclass is built once, so its
     checks compare values from both levels (a section's ``n_snapshots``
-    with a top-level ``train.epochs``).  The path of every key read, with
-    ``values`` at path ``at`` of the config, goes into ``read``.
+    with a top-level ``train.epochs``), and its refusal names the key's path.
+    The path of every key read, ``values`` at path ``at``, goes into ``read``.
     """
     scopes = [(values, at)]
     if section in values:
         read.add((*at, section))
         scopes.append((values[section], (*at, section)))
-    updates = {}
+    # the path of each field's key; a field no key sets is named in the innermost scope
+    updates, paths = {}, {f.name: (*scopes[-1][1], f.name) for f in fields(default)}
     for scope, path in scopes:
         for f in fields(default):
             if f.name not in scope:
                 continue
-            read.add((*path, f.name))
+            paths[f.name] = (*path, f.name)
+            read.add(paths[f.name])
             value = scope[f.name]
             if isinstance(value, dict):
                 value = _merged(updates.get(f.name, getattr(default, f.name)), value, read,
-                                at=(*path, f.name))
+                                at=paths[f.name])
             elif isinstance(value, list):
                 value = tuple(value)
             updates[f.name] = value
-    return replace(default, **updates)
+    try:
+        return replace(default, **updates)
+    except ParameterError as exc:
+        raise ParameterError(exc.message, (*paths[exc.field[0]], *exc.field[1:])) from None
 
 
 def _unread(values: dict, read: set, at: tuple = ()) -> list[tuple]:
@@ -198,6 +186,13 @@ class RunConfig:
     master_seed: int = 0
     n_seeds: int = 5
     output_dir: str = "results"
+
+    def __post_init__(self):
+        # the seed streams reduce a seed mod 2**64: a larger one would alias a smaller
+        check_bounds("master_seed", self.master_seed, ge=0, lt=2**64)
+        check_bounds("n_seeds", self.n_seeds, ge=1, le=50)
+        if not self.output_dir:
+            raise ParameterError(f"{self.output_dir!r} should be non-empty", "output_dir")
 
     @property
     def seeds(self) -> tuple[int, ...]:
@@ -225,17 +220,16 @@ def _task(cfg: dict, read: set, pipeline: str) -> tuple[str, ShiftSpec]:
     read.add(("task", "kind"))
     if kind not in kinds:
         raise ParameterError(f"task kind {kind!r} does not apply to the {pipeline} pipeline; "
-                             f"choose from {', '.join(kinds)}")
+                             f"choose from {', '.join(kinds)}", ("task", "kind"))
     return kind, _merged(_SPECS[kind](), cfg, read, "task")
 
 
 def _class_split(task: TransferTask) -> tuple[TransferTask, TransferTask]:
-    """``make_class_split_tasks(task)``; a split with no row of one side is
-    a configuration error."""
+    """``make_class_split_tasks(task)``, refusing a split with no row of one side."""
     try:
         return make_class_split_tasks(task)
     except ParameterError as exc:
-        raise ParameterError(f"field task/n_per_env: {exc}") from None
+        raise ParameterError(exc.message, ("task", "n_per_env")) from None
 
 
 def _transfer_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[RunRecord]]:
@@ -248,7 +242,7 @@ def _transfer_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], lis
     kind, spec = _task(cfg, read, "transfer")
     if tc.target not in _TARGETS[kind]:
         raise ParameterError(f"target {tc.target!r} does not apply to a {kind!r} task; "
-                             f"choose from {', '.join(_TARGETS[kind])}")
+                             f"choose from {', '.join(_TARGETS[kind])}", "target")
     if tc.target != "ood_sample":  # only the OOD sample is drawn with target_rows rows
         read.discard(("target_rows",))
     pretrain = target = make_shift_task(spec, run.master_seed + 2)
@@ -269,9 +263,9 @@ def _fewshot_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list
     # episodes draw from the novel classes of the split
     n_novel = spec.n_classes - split_point(spec.n_classes)
     if episode_spec.n_way > n_novel:
-        raise ParameterError(f"field fewshot/n_way: a {episode_spec.n_way}-way episode needs "
-                             f"{episode_spec.n_way} novel classes, a {spec.n_classes}-class "
-                             f"task has {n_novel}")
+        raise ParameterError(f"a {episode_spec.n_way}-way episode needs {episode_spec.n_way} "
+                             f"novel classes, a {spec.n_classes}-class task has {n_novel}",
+                             ("fewshot", "n_way"))
     # only the pooled training environments: few-shot reads no test split;
     # drawing them is cheap, and tells how many rows each novel class has
     train = pool(gen_shift(spec, run.master_seed + 2)[0])
@@ -281,10 +275,9 @@ def _fewshot_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list
     if counts.min() < need:
         c = int(counts.argmin())
         raise ParameterError(
-            f"field fewshot/n_query: an episode takes {need} rows of each class "
-            f"({episode_spec.k_shot} support, {episode_spec.n_query} query); class "
-            f"{spec.n_classes - n_novel + c} of the {spec.n_classes}-class task has "
-            f"{counts[c]} training rows")
+            f"an episode takes {need} rows of each class ({episode_spec.k_shot} support, "
+            f"{episode_spec.n_query} query); class {spec.n_classes - n_novel + c} of the "
+            f"{spec.n_classes}-class task has {counts[c]} training rows", ("fewshot", "n_query"))
     return lambda: run_fewshot(base, novel.train, episode_spec, fc, run_id="fewshot")
 
 
@@ -301,8 +294,8 @@ def _ood_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[Run
     _, spec = _task(cfg, read, "ood")
     n_rows = spec.n_per_env * len(spec.env_correlations)
     if oc.tune_mode == "iid" and oc.n_hold(n_rows) >= n_rows:
-        raise ParameterError(f"field ood/holdout_frac: {oc.holdout_frac!r} holds out all "
-                             f"{n_rows} pooled training rows and leaves none to train on")
+        raise ParameterError(f"{oc.holdout_frac!r} holds out all {n_rows} pooled training "
+                             "rows and leaves none to train on", ("ood", "holdout_frac"))
     if oc.algorithm == "erm":  # erm trains at beta 0 alone
         read.discard(("ood", "beta_grid"))
     if oc.tune_mode == "ood":  # the tune environment scores the candidates, no row is held out
@@ -344,32 +337,33 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
     try:
         text = Path(config_path).read_text()
     except OSError as exc:
-        return _config_error(str(exc))
+        return _field_errors([((), str(exc))])
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
-        return _config_error(f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    schema = load_schema()
-    errors = schema_errors(cfg, schema)
-    if not errors:  # the command-line overrides are config values, checked the same way
-        cfg.update({key: value for key, value in (("master_seed", seed), ("output_dir", out))
-                    if value is not None})
-        errors = schema_errors(cfg, schema)
+        return _field_errors([((), f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}")])
+    errors = schema_errors(cfg, load_schema())
     if errors:
         return _field_errors(errors)
+    overrides = {key: value for key, value in (("master_seed", seed), ("output_dir", out))
+                 if value is not None}
     # the schema checks the version; this reads the pipeline
     read = {("schema_version",), ("pipeline",)}
-    run = _merged(RunConfig(), cfg, read)
-    out_dir = Path(run.output_dir)
-
     pipeline = cfg["pipeline"]
+    # verify runs the property suites at master_seed, and draws no seed groups
+    run_keys = ("master_seed", "output_dir") + (() if pipeline == "verify" else ("n_seeds",))
     # every config dataclass is built before any pipeline work, so a value
     # that one rejects, or a key that none reads, is a configuration error,
     # not a runtime failure or a setting that silently does nothing
     try:
+        # the config's own values are checked, then the command-line overrides
+        for values in (cfg, overrides):
+            cfg.update(values)
+            run = _merged(RunConfig(), {key: cfg[key] for key in run_keys if key in cfg}, read)
         work = _PIPELINES[pipeline](cfg, run, read) if pipeline in _PIPELINES else None
     except ParameterError as exc:
-        return _config_error(str(exc))
+        return _field_errors([(exc.field, exc.message)])
+    out_dir = Path(run.output_dir)
     unread = _unread(cfg, read)
     if unread:
         return _field_errors([(path, f"the {pipeline} pipeline does not read this key")
@@ -394,7 +388,7 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
             "config_hash": sha256(
                 json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
             "master_seed": run.master_seed,
-            "seeds": list(run.seeds),
+            "seeds": [] if work is None else list(run.seeds),
             "results": "results.csv",
         }
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -470,7 +464,11 @@ def cmd_report(csv_path: str, kind: str = "table") -> int:
 
 
 def cmd_verify(seed: int = 0) -> int:
-    """Run every property suite; exit 0 only if all pass."""
+    """Run every property suite; exit 0 only if all pass, 2 if RunConfig refuses ``seed``."""
+    try:
+        RunConfig(master_seed=seed)
+    except ParameterError as exc:
+        return _field_errors([(exc.field, exc.message)])
     results = verify_mod.run_all(seed)
     failed = []
     for r in results:

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import NumericalError, ParameterError, TrainingError
+from ..errors import NumericalError, ParameterError, TrainingError, check_bounds
 from ..rng import shuffle_rng
 
 
@@ -28,9 +28,9 @@ class Schedule:
 
     def __post_init__(self):
         if self.kind not in ("constant", "step", "cosine"):
-            raise ParameterError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "step" and self.every < 1:
-            raise ParameterError("step schedule needs every >= 1")
+            raise ParameterError(f"unknown schedule kind {self.kind!r}", "kind")
+        check_bounds("factor", self.factor, gt=0)
+        check_bounds("every", self.every, ge=1)
 
 
 def lr_at(schedule: Schedule, base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -53,16 +53,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.lr) or self.lr <= 0:
-            raise ParameterError(f"lr must be positive and finite, got {self.lr}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ParameterError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0 or not np.isfinite(self.weight_decay):
-            raise ParameterError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if self.epochs < 0:
-            raise ParameterError(f"epochs must be nonnegative, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be positive, got {self.batch_size}")
+        check_bounds("lr", self.lr, gt=0)
+        check_bounds("epochs", self.epochs, ge=0)
+        check_bounds("batch_size", self.batch_size, ge=1)
+        check_bounds("momentum", self.momentum, ge=0, lt=1)
+        check_bounds("weight_decay", self.weight_decay, ge=0)
 
     def with_seed(self, seed: int) -> "TrainConfig":
         return replace(self, seed=seed)

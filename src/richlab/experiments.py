@@ -35,7 +35,8 @@ from .core_nn.layers import (
 from .core_nn.losses import cross_entropy_loss, log_softmax
 from .core_nn.optim import Schedule, TrainConfig, sgd_fit, sgd_step
 from .core_nn.train import accuracy, network_loss_grad
-from .errors import DataError, NumericalError, ParameterError, TrainingError, named
+from .errors import (DataError, NumericalError, ParameterError, TrainingError, check_bounds,
+                     check_items, named)
 from .probing import ProbeCache, ProbeConfig, fit_probe
 from .rng import SplitMix64, derive_seed
 from .richrep import (
@@ -376,19 +377,19 @@ def methods_of(pipeline: str) -> tuple[str, ...]:
     return tuple(name for name, m in METHODS.items() if pipeline in m.pipelines)
 
 
-def _check_methods(pipeline: str, methods, allowed, n_episodes: int) -> None:
-    """Refuse a method the pipeline does not take, a method named twice, and
-    an empty bank."""
-    unknown = [m for m in methods if m not in allowed]
+def _check_bank(pipeline: str, cfg, allowed) -> None:
+    """Refuse no, unknown or repeated methods, an empty or 0-wide trunk, 0 or over 50 episodes."""
+    check_items("methods", cfg.methods)
+    unknown = [m for m in cfg.methods if m not in allowed]
     if unknown:
         raise ParameterError(f"unknown {pipeline} method(s) {', '.join(map(repr, unknown))}; "
-                             f"choose from {', '.join(allowed)}")
-    repeated = sorted({m for m in methods if methods.count(m) > 1})
+                             f"choose from {', '.join(allowed)}", "methods")
+    repeated = sorted({m for m in cfg.methods if cfg.methods.count(m) > 1})
     if repeated:
         raise ParameterError(f"{pipeline} method(s) {', '.join(map(repr, repeated))} "
-                             "named more than once")
-    if n_episodes < 1:
-        raise ParameterError("n_episodes must be positive")
+                             "named more than once", "methods")
+    check_bounds("n_episodes", cfg.n_episodes, ge=1, le=50)
+    check_items("hidden", cfg.hidden, ge=1)
 
 
 def _start(m: Method, banks: dict, data: Dataset, cfg, seed: int, episode_offset: int = 0):
@@ -460,7 +461,10 @@ class TransferConfig:
     target_rows: int = 120
 
     def __post_init__(self):
-        _check_methods("transfer", self.methods, methods_of("transfer"), self.n_episodes)
+        _check_bank("transfer", self, methods_of("transfer"))
+        check_bounds("stage2_epochs", self.stage2_epochs, ge=0)
+        check_bounds("stage2_lr", self.stage2_lr, gt=0)
+        check_bounds("target_rows", self.target_rows, ge=10)
 
 
 def _probe_records(records, run_id, seed, method, task: TransferTask,
@@ -530,24 +534,24 @@ class FewshotConfig:
     seeds: tuple[int, ...] = (101, 202, 303, 404, 505)
 
     def __post_init__(self):
-        _check_methods("few-shot", self.methods, methods_of("fewshot"), self.n_episodes)
+        _check_bank("few-shot", self, methods_of("fewshot"))
         if self.classifier not in ("linear", "cosine"):
-            raise ParameterError(f"unknown classifier {self.classifier!r}")
-        if self.n_episodes_eval < 2:
-            raise ParameterError("n_episodes_eval must be at least 2 for a ddof=1 std over "
-                                 f"episodes, got {self.n_episodes_eval}")
-        snapshot_methods = [name for name, m in METHODS.items() if m.start is _snapshot_bank]
-        if set(snapshot_methods) & set(self.methods):
-            names = ", ".join(snapshot_methods)
-            if self.train.epochs < 1:
-                raise ParameterError(f"snapshot methods ({names}) need train.epochs of "
-                                     f"at least 1, got {self.train.epochs}")
-            # one snapshot per distinct epoch: more would silently give fewer
-            if self.n_snapshots > self.train.epochs:
-                raise ParameterError(
-                    f"snapshot methods ({names}) need n_snapshots of at most "
-                    f"train.epochs, got n_snapshots {self.n_snapshots} and train.epochs "
-                    f"{self.train.epochs}")
+            raise ParameterError(f"unknown classifier {self.classifier!r}", "classifier")
+        # the reported std is the ddof=1 std over the evaluation episodes
+        check_bounds("n_episodes_eval", self.n_episodes_eval, ge=2)
+        check_bounds("n_snapshots", self.n_snapshots, ge=1)
+        check_bounds("snapshot_lr_mult", self.snapshot_lr_mult, gt=0)
+        snapshots = [name for name, m in METHODS.items() if m.start is _snapshot_bank]
+        if not set(snapshots) & set(self.methods):
+            return
+        need, epochs = f"snapshot methods ({', '.join(snapshots)}) need", self.train.epochs
+        if epochs < 1:
+            raise ParameterError(f"{need} train.epochs of at least 1, got {epochs}",
+                                 ("train", "epochs"))
+        # one snapshot per distinct epoch: more would silently give fewer
+        if self.n_snapshots > epochs:
+            raise ParameterError(f"{need} n_snapshots of at most train.epochs, got n_snapshots "
+                                 f"{self.n_snapshots} and train.epochs {epochs}", "n_snapshots")
 
 
 def fit_cosine_classifier(feats, y, n_classes: int, seed: int, lr: float = 0.1,
@@ -660,24 +664,25 @@ class OodConfig:
 
     def __post_init__(self):
         if self.algorithm not in ("erm", "vrex"):
-            raise ParameterError(f"unknown algorithm {self.algorithm!r}")
+            raise ParameterError(f"unknown algorithm {self.algorithm!r}", "algorithm")
         if self.init != "scratch" and self.init not in methods_of("ood"):
-            raise ParameterError(f"unknown init {self.init!r}")
+            raise ParameterError(f"unknown init {self.init!r}", "init")
         if self.tune_mode not in ("iid", "ood"):
-            raise ParameterError(f"unknown tune mode {self.tune_mode!r}")
-        # the grids the candidates are drawn from: erm trains at beta 0 alone
-        grids = {"beta_grid": self.beta_grid} if self.algorithm == "vrex" else {}
-        for name, grid in {**grids, "lr_grid": self.lr_grid, "wd_grid": self.wd_grid}.items():
-            if not grid:
-                raise ParameterError(f"{name} must be nonempty")
+            raise ParameterError(f"unknown tune mode {self.tune_mode!r}", "tune_mode")
+        # the grids the candidates are drawn from, and their bounds: erm trains at beta 0 alone
+        grids = {"beta_grid": {"gt": 0}} if self.algorithm == "vrex" else {}
+        for name, bounds in {**grids, "lr_grid": {"gt": 0}, "wd_grid": {"ge": 0}}.items():
+            grid = getattr(self, name)
+            check_items(name, grid, **bounds)
             # config ids print values with :g: two alike would name two candidates the same
             ids = [f"{v:g}" for v in grid]
             for i, v in enumerate(grid):
                 if ids[i] in ids[:i]:
                     raise ParameterError(f"{name} value {v!r} prints as {ids[i]!r} in "
-                                         f"config ids, as an earlier value does")
-        if not (0.0 < self.holdout_frac < 1.0):
-            raise ParameterError("holdout_frac must lie in (0, 1)")
+                                         "config ids, as an earlier value does", (name, i))
+        check_bounds("steps", self.steps, ge=1)
+        check_items("hidden", self.hidden, ge=1)
+        check_bounds("holdout_frac", self.holdout_frac, gt=0, lt=1)
 
     def n_hold(self, n_rows: int) -> int:
         """Rows that iid tuning holds out of ``n_rows`` pooled training rows."""

@@ -47,7 +47,7 @@ import numpy as np
 
 from .core_nn.layers import as_feature_matrix
 from .core_nn.losses import log_softmax
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError, check_bounds
 from .rng import SplitMix64
 
 try:
@@ -70,12 +70,9 @@ class ProbeConfig:
     standardize: bool = False
 
     def __post_init__(self):
-        if not np.isfinite(self.l2) or self.l2 < 0:
-            raise ParameterError(f"l2 must be nonnegative and finite, got {self.l2}")
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be positive")
-        if not np.isfinite(self.grad_tol) or self.grad_tol <= 0:
-            raise ParameterError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+        check_bounds("l2", self.l2, ge=0)
+        check_bounds("max_iters", self.max_iters, ge=1)
+        check_bounds("grad_tol", self.grad_tol, gt=0)
 
 
 @dataclass

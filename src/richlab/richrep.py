@@ -38,7 +38,7 @@ from .core_nn.losses import (
 )
 from .core_nn.optim import TrainConfig, sgd_fit
 from .core_nn.train import train
-from .errors import ParameterError, ShapeError, TrainingError, named
+from .errors import ParameterError, ShapeError, TrainingError, check_bounds, check_items, named
 # fit_probe is imported, not called: perfbench/tests checks that its tracer wraps it
 from .probing import ProbeCache, ProbeResult, fit_probe
 from .rng import SplitMix64, derive_seed
@@ -124,13 +124,10 @@ class DistillSpec:
 
     def __post_init__(self):
         if self.mode not in ("kl", "ce_kl", "cosine"):
-            raise ParameterError(f"unknown distillation mode {self.mode!r}")
-        if self.tau <= 0:
-            raise ParameterError("temperature must be positive")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ParameterError("alpha must lie in [0, 1]")
-        if not self.student_arch:
-            raise ParameterError("student_arch must list at least one width")
+            raise ParameterError(f"unknown distillation mode {self.mode!r}", "mode")
+        check_bounds("tau", self.tau, gt=0)
+        check_bounds("alpha", self.alpha, ge=0, le=1)
+        check_items("student_arch", self.student_arch, ge=1)
 
 
 def init_trunk(sizes, seed: int) -> Network:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_nn.layers import as_feature_matrix
-from .errors import DataError, ParameterError, SamplingError, ShapeError
+from .errors import DataError, ParameterError, SamplingError, ShapeError, check_bounds, check_items
 from .rng import SplitMix64
 
 
@@ -69,27 +69,18 @@ class ShiftSpec:
     n_per_env: int
 
     def __post_init__(self):
-        k = self.n_classes
-        if k < 2:
-            raise ParameterError("need at least 2 classes")
-        if self.d_core < k or self.d_spur < k:
-            raise ParameterError(
-                "core and spurious blocks need one prototype dimension per class "
-                f"(d_core={self.d_core}, d_spur={self.d_spur}, classes={k})"
-            )
-        if self.d_noise < 0:
-            raise ParameterError("d_noise must be nonnegative")
-        if self.core_scale <= 0 or self.spur_scale <= 0:
-            raise ParameterError("prototype scales must be positive")
-        if self.noise_std < 0:
-            raise ParameterError("noise_std must be nonnegative")
-        if not self.env_correlations:
-            raise ParameterError("need at least one training environment")
-        for rho in (*self.env_correlations, self.ood_correlation):
-            if not (0.0 <= rho <= 1.0):
-                raise ParameterError(f"correlations must lie in [0, 1], got {rho}")
-        if self.n_per_env < 1:
-            raise ParameterError("n_per_env must be positive")
+        check_bounds("n_classes", self.n_classes, ge=2)
+        for name in ("d_core", "d_spur"):
+            if getattr(self, name) < self.n_classes:
+                raise ParameterError("a block needs one prototype dimension per class, got "
+                                     f"{getattr(self, name)} for {self.n_classes} classes", name)
+        check_bounds("d_noise", self.d_noise, ge=0)
+        check_bounds("core_scale", self.core_scale, gt=0)
+        check_bounds("spur_scale", self.spur_scale, gt=0)
+        check_bounds("noise_std", self.noise_std, ge=0)
+        check_items("env_correlations", self.env_correlations, ge=0, le=1)
+        check_bounds("ood_correlation", self.ood_correlation, ge=0, le=1)
+        check_bounds("n_per_env", self.n_per_env, ge=1)
 
     @property
     def d(self) -> int:
@@ -172,8 +163,9 @@ class EpisodeSpec:
     n_query: int = 15
 
     def __post_init__(self):
-        if self.n_way < 2 or min(self.k_shot, self.n_query) < 1:
-            raise ParameterError("n_way must be at least 2, k_shot and n_query positive")
+        check_bounds("n_way", self.n_way, ge=2)
+        check_bounds("k_shot", self.k_shot, ge=1)
+        check_bounds("n_query", self.n_query, ge=1)
 
 
 def sample_episode(novel: Dataset, spec: EpisodeSpec, rng: SplitMix64) -> np.ndarray:

@@ -62,6 +62,8 @@ def test_run_unknown_key_rejected(tmp_path, capsys):
     # only an ood_sample target is drawn with target_rows rows
     ("transfer-ood-sample", {"target": "same"}, ["target_rows"]),
     ("transfer-novel", {"target_rows": 70}, ["target_rows"]),
+    # the property suites run at master_seed alone
+    ("verify", {"n_seeds": 50}, ["n_seeds"]),
 ])
 def test_run_refuses_a_key_its_pipeline_does_not_read(tmp_path, capsys, base, extra, unread):
     from test_pipeline_bytes import CASES, OOD
@@ -84,9 +86,14 @@ def test_run_missing_file(capsys):
     assert cli.cmd_run("/nonexistent/config.json") == 2
 
 
-# (keyword, config, the errors the config breaks the schema by, as
-# "path: message"); the errors are those jsonschema's Draft7Validator gave,
-# which also holds for the stricter integer and number types here
+# (rule, config, the errors the config breaks it by, as "path: message").
+# A rule is a schema keyword, or the name of a bound the schema once held
+# and a config dataclass now checks (BOUNDS), with the schema's message.
+# The schema errors are those jsonschema's Draft7Validator gave, which also
+# holds for the stricter integer and number types here; a config with one
+# prints them all, sorted by path, and builds no dataclass
+BOUNDS = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum", "minLength",
+          "minItems"}
 SCHEMA_CASES = [
     ("type", {"pipeline": "verify", "master_seed": True},
      ["master_seed: True is not of type 'integer'"]),
@@ -110,37 +117,32 @@ SCHEMA_CASES = [
                               "task": {"kind": "shift", "n_class": 3}},
      ["task: Additional properties are not allowed ('n_class' was unexpected)",
       "train/schedule: Additional properties are not allowed ('evry' was unexpected)"]),
-    ("properties", {"master_seed": -1, "tyop": 1},
+    ("properties", {"master_seed": "x", "tyop": 1},
      ["<root>: Additional properties are not allowed ('tyop' was unexpected)",
       "<root>: 'pipeline' is a required property",
-      "master_seed: -1 is less than the minimum of 0"]),
-    ("items", {"pipeline": "transfer", "hidden": [4, 0, "x", True]},
-     ["hidden/1: 0 is less than the minimum of 1", "hidden/2: 'x' is not of type 'integer'",
+      "master_seed: 'x' is not of type 'integer'"]),
+    ("items", {"pipeline": "transfer", "hidden": [4, 0.5, "x", True]},
+     ["hidden/1: 0.5 is not of type 'integer'", "hidden/2: 'x' is not of type 'integer'",
       "hidden/3: True is not of type 'integer'"]),
     # paths sort with their indices as numbers: 2 before 10
-    ("items", {"pipeline": "transfer", "hidden": [1, 1, 0, 1, 1, 1, 1, 1, 1, 1, -1]},
-     ["hidden/2: 0 is less than the minimum of 1", "hidden/10: -1 is less than the minimum of 1"]),
+    ("items", {"pipeline": "transfer", "hidden": [1, 1, "a", 1, 1, 1, 1, 1, 1, 1, "b"]},
+     ["hidden/2: 'a' is not of type 'integer'", "hidden/10: 'b' is not of type 'integer'"]),
     ("minimum", {"pipeline": "transfer", "probe": {"l2": -0.5}},
      ["probe/l2: -0.5 is less than the minimum of 0"]),
-    ("maximum", {"pipeline": "verify", "n_seeds": 51, "n_episodes": 50,
+    # the dataclasses are built one at a time, and the first refusal ends the run
+    ("maximum", {"pipeline": "transfer", "n_seeds": 51, "n_episodes": 50,
                  "distill": {"alpha": 1.5}},
-     ["distill/alpha: 1.5 is greater than the maximum of 1",
-      "n_seeds: 51 is greater than the maximum of 50"]),
-    ("exclusiveMinimum", {"pipeline": "transfer", "train": {"lr": 0}, "stage2_lr": 0.0},
-     ["stage2_lr: 0.0 is less than or equal to the minimum of 0",
-      "train/lr: 0 is less than or equal to the minimum of 0"]),
-    ("exclusiveMaximum", {"pipeline": "ood", "ood": {"holdout_frac": 1},
-                          "train": {"momentum": 1.0}},
-     ["ood/holdout_frac: 1 is greater than or equal to the maximum of 1",
-      "train/momentum: 1.0 is greater than or equal to the maximum of 1"]),
+     ["n_seeds: 51 is greater than the maximum of 50"]),
+    ("exclusiveMinimum", {"pipeline": "transfer", "stage2_lr": 0.0},
+     ["stage2_lr: 0.0 is less than or equal to the minimum of 0"]),
+    ("exclusiveMaximum", {"pipeline": "ood", "ood": {"holdout_frac": 1}},
+     ["ood/holdout_frac: 1 is greater than or equal to the maximum of 1"]),
     ("minLength", {"pipeline": "verify", "output_dir": ""}, ["output_dir: '' should be non-empty"]),
     ("minItems", {"pipeline": "transfer", "methods": [], "task": {"env_correlations": []}},
-     ["methods: [] should be non-empty", "task/env_correlations: [] should be non-empty"]),
+     ["methods: [] should be non-empty"]),
     ("$ref", {"pipeline": "transfer", "train": {"schedule": {"every": 0}},
               "ft": {"schedule": {"kind": "linear"}}, "distill_train": {"epochs": -1}},
-     ["distill_train/epochs: -1 is less than the minimum of 0",
-      "ft/schedule/kind: 'linear' is not one of ['constant', 'step', 'cosine']",
-      "train/schedule/every: 0 is less than the minimum of 1"]),
+     ["ft/schedule/kind: 'linear' is not one of ['constant', 'step', 'cosine']"]),
     # a run writes only what it measured: no published reference numbers
     ("enum", {"pipeline": "transfer", "include_anchors": True},
      ["include_anchors: True is not one of [False]"]),
@@ -216,9 +218,15 @@ def _schema_keywords(schema: dict) -> set[str]:
 def test_every_schema_keyword_is_implemented_and_has_a_case():
     # a schema edit that uses a new keyword fails here until the validator has it
     keywords = _schema_keywords(cli.load_schema()) - cli._ANNOTATIONS
-    assert keywords == {keyword for keyword, _, _ in SCHEMA_CASES}
+    assert keywords == {"type", "enum", "required", "properties", "additionalProperties",
+                        "items", "$ref"}
+    assert keywords == {rule for rule, _, _ in SCHEMA_CASES} - BOUNDS
     with pytest.raises(ValueError, match="'maxLength'"):
         cli.schema_errors("abc", {"maxLength": 2})
+    # a bound is a config dataclass's to check
+    for keyword in BOUNDS:
+        with pytest.raises(ValueError, match=f"'{keyword}'"):
+            cli.schema_errors(0, {keyword: 1})
     with pytest.raises(ValueError, match="'additionalProperties'"):
         cli.schema_errors({}, {"additionalProperties": True})
 
@@ -436,11 +444,156 @@ def test_run_checks_the_command_line_overrides_against_the_schema(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
-def _refuse_work(monkeypatch):
-    def work(*args, **kwargs):
-        raise AssertionError("the pipeline ran")
+@pytest.mark.parametrize("config,flags", [
+    ({"master_seed": 2**64}, []), ({}, ["--seed", str(2**64)]),
+    # the config's own value is checked before the command line overrides it
+    ({"master_seed": 2**64}, ["--seed", "0"]),
+], ids=["config", "flag", "overridden"])
+def test_run_refuses_a_master_seed_the_seed_streams_would_alias(tmp_path, capsys, monkeypatch,
+                                                                config, flags):
+    # SplitMix64 and derive_seed reduce a seed mod 2**64, so 2**64 would run as 0
+    _refuse_work(monkeypatch)
+    cfg = write_config(tmp_path, **dict(FAST_TRANSFER, **config))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: field master_seed: {2**64} is greater than or equal to the maximum "
+        f"of {2**64}\n")
+    assert not (tmp_path / "out").exists()
+    assert cli.RunConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed,message", [
+    (-1, "-1 is less than the minimum of 0"),
+    (2**64, f"{2**64} is greater than or equal to the maximum of {2**64}"),
+], ids=["-1", "2**64"])
+def test_verify_refuses_a_seed_outside_the_seed_streams(capsys, monkeypatch, seed, message):
+    # --seed -1 printed the bytes of 2**64 - 1, and --seed 2**64 those of 0
+    monkeypatch.setattr(cli.verify_mod, "run_all", lambda seed: pytest.fail("suites ran"))
+    assert cli.main(["verify", "--seed", str(seed)]) == 2
+    assert capsys.readouterr() == ("", f"config error: field master_seed: {message}\n")
+
+
+def test_a_verify_manifest_lists_no_seed_groups(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.verify_mod, "run_all", lambda seed: [])
+    cfg = write_config(tmp_path, pipeline="verify", master_seed=7)
+    assert cli.cmd_run(cfg, out=str(tmp_path / "out")) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (manifest["master_seed"], manifest["seeds"]) == (7, [])
+
+
+# a value of each config section that its dataclass refuses, after a valid
+# schema check, as "path: message"
+BOUND_CASES = [
+    ({"master_seed": -1}, "master_seed: -1 is less than the minimum of 0"),
+    ({"hidden": [4, 0]}, "hidden/1: 0 is less than the minimum of 1"),
+    ({"train": {"lr": 0}}, "train/lr: 0 is less than or equal to the minimum of 0"),
+    ({"train": {"momentum": 1.0}},
+     "train/momentum: 1.0 is greater than or equal to the maximum of 1"),
+    ({"train": {"schedule": {"every": 0}}},
+     "train/schedule/every: 0 is less than the minimum of 1"),
+    ({"distill_train": {"epochs": -1}}, "distill_train/epochs: -1 is less than the minimum of 0"),
+    ({"distill": {"alpha": 1.5}}, "distill/alpha: 1.5 is greater than the maximum of 1"),
+    ({"task": {"env_correlations": []}}, "task/env_correlations: [] should be non-empty"),
+    ({"task": {"env_correlations": [0.9, 1.5]}},
+     "task/env_correlations/1: 1.5 is greater than the maximum of 1"),
+    ({"task": {"d_core": 2}},
+     "task/d_core: a block needs one prototype dimension per class, got 2 for 3 classes"),
+]
+
+
+@pytest.mark.parametrize("config,line", BOUND_CASES, ids=[line.partition(":")[0]
+                                                          for _, line in BOUND_CASES])
+def test_run_refuses_a_value_its_dataclass_bounds_before_any_work(tmp_path, capsys,
+                                                                   monkeypatch, config, line):
+    _refuse_work(monkeypatch)
+    cfg = dict(FAST_TRANSFER, **config)
+    if "task" in config:
+        cfg["task"] = dict(FAST_TRANSFER["task"], **config["task"])
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"config error: field {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# each value the config dataclasses accepted while the schema held their
+# bounds, and the refusal they now raise
+DATACLASS_CASES = [
+    ("RunConfig", {"master_seed": -1}, "master_seed: -1 is less than the minimum of 0"),
+    ("RunConfig", {"n_seeds": 0}, "n_seeds: 0 is less than the minimum of 1"),
+    ("RunConfig", {"n_seeds": 51}, "n_seeds: 51 is greater than the maximum of 50"),
+    ("RunConfig", {"output_dir": ""}, "output_dir: '' should be non-empty"),
+    ("TransferConfig", {"n_episodes": 51}, "n_episodes: 51 is greater than the maximum of 50"),
+    ("TransferConfig", {"methods": ()}, "methods: [] should be non-empty"),
+    ("TransferConfig", {"hidden": ()}, "hidden: [] should be non-empty"),
+    ("TransferConfig", {"hidden": (0,)}, "hidden/0: 0 is less than the minimum of 1"),
+    ("TransferConfig", {"target_rows": 9}, "target_rows: 9 is less than the minimum of 10"),
+    ("TransferConfig", {"stage2_epochs": -1}, "stage2_epochs: -1 is less than the minimum of 0"),
+    ("TransferConfig", {"stage2_lr": 0}, "stage2_lr: 0 is less than or equal to the minimum of 0"),
+    ("Schedule", {"kind": "step", "factor": 0.0, "every": 2},
+     "factor: 0.0 is less than or equal to the minimum of 0"),
+    ("Schedule", {"kind": "cosine", "every": 0}, "every: 0 is less than the minimum of 1"),
+    ("FewshotConfig", {"n_snapshots": 0}, "n_snapshots: 0 is less than the minimum of 1"),
+    ("FewshotConfig", {"snapshot_lr_mult": 0},
+     "snapshot_lr_mult: 0 is less than or equal to the minimum of 0"),
+    ("OodConfig", {"algorithm": "vrex", "beta_grid": (0.0,)},
+     "beta_grid/0: 0.0 is less than or equal to the minimum of 0"),
+    ("OodConfig", {"lr_grid": (0.0,)}, "lr_grid/0: 0.0 is less than or equal to the minimum of 0"),
+    ("OodConfig", {"wd_grid": (-1.0,)}, "wd_grid/0: -1.0 is less than the minimum of 0"),
+    ("OodConfig", {"steps": 0}, "steps: 0 is less than the minimum of 1"),
+    ("OodConfig", {"hidden": ()}, "hidden: [] should be non-empty"),
+    ("DistillSpec", {"student_arch": (0,)}, "student_arch/0: 0 is less than the minimum of 1"),
+]
+
+
+@pytest.mark.parametrize("make,kwargs,message", DATACLASS_CASES, ids=[
+    f"{make}-{message.partition(':')[0]}={message.split()[1]}"
+    for make, _, message in DATACLASS_CASES])
+def test_the_config_dataclasses_refuse_what_the_schema_refused(make, kwargs, message):
+    from richlab import core_nn, experiments, richrep
+
+    make = next(getattr(m, make) for m in (cli, experiments, core_nn, richrep)
+                if hasattr(m, make))
+    with pytest.raises(cli.ParameterError) as info:
+        make(**kwargs)
+    assert str(info.value) == message
+    assert info.value.field == tuple(int(p) if p.isdigit() else p
+                                     for p in message.partition(":")[0].split("/"))
+
+
+def test_the_readme_config_examples_pass_every_config_check(tmp_path, capsys, monkeypatch):
+    # a bound moved out of the schema must not leave the documented examples invalid
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.partition("## Command line")[2].partition("\n## ")[0]
+    examples = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+    assert [example["pipeline"] for example in examples] == ["verify", "transfer"]
+    seen = []
+    for runner in ("run_transfer", "run_fewshot", "run_ood"):
+        monkeypatch.setattr(cli, runner, lambda *args, runner=runner, **kw: seen.append(runner)
+                            or [])
+    monkeypatch.setattr(cli.verify_mod, "run_all", lambda seed: seen.append("verify") or [])
+    monkeypatch.chdir(tmp_path)
+    for example in examples:
+        assert cli.cmd_run(write_config(tmp_path, **example)) == 0, capsys.readouterr().err
+    assert seen == ["verify", "run_transfer"]
+    assert (tmp_path / example["output_dir"] / "results.csv").exists()
+
+
+def record_work(monkeypatch, calls: list, run: bool = False):
+    """Make each pipeline runner append its name to ``calls``, then run the
+    real runner if ``run``, or fail the test."""
     for runner in ("run_transfer", "run_fewshot", "run_ood", "_run_verify_pipeline"):
+        def work(*args, runner=runner, real=getattr(cli, runner), **kwargs):
+            calls.append(runner)
+            if not run:
+                raise AssertionError("the pipeline ran")
+            return real(*args, **kwargs)
         monkeypatch.setattr(cli, runner, work)
+
+
+def _refuse_work(monkeypatch):
+    record_work(monkeypatch, [])
 
 
 def test_run_refuses_one_evaluation_episode_before_any_work(tmp_path, capsys, monkeypatch):
@@ -464,8 +617,8 @@ def test_run_refuses_snapshots_of_a_zero_epoch_run_before_any_work(tmp_path, cap
     cfg = dict(FEWSHOT, methods=methods, train=dict(FEWSHOT["train"], epochs=0))
     assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == (
-        "config error: snapshot methods (cat-s, snaps) need train.epochs of at least 1, "
-        "got 0\n")
+        "config error: field train/epochs: snapshot methods (cat-s, snaps) need train.epochs "
+        "of at least 1, got 0\n")
     assert not (tmp_path / "out").exists()
     # without a snapshot method, zero epochs is a valid (untrained) run
     monkeypatch.undo()
@@ -483,8 +636,8 @@ def test_run_refuses_more_snapshots_than_epochs_before_any_work(tmp_path, capsys
     cfg = dict(FEWSHOT, fewshot=dict(FEWSHOT["fewshot"], n_snapshots=5))
     assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == (
-        "config error: snapshot methods (cat-s, snaps) need n_snapshots of at most "
-        "train.epochs, got n_snapshots 5 and train.epochs 3\n")
+        "config error: field fewshot/n_snapshots: snapshot methods (cat-s, snaps) need "
+        "n_snapshots of at most train.epochs, got n_snapshots 5 and train.epochs 3\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -507,7 +660,7 @@ def test_run_refuses_an_ood_grid_with_a_repeated_value_before_any_work(
     cfg["ood"][grid] = values
     assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == (
-        f"config error: {message} in config ids, as an earlier value does\n")
+        f"config error: field ood/{grid}/1: {message} in config ids, as an earlier value does\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -600,7 +753,8 @@ def test_run_refuses_a_repeated_method_before_any_work(tmp_path, capsys, monkeyp
     _refuse_work(monkeypatch)
     cfg = dict(_pinned(pinned), methods=methods)
     assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
-    assert capsys.readouterr().err == f"config error: {repeated} named more than once\n"
+    assert capsys.readouterr().err == (
+        f"config error: field methods: {repeated} named more than once\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -228,7 +228,8 @@ def test_episode_positions_give_the_rows_and_labels_episodes_held_as_copies():
                                                  (5, 5, 0)])
 def test_episode_spec_refuses_fewer_than_two_ways_and_empty_sides(n_way, k_shot, n_query):
     # a one-way episode has one label, so every classifier scores 1.0
-    with pytest.raises(ParameterError, match="n_way must be at least 2"):
+    field = "n_way" if n_way < 2 else "k_shot" if k_shot < 1 else "n_query"
+    with pytest.raises(ParameterError, match=f"^{field}: -?[0-9]+ is less than the minimum of"):
         EpisodeSpec(n_way, k_shot, n_query)
     EpisodeSpec(2, 1, 1)
 
