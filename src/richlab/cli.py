@@ -363,6 +363,9 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
         work = _PIPELINES[pipeline](cfg, run, read) if pipeline in _PIPELINES else None
     except ParameterError as exc:
         return _field_errors([(exc.field, exc.message)])
+    except RichlabError as exc:  # the transfer and few-shot builders draw their task
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
     out_dir = Path(run.output_dir)
     unread = _unread(cfg, read)
     if unread:

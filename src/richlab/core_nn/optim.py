@@ -102,7 +102,8 @@ def sgd_fit(params, loss_and_grad, n_rows: int, config: TrainConfig,
     ``config.seed`` is unused then.
 
     A :class:`NumericalError` from ``loss_and_grad`` or a non-finite
-    gradient or epoch loss raises :class:`TrainingError` naming the epoch.
+    gradient or epoch loss raises :class:`TrainingError` naming the epoch,
+    and with ``seeds`` the first member whose gradient or loss is non-finite.
     """
     velocities = [np.zeros_like(w) for w, _ in params]
     rngs = [shuffle_rng(s) for s in ([config.seed] if seeds is None else seeds)]
@@ -123,8 +124,10 @@ def sgd_fit(params, loss_and_grad, n_rows: int, config: TrainConfig,
                                     epoch=epoch) from exc
             total += loss * idx.shape[-1]
         epoch_loss = total / n_rows
-        if not np.isfinite(epoch_loss).all():
-            raise TrainingError(f"training loss diverged at epoch {epoch}", epoch=epoch)
+        diverged = ~np.isfinite(epoch_loss)
+        if diverged.any():
+            member = "" if seeds is None else f", member {diverged.argmax()}"
+            raise TrainingError(f"training loss diverged at epoch {epoch}{member}", epoch=epoch)
         history.append(epoch_loss)
         if on_epoch_end is not None:
             on_epoch_end(epoch)

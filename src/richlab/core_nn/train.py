@@ -51,8 +51,6 @@ def train(
     X = as_feature_matrix(X)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
-    if n == 0:
-        raise DataError("training data is empty")
     if y.shape != (n,):
         raise DataError(f"labels must be shape ({n},), got {y.shape}")
 

@@ -378,7 +378,8 @@ def methods_of(pipeline: str) -> tuple[str, ...]:
 
 
 def _check_bank(pipeline: str, cfg, allowed) -> None:
-    """Refuse no, unknown or repeated methods, an empty or 0-wide trunk, 0 or over 50 episodes."""
+    """Refuse no, unknown or repeated methods, an empty trunk or one 0 or over 10**4 wide,
+    0 or over 50 episodes."""
     check_items("methods", cfg.methods)
     unknown = [m for m in cfg.methods if m not in allowed]
     if unknown:
@@ -389,7 +390,7 @@ def _check_bank(pipeline: str, cfg, allowed) -> None:
         raise ParameterError(f"{pipeline} method(s) {', '.join(map(repr, repeated))} "
                              "named more than once", "methods")
     check_bounds("n_episodes", cfg.n_episodes, ge=1, le=50)
-    check_items("hidden", cfg.hidden, ge=1)
+    check_items("hidden", cfg.hidden, ge=1, le=10**4)
 
 
 def _start(m: Method, banks: dict, data: Dataset, cfg, seed: int, episode_offset: int = 0):
@@ -464,7 +465,7 @@ class TransferConfig:
         _check_bank("transfer", self, methods_of("transfer"))
         check_bounds("stage2_epochs", self.stage2_epochs, ge=0)
         check_bounds("stage2_lr", self.stage2_lr, gt=0)
-        check_bounds("target_rows", self.target_rows, ge=10)
+        check_bounds("target_rows", self.target_rows, ge=10, le=10**6)
 
 
 def _probe_records(records, run_id, seed, method, task: TransferTask,
@@ -538,7 +539,7 @@ class FewshotConfig:
         if self.classifier not in ("linear", "cosine"):
             raise ParameterError(f"unknown classifier {self.classifier!r}", "classifier")
         # the reported std is the ddof=1 std over the evaluation episodes
-        check_bounds("n_episodes_eval", self.n_episodes_eval, ge=2)
+        check_bounds("n_episodes_eval", self.n_episodes_eval, ge=2, le=10**5)
         check_bounds("n_snapshots", self.n_snapshots, ge=1)
         check_bounds("snapshot_lr_mult", self.snapshot_lr_mult, gt=0)
         snapshots = [name for name, m in METHODS.items() if m.start is _snapshot_bank]
@@ -681,7 +682,7 @@ class OodConfig:
                     raise ParameterError(f"{name} value {v!r} prints as {ids[i]!r} in "
                                          "config ids, as an earlier value does", (name, i))
         check_bounds("steps", self.steps, ge=1)
-        check_items("hidden", self.hidden, ge=1)
+        check_items("hidden", self.hidden, ge=1, le=10**4)
         check_bounds("holdout_frac", self.holdout_frac, gt=0, lt=1)
 
     def n_hold(self, n_rows: int) -> int:
@@ -689,8 +690,8 @@ class OodConfig:
         return max(1, int(round(self.holdout_frac * n_rows)))
 
 
-def _env_objective_fn(y, env_ids, beta):
-    """Closure computing the environment-risk objective and its logit gradient.
+def _env_objective_fn(y, env_ids, beta, n_classes: int):
+    """Closure computing the environment-risk objective and its gradient over ``n_classes`` logits.
 
     The objective equals ``vrex_objective(risks, beta)`` bit for bit: the
     sums and divisions below are the ones ``ndarray.mean`` and
@@ -703,14 +704,11 @@ def _env_objective_fn(y, env_ids, beta):
     groups = [np.flatnonzero(env_of == j) for j in range(len(envs))]
     n_env = len(groups)
     row_count = np.array([len(rows) for rows in groups], dtype=np.float64)[env_of][:, None]
-    label_pos = {}  # n_classes -> (flat label positions, the same split by environment)
+    # the flat position of each row's label logit, and the same split by environment
+    flat = np.arange(len(y)) * n_classes + y
+    env_pos = [flat[rows] for rows in groups]
 
     def loss_fn(logits):
-        n, k = logits.shape
-        if k not in label_pos:
-            flat = np.arange(n) * k + y
-            label_pos[k] = flat, [flat[rows] for rows in groups]
-        flat, env_pos = label_pos[k]
         logp = log_softmax(logits)
         lp = logp.reshape(-1)
         risks = np.empty(n_env)
@@ -742,7 +740,7 @@ def _fit_ood_model(net0: Network, X, y, env_ids, beta, lr, wd, steps):
     net = net0.clone()
     params = layer_params(net.layers)
     velocities = [np.zeros_like(w) for w, _ in params]
-    loss_fn = _env_objective_fn(y, env_ids, beta)
+    loss_fn = _env_objective_fn(y, env_ids, beta, net.n_out)
     for step in range(steps):
         _, grads = network_loss_grad(net, X, loss_fn)
         try:

@@ -37,8 +37,8 @@ from .core_nn.losses import (
     tempered_log_probs,
 )
 from .core_nn.optim import TrainConfig, sgd_fit
-from .core_nn.train import train
-from .errors import ParameterError, ShapeError, TrainingError, check_bounds, check_items, named
+from .core_nn.train import accuracy, train
+from .errors import ParameterError, ShapeError, check_bounds, check_items, named
 # fit_probe is imported, not called: perfbench/tests checks that its tracer wraps it
 from .probing import ProbeCache, ProbeResult, fit_probe
 from .rng import SplitMix64, derive_seed
@@ -127,56 +127,35 @@ class DistillSpec:
             raise ParameterError(f"unknown distillation mode {self.mode!r}", "mode")
         check_bounds("tau", self.tau, gt=0)
         check_bounds("alpha", self.alpha, ge=0, le=1)
-        check_items("student_arch", self.student_arch, ge=1)
+        check_items("student_arch", self.student_arch, ge=1, le=10**4)
 
 
-def init_trunk(sizes, seed: int) -> Network:
-    """Head-less trunk: every layer is relu."""
+def init_trunk(sizes, rng: SplitMix64) -> Network:
+    """Head-less trunk drawn from ``rng``: every layer is relu."""
     sizes = list(sizes)
     if len(sizes) < 2:
         raise ParameterError("trunk sizes must list input and at least one width")
-    rng = SplitMix64(seed)
-    layers = [glorot_layer(sizes[i + 1], sizes[i], rng, "relu") for i in range(len(sizes) - 1)]
-    return Network(layers)
+    return Network([glorot_layer(sizes[i + 1], sizes[i], rng, "relu")
+                    for i in range(len(sizes) - 1)])
 
 
 # ---------------------------------------------------------------------------
 # bank builders
 
-def _train_members(stack: Network, data: Dataset, config: TrainConfig, seeds,
-                   names) -> Network:
-    """The trained copy of ``stack``, member ``i`` on the batch order of ``seeds[i]``.
-
-    One :func:`train` gives each member the bits it would get alone.  A
-    stack stops at the first member to diverge, which need not be the
-    first in order, so on a divergence the members are retrained alone, in
-    order, and the error names ``names[i]`` of the first that diverges, as
-    a loop over them would.
-    """
-    try:
-        return train(stack, data.X, data.y, config, seeds=seeds)[0]
-    except TrainingError as stopped:
-        for i, (seed, name) in enumerate(zip(seeds, names)):
-            alone = Network([DenseLayer(layer.weights[i], layer.bias[i, 0], layer.activation)
-                             for layer in stack.layers])
-            with named(f"{name} diverged: ", seed=seed):
-                train(alone, data.X, data.y, config.with_seed(seed))
-        raise stopped  # not reached: the member that stopped the stack diverges alone
-
-
 def train_episodes(data: Dataset, hidden, base_config: TrainConfig, seeds) -> RepresentationBank:
     """Independently train one episode per seed; everything else identical.
 
     The episodes train as one stack, each on its own seed's initialization
-    and batch order, bit for bit as one at a time.
+    and batch order, bit for bit as one at a time.  A divergence stops the
+    stack, and its error names the member, episode ``i`` of ``seeds``.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ParameterError("need at least one seed")
     sizes = [data.d, *hidden, data.n_classes]
     stack = stack_nets(init_network(sizes, seed=s) for s in seeds)
-    return _headed_bank(_train_members(stack, data, base_config, seeds,
-                                       [f"episode with seed {s}" for s in seeds]))
+    with named("episode bank diverged: "):
+        return _headed_bank(train(stack, data.X, data.y, base_config, seeds=seeds)[0])
 
 
 def snapshot_episode(data: Dataset, hidden, config: TrainConfig,
@@ -246,11 +225,9 @@ def distill(bank: RepresentationBank, spec: DistillSpec, data: Dataset,
     teachers' targets are their own-head logits for kl and ce_kl, and
     their features for cosine.
     """
-    if data.n == 0:
-        raise ParameterError("distillation data is empty")
     X, y = data.X, data.y
     target = extract_features(bank.trunk, X) if spec.mode == "cosine" else leg_logits(bank, X)
-    trunk = init_trunk([data.d, *spec.student_arch], seed=config.seed)
+    trunk = init_trunk([data.d, *spec.student_arch], SplitMix64(config.seed))
     rng = SplitMix64(config.seed)
     head = stack_layers([glorot_layer(target.shape[-1], trunk.n_out, rng)
                          for _ in range(len(bank))])
@@ -336,11 +313,8 @@ def joint_train(data: Dataset, hidden, n_legs: int,
     if n_legs < 1:
         raise ParameterError("need at least one leg")
     rng = SplitMix64(config.seed)
-    sizes = [data.d, *hidden]
-    legs = stack_nets([Network([glorot_layer(sizes[i + 1], sizes[i], rng, "relu")
-                                for i in range(len(sizes) - 1)])
-                       for _ in range(n_legs)])
-    head = glorot_layer(data.n_classes, n_legs * sizes[-1], rng)
+    legs = stack_nets([init_trunk([data.d, *hidden], rng) for _ in range(n_legs)])
+    head = glorot_layer(data.n_classes, legs.n_out * n_legs, rng)
     legs = _train_multileg(legs, head, data.X, data.y, config, "joint training")
     return RepresentationBank(legs), head
 
@@ -365,52 +339,35 @@ def two_stage_finetune(
     """Fine-tune each leg separately, freeze, then train a concatenated head.
 
     Stage 1 trains every member with its own fresh classifier on the
-    target data; the legs train as one stack.  Stage 2
-    initializes the final classifier from the stacked leg classifiers (so
-    before any step its logits equal the mean of the leg logits) and
-    trains it briefly on frozen features.
+    target data; the legs train as one stack, and a divergence names the
+    leg as its member.  Stage 2 initializes the final classifier from the
+    stacked leg classifiers (so before any step its logits equal the mean
+    of the leg logits) and trains it briefly on frozen features; with 0
+    epochs it takes no step.
     """
     leg_seeds = [derive_seed(ft_config.seed, i) for i in range(len(bank))]
     heads = stack_layers([glorot_layer(data.n_classes, bank.trunk.n_out, SplitMix64(seed))
                           for seed in leg_seeds])
-    ft_bank = _headed_bank(_train_members(
-        Network([*bank.trunk.layers, heads]), data, ft_config, leg_seeds,
-        [f"stage-1 fine-tune of leg {i}" for i in range(len(bank))]))
-
+    with named(f"stage-1 fine-tune with seed {ft_config.seed} diverged: ", seed=ft_config.seed):
+        ft_bank = _headed_bank(train(Network([*bank.trunk.layers, heads]), data.X, data.y,
+                                     ft_config, seeds=leg_seeds)[0])
+    cfg = TrainConfig(lr=stage2_lr, epochs=stage2_epochs, batch_size=ft_config.batch_size,
+                      momentum=ft_config.momentum, seed=derive_seed(ft_config.seed, len(bank) + 1))
     final = concat_head_init(ft_bank.head.weights, ft_bank.head.bias[:, 0])
-    if stage2_epochs > 0:
-        feats = cat_features(ft_bank, data.X)
-        head_net = Network([final])
-        cfg = TrainConfig(
-            lr=stage2_lr,
-            epochs=stage2_epochs,
-            batch_size=ft_config.batch_size,
-            momentum=ft_config.momentum,
-            weight_decay=0.0,
-            seed=derive_seed(ft_config.seed, len(bank) + 1),
-        )
-        with named(f"stage-2 fine-tune with seed {cfg.seed} diverged: ", seed=cfg.seed):
-            trained_head, _ = train(head_net, feats, data.y, cfg)
-        final = trained_head.layers[0]
+    with named(f"stage-2 fine-tune with seed {cfg.seed} diverged: ", seed=cfg.seed):
+        final = train(Network([final]), cat_features(ft_bank, data.X), data.y, cfg)[0].layers[0]
     return ft_bank, final
 
 
-def bank_head_logits(bank: RepresentationBank, head: DenseLayer, X) -> np.ndarray:
-    feats = cat_features(bank, X)
-    return feats @ head.weights.T + head.bias
-
-
 def bank_head_accuracy(bank: RepresentationBank, head: DenseLayer, X, y) -> float:
-    return float((bank_head_logits(bank, head, X).argmax(axis=1) == np.asarray(y)).mean())
+    return accuracy(Network([head]), cat_features(bank, X), y)
 
 
 def leg_logits(bank: RepresentationBank, X) -> np.ndarray:
     """(T, n, k) logits of every member's own saved classifier on its features."""
     if bank.head is None:
         raise ParameterError("bank has no per-leg heads")
-    out = extract_features(bank.trunk, X) @ bank.head.weights.swapaxes(-1, -2)
-    out += bank.head.bias
-    return out
+    return extract_features(Network([*bank.trunk.layers, bank.head]), X)
 
 
 # ---------------------------------------------------------------------------

@@ -70,17 +70,20 @@ class ShiftSpec:
 
     def __post_init__(self):
         check_bounds("n_classes", self.n_classes, ge=2)
+        # the upper bounds, far above desk scale, refuse before any work the
+        # sizes no array can hold and the scales whose draws overflow
         for name in ("d_core", "d_spur"):
             if getattr(self, name) < self.n_classes:
                 raise ParameterError("a block needs one prototype dimension per class, got "
                                      f"{getattr(self, name)} for {self.n_classes} classes", name)
-        check_bounds("d_noise", self.d_noise, ge=0)
-        check_bounds("core_scale", self.core_scale, gt=0)
-        check_bounds("spur_scale", self.spur_scale, gt=0)
-        check_bounds("noise_std", self.noise_std, ge=0)
+            check_bounds(name, getattr(self, name), le=10**4)
+        check_bounds("d_noise", self.d_noise, ge=0, le=10**4)
+        check_bounds("core_scale", self.core_scale, gt=0, le=10**6)
+        check_bounds("spur_scale", self.spur_scale, gt=0, le=10**6)
+        check_bounds("noise_std", self.noise_std, ge=0, le=10**6)
         check_items("env_correlations", self.env_correlations, ge=0, le=1)
         check_bounds("ood_correlation", self.ood_correlation, ge=0, le=1)
-        check_bounds("n_per_env", self.n_per_env, ge=1)
+        check_bounds("n_per_env", self.n_per_env, ge=1, le=10**6)
 
     @property
     def d(self) -> int:

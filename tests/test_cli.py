@@ -338,16 +338,14 @@ def test_a_diverging_stage_2_fine_tune_names_its_seed(tmp_path, capsys):
     (["catsub"], "catsub"),
 ])
 def test_a_diverging_bank_names_its_method_and_run_seed(tmp_path, capsys, methods, named):
-    from richlab.rng import derive_seed
-
     cfg = write_config(tmp_path, **dict(FAST_TRANSFER, methods=methods,
                                         train=dict(FAST_TRANSFER["train"], lr=1e300)))
     assert cli.cmd_run(cfg, out=str(tmp_path / "out")) == 3
     run_seed = cli.RunConfig(master_seed=5, n_seeds=2).seeds[0]
+    # the stacked episodes all diverge in epoch 0; the stack names the first, member 0
     assert capsys.readouterr().err == (
-        f"runtime error: {named} with seed {run_seed}: episode with seed "
-        f"{derive_seed(run_seed, 0)} diverged: training diverged at epoch 0: "
-        "non-finite gradient in parameter 0\n")
+        f"runtime error: {named} with seed {run_seed}: episode bank diverged: training "
+        "diverged at epoch 0: non-finite gradient in parameter 0, member 0\n")
 
 
 @pytest.mark.parametrize("field,value", [("grad_tol", float("inf")), ("l2", float("nan"))])
@@ -498,6 +496,22 @@ BOUND_CASES = [
      "task/env_correlations/1: 1.5 is greater than the maximum of 1"),
     ({"task": {"d_core": 2}},
      "task/d_core: a block needs one prototype dimension per class, got 2 for 3 classes"),
+    # sizes and scales no run can meet: numpy refused the arrays with a traceback,
+    # the draws overflowed to inf, or the episodes ran for hours
+    ({"task": {"n_per_env": 10**20}},
+     f"task/n_per_env: {10**20} is greater than the maximum of 1000000"),
+    ({"task": {"n_per_env": 10**10}},
+     f"task/n_per_env: {10**10} is greater than the maximum of 1000000"),
+    ({"target": "ood_sample", "target_rows": 10**20},
+     f"target_rows: {10**20} is greater than the maximum of 1000000"),
+    ({"pipeline": "fewshot", "hidden": [10**20]},
+     f"hidden/0: {10**20} is greater than the maximum of 10000"),
+    ({"task": {"noise_std": 1e308}},
+     "task/noise_std: 1e+308 is greater than the maximum of 1000000"),
+    ({"pipeline": "fewshot", "task": {"kind": "class_split", "noise_std": 1e308}},
+     "task/noise_std: 1e+308 is greater than the maximum of 1000000"),
+    ({"pipeline": "fewshot", "fewshot": {"n_episodes_eval": 10**20}},
+     f"fewshot/n_episodes_eval: {10**20} is greater than the maximum of 100000"),
 ]
 
 
@@ -557,6 +571,55 @@ def test_the_config_dataclasses_refuse_what_the_schema_refused(make, kwargs, mes
     assert str(info.value) == message
     assert info.value.field == tuple(int(p) if p.isdigit() else p
                                      for p in message.partition(":")[0].split("/"))
+
+
+# the upper bound of each size or scale, far above desk scale: (dataclass, field, bound)
+UPPER_BOUNDS = [
+    *[("ShiftSpec", name, 10**4) for name in ("d_core", "d_spur", "d_noise")],
+    *[("ShiftSpec", name, 10**6) for name in ("core_scale", "spur_scale", "noise_std")],
+    ("ShiftSpec", "n_per_env", 10**6),
+    ("TransferConfig", "target_rows", 10**6),
+    ("FewshotConfig", "n_episodes_eval", 10**5),
+    *[(make, "hidden", 10**4) for make in ("TransferConfig", "FewshotConfig", "OodConfig")],
+    ("DistillSpec", "student_arch", 10**4),
+]
+
+
+@pytest.mark.parametrize("make,name,bound", UPPER_BOUNDS,
+                         ids=[f"{make}-{name}" for make, name, _ in UPPER_BOUNDS])
+def test_the_config_dataclasses_take_each_upper_bound_and_refuse_one_more(make, name, bound):
+    from dataclasses import replace
+
+    from richlab import experiments, richrep
+
+    default = (experiments.default_shift_spec() if make == "ShiftSpec" else
+               next(getattr(m, make) for m in (experiments, richrep) if hasattr(m, make))())
+    wrap = tuple if isinstance(getattr(default, name), tuple) else lambda v: v[0]
+    assert getattr(replace(default, **{name: wrap([bound])}), name) == wrap([bound])
+    with pytest.raises(cli.ParameterError) as info:
+        replace(default, **{name: wrap([bound + 1])})
+    field = (name, 0) if wrap is tuple else (name,)
+    assert (info.value.field, info.value.message) == (
+        field, f"{bound + 1!r} is greater than the maximum of {bound!r}")
+
+
+@pytest.mark.parametrize("case", ["transfer-novel", "fewshot-linear"])
+def test_a_failing_task_draw_is_one_runtime_error_line(tmp_path, capsys, monkeypatch, case):
+    # both builders draw their task while the config is checked
+    from richlab import experiments
+    from richlab.errors import DataError
+    from test_pipeline_bytes import CASES
+
+    def draw(*args):
+        raise DataError("X contains non-finite entries")
+
+    monkeypatch.setattr(experiments, "gen_shift", draw)
+    monkeypatch.setattr(cli, "gen_shift", draw)
+    _refuse_work(monkeypatch)
+    cfg = write_config(tmp_path, **dict(CASES[case], output_dir=str(tmp_path / "out")))
+    assert cli.cmd_run(cfg) == 3
+    assert capsys.readouterr().err == "runtime error: X contains non-finite entries\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_the_readme_config_examples_pass_every_config_check(tmp_path, capsys, monkeypatch):

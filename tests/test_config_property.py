@@ -28,25 +28,28 @@ from test_cli import record_work
 
 # the first seed the seed streams would alias, and a learning rate that diverges
 N, HUGE = 2**64, 1e300
+# the widest trunk or block and the largest scale a config takes; a size key
+# draws only the value past its bound, since a run at the bound is not tiny
+WIDE, SCALE = 10**4, 1e6
 # the values each bounded key draws, by path (train covers ft and distill_train)
 VALUES = {
     ("master_seed",): [-1, 0, 1, N - 1, N],
     ("n_seeds",): [0, 1, 2, 50, 51],
     ("n_episodes",): [0, 1, 2, 50, 51],
     ("methods",): st.lists(st.sampled_from([*METHODS, "cta"]), max_size=3),
-    ("hidden",): st.lists(st.sampled_from([0, 1, 3]), max_size=2),
+    ("hidden",): st.lists(st.sampled_from([0, 1, 3, WIDE + 1]), max_size=2),
     ("task", "n_classes"): [1, 2, 3],
-    ("task", "d_core"): [0, 1, 3],
-    ("task", "d_spur"): [0, 1, 3],
-    ("task", "d_noise"): [-1, 0, 2],
-    ("task", "core_scale"): [-1.0, 0.0, 1e-9, 1.0],
-    ("task", "spur_scale"): [-1.0, 0.0, 1e-9, 3.0],
-    ("task", "noise_std"): [-0.5, 0.0, 0.8],
+    ("task", "d_core"): [0, 1, 3, WIDE, WIDE + 1],
+    ("task", "d_spur"): [0, 1, 3, WIDE, WIDE + 1],
+    ("task", "d_noise"): [-1, 0, 2, WIDE, WIDE + 1],
+    ("task", "core_scale"): [-1.0, 0.0, 1e-9, 1.0, SCALE, 2 * SCALE],
+    ("task", "spur_scale"): [-1.0, 0.0, 1e-9, 3.0, SCALE, 2 * SCALE],
+    ("task", "noise_std"): [-0.5, 0.0, 0.8, SCALE, 2 * SCALE],
     ("task", "env_correlations"): st.lists(st.sampled_from([-0.1, 0.0, 0.9, 1.0, 1.1]),
                                            max_size=3),
     ("task", "ood_correlation"): [-0.1, 0.0, 0.2, 1.0, 1.1],
-    ("task", "n_per_env"): [0, 1, 2, 30],
-    ("target_rows",): [9, 10, 30],
+    ("task", "n_per_env"): [0, 1, 2, 30, 10**6 + 1],
+    ("target_rows",): [9, 10, 30, 10**6 + 1],
     ("train", "lr"): [0.0, 1e-9, 0.1, HUGE],
     ("train", "epochs"): [-1, 0, 1, 2],
     ("train", "batch_size"): [0, 1, 32],
@@ -61,11 +64,11 @@ VALUES = {
     ("probe", "grad_tol"): [0.0, 1e-7],
     ("distill", "tau"): [0.0, 1e-9, 10.0],
     ("distill", "alpha"): [-0.1, 0.0, 0.9, 1.0, 1.1],
-    ("distill", "student_arch"): st.lists(st.sampled_from([0, 1, 3]), max_size=2),
+    ("distill", "student_arch"): st.lists(st.sampled_from([0, 1, 3, WIDE + 1]), max_size=2),
     ("fewshot", "n_way"): [1, 2, 3],
     ("fewshot", "k_shot"): [0, 1, 2],
     ("fewshot", "n_query"): [0, 1, 2],
-    ("fewshot", "n_episodes_eval"): [1, 2, 3],
+    ("fewshot", "n_episodes_eval"): [1, 2, 3, 10**5 + 1],
     ("fewshot", "n_snapshots"): [0, 1, 2],
     ("fewshot", "snapshot_lr_mult"): [0.0, 1e-9, 8.0],
     ("ood", "beta_grid"): st.lists(st.sampled_from([0.0, 1e-9, 1.0, HUGE]), max_size=2),

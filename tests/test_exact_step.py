@@ -110,7 +110,7 @@ def test_vrex_gradient_matches_central_differences(beta):
     env = layout([5, 8, 11], [0, 2, 7], seed=1)
     y = rng.integers(0, k, n)
     logits = rng.normal(size=(n, k))
-    f = _env_objective_fn(y, env, beta)
+    f = _env_objective_fn(y, env, beta, k)
     _, grad = f(logits)
     h = 1e-6
     num = np.empty_like(logits)
@@ -127,8 +127,8 @@ def test_vrex_gradient_matches_central_differences(beta):
 def test_negative_beta_is_refused_when_the_closure_is_built():
     y, env = np.array([0, 1, 1]), np.array([0, 0, 1])
     with pytest.raises(ParameterError, match="beta must be nonnegative"):
-        _env_objective_fn(y, env, -0.5)
-    _env_objective_fn(y, env, 0.0)  # zero is plain ERM over the environments
+        _env_objective_fn(y, env, -0.5, 2)
+    _env_objective_fn(y, env, 0.0, 2)  # zero is plain ERM over the environments
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +154,9 @@ def test_objective_matches_reference_bitwise(case):
     env = layout(sizes, ids, seed)
     rng = np.random.default_rng(seed)
     y = rng.integers(0, k, len(env))
-    f_new = _env_objective_fn(y, env, beta)
+    f_new = _env_objective_fn(y, env, beta, k)
     f_ref = reference_objective_fn(y, env, beta)
-    for _ in range(2):  # the second call reuses the cached label positions
+    for _ in range(2):  # the second call reuses the label positions
         logits = rng.normal(size=(len(env), k)) * scale
         obj, grad = f_new(logits)
         ref_obj, ref_grad = f_ref(logits)

@@ -108,7 +108,7 @@ def ref_distill(bank, spec, data, cfg):
         targets = [tempered_log_probs(f @ h.weights.T + h.bias, spec.tau)
                    for f, h in zip(feats, plain_heads(bank))]
     alpha = spec.alpha if spec.mode == "ce_kl" else 1.0
-    trunk = init_trunk([data.d, *spec.student_arch], seed=cfg.seed)
+    trunk = init_trunk([data.d, *spec.student_arch], SplitMix64(cfg.seed))
     rng = SplitMix64(cfg.seed)
     heads = [glorot_layer(f.shape[1] if spec.mode == "cosine" else data.n_classes,
                           spec.student_arch[-1], rng) for f in feats]

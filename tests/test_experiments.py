@@ -905,7 +905,7 @@ def test_run_ood_refuses_a_representation_its_init_does_not_name(init, given):
     from richlab.richrep import RepresentationBank, init_trunk, stack_nets
 
     task = tiny_ood_task()
-    bank = RepresentationBank(stack_nets([init_trunk([task.test_env.d, 4], seed=1)]))
+    bank = RepresentationBank(stack_nets([init_trunk([task.test_env.d, 4], SplitMix64(1))]))
     cfg = OodConfig(algorithm="erm", init=init, tune_mode="ood", seeds=(1,))
     with pytest.raises(ParameterError, match=f"init={init!r} .* got {given!r}"):
         run_ood(task, cfg, Representation(given, given, bank))

@@ -15,6 +15,7 @@ from richlab.core_nn.layers import extract_features
 from richlab.core_nn.losses import log_softmax
 from richlab.probing import ProbeCache, ProbeConfig
 from richlab.richrep import RepresentationBank, init_trunk, leg_probe_gap, stack_nets
+from richlab.rng import SplitMix64
 from richlab.tasks import Dataset
 
 
@@ -34,7 +35,7 @@ def bank_and_data():
     """A 5-member bank of one 16-wide relu layer, and 900 rows of 5 classes."""
     y = np.arange(900) % 5
     X = np.eye(5, 20)[y] + np.random.default_rng(0).standard_normal((900, 20))
-    trunk = stack_nets([init_trunk([20, 16], seed=s) for s in range(5)])
+    trunk = stack_nets([init_trunk([20, 16], SplitMix64(s)) for s in range(5)])
     return RepresentationBank(trunk), Dataset(X, y, 5)
 
 

@@ -8,10 +8,11 @@ from richlab.core_nn import (
     TrainConfig,
     layer_params,
     lr_at,
+    sgd_fit,
     sgd_step,
     stack_layers,
 )
-from richlab.errors import NumericalError, ParameterError
+from richlab.errors import NumericalError, ParameterError, TrainingError
 
 
 def step_once(params, grads, lr, momentum=0.0, wd=0.0, velocities=None):
@@ -75,6 +76,26 @@ def test_nonfinite_stacked_gradient_names_its_first_member():
     grads[1][2, 0, 1] = np.inf
     with pytest.raises(NumericalError, match=r"parameter 1, member 2$"):
         step_once(layer_params([stacked]), grads, lr=0.1)
+
+
+@pytest.mark.parametrize("seeds,suffix", [([1, 2, 3], ", member 1"), (None, "")],
+                         ids=["stacked", "plain"])
+def test_a_non_finite_epoch_loss_names_the_epoch_and_a_stack_its_member(seeds, suffix):
+    # the gradients stay finite: only member 1's loss turns infinite, in epoch 1
+    stacked = stack_layers([DenseLayer(np.eye(2), np.zeros(2)) for _ in range(3)])
+    params = layer_params([stacked])
+    calls = []
+
+    def loss_and_grad(idx):
+        calls.append(idx)
+        loss = np.array([1.0, np.inf if len(calls) > 2 else 1.0, 1.0])
+        return (loss if seeds else loss[1]), [np.zeros_like(w) for w, _ in params]
+
+    cfg = TrainConfig(lr=0.1, epochs=3, batch_size=4)  # 6 rows: two batches an epoch
+    with pytest.raises(TrainingError) as info:
+        sgd_fit(params, loss_and_grad, 6, cfg, seeds=seeds)
+    assert (str(info.value), info.value.epoch) == (f"training loss diverged at epoch 1{suffix}", 1)
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from richlab.richrep import (
     DistillSpec,
     RepresentationBank,
     bank_head_accuracy,
-    bank_head_logits,
     cat_features,
     concat_head_init,
     distill,
@@ -88,7 +87,7 @@ def test_bank_needs_an_extractor_and_one_head_per_extractor():
 
 def test_bank_dims_follow_its_extractors():
     data = toy_data()
-    bank = RepresentationBank(stack_nets(init_trunk([data.d, 5, 3], seed=s) for s in (1, 2)))
+    bank = RepresentationBank(stack_nets(init_trunk([data.d, 5, 3], SplitMix64(s)) for s in (1, 2)))
     assert (len(bank), bank.trunk.n_out, bank.total_dim) == (2, 3, 6)
     member = bank.member(1)
     assert (len(member), member.trunk.n_out, member.total_dim) == (1, 3, 3)
@@ -98,7 +97,8 @@ def test_bank_dims_follow_its_extractors():
     assert (len(ft_bank), ft_bank.trunk.n_out, ft_bank.total_dim, head.n_in) == (2, 3, 6, 6)
     # a bank of an 8-wide and a 5-then-3-wide trunk holds two architectures
     with pytest.raises(ShapeError):
-        stack_nets([init_trunk([data.d, 8], seed=1), init_trunk([data.d, 5, 3], seed=2)])
+        stack_nets([init_trunk([data.d, 8], SplitMix64(1)),
+                    init_trunk([data.d, 5, 3], SplitMix64(2))])
 
 
 @pytest.mark.parametrize("sizes,activation", [
@@ -108,8 +108,8 @@ def test_bank_dims_follow_its_extractors():
 ])
 def test_a_bank_of_two_architectures_is_refused(sizes, activation):
     d = toy_data().d
-    trunk = init_trunk([d, 8, 5], seed=1)
-    other = init_trunk([d, *sizes], seed=2)
+    trunk = init_trunk([d, 8, 5], SplitMix64(1))
+    other = init_trunk([d, *sizes], SplitMix64(2))
     last = other.layers[-1]  # init_trunk makes relu layers only
     other.layers[-1] = DenseLayer(last.weights, last.bias, activation)
     for extractors in ([trunk, other], [trunk, trunk.clone(), other]):
@@ -134,15 +134,6 @@ def test_single_seed_bank_matches_single_train():
     assert np.array_equal(bank.head.weights[0], trained.layers[-1].weights)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverging_episode_names_its_seed():
-    cfg = TrainConfig(lr=1e6, epochs=20, batch_size=16, momentum=0.9)
-    with pytest.raises(EpisodeError, match="seed 11 diverged") as info:
-        train_episodes(toy_data(), (4,), cfg, [11, 12])
-    assert info.value.seed == 11
-    assert info.value.epoch is not None
-
-
 def _alone(net, data, cfg):
     """The TrainingError of ``net`` trained by itself, or None if it trains."""
     try:
@@ -153,9 +144,24 @@ def _alone(net, data, cfg):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverging_bank_names_the_episode_a_loop_would():
-    # the episodes train as one stack, which meets seed 15's divergence
-    # first; one at a time, seed 11 is the first to diverge
+def test_diverging_episode_names_its_member():
+    # alone, seed 12 diverges an epoch before seed 11
+    data = toy_data()
+    cfg = TrainConfig(lr=1e6, epochs=20, batch_size=16, momentum=0.9)
+    stack = stack_nets(init_network([data.d, 4, data.n_classes], seed=s) for s in (11, 12))
+    with pytest.raises(TrainingError) as stacked:
+        train(stack, data.X, data.y, cfg, seeds=[11, 12])
+    with pytest.raises(EpisodeError) as info:
+        train_episodes(data, (4,), cfg, [11, 12])
+    assert info.value.epoch == stacked.value.epoch == 4
+    assert str(info.value) == f"episode bank diverged: {stacked.value}"
+    assert str(info.value).endswith("parameter 0, member 1")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_bank_names_the_member_that_stops_the_stack():
+    # the member that diverges first alone stops the stack, at its own epoch
+    # and parameter: seed 15, member 2, before seed 11; seed 13 trains
     data = toy_data()
     cfg = TrainConfig(lr=1e4, epochs=20, batch_size=16, momentum=0.9)
     alone = {s: _alone(init_network([data.d, 4, data.n_classes], seed=s), data, cfg.with_seed(s))
@@ -163,13 +169,13 @@ def test_diverging_bank_names_the_episode_a_loop_would():
     assert alone[13] is None and alone[15].epoch < alone[11].epoch
     with pytest.raises(EpisodeError) as info:
         train_episodes(data, (4,), cfg, [13, 11, 15])
-    assert (info.value.seed, info.value.epoch) == (11, alone[11].epoch)
-    assert str(info.value) == f"episode with seed 11 diverged: {alone[11]}"
+    assert (info.value.seed, info.value.epoch) == (None, alone[15].epoch)
+    assert str(info.value) == f"episode bank diverged: {alone[15]}, member 2"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverging_two_stage_finetune_names_the_leg_a_loop_would():
-    # alone, leg 1 diverges an epoch before leg 0, and leg 3 trains
+def test_diverging_two_stage_finetune_names_the_leg_that_stops_the_stack():
+    # alone, leg 1 diverges an epoch before legs 0 and 2, and leg 3 trains
     data = toy_data()
     bank = train_episodes(data, (4,), CFG, [11, 12, 13, 14])
     cfg = TrainConfig(lr=3e4, epochs=20, batch_size=16, momentum=0.9, seed=1)
@@ -178,11 +184,32 @@ def test_diverging_two_stage_finetune_names_the_leg_a_loop_would():
         head = glorot_layer(data.n_classes, 4, SplitMix64(derive_seed(1, i)))
         alone.append(_alone(Network([*trunk.clone().layers, head]), data,
                             cfg.with_seed(derive_seed(1, i))))
-    assert alone[1].epoch < alone[0].epoch and alone[3] is None
+    assert alone[1].epoch < min(alone[0].epoch, alone[2].epoch) and alone[3] is None
     with pytest.raises(EpisodeError) as info:
         two_stage_finetune(bank, data, cfg)
-    assert (info.value.seed, info.value.epoch) == (derive_seed(1, 0), alone[0].epoch)
-    assert str(info.value) == f"stage-1 fine-tune of leg 0 diverged: {alone[0]}"
+    assert (info.value.seed, info.value.epoch) == (1, alone[1].epoch)
+    assert str(info.value) == f"stage-1 fine-tune with seed 1 diverged: {alone[1]}, member 1"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_bank_or_stage_1_fine_tune_trains_once(monkeypatch):
+    # no member is retrained alone to name the one that diverged
+    import richlab.richrep as richrep
+
+    calls = []
+    monkeypatch.setattr(richrep, "train", lambda *args, **kwargs: calls.append(
+        kwargs.get("seeds")) or train(*args, **kwargs))
+    data = toy_data()
+    with pytest.raises(EpisodeError):
+        train_episodes(data, (4,), TrainConfig(lr=1e4, epochs=20, batch_size=16, momentum=0.9),
+                       [13, 11, 15])
+    assert calls == [[13, 11, 15]]
+    bank = train_episodes(data, (4,), CFG, [11, 12, 13])
+    calls.clear()
+    with pytest.raises(EpisodeError):
+        two_stage_finetune(bank, data, TrainConfig(lr=3e4, epochs=20, batch_size=16,
+                                                   momentum=0.9, seed=1))
+    assert calls == [[derive_seed(1, i) for i in range(3)]]
 
 
 DIVERGE = TrainConfig(lr=1e6, epochs=20, batch_size=16, momentum=0.9, seed=21)
@@ -486,7 +513,7 @@ def test_two_stage_zero_stage2_equals_mean_of_leg_logits():
     bank = train_episodes(data, (8,), CFG, [1, 2, 3])
     ft_cfg = TrainConfig(lr=0.05, epochs=5, batch_size=16, momentum=0.9, seed=6)
     ft_bank, head = two_stage_finetune(bank, data, ft_cfg, stage2_epochs=0)
-    got = bank_head_logits(ft_bank, head, data.X)
+    got = extract_features(Network([head]), cat_features(ft_bank, data.X))
     want = sum(leg_logits(ft_bank, data.X)) / 3
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -496,7 +523,7 @@ def test_two_stage_single_leg_equals_plain_finetune():
     bank = train_episodes(data, (8,), CFG, [1])
     ft_cfg = TrainConfig(lr=0.05, epochs=5, batch_size=16, momentum=0.9, seed=6)
     ft_bank, head = two_stage_finetune(bank, data, ft_cfg, stage2_epochs=0)
-    got = bank_head_logits(ft_bank, head, data.X)
+    got = extract_features(Network([head]), cat_features(ft_bank, data.X))
     want = leg_logits(ft_bank, data.X)[0]
     assert np.allclose(got, want, atol=1e-12)
 
