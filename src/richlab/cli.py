@@ -317,19 +317,27 @@ def _ood_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], list[Run
     return pipeline
 
 
-# each builder adds the path of every config key it reads to its ``read``
-_PIPELINES = {"transfer": _transfer_pipeline, "fewshot": _fewshot_pipeline,
-             "ood": _ood_pipeline}
-
-
-def _run_verify_pipeline(master: int) -> tuple[list[RunRecord], bool]:
-    results = verify_mod.run_all(master)
-    records = []
+def run_suites(seed: int) -> list[RunRecord]:
+    """Run every property suite at ``seed``, print each one's line, details and
+    failures, then a summary; one ``pass`` record per suite, 1.0 if it passed."""
+    results = verify_mod.run_all(seed)
     for r in results:
         print(r.line())
-        records.append(RunRecord("verify", master, r.name, "verify", "verify",
-                                 "pass", 1.0 if r.passed else 0.0))
-    return records, all(r.passed for r in results)
+        for line in r.details:
+            print(f"  {line}")
+        for line in r.failures:
+            print(f"  FAILED: {line}")
+    failed = [r.name for r in results if not r.passed]
+    print(f"failed suites: {', '.join(failed)}" if failed else "all property suites passed")
+    return [RunRecord("verify", seed, r.name, "verify", "verify", "pass", float(r.passed))
+            for r in results]
+
+
+# each builder adds the path of every config key it reads to its ``read``;
+# verify runs the property suites at master_seed
+_PIPELINES = {"transfer": _transfer_pipeline, "fewshot": _fewshot_pipeline,
+              "ood": _ood_pipeline,
+              "verify": lambda cfg, run, read: lambda: run_suites(run.master_seed)}
 
 
 def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -> int:
@@ -360,10 +368,10 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
         for values in (cfg, overrides):
             cfg.update(values)
             run = _merged(RunConfig(), {key: cfg[key] for key in run_keys if key in cfg}, read)
-        work = _PIPELINES[pipeline](cfg, run, read) if pipeline in _PIPELINES else None
+        work = _PIPELINES[pipeline](cfg, run, read)
     except ParameterError as exc:
         return _field_errors([(exc.field, exc.message)])
-    except RichlabError as exc:  # the transfer and few-shot builders draw their task
+    except (RichlabError, MemoryError) as exc:  # two builders draw their task
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     out_dir = Path(run.output_dir)
@@ -376,14 +384,10 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
     except OSError as exc:
         return _field_errors([(("output_dir",), str(exc))])
     try:
-        suites_ok = True
         # the trainers turn every non-finite value into a named error, so
         # numpy's floating-point warnings would only repeat it on stderr
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if work is None:
-                records, suites_ok = _run_verify_pipeline(run.master_seed)
-            else:
-                records = work()
+            records = work()
         write_records_csv(records, out_dir / "results.csv")
         manifest = {
             "pipeline": pipeline,
@@ -391,15 +395,16 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
             "config_hash": sha256(
                 json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
             "master_seed": run.master_seed,
-            "seeds": [] if work is None else list(run.seeds),
+            "seeds": list(run.seeds) if "n_seeds" in run_keys else [],
             "results": "results.csv",
         }
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    except RichlabError as exc:
+    except (RichlabError, MemoryError) as exc:  # numpy's allocation failure is a MemoryError
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {out_dir / 'results.csv'}")
-    return 0 if suites_ok else 1
+    # a failed property suite exits 1, after its report and files
+    return 1 if any(r.metric == "pass" and r.value == 0 for r in records) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +477,7 @@ def cmd_verify(seed: int = 0) -> int:
         RunConfig(master_seed=seed)
     except ParameterError as exc:
         return _field_errors([(exc.field, exc.message)])
-    results = verify_mod.run_all(seed)
-    failed = []
-    for r in results:
-        print(r.line())
-        for line in r.details:
-            print(f"  {line}")
-        for line in r.failures:
-            print(f"  FAILED: {line}")
-        if not r.passed:
-            failed.append(r.name)
-    if failed:
-        print(f"failed suites: {', '.join(failed)}")
-        return 1
-    print("all property suites passed")
-    return 0
+    return 0 if all(r.value for r in run_suites(seed)) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

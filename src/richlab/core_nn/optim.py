@@ -54,7 +54,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_bounds("lr", self.lr, gt=0)
-        check_bounds("epochs", self.epochs, ge=0)
+        check_bounds("epochs", self.epochs, ge=0, le=10**4)
         check_bounds("batch_size", self.batch_size, ge=1)
         check_bounds("momentum", self.momentum, ge=0, lt=1)
         check_bounds("weight_decay", self.weight_decay, ge=0)

@@ -463,7 +463,7 @@ class TransferConfig:
 
     def __post_init__(self):
         _check_bank("transfer", self, methods_of("transfer"))
-        check_bounds("stage2_epochs", self.stage2_epochs, ge=0)
+        check_bounds("stage2_epochs", self.stage2_epochs, ge=0, le=10**4)
         check_bounds("stage2_lr", self.stage2_lr, gt=0)
         check_bounds("target_rows", self.target_rows, ge=10, le=10**6)
 
@@ -640,16 +640,6 @@ def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConf
 # ---------------------------------------------------------------------------
 # out-of-distribution pipeline
 
-def vrex_objective(per_env_risks, beta: float) -> float:
-    """Mean environment risk plus ``beta`` times their population variance."""
-    risks = np.asarray(per_env_risks, dtype=np.float64)
-    if risks.size < 1:
-        raise ParameterError("need at least one environment risk")
-    if beta < 0:
-        raise ParameterError("beta must be nonnegative")
-    return float(risks.mean() + beta * risks.var())
-
-
 @dataclass
 class OodConfig:
     algorithm: str = "erm"  # erm | vrex
@@ -681,7 +671,7 @@ class OodConfig:
                 if ids[i] in ids[:i]:
                     raise ParameterError(f"{name} value {v!r} prints as {ids[i]!r} in "
                                          "config ids, as an earlier value does", (name, i))
-        check_bounds("steps", self.steps, ge=1)
+        check_bounds("steps", self.steps, ge=1, le=10**5)
         check_items("hidden", self.hidden, ge=1, le=10**4)
         check_bounds("holdout_frac", self.holdout_frac, gt=0, lt=1)
 
@@ -693,7 +683,7 @@ class OodConfig:
 def _env_objective_fn(y, env_ids, beta, n_classes: int):
     """Closure computing the environment-risk objective and its gradient over ``n_classes`` logits.
 
-    The objective equals ``vrex_objective(risks, beta)`` bit for bit: the
+    The objective is ``risks.mean() + beta * risks.var()`` bit for bit: the
     sums and divisions below are the ones ``ndarray.mean`` and
     ``ndarray.var`` perform, without their per-call wrapping and checks.
     """

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_nn.layers import as_feature_matrix
-from .core_nn.losses import log_softmax
+from .core_nn.losses import cross_entropy_loss, log_softmax
 from .errors import DataError, ParameterError, ShapeError, check_bounds
 from .rng import SplitMix64
 
@@ -71,7 +71,7 @@ class ProbeConfig:
 
     def __post_init__(self):
         check_bounds("l2", self.l2, ge=0)
-        check_bounds("max_iters", self.max_iters, ge=1)
+        check_bounds("max_iters", self.max_iters, ge=1, le=10**6)
         check_bounds("grad_tol", self.grad_tol, gt=0)
 
 
@@ -396,8 +396,5 @@ def mixture_cost(probe1: ProbeResult, probe2: ProbeResult, lam: float,
     if X1.shape[0] != X2.shape[0]:
         raise ShapeError("phi1 and phi2 must have equal row counts")
     logits = lam * probe1.logits(X1) + (1.0 - lam) * probe2.logits(X2)
-    n = logits.shape[0]
-    y, k = _labels_and_classes(labels, (n,), logits.shape[1])
-    logp = log_softmax(logits)
-    return float(-logp[np.arange(n), y].mean())
+    return cross_entropy_loss(logits, labels)[0]
 

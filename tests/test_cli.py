@@ -512,6 +512,15 @@ BOUND_CASES = [
      "task/noise_std: 1e+308 is greater than the maximum of 1000000"),
     ({"pipeline": "fewshot", "fewshot": {"n_episodes_eval": 10**20}},
      f"fewshot/n_episodes_eval: {10**20} is greater than the maximum of 100000"),
+    # loop counts that kept a one-seed run going past any timeout
+    ({"n_seeds": 1, "methods": ["erm"], "task": {"n_per_env": 30}, "train": {"epochs": 10**12}},
+     f"train/epochs: {10**12} is greater than the maximum of 10000"),
+    ({"n_seeds": 1, "methods": ["erm"], "task": {"n_per_env": 30}, "train": {"epochs": 1},
+      "probe": {"max_iters": 10**12, "grad_tol": 1e-300}},
+     f"probe/max_iters: {10**12} is greater than the maximum of 1000000"),
+    ({"pipeline": "ood", "n_seeds": 1, "task": {"n_per_env": 30}, "ood": {"steps": 10**12}},
+     f"ood/steps: {10**12} is greater than the maximum of 100000"),
+    ({"stage2_epochs": 10**12}, f"stage2_epochs: {10**12} is greater than the maximum of 10000"),
 ]
 
 
@@ -582,6 +591,11 @@ UPPER_BOUNDS = [
     ("FewshotConfig", "n_episodes_eval", 10**5),
     *[(make, "hidden", 10**4) for make in ("TransferConfig", "FewshotConfig", "OodConfig")],
     ("DistillSpec", "student_arch", 10**4),
+    # loop counts, far above the 200 epochs, 300 steps and 5,000 probe iterations in use
+    ("TrainConfig", "epochs", 10**4),
+    ("TransferConfig", "stage2_epochs", 10**4),
+    ("OodConfig", "steps", 10**5),
+    ("ProbeConfig", "max_iters", 10**6),
 ]
 
 
@@ -592,8 +606,10 @@ def test_the_config_dataclasses_take_each_upper_bound_and_refuse_one_more(make, 
 
     from richlab import experiments, richrep
 
-    default = (experiments.default_shift_spec() if make == "ShiftSpec" else
-               next(getattr(m, make) for m in (experiments, richrep) if hasattr(m, make))())
+    made = {"ShiftSpec": experiments.default_shift_spec, "TrainConfig":
+            lambda: experiments.TransferConfig().train}  # TrainConfig has no defaults
+    default = made.get(make, next(getattr(m, make) for m in (experiments, richrep)
+                                  if hasattr(m, make)))()
     wrap = tuple if isinstance(getattr(default, name), tuple) else lambda v: v[0]
     assert getattr(replace(default, **{name: wrap([bound])}), name) == wrap([bound])
     with pytest.raises(cli.ParameterError) as info:
@@ -622,6 +638,33 @@ def test_a_failing_task_draw_is_one_runtime_error_line(tmp_path, capsys, monkeyp
     assert not (tmp_path / "out").exists()
 
 
+# numpy's allocation failure, _ArrayMemoryError, is a MemoryError
+ALLOC_ERROR = "Unable to allocate 74.6 GiB for an array with shape (1000000, 10010)"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError(ALLOC_ERROR)
+
+
+def test_an_allocation_failure_in_a_builder_is_one_runtime_error_line(tmp_path, capsys,
+                                                                     monkeypatch):
+    from richlab import experiments
+
+    monkeypatch.setattr(experiments, "gen_shift", _out_of_memory)
+    _refuse_work(monkeypatch)
+    assert cli.cmd_run(write_config(tmp_path, **FAST_TRANSFER), out=str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == f"runtime error: {ALLOC_ERROR}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_allocation_failure_in_a_run_is_one_runtime_error_line(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setattr(cli, "run_transfer", _out_of_memory)
+    assert cli.cmd_run(write_config(tmp_path, **FAST_TRANSFER), out=str(tmp_path / "out")) == 3
+    assert capsys.readouterr() == ("", f"runtime error: {ALLOC_ERROR}\n")
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_the_readme_config_examples_pass_every_config_check(tmp_path, capsys, monkeypatch):
     # a bound moved out of the schema must not leave the documented examples invalid
     import re
@@ -646,7 +689,7 @@ def test_the_readme_config_examples_pass_every_config_check(tmp_path, capsys, mo
 def record_work(monkeypatch, calls: list, run: bool = False):
     """Make each pipeline runner append its name to ``calls``, then run the
     real runner if ``run``, or fail the test."""
-    for runner in ("run_transfer", "run_fewshot", "run_ood", "_run_verify_pipeline"):
+    for runner in ("run_transfer", "run_fewshot", "run_ood", "run_suites"):
         def work(*args, runner=runner, real=getattr(cli, runner), **kwargs):
             calls.append(runner)
             if not run:
@@ -1022,6 +1065,48 @@ def test_verify_fault_injection_names_the_suite(monkeypatch, capsys):
     assert code == 1
     assert "FAIL cost-of-union-inequality" in out
     assert "failed suites" in out
+
+
+def test_verify_and_a_verify_run_print_one_report(tmp_path, capsys, monkeypatch):
+    from richlab.experiments import load_records_csv
+    from richlab.verify import SuiteResult
+
+    seeds = []
+    suites = [SuiteResult("kept", True, ["a detail"]),
+              SuiteResult("broken", False, ["another detail"], ["a check"])]
+    monkeypatch.setattr(cli.verify_mod, "run_all", lambda seed: seeds.append(seed) or suites)
+    assert cli.main(["verify", "--seed", "3"]) == 1
+    report = capsys.readouterr().out
+    assert report == ("PASS kept\n  a detail\nFAIL broken (1 failed checks)\n"
+                      "  another detail\n  FAILED: a check\nfailed suites: broken\n")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, pipeline="verify", master_seed=3)
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().out == report + f"wrote {out / 'results.csv'}\n"
+    assert seeds == [3, 3]
+    assert [(r.seed, r.method, r.metric, r.value)
+            for r in load_records_csv(out / "results.csv")] == [
+        (3, "kept", "pass", 1.0), (3, "broken", "pass", 0.0)]
+
+
+def test_the_exact_algebra_suite_checks_the_trainers_vrex_objective(monkeypatch):
+    from richlab import experiments, verify
+
+    assert verify.exact_algebra_suite(0).passed
+    real = experiments._env_objective_fn
+
+    def shifted(*args):
+        loss_fn = real(*args)
+
+        def off_by_a_little(logits):
+            objective, grad = loss_fn(logits)
+            return objective + 1e-12, grad
+        return off_by_a_little
+
+    monkeypatch.setattr(experiments, "_env_objective_fn", shifted)
+    result = verify.exact_algebra_suite(0)
+    assert (result.passed, result.failures) == (
+        False, ["vrex(beta=0) differs from the mean risk"])
 
 
 def test_parser_shapes():

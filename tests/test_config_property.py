@@ -29,7 +29,8 @@ from test_cli import record_work
 # the first seed the seed streams would alias, and a learning rate that diverges
 N, HUGE = 2**64, 1e300
 # the widest trunk or block and the largest scale a config takes; a size key
-# draws only the value past its bound, since a run at the bound is not tiny
+# or loop count draws only the value past its bound, since a run at the
+# bound is not tiny
 WIDE, SCALE = 10**4, 1e6
 # the values each bounded key draws, by path (train covers ft and distill_train)
 VALUES = {
@@ -51,16 +52,16 @@ VALUES = {
     ("task", "n_per_env"): [0, 1, 2, 30, 10**6 + 1],
     ("target_rows",): [9, 10, 30, 10**6 + 1],
     ("train", "lr"): [0.0, 1e-9, 0.1, HUGE],
-    ("train", "epochs"): [-1, 0, 1, 2],
+    ("train", "epochs"): [-1, 0, 1, 2, 10**4 + 1],
     ("train", "batch_size"): [0, 1, 32],
     ("train", "momentum"): [-0.1, 0.0, 0.9, 1.0],
     ("train", "weight_decay"): [-1e-3, 0.0, 1e-3],
     ("train", "schedule", "factor"): [0.0, 1e-9, 0.5],
     ("train", "schedule", "every"): [0, 1, 30],
-    ("stage2_epochs",): [-1, 0, 2],
+    ("stage2_epochs",): [-1, 0, 2, 10**4 + 1],
     ("stage2_lr",): [0.0, 1e-3, HUGE],
     ("probe", "l2"): [-0.5, 0.0, 1e-3],
-    ("probe", "max_iters"): [0, 1, 10],
+    ("probe", "max_iters"): [0, 1, 10, 10**6 + 1],
     ("probe", "grad_tol"): [0.0, 1e-7],
     ("distill", "tau"): [0.0, 1e-9, 10.0],
     ("distill", "alpha"): [-0.1, 0.0, 0.9, 1.0, 1.1],
@@ -74,7 +75,7 @@ VALUES = {
     ("ood", "beta_grid"): st.lists(st.sampled_from([0.0, 1e-9, 1.0, HUGE]), max_size=2),
     ("ood", "lr_grid"): st.lists(st.sampled_from([0.0, 1e-9, 0.1, HUGE]), max_size=2),
     ("ood", "wd_grid"): st.lists(st.sampled_from([-1e-3, 0.0, 1e-3]), max_size=2),
-    ("ood", "steps"): [0, 1, 3],
+    ("ood", "steps"): [0, 1, 3, 10**5 + 1],
     ("ood", "holdout_frac"): [0.0, 1e-9, 0.2, 0.9995, 1.0],
 }
 # the keys each pipeline's configs draw from, mostly keys it reads (verify

@@ -18,7 +18,7 @@ from richlab.core_nn import DenseLayer
 from richlab.core_nn.layers import init_network, stack_backward, stack_forward, stack_layers
 from richlab.core_nn.losses import log_softmax
 from richlab.errors import NumericalError, ParameterError, TrainingError
-from richlab.experiments import OodConfig, _env_objective_fn, _fit_ood_model, vrex_objective
+from richlab.experiments import OodConfig, _env_objective_fn, _fit_ood_model
 
 
 def reference_objective_fn(y, env_ids, beta):
@@ -41,7 +41,7 @@ def reference_objective_fn(y, env_ids, beta):
             g = d[rows]
             g[np.arange(len(rows)), y[rows]] -= 1.0
             d_logits[rows] = coeff[j] * g / len(rows)
-        return vrex_objective(risks, beta), d_logits
+        return float(risks.mean() + beta * risks.var()), d_logits
 
     return loss_fn
 

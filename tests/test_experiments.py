@@ -31,8 +31,8 @@ from richlab.experiments import (
     run_ood,
     run_transfer,
     snapshot_schedule,
-    vrex_objective,
     write_records_csv,
+    _env_objective_fn,
 )
 from richlab.richrep import DistillSpec
 from richlab.rng import SplitMix64
@@ -52,28 +52,31 @@ def tiny_spec():
 # ---------------------------------------------------------------------------
 # vREx objective
 
+def vrex_of_risks(risks, beta: float) -> float:
+    """The trainer's objective on one two-class row per environment: logits
+    (0, log(e^r - 1)) and label 0 give the row the risk ``r``."""
+    z = np.log(np.expm1(np.asarray(risks, dtype=np.float64)))
+    logits = np.column_stack([np.zeros_like(z), z])
+    return _env_objective_fn(np.zeros(len(z), dtype=int), np.arange(len(z)), beta, 2)(logits)[0]
+
+
 def test_vrex_constant_risks():
-    assert vrex_objective([0.4, 0.4, 0.4], beta=7.0) == pytest.approx(0.4)
+    assert vrex_of_risks([0.4, 0.4, 0.4], beta=7.0) == pytest.approx(0.4)
 
 
 def test_vrex_beta_zero_is_mean():
-    assert vrex_objective([0.2, 0.8], beta=0.0) == pytest.approx(0.5)
+    assert vrex_of_risks([0.2, 0.8], beta=0.0) == pytest.approx(0.5)
 
 
 def test_vrex_population_variance():
-    # risks (0, 2): mean 1, population variance 1 -> objective 2
-    assert vrex_objective([0.0, 2.0], beta=1.0) == pytest.approx(2.0)
+    # risks (0.5, 2.5): mean 1.5, population variance 1 -> objective 2.5
+    assert vrex_of_risks([0.5, 2.5], beta=1.0) == pytest.approx(2.5)
 
 
 def test_vrex_monotone_in_beta():
     risks = [0.1, 0.5, 0.9]
-    vals = [vrex_objective(risks, b) for b in (0.0, 0.5, 1.0, 10.0)]
+    vals = [vrex_of_risks(risks, b) for b in (0.0, 0.5, 1.0, 10.0)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_vrex_empty_rejected():
-    with pytest.raises(ParameterError):
-        vrex_objective([], beta=1.0)
 
 
 # ---------------------------------------------------------------------------
