@@ -36,6 +36,25 @@ def as_feature_matrix(X, name: str = "X") -> np.ndarray:
     return X
 
 
+def as_labels(labels, shape: tuple, n_classes: float) -> np.ndarray:
+    """Validate and return int64 labels, one per row, in ``[0, n_classes)``.
+
+    ``shape`` is the leading shape of the rows: (n,), or (T, n) for T
+    stacked members over the same rows, which then share one (n,) row of
+    labels or hold one row of (T, n) each.  An ``n_classes`` of ``np.inf``
+    checks the sign alone.
+    """
+    y = np.asarray(labels)
+    if y.shape not in (shape, shape[-1:]):
+        want = shape if len(shape) == 1 else f"{shape[-1:]} or {shape}"
+        raise ShapeError(f"labels must be shape {want}, got {y.shape}")
+    y = y.astype(np.int64, copy=False)
+    if y.min() < 0 or y.max() >= n_classes:
+        raise DataError(f"labels must lie in [0, {n_classes}), got range "
+                        f"[{y.min()}, {y.max()}]")
+    return y
+
+
 @dataclass
 class DenseLayer:
     """Dense layer ``act(h @ W^T + b)``.
@@ -122,17 +141,24 @@ def glorot_layer(n_out: int, n_in: int, rng: SplitMix64, activation: str = "line
     return DenseLayer(W, np.zeros(n_out), activation)
 
 
+def init_trunk(sizes, rng: SplitMix64) -> Network:
+    """Head-less trunk drawn from ``rng``: every layer is relu."""
+    sizes = list(sizes)
+    if len(sizes) < 2:
+        raise ParameterError("trunk sizes must list input and at least one width")
+    return Network([glorot_layer(sizes[i + 1], sizes[i], rng, "relu")
+                    for i in range(len(sizes) - 1)])
+
+
 def init_network(sizes, seed: int) -> Network:
-    """Feed-forward net over ``sizes=[d_in, h1, ..., d_out]``: relu layers, the last linear."""
+    """Feed-forward net over ``sizes=[d_in, h1, ..., d_out]``: an :func:`init_trunk`
+    trunk over the hidden widths, then a linear head, drawn from one stream."""
     sizes = list(sizes)
     if len(sizes) < 2:
         raise ParameterError("sizes must list at least input and output widths")
     rng = SplitMix64(seed)
-    layers = []
-    for i in range(len(sizes) - 1):
-        act = "relu" if i < len(sizes) - 2 else "linear"
-        layers.append(glorot_layer(sizes[i + 1], sizes[i], rng, act))
-    return Network(layers)
+    trunk = init_trunk(sizes[:-1], rng).layers if len(sizes) > 2 else []
+    return Network([*trunk, glorot_layer(sizes[-1], sizes[-2], rng)])
 
 
 def stack_layers(layers) -> DenseLayer:

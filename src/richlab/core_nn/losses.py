@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DataError, NumericalError, ParameterError, ShapeError
+from ..errors import NumericalError, ParameterError, ShapeError
+from .layers import as_labels
 
 
 def log_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
@@ -47,22 +48,6 @@ def _per_member(loss):
     return float(loss) if np.ndim(loss) == 0 else loss
 
 
-def _as_labels(labels, shape: tuple, n_classes: int) -> np.ndarray:
-    """Integer labels of one row each, checked against ``n_classes``.
-
-    ``shape`` is the logits' leading shape: (n,), or (T, n) for stacked
-    members, which then share (n,) labels or hold one row of (T, n) each.
-    """
-    y = np.asarray(labels)
-    if y.shape not in (shape, shape[-1:]):
-        raise ShapeError(f"labels must be shape {shape[-1:]}, got {y.shape}")
-    y = y.astype(np.int64)
-    if y.min() < 0 or y.max() >= n_classes:
-        raise DataError(f"labels must lie in [0, {n_classes}), got range "
-                        f"[{y.min()}, {y.max()}]")
-    return y
-
-
 def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     """Mean ``-log softmax(logits)[label]`` and its gradient wrt logits.
 
@@ -71,7 +56,7 @@ def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     """
     logits = np.asarray(logits, dtype=np.float64)
     n, k = logits.shape[-2:]
-    y = _as_labels(labels, logits.shape[:-1], k)
+    y = as_labels(labels, logits.shape[:-1], k)
     rows = np.arange(n)
     # each row's label entry: one label row for every member, or one per member
     picked = (..., rows, y) if y.ndim == 1 else (np.arange(len(y))[:, None], rows, y)

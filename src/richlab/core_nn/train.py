@@ -13,8 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DataError
-from .layers import (Network, as_feature_matrix, extract_features, layer_params,
+from .layers import (Network, as_feature_matrix, as_labels, extract_features, layer_params,
                      stack_backward, stack_forward)
 from .losses import cross_entropy_loss
 from .optim import TrainConfig, sgd_fit
@@ -49,10 +48,8 @@ def train(
     loss history per member.
     """
     X = as_feature_matrix(X)
-    y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
-    if y.shape != (n,):
-        raise DataError(f"labels must be shape ({n},), got {y.shape}")
+    y = as_labels(y, (n,), net.n_out)
 
     net = net.clone()
 

@@ -622,8 +622,7 @@ def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConf
         if cfg.classifier == "linear" and e % EPISODE_BLOCK == 0:
             block = episodes[e:e + EPISODE_BLOCK]
             fs = feature_fn(block[:, :, :k].reshape(-1))
-            probes = fit_probe(fs.reshape(len(block), -1, fs.shape[1]),
-                               np.tile(sup_y, (len(block), 1)),
+            probes = fit_probe(fs.reshape(len(block), -1, fs.shape[1]), sup_y,
                                cfg.probe, n_classes=spec.n_way)
         fq = feature_fn(rows[:, k:].reshape(-1))
         if cfg.classifier == "linear":

@@ -12,7 +12,8 @@ cost.  Because the objective is convex, the optimum is unique up to
 solver slack, which is what the information relations lean on.
 
 The solver works on stacks of independent problems: features
-``(E, n, d)`` with labels ``(E, n)`` give ``E`` probes from one call.
+``(E, n, d)`` give ``E`` probes from one call, on labels ``(E, n)`` or,
+as the losses take them, one ``(n,)`` row that every problem shares.
 Each problem runs its own line search, and a problem that converges or
 stalls stops moving while the others go on, so each problem's iterates
 are bit for bit those of fitting it alone; a 2-D ``(n, d)`` input is a
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_nn.layers import as_feature_matrix
+from .core_nn.layers import as_feature_matrix, as_labels
 from .core_nn.losses import cross_entropy_loss, log_softmax
 from .errors import DataError, ParameterError, ShapeError, check_bounds
 from .rng import SplitMix64
@@ -127,18 +128,6 @@ def _as_features(X, stacked: bool, name: str) -> np.ndarray:
     return X
 
 
-def _labels_and_classes(labels, shape: tuple, n_classes: int | None) -> tuple[np.ndarray, int]:
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != shape:
-        raise ShapeError(f"labels must be shape {shape}, got {y.shape}")
-    if y.min() < 0:
-        raise DataError("labels must be nonnegative")
-    k = int(y.max()) + 1 if n_classes is None else int(n_classes)
-    if y.max() >= k:
-        raise DataError(f"label {y.max()} outside [0, {k})")
-    return y, k
-
-
 def _cost(W, b, X, flat_y, l2):
     """Objective of each problem of a stack, and the log-probabilities that
     its gradient needs.
@@ -184,7 +173,7 @@ def _descend(W, b, X, y, config: ProbeConfig):
     """
     E, n, _ = X.shape
     k = W.shape[1]
-    flat_y = (np.arange(E * n) * k + y.ravel()).reshape(E, n, 1)
+    flat_y = (np.arange(E * n).reshape(E, n) * k + y)[..., None]  # y: (n,) or (E, n)
     l2, tol = config.l2, config.grad_tol
     f, logp = _cost(W, b, X, flat_y, l2)
     gW, gb = _gradient(W, X, flat_y, logp, l2)
@@ -254,8 +243,10 @@ def fit_probe(
     """Fit the optimal linear probe on frozen features.
 
     ``features`` is one problem ``(n, d)`` with labels ``(n,)``, or a stack
-    of independent problems ``(E, n, d)`` with labels ``(E, n)`` that share
-    one class count; each problem of a stack comes out as if fitted alone.
+    of independent problems ``(E, n, d)`` that share one class count, with
+    labels ``(E, n)`` or one ``(n,)`` row shared by every problem; each
+    problem of a stack comes out as if fitted alone.  Without ``n_classes``
+    the class count is the largest label plus one.
     ``rng`` seeds a small random initialization (used by the convexity
     restart checks), drawn problem after problem, so a stack matches
     separate calls that pass the same stream in turn; without it the
@@ -266,9 +257,10 @@ def fit_probe(
     """
     stacked = np.ndim(features) == 3
     X = _as_features(features, stacked, "features")
-    y, k = _labels_and_classes(labels, X.shape[:-1], n_classes)
+    y = as_labels(labels, X.shape[:-1], np.inf if n_classes is None else n_classes)
+    k = int(y.max()) + 1 if n_classes is None else int(n_classes)
     if not stacked:
-        X, y = X[None], y[None]
+        X = X[None]
     E, n, d = X.shape
 
     if config.standardize:
@@ -325,7 +317,8 @@ class ProbeCache:
 
     def fit(self, features, labels, n_classes: int) -> ProbeResult | list[ProbeResult]:
         """The probe of one ``(n, d)`` problem, or the list of probes of an
-        ``(E, n, d)`` stack on shared labels ``(n,)``, each fitted unless held.
+        ``(E, n, d)`` stack on one ``(n,)`` row of labels that its problems
+        share, as :func:`fit_probe` takes them, each fitted unless held.
 
         A stack's members that are not held, a lone one included, are fitted
         as one stacked problem, each bit for bit as alone.  Pass a stack made
@@ -340,8 +333,7 @@ class ProbeCache:
         miss = [i for i, key in enumerate(keys) if key not in self.probes]
         if miss:
             features = features[miss]
-            stack = fit_probe(features, np.broadcast_to(labels, (len(miss), len(labels))),
-                              self.config, n_classes=n_classes)
+            stack = fit_probe(features, labels, self.config, n_classes=n_classes)
             for j, i in enumerate(miss):
                 self.probes[keys[i]] = stack[j]
         return [self.probes[key] for key in keys]
@@ -352,12 +344,18 @@ def optimal_cost(features, labels, config: ProbeConfig, n_classes: int | None = 
     return fit_probe(features, labels, config, n_classes=n_classes).cost
 
 
-def union_cost(phi1, phi2, labels, config: ProbeConfig) -> tuple[float, float, float]:
-    """Probing costs ``(c1, c2, c_union)`` with the union as column concatenation."""
+def _feature_pair(phi1, phi2) -> tuple[np.ndarray, np.ndarray]:
+    """``phi1`` and ``phi2`` as feature matrices over the same rows."""
     X1 = as_feature_matrix(phi1, "phi1")
     X2 = as_feature_matrix(phi2, "phi2")
     if X1.shape[0] != X2.shape[0]:
         raise ShapeError(f"row counts differ: {X1.shape[0]} vs {X2.shape[0]}")
+    return X1, X2
+
+
+def union_cost(phi1, phi2, labels, config: ProbeConfig) -> tuple[float, float, float]:
+    """Probing costs ``(c1, c2, c_union)`` with the union as column concatenation."""
+    X1, X2 = _feature_pair(phi1, phi2)
     c1 = optimal_cost(X1, labels, config)
     c2 = optimal_cost(X2, labels, config)
     c_union = optimal_cost(np.hstack([X1, X2]), labels, config)
@@ -391,10 +389,7 @@ def mixture_cost(probe1: ProbeResult, probe2: ProbeResult, lam: float,
     """Unregularized expected loss of ``lam*f1 + (1-lam)*f2``."""
     if not (0.0 <= lam <= 1.0):
         raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
-    X1 = as_feature_matrix(phi1, "phi1")
-    X2 = as_feature_matrix(phi2, "phi2")
-    if X1.shape[0] != X2.shape[0]:
-        raise ShapeError("phi1 and phi2 must have equal row counts")
+    X1, X2 = _feature_pair(phi1, phi2)
     logits = lam * probe1.logits(X1) + (1.0 - lam) * probe2.logits(X2)
     return cross_entropy_loss(logits, labels)[0]
 

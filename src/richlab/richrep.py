@@ -25,6 +25,7 @@ from .core_nn.layers import (
     extract_features,
     glorot_layer,
     init_network,
+    init_trunk,
     layer_params,
     stack_backward,
     stack_forward,
@@ -128,15 +129,6 @@ class DistillSpec:
         check_bounds("tau", self.tau, gt=0)
         check_bounds("alpha", self.alpha, ge=0, le=1)
         check_items("student_arch", self.student_arch, ge=1, le=10**4)
-
-
-def init_trunk(sizes, rng: SplitMix64) -> Network:
-    """Head-less trunk drawn from ``rng``: every layer is relu."""
-    sizes = list(sizes)
-    if len(sizes) < 2:
-        raise ParameterError("trunk sizes must list input and at least one width")
-    return Network([glorot_layer(sizes[i + 1], sizes[i], rng, "relu")
-                    for i in range(len(sizes) - 1)])
 
 
 # ---------------------------------------------------------------------------

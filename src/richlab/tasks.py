@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_nn.layers import as_feature_matrix
-from .errors import DataError, ParameterError, SamplingError, ShapeError, check_bounds, check_items
+from .core_nn.layers import as_feature_matrix, as_labels
+from .errors import ParameterError, SamplingError, check_bounds, check_items
 from .rng import SplitMix64
 
 
@@ -28,13 +28,7 @@ class Dataset:
 
     def __post_init__(self):
         self.X = as_feature_matrix(self.X)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.y.shape != (self.X.shape[0],):
-            raise ShapeError("X and y row counts disagree")
-        if self.n_classes < 1:
-            raise DataError("n_classes must be positive")
-        if len(self.y) and (self.y.min() < 0 or self.y.max() >= self.n_classes):
-            raise DataError(f"labels outside [0, {self.n_classes})")
+        self.y = as_labels(self.y, self.X.shape[:1], self.n_classes)
 
     @property
     def n(self) -> int:

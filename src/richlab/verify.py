@@ -183,8 +183,8 @@ def theorem1_suite(seed: int = 0, n_instances: int = 20, tol: float = 2e-3) -> S
         phi1 = _random_features(rng, n, d, y, k)
         perm = rng.permutation(d)
         phi2 = phi1[:, perm]
-        p1 = fit_probe(phi1, y, cfg)
-        p2 = fit_probe(phi2, y, cfg)
+        stack = fit_probe(np.stack([phi1, phi2]), y, cfg)  # one stack on shared labels
+        p1, p2 = stack[0], stack[1]
         costs = [mixture_cost(p1, p2, lam, phi1, phi2, y) for lam in lambdas]
         spread = max(costs) - min(costs)
         if not spread <= tol:

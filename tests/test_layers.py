@@ -5,12 +5,17 @@ from richlab.core_nn import (
     CosineHead,
     DenseLayer,
     Network,
+    TrainConfig,
     cosine_head_forward,
+    cross_entropy_loss,
     extract_features,
     init_network,
     stack_forward,
+    train,
 )
-from richlab.errors import NumericalError, ShapeError
+from richlab.errors import DataError, NumericalError, RichlabError, ShapeError
+from richlab.probing import ProbeConfig, fit_probe
+from richlab.tasks import Dataset
 
 
 def identity_net(d):
@@ -35,6 +40,26 @@ def test_relu_layer_hand_computed():
 def test_forward_rejects_wrong_width():
     with pytest.raises(ShapeError):
         extract_features(identity_net(2), np.ones((3, 5)))
+
+
+@pytest.mark.parametrize("labels,error,message", [
+    ([0, -1, 2], DataError, "labels must lie in [0, 3), got range [-1, 2]"),
+    ([0, 3, 2], DataError, "labels must lie in [0, 3), got range [0, 3]"),
+    ([[0, 1, 2]], ShapeError, "labels must be shape (3,), got (1, 3)"),
+])
+def test_every_entry_point_checks_labels_one_way(labels, error, message):
+    # one int label per row, in [0, k): every entry point that takes labels
+    # refuses a breach with the same exception type and the same words
+    X = np.ones((3, 2))
+    calls = [lambda: Dataset(X, labels, 3),
+             lambda: fit_probe(X, labels, ProbeConfig(), n_classes=3),
+             lambda: cross_entropy_loss(np.zeros((3, 3)), labels),
+             lambda: train(init_network([2, 3], seed=0), X, labels,
+                           TrainConfig(lr=0.1, epochs=1, batch_size=2))]
+    for call in calls:
+        with pytest.raises(RichlabError) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_layer_shape_consistency_enforced():

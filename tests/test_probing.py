@@ -321,9 +321,21 @@ def test_probe_reports_iterations_and_grad_norm():
 
 
 def test_stacked_input_validation():
+    # a stack takes its labels as the losses do: one (n,) row shared by every
+    # problem gives the bytes of that row broadcast to (E, n) and of each
+    # problem fitted alone
+    X, y = _problem_stack(5, 3, 20, 3, 3, [1.0, 0.5, 2.0])
+    cfg = ProbeConfig(l2=1e-3, max_iters=300, grad_tol=1e-6)
+    shared = fit_probe(X, y[0], cfg)
+    broadcast = fit_probe(X, np.broadcast_to(y[0], y.shape), cfg)
+    assert shared.converged == broadcast.converged
+    for e in range(len(X)):
+        assert_same_probe(shared[e], broadcast[e])
+        assert_same_probe(shared[e], fit_probe(X[e], y[0], cfg))
+    for wrong in (np.zeros(21, dtype=int), np.zeros((4, 20), dtype=int)):
+        with pytest.raises(ShapeError, match="labels must be shape"):
+            fit_probe(X, wrong, cfg)
     X = np.zeros((2, 4, 3))
-    with pytest.raises(ShapeError):
-        fit_probe(X, np.zeros(4, dtype=int), TIGHT)
     with pytest.raises(ShapeError):
         fit_probe(np.zeros((2, 0, 3)), np.zeros((2, 0), dtype=int), TIGHT)
     with pytest.raises(DataError):
