@@ -1,11 +1,11 @@
 """Command-line front end: run experiment configs, render CSV results as
 markdown tables, and execute the property suites.
 
-The schema checks a config's structure (types, required and unknown keys,
-enums); then the config dataclasses, all built before any pipeline work,
-each bound their own values.  Each refusal prints ``config error: field
-<path>: <message>``.  Exit codes: 0 success; 1 failed property suites;
-2 configuration errors; 3 runtime failures.
+The schema checks a config's structure (types, required and unknown keys);
+then the code that acts on each value (a config dataclass or a pipeline
+builder, all run before any pipeline work) checks its bounds and choices.
+Each refusal prints ``config error: field <path>: <message>``.  Exit codes:
+0 success; 1 failed property suites; 2 configuration errors; 3 runtime failures.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, RichlabError, check_bounds
+from .errors import ParameterError, RichlabError, check_bounds, check_choice
 from .probing import sha256
 # imported, not called: perfbench/tests checks that its tracer wraps cli.train_episodes
 from .richrep import train_episodes
@@ -91,10 +91,6 @@ def schema_errors(value, schema: dict, root: dict | None = None,
         elif key == "type":
             if not _is_type(value, rule):
                 message = f"{value!r} is not of type {rule!r}"
-        elif key == "enum":
-            if not any(value == v and isinstance(value, bool) == isinstance(v, bool)
-                       for v in rule):
-                message = f"{value!r} is not one of {rule!r}"
         elif key == "items":
             if isinstance(value, list):
                 for i, item in enumerate(value):
@@ -236,9 +232,8 @@ def _transfer_pipeline(cfg: dict, run: RunConfig, read: set) -> Callable[[], lis
     """Build the transfer config dataclasses and draw the task; the returned
     call runs the pipeline."""
     tc = replace(_merged(TransferConfig(), cfg, read), seeds=run.seeds)
-    # the pinned perfbench transfer config still sets this key, which the
-    # schema accepts only as false; it goes once ROADMAP item 10 drops it there
-    read.add(("include_anchors",))
+    check_choice("include_anchors", cfg.get("include_anchors", False), (False,))
+    read.add(("include_anchors",))  # the pinned transfer workload sets it; see ROADMAP item 10
     kind, spec = _task(cfg, read, "transfer")
     if tc.target not in _TARGETS[kind]:
         raise ParameterError(f"target {tc.target!r} does not apply to a {kind!r} task; "
@@ -355,7 +350,6 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
         return _field_errors(errors)
     overrides = {key: value for key, value in (("master_seed", seed), ("output_dir", out))
                  if value is not None}
-    # the schema checks the version; this reads the pipeline
     read = {("schema_version",), ("pipeline",)}
     pipeline = cfg["pipeline"]
     # verify runs the property suites at master_seed, and draws no seed groups
@@ -364,6 +358,8 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
     # that one rejects, or a key that none reads, is a configuration error,
     # not a runtime failure or a setting that silently does nothing
     try:
+        check_choice("schema_version", cfg.get("schema_version", SCHEMA_VERSION), (SCHEMA_VERSION,))
+        check_choice("pipeline", pipeline, tuple(_PIPELINES))
         # the config's own values are checked, then the command-line overrides
         for values in (cfg, overrides):
             cfg.update(values)

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import NumericalError, ParameterError, TrainingError, check_bounds
+from ..errors import NumericalError, TrainingError, check_bounds, check_choice
 from ..rng import shuffle_rng
 
 
@@ -27,8 +27,7 @@ class Schedule:
     every: int = 30         # step only
 
     def __post_init__(self):
-        if self.kind not in ("constant", "step", "cosine"):
-            raise ParameterError(f"unknown schedule kind {self.kind!r}", "kind")
+        check_choice("kind", self.kind, ("constant", "step", "cosine"))
         check_bounds("factor", self.factor, gt=0)
         check_bounds("every", self.every, ge=1)
 

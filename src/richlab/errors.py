@@ -75,6 +75,12 @@ def check_bounds(field: str | tuple, value, **bounds) -> None:
             raise ParameterError(f"{value!r} is {words} of {bound!r}", field)
 
 
+def check_choice(field: str | tuple, value, choices: tuple) -> None:
+    """Raise a :class:`ParameterError` on ``field`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ParameterError(f"{value!r} is not one of {list(choices)!r}", field)
+
+
 def check_items(field: str, values, **bounds) -> None:
     """Raise a :class:`ParameterError` unless ``values`` holds an item, and each
     item passes :func:`check_bounds` with ``bounds``, if any, as ``field/<index>``."""

@@ -36,7 +36,7 @@ from .core_nn.losses import cross_entropy_loss, log_softmax
 from .core_nn.optim import Schedule, TrainConfig, sgd_fit, sgd_step
 from .core_nn.train import accuracy, network_loss_grad
 from .errors import (DataError, NumericalError, ParameterError, TrainingError, check_bounds,
-                     check_items, named)
+                     check_choice, check_items, named)
 from .probing import ProbeCache, ProbeConfig, fit_probe
 from .rng import SplitMix64, derive_seed
 from .richrep import (
@@ -536,8 +536,7 @@ class FewshotConfig:
 
     def __post_init__(self):
         _check_bank("few-shot", self, methods_of("fewshot"))
-        if self.classifier not in ("linear", "cosine"):
-            raise ParameterError(f"unknown classifier {self.classifier!r}", "classifier")
+        check_choice("classifier", self.classifier, ("linear", "cosine"))
         # the reported std is the ddof=1 std over the evaluation episodes
         check_bounds("n_episodes_eval", self.n_episodes_eval, ge=2, le=10**5)
         check_bounds("n_snapshots", self.n_snapshots, ge=1)
@@ -553,6 +552,10 @@ class FewshotConfig:
         if self.n_snapshots > epochs:
             raise ParameterError(f"{need} n_snapshots of at most train.epochs, got n_snapshots "
                                  f"{self.n_snapshots} and train.epochs {epochs}", "n_snapshots")
+        banks = [m for m in self.methods if METHODS[m].start is _episode_bank]
+        if banks and self.n_episodes > 42:  # the snapshot run trains from episode 42's seed
+            raise ParameterError(f"{need} n_episodes of at most 42 beside {', '.join(banks)}, "
+                                 f"got {self.n_episodes}", "n_episodes")
 
 
 def fit_cosine_classifier(feats, y, n_classes: int, seed: int, lr: float = 0.1,
@@ -653,12 +656,9 @@ class OodConfig:
     seeds: tuple[int, ...] = (101, 202, 303, 404, 505)
 
     def __post_init__(self):
-        if self.algorithm not in ("erm", "vrex"):
-            raise ParameterError(f"unknown algorithm {self.algorithm!r}", "algorithm")
-        if self.init != "scratch" and self.init not in methods_of("ood"):
-            raise ParameterError(f"unknown init {self.init!r}", "init")
-        if self.tune_mode not in ("iid", "ood"):
-            raise ParameterError(f"unknown tune mode {self.tune_mode!r}", "tune_mode")
+        check_choice("algorithm", self.algorithm, ("erm", "vrex"))
+        check_choice("init", self.init, ("scratch", *methods_of("ood")))
+        check_choice("tune_mode", self.tune_mode, ("iid", "ood"))
         # the grids the candidates are drawn from, and their bounds: erm trains at beta 0 alone
         grids = {"beta_grid": {"gt": 0}} if self.algorithm == "vrex" else {}
         for name, bounds in {**grids, "lr_grid": {"gt": 0}, "wd_grid": {"ge": 0}}.items():

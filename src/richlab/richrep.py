@@ -39,7 +39,7 @@ from .core_nn.losses import (
 )
 from .core_nn.optim import TrainConfig, sgd_fit
 from .core_nn.train import accuracy, train
-from .errors import ParameterError, ShapeError, check_bounds, check_items, named
+from .errors import ParameterError, ShapeError, check_bounds, check_choice, check_items, named
 # fit_probe is imported, not called: perfbench/tests checks that its tracer wraps it
 from .probing import ProbeCache, ProbeResult, fit_probe
 from .rng import SplitMix64, derive_seed
@@ -124,8 +124,7 @@ class DistillSpec:
     student_arch: tuple[int, ...] = (16,)
 
     def __post_init__(self):
-        if self.mode not in ("kl", "ce_kl", "cosine"):
-            raise ParameterError(f"unknown distillation mode {self.mode!r}", "mode")
+        check_choice("mode", self.mode, ("kl", "ce_kl", "cosine"))
         check_bounds("tau", self.tau, gt=0)
         check_bounds("alpha", self.alpha, ge=0, le=1)
         check_items("student_arch", self.student_arch, ge=1, le=10**4)

@@ -87,13 +87,15 @@ def test_run_missing_file(capsys):
 
 
 # (rule, config, the errors the config breaks it by, as "path: message").
-# A rule is a schema keyword, or the name of a bound the schema once held
-# and a config dataclass now checks (BOUNDS), with the schema's message.
+# A rule is a schema keyword, or the name of a bound (BOUNDS) or of the
+# choice list (CHOICES) the schema once held and the code that acts on the
+# value now checks, with the schema's message where the schema had one.
 # The schema errors are those jsonschema's Draft7Validator gave, which also
 # holds for the stricter integer and number types here; a config with one
 # prints them all, sorted by path, and builds no dataclass
 BOUNDS = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum", "minLength",
           "minItems"}
+CHOICES = {"enum"}
 SCHEMA_CASES = [
     ("type", {"pipeline": "verify", "master_seed": True},
      ["master_seed: True is not of type 'integer'"]),
@@ -102,13 +104,14 @@ SCHEMA_CASES = [
     ("type", [], ["<root>: [] is not of type 'object'"]),
     ("type", {"pipeline": "transfer", "task": [1], "output_dir": 3, "include_anchors": 1,
               "methods": "erm", "n_episodes": None},
-     ["include_anchors: 1 is not one of [False]", "methods: 'erm' is not of type 'array'",
+     ["include_anchors: 1 is not of type 'boolean'", "methods: 'erm' is not of type 'array'",
       "n_episodes: None is not of type 'integer'", "output_dir: 3 is not of type 'string'",
       "task: [1] is not of type 'object'"]),
     ("enum", {"pipeline": "discombobulate"},
      ["pipeline: 'discombobulate' is not one of ['transfer', 'fewshot', 'ood', 'verify']"]),
+    # a value of the wrong type is refused before its choices are read
     ("enum", {"pipeline": "verify", "schema_version": True},
-     ["schema_version: True is not of type 'integer'", "schema_version: True is not one of [1]"]),
+     ["schema_version: True is not of type 'integer'"]),
     ("enum", {"pipeline": "verify", "schema_version": 2}, ["schema_version: 2 is not one of [1]"]),
     ("required", {}, ["<root>: 'pipeline' is a required property"]),
     ("additionalProperties", {"pipeline": "verify", "tyop": 1, "abc": 2},
@@ -140,12 +143,41 @@ SCHEMA_CASES = [
     ("minLength", {"pipeline": "verify", "output_dir": ""}, ["output_dir: '' should be non-empty"]),
     ("minItems", {"pipeline": "transfer", "methods": [], "task": {"env_correlations": []}},
      ["methods: [] should be non-empty"]),
+    # each $ref is followed; the schema's errors print before any bound or choice is read
     ("$ref", {"pipeline": "transfer", "train": {"schedule": {"every": 0}},
-              "ft": {"schedule": {"kind": "linear"}}, "distill_train": {"epochs": -1}},
-     ["ft/schedule/kind: 'linear' is not one of ['constant', 'step', 'cosine']"]),
+              "ft": {"schedule": {"kind": "linear", "every": 2.5}},
+              "distill_train": {"epochs": -1, "lr": "x"}},
+     ["distill_train/lr: 'x' is not of type 'number'",
+      "ft/schedule/every: 2.5 is not of type 'integer'"]),
     # a run writes only what it measured: no published reference numbers
     ("enum", {"pipeline": "transfer", "include_anchors": True},
      ["include_anchors: True is not one of [False]"]),
+    ("enum", {"pipeline": "transfer", "distill": {"mode": "kld"}},
+     ["distill/mode: 'kld' is not one of ['kl', 'ce_kl', 'cosine']"]),
+    ("enum", {"pipeline": "fewshot", "fewshot": {"classifier": "knn"}},
+     ["fewshot/classifier: 'knn' is not one of ['linear', 'cosine']"]),
+    ("enum", {"pipeline": "ood", "ood": {"algorithm": "irm"}},
+     ["ood/algorithm: 'irm' is not one of ['erm', 'vrex']"]),
+    ("enum", {"pipeline": "ood", "ood": {"init": "joint"}},
+     ["ood/init: 'joint' is not one of ['scratch', 'cat', 'distill']"]),
+    ("enum", {"pipeline": "ood", "ood": {"tune_mode": "test"}},
+     ["ood/tune_mode: 'test' is not one of ['iid', 'ood']"]),
+    ("enum", {"pipeline": "transfer", "train": {"schedule": {"kind": "linear"}}},
+     ["train/schedule/kind: 'linear' is not one of ['constant', 'step', 'cosine']"]),
+    ("enum", {"pipeline": "transfer", "ft": {"schedule": {"kind": "linear"}}},
+     ["ft/schedule/kind: 'linear' is not one of ['constant', 'step', 'cosine']"]),
+    ("enum", {"pipeline": "fewshot", "task": {"kind": "shift"}},
+     ["task/kind: task kind 'shift' does not apply to the fewshot pipeline; "
+      "choose from class_split"]),
+    # a kind or a target no task has is refused as one its pipeline or task cannot serve
+    ("enum", {"pipeline": "transfer", "task": {"kind": "foo"}},
+     ["task/kind: task kind 'foo' does not apply to the transfer pipeline; "
+      "choose from shift, class_split"]),
+    ("enum", {"pipeline": "transfer", "target": "foo"},
+     ["target: target 'foo' does not apply to a 'shift' task; choose from same, ood_sample"]),
+    # the choices are checked one at a time, and the first refusal ends the run
+    ("enum", {"pipeline": "ood", "ood": {"algorithm": "irm", "tune_mode": "test"}},
+     ["ood/algorithm: 'irm' is not one of ['erm', 'vrex']"]),
 ]
 
 
@@ -218,13 +250,13 @@ def _schema_keywords(schema: dict) -> set[str]:
 def test_every_schema_keyword_is_implemented_and_has_a_case():
     # a schema edit that uses a new keyword fails here until the validator has it
     keywords = _schema_keywords(cli.load_schema()) - cli._ANNOTATIONS
-    assert keywords == {"type", "enum", "required", "properties", "additionalProperties",
-                        "items", "$ref"}
-    assert keywords == {rule for rule, _, _ in SCHEMA_CASES} - BOUNDS
+    assert keywords == {"type", "required", "properties", "additionalProperties", "items",
+                        "$ref"}
+    assert keywords == {rule for rule, _, _ in SCHEMA_CASES} - BOUNDS - CHOICES
     with pytest.raises(ValueError, match="'maxLength'"):
         cli.schema_errors("abc", {"maxLength": 2})
-    # a bound is a config dataclass's to check
-    for keyword in BOUNDS:
+    # a bound or a choice is for the code that acts on the value to check
+    for keyword in BOUNDS | CHOICES:
         with pytest.raises(ValueError, match=f"'{keyword}'"):
             cli.schema_errors(0, {keyword: 1})
     with pytest.raises(ValueError, match="'additionalProperties'"):
@@ -745,6 +777,26 @@ def test_run_refuses_more_snapshots_than_epochs_before_any_work(tmp_path, capsys
         "config error: field fewshot/n_snapshots: snapshot methods (cat-s, snaps) need "
         "n_snapshots of at most train.epochs, got n_snapshots 5 and train.epochs 3\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_a_bank_whose_episode_shares_the_snapshot_seed(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the snapshot run trains from derive_seed(seed, 42), the seed of a bank's
+    # episode 42: with 43 episodes the two would start from one init and order
+    from test_pipeline_bytes import FEWSHOT
+
+    _refuse_work(monkeypatch)
+    cfg = dict(FEWSHOT, n_episodes=43, methods=["cat", "cat-s"])
+    assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "config error: field n_episodes: snapshot methods (cat-s, snaps) need n_episodes of "
+        "at most 42 beside cat, got 43\n")
+    assert not (tmp_path / "out").exists()
+    # without an episode bank, or with 42 episodes, the run goes ahead
+    monkeypatch.undo()
+    for n_episodes, methods in ((43, ["cat-s"]), (42, ["cat", "cat-s"])):
+        cfg = dict(cfg, n_episodes=n_episodes, methods=methods)
+        assert cli.cmd_run(write_config(tmp_path, **cfg), out=str(tmp_path / "out")) == 0
 
 
 def _pinned(name: str) -> dict:

@@ -1,9 +1,10 @@
 """Property test of ``richlab run`` over configs drawn from the config schema.
 
-The schema gives the structure: its keys, their nesting, enums and types.
-Each bounded key (the bounds the schema held before the config dataclasses
+The schema gives the structure: its keys, their nesting and types.  Each
+bounded key (the bounds the schema held before the config dataclasses
 took them over) draws from the values in ``VALUES``: its bounds, a value
-just outside each, and a typical value.  The size keys stay tiny, so a
+just outside each, and a typical value; each key with a list of choices
+draws one of them or one value outside them.  The size keys stay tiny, so a
 valid config runs in well under a second.
 
 Whatever the config, ``cmd_run`` exits 0, 2 or 3 and never raises.  An exit
@@ -32,8 +33,17 @@ N, HUGE = 2**64, 1e300
 # or loop count draws only the value past its bound, since a run at the
 # bound is not tiny
 WIDE, SCALE = 10**4, 1e6
-# the values each bounded key draws, by path (train covers ft and distill_train)
+# the values each bounded or choice key draws, by path (train covers ft and distill_train)
 VALUES = {
+    ("schema_version",): [1, 2],
+    ("task", "kind"): ["shift", "class_split", "grid"],
+    ("target",): ["same", "ood_sample", "novel", "base"],
+    ("train", "schedule", "kind"): ["constant", "step", "cosine", "linear"],
+    ("distill", "mode"): ["kl", "ce_kl", "cosine", "l2"],
+    ("fewshot", "classifier"): ["linear", "cosine", "knn"],
+    ("ood", "algorithm"): ["erm", "vrex", "irm"],
+    ("ood", "init"): ["scratch", "cat", "distill", "joint"],
+    ("ood", "tune_mode"): ["iid", "ood", "test"],
     ("master_seed",): [-1, 0, 1, N - 1, N],
     ("n_seeds",): [0, 1, 2, 50, 51],
     ("n_episodes",): [0, 1, 2, 50, 51],
@@ -128,8 +138,6 @@ def _values(schema: dict, path: tuple):
     if path in VALUES:
         values = VALUES[path]
         return values if isinstance(values, st.SearchStrategy) else st.sampled_from(values)
-    if "enum" in node:
-        return st.sampled_from(node["enum"])
     if node.get("type") == "boolean":
         return st.booleans()
     raise AssertionError(f"no values for the schema key {'/'.join(path)}")

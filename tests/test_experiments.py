@@ -367,7 +367,7 @@ def test_the_method_table_gives_each_pipeline_todays_methods():
         if name in taken["ood"]:
             OodConfig(init=name)
         else:
-            with pytest.raises(ParameterError, match="unknown init"):
+            with pytest.raises(ParameterError, match=f"init: '{name}' is not one of"):
                 OodConfig(init=name)
     # an ood init's bank reads the settings of its own method's row, and no others
     transfer_keys = {"hidden": [4], "n_episodes": 2, "train": {"lr": 0.5},
