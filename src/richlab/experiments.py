@@ -263,6 +263,7 @@ def make_ft_target(spec: ShiftSpec, seed: int, n_rows: int,
 
 # ---------------------------------------------------------------------------
 # the method table
+_SNAPSHOT_KEY = 42  # the snapshot run's seed key, which a bank's episode 42 takes too
 
 def _episode_bank(data: Dataset, cfg, seed: int, episode_offset: int) -> RepresentationBank:
     """Episode ``i`` trains from ``derive_seed(seed, episode_offset + i)``."""
@@ -271,11 +272,10 @@ def _episode_bank(data: Dataset, cfg, seed: int, episode_offset: int) -> Represe
 
 
 def _snapshot_bank(data: Dataset, cfg, seed: int, episode_offset: int) -> RepresentationBank:
-    """Snapshots of one run that trains from ``derive_seed(seed, 42)``."""
-    # the high-step-size episode runs plain SGD: momentum on top of
-    # an 8x step would diverge rather than wander between minima
+    """Snapshots of one run that trains from ``derive_seed(seed, _SNAPSHOT_KEY)``."""
+    # plain SGD: momentum on top of an 8x step would diverge rather than wander between minima
     config = replace(cfg.train, lr=cfg.train.lr * cfg.snapshot_lr_mult, momentum=0.0,
-                     seed=derive_seed(seed, 42))
+                     seed=derive_seed(seed, _SNAPSHOT_KEY))
     return snapshot_episode(data, cfg.hidden, config,
                             snapshot_schedule(cfg.train.epochs, cfg.n_snapshots))
 
@@ -553,9 +553,9 @@ class FewshotConfig:
             raise ParameterError(f"{need} n_snapshots of at most train.epochs, got n_snapshots "
                                  f"{self.n_snapshots} and train.epochs {epochs}", "n_snapshots")
         banks = [m for m in self.methods if METHODS[m].start is _episode_bank]
-        if banks and self.n_episodes > 42:  # the snapshot run trains from episode 42's seed
-            raise ParameterError(f"{need} n_episodes of at most 42 beside {', '.join(banks)}, "
-                                 f"got {self.n_episodes}", "n_episodes")
+        if banks and self.n_episodes > _SNAPSHOT_KEY:  # a later episode shares the run's seed
+            raise ParameterError(f"{need} n_episodes of at most {_SNAPSHOT_KEY} beside "
+                                 f"{', '.join(banks)}, got {self.n_episodes}", "n_episodes")
 
 
 def fit_cosine_classifier(feats, y, n_classes: int, seed: int, lr: float = 0.1,

@@ -178,6 +178,17 @@ SCHEMA_CASES = [
     # the choices are checked one at a time, and the first refusal ends the run
     ("enum", {"pipeline": "ood", "ood": {"algorithm": "irm", "tune_mode": "test"}},
      ["ood/algorithm: 'irm' is not one of ['erm', 'vrex']"]),
+    # a choice is a string: an object is no config section, nor an array a choice
+    ("type", {"pipeline": ["verify"]}, ["pipeline: ['verify'] is not of type 'string'"]),
+    ("type", {"pipeline": "transfer", "target": ["same"], "task": {"kind": {}},
+              "distill": {"mode": None}, "train": {"schedule": {"kind": {}}}},
+     ["distill/mode: None is not of type 'string'", "target: ['same'] is not of type 'string'",
+      "task/kind: {} is not of type 'string'", "train/schedule/kind: {} is not of type 'string'"]),
+    ("type", {"pipeline": "fewshot", "fewshot": {"classifier": {}}},
+     ["fewshot/classifier: {} is not of type 'string'"]),
+    ("type", {"pipeline": "ood", "ood": {"algorithm": {}, "init": ["cat"], "tune_mode": 1}},
+     ["ood/algorithm: {} is not of type 'string'", "ood/init: ['cat'] is not of type 'string'",
+      "ood/tune_mode: 1 is not of type 'string'"]),
 ]
 
 

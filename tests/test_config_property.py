@@ -4,8 +4,8 @@ The schema gives the structure: its keys, their nesting and types.  Each
 bounded key (the bounds the schema held before the config dataclasses
 took them over) draws from the values in ``VALUES``: its bounds, a value
 just outside each, and a typical value; each key with a list of choices
-draws one of them or one value outside them.  The size keys stay tiny, so a
-valid config runs in well under a second.
+draws one of them, one string outside them or an object.  The size keys
+stay tiny, so a valid config runs in well under a second.
 
 Whatever the config, ``cmd_run`` exits 0, 2 or 3 and never raises.  An exit
 2 enters no pipeline runner, makes no output directory and prints only
@@ -36,14 +36,14 @@ WIDE, SCALE = 10**4, 1e6
 # the values each bounded or choice key draws, by path (train covers ft and distill_train)
 VALUES = {
     ("schema_version",): [1, 2],
-    ("task", "kind"): ["shift", "class_split", "grid"],
-    ("target",): ["same", "ood_sample", "novel", "base"],
-    ("train", "schedule", "kind"): ["constant", "step", "cosine", "linear"],
-    ("distill", "mode"): ["kl", "ce_kl", "cosine", "l2"],
-    ("fewshot", "classifier"): ["linear", "cosine", "knn"],
-    ("ood", "algorithm"): ["erm", "vrex", "irm"],
-    ("ood", "init"): ["scratch", "cat", "distill", "joint"],
-    ("ood", "tune_mode"): ["iid", "ood", "test"],
+    ("task", "kind"): ["shift", "class_split", "grid", {}],
+    ("target",): ["same", "ood_sample", "novel", "base", {}],
+    ("train", "schedule", "kind"): ["constant", "step", "cosine", "linear", {}],
+    ("distill", "mode"): ["kl", "ce_kl", "cosine", "l2", {}],
+    ("fewshot", "classifier"): ["linear", "cosine", "knn", {}],
+    ("ood", "algorithm"): ["erm", "vrex", "irm", {}],
+    ("ood", "init"): ["scratch", "cat", "distill", "joint", {}],
+    ("ood", "tune_mode"): ["iid", "ood", "test", {}],
     ("master_seed",): [-1, 0, 1, N - 1, N],
     ("n_seeds",): [0, 1, 2, 50, 51],
     ("n_episodes",): [0, 1, 2, 50, 51],
@@ -158,7 +158,7 @@ def configs(draw):
         cfg[key] = draw(_values(SCHEMA["properties"][key], (key,)))
     sizes = SIZES[pipeline]
     if pipeline == "ood":
-        sizes = {**sizes, **OOD_INIT_SIZES.get(cfg.get("ood", {}).get("init"), {})}
+        sizes = {**sizes, **OOD_INIT_SIZES.get(str(cfg.get("ood", {}).get("init")), {})}
     for path, value in sizes.items():
         node = cfg
         for key in path[:-1]:
