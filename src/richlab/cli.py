@@ -1,8 +1,9 @@
 """Command-line front end: run experiment configs, render CSV results as
 markdown tables, and execute the property suites.
 
-The schema checks a config's structure (types, required and unknown keys);
-then the code that acts on each value (a config dataclass or a pipeline
+The schema, read off the config dataclasses (a new config field is one
+dataclass edit), checks a config's structure: types, required and unknown
+keys; the code that acts on each value (a config dataclass or a pipeline
 builder, all run before any pipeline work) checks its bounds and choices.
 Each refusal prints ``config error: field <path>: <message>``.  Exit codes:
 0 success; 1 failed property suites; 2 configuration errors; 3 runtime failures.
@@ -13,10 +14,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
-from importlib import resources
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -51,16 +51,43 @@ from . import verify as verify_mod
 from . import __version__
 
 SCHEMA_VERSION = 1
+_JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean"}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+
+def _object(properties: dict, **required) -> dict:
+    """The schema of a JSON object that takes no key but ``properties``."""
+    return {"type": "object", "additionalProperties": False, **required, "properties": properties}
+
+
+def _schema_of(hint) -> dict:
+    """The schema of a config field's type: a dataclass is an object, a tuple an array."""
+    if is_dataclass(hint):
+        return _object(_properties(hint))
+    if get_origin(hint) is tuple:
+        return {"type": "array", "items": _schema_of(get_args(hint)[0])}
+    return {"type": _JSON_TYPES[hint]}
+
+
+def _properties(*classes, skip=()) -> dict:
+    """The schema of each field of the dataclasses ``classes`` but those in
+    ``skip`` and the seeds, which the run derives and no key sets."""
+    hints = {name: hint for cls in classes for name, hint in get_type_hints(cls).items()}
+    return {f.name: _schema_of(hints[f.name]) for cls in classes for f in fields(cls)
+            if f.name not in {"seed", "seeds", *skip}}
 
 
 def load_schema() -> dict:
-    text = resources.files("richlab").joinpath("config_schema.json").read_text()
-    return json.loads(text)
-
-
-# keywords that annotate the config schema and check nothing
-_ANNOTATIONS = frozenset({"$schema", "title", "$defs"})
-_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+    """The config schema, read off the config dataclasses: the top-level keys are the fields
+    of ``RunConfig`` and ``TransferConfig``; each section holds its pipeline's other fields."""
+    top = _properties(RunConfig, TransferConfig)
+    return _object({
+        "schema_version": {"type": "integer"}, "pipeline": {"type": "string"},
+        "include_anchors": {"type": "boolean"}, **top,
+        "task": _object({"kind": {"type": "string"}, **_properties(ShiftSpec)}),
+        "fewshot": _object(_properties(EpisodeSpec, FewshotConfig, skip=top)),
+        "ood": _object(_properties(OodConfig, skip=top)),
+    }, required=["pipeline"])
 
 
 def _is_type(value, name: str) -> bool:
@@ -73,33 +100,27 @@ def _is_type(value, name: str) -> bool:
     return isinstance(value, int) if name == "integer" else math.isfinite(value)
 
 
-def schema_errors(value, schema: dict, root: dict | None = None,
-                  path: tuple = ()) -> list[tuple[tuple, str]]:
+def schema_errors(value, schema: dict, path: tuple = ()) -> list[tuple[tuple, str]]:
     """The ``(path, message)`` of every rule of ``schema`` that ``value`` breaks.
 
     Implements the Draft-7 structure keywords the config schema uses, with
     jsonschema's messages, and raises ``ValueError`` on any other keyword.
-    ``$ref`` points into the ``$defs`` of ``root``, by default ``schema``.
     """
-    root = schema if root is None else root
     errors = []
     for key, rule in schema.items():
         message = None
-        if key == "$ref":
-            sub = root["$defs"][rule.removeprefix("#/$defs/")]
-            errors += schema_errors(value, sub, root, path)
-        elif key == "type":
+        if key == "type":
             if not _is_type(value, rule):
                 message = f"{value!r} is not of type {rule!r}"
         elif key == "items":
             if isinstance(value, list):
                 for i, item in enumerate(value):
-                    errors += schema_errors(item, rule, root, (*path, i))
+                    errors += schema_errors(item, rule, (*path, i))
         elif key == "properties":
             if isinstance(value, dict):
                 for name, sub in rule.items():
                     if name in value:
-                        errors += schema_errors(value[name], sub, root, (*path, name))
+                        errors += schema_errors(value[name], sub, (*path, name))
         elif key == "required":
             if isinstance(value, dict):
                 errors += [(path, f"{name!r} is a required property")
@@ -111,7 +132,7 @@ def schema_errors(value, schema: dict, root: dict | None = None,
                 names = ", ".join(repr(name) for name in sorted(extras, key=str))
                 message = (f"Additional properties are not allowed "
                            f"({names} {'was' if len(extras) == 1 else 'were'} unexpected)")
-        elif key not in _ANNOTATIONS:
+        else:
             raise ValueError(f"config schema keyword {key!r} is not implemented")
         if message is not None:
             errors.append((path, message))
@@ -338,9 +359,11 @@ _PIPELINES = {"transfer": _transfer_pipeline, "fewshot": _fewshot_pipeline,
 def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -> int:
     """Execute the pipeline named by a JSON config; returns the exit code."""
     try:
-        text = Path(config_path).read_text()
+        text = Path(config_path).read_text(encoding="utf-8")
     except OSError as exc:
         return _field_errors([((), str(exc))])
+    except UnicodeDecodeError as exc:
+        return _field_errors([((), f"{config_path}: byte {exc.start}: not UTF-8: {exc.reason}")])
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -377,7 +400,7 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
                               for path in unread])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # a null byte or an unpaired surrogate is a ValueError
         return _field_errors([(("output_dir",), str(exc))])
     try:
         # the trainers turn every non-finite value into a named error, so

@@ -645,9 +645,9 @@ def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConf
 @dataclass
 class OodConfig:
     algorithm: str = "erm"  # erm | vrex
-    beta_grid: tuple[float, ...] = (0.5, 1.0, 5.0, 10.0, 50.0, 100.0)
     init: str = "scratch"   # scratch | cat | distill
     tune_mode: str = "iid"  # iid | ood
+    beta_grid: tuple[float, ...] = (0.5, 1.0, 5.0, 10.0, 50.0, 100.0)
     lr_grid: tuple[float, ...] = (0.01, 0.1)
     wd_grid: tuple[float, ...] = (0.0, 1e-3)
     steps: int = 300

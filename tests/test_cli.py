@@ -45,6 +45,15 @@ def test_run_malformed_json(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_names_the_path_and_byte_of_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'\xff\xfe{"pipeline": "verify"}')
+    assert cli.cmd_run(str(path), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"config error: field <root>: {path}: byte 0: not UTF-8: invalid start byte\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_unknown_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, pipeline="verify", tyop=1)
     assert cli.cmd_run(cfg) == 2
@@ -143,8 +152,8 @@ SCHEMA_CASES = [
     ("minLength", {"pipeline": "verify", "output_dir": ""}, ["output_dir: '' should be non-empty"]),
     ("minItems", {"pipeline": "transfer", "methods": [], "task": {"env_correlations": []}},
      ["methods: [] should be non-empty"]),
-    # each $ref is followed; the schema's errors print before any bound or choice is read
-    ("$ref", {"pipeline": "transfer", "train": {"schedule": {"every": 0}},
+    # each TrainConfig object is checked; its errors print before any bound or choice is read
+    ("type", {"pipeline": "transfer", "train": {"schedule": {"every": 0}},
               "ft": {"schedule": {"kind": "linear", "every": 2.5}},
               "distill_train": {"epochs": -1, "lr": "x"}},
      ["distill_train/lr: 'x' is not of type 'number'",
@@ -189,6 +198,15 @@ SCHEMA_CASES = [
     ("type", {"pipeline": "ood", "ood": {"algorithm": {}, "init": ["cat"], "tune_mode": 1}},
      ["ood/algorithm: {} is not of type 'string'", "ood/init: ['cat'] is not of type 'string'",
       "ood/tune_mode: 1 is not of type 'string'"]),
+    # the seeds a run derives are fields of the config dataclasses, and no key sets them
+    ("additionalProperties", {"pipeline": "transfer", "seeds": [1]},
+     ["<root>: Additional properties are not allowed ('seeds' was unexpected)"]),
+    ("additionalProperties", {"pipeline": "transfer", "train": {"seed": 1}},
+     ["train: Additional properties are not allowed ('seed' was unexpected)"]),
+    ("additionalProperties", {"pipeline": "fewshot", "fewshot": {"seeds": [1]}},
+     ["fewshot: Additional properties are not allowed ('seeds' was unexpected)"]),
+    ("additionalProperties", {"pipeline": "ood", "ood": {"seeds": [1]}},
+     ["ood: Additional properties are not allowed ('seeds' was unexpected)"]),
 ]
 
 
@@ -251,8 +269,7 @@ def test_run_refuses_a_non_finite_number_before_any_work(tmp_path, capsys, pipel
 def _schema_keywords(schema: dict) -> set[str]:
     found = set(schema)
     for key, rule in schema.items():
-        subschemas = (rule.values() if key in ("properties", "$defs")
-                      else [rule] if key == "items" else [])
+        subschemas = rule.values() if key == "properties" else [rule] if key == "items" else []
         for sub in subschemas:
             found |= _schema_keywords(sub)
     return found
@@ -260,12 +277,14 @@ def _schema_keywords(schema: dict) -> set[str]:
 
 def test_every_schema_keyword_is_implemented_and_has_a_case():
     # a schema edit that uses a new keyword fails here until the validator has it
-    keywords = _schema_keywords(cli.load_schema()) - cli._ANNOTATIONS
-    assert keywords == {"type", "required", "properties", "additionalProperties", "items",
-                        "$ref"}
+    keywords = _schema_keywords(cli.load_schema())
+    assert keywords == {"type", "required", "properties", "additionalProperties", "items"}
     assert keywords == {rule for rule, _, _ in SCHEMA_CASES} - BOUNDS - CHOICES
     with pytest.raises(ValueError, match="'maxLength'"):
         cli.schema_errors("abc", {"maxLength": 2})
+    # the schema is read off the config dataclasses, and refers to no part of itself
+    with pytest.raises(ValueError, match=r"'\$ref'"):
+        cli.schema_errors({}, {"$ref": "#/$defs/train"})
     # a bound or a choice is for the code that acts on the value to check
     for keyword in BOUNDS | CHOICES:
         with pytest.raises(ValueError, match=f"'{keyword}'"):
@@ -881,11 +900,23 @@ def test_run_refuses_an_ood_setting_its_run_does_not_read_before_any_work(
     assert cli._unread(cfg, read) == []
 
 
+# a path the OS cannot take, as the config's JSON sets it, and the reason mkdir gives
+UNUSABLE_DIRS = {"a\x00b": "embedded null byte",
+                 "\ud800": "'utf-8' codec can't encode character '\\ud800' in position 0: "
+                           "surrogates not allowed"}
+
+
 @pytest.mark.parametrize("pinned", ["verify", "fewshot"])
-@pytest.mark.parametrize("sub", ["", "sub"])
+@pytest.mark.parametrize("sub", ["", "sub", *UNUSABLE_DIRS])
 def test_run_refuses_an_output_dir_that_cannot_be_a_directory_before_any_work(
         tmp_path, capsys, monkeypatch, pinned, sub):
     _refuse_work(monkeypatch)
+    if sub in UNUSABLE_DIRS:
+        cfg = dict(_pinned(pinned), output_dir=sub)
+        assert cli.cmd_run(write_config(tmp_path, **cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: field output_dir: {UNUSABLE_DIRS[sub]}\n")
+        return
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / sub if sub else blocker
@@ -1266,23 +1297,18 @@ def test_every_pipeline_config_field_is_a_schema_key(config_cls, section):
     assert sorted(names - reachable) == []
 
 
-def _schema_node(schema: dict, root: dict) -> dict:
-    return root["$defs"][schema["$ref"].removeprefix("#/$defs/")] if "$ref" in schema else schema
-
-
-def _schema_paths(schema: dict, root: dict, at: tuple = ()):
-    for key, sub in _schema_node(schema, root).get("properties", {}).items():
+def _schema_paths(schema: dict, at: tuple = ()):
+    for key, sub in schema.get("properties", {}).items():
         yield (*at, key)
-        yield from _schema_paths(sub, root, (*at, key))
+        yield from _schema_paths(sub, (*at, key))
 
 
-def _schema_part(value, schema: dict, root: dict):
+def _schema_part(value, schema: dict):
     """The keys of ``value`` (dicts of defaults) that ``schema`` has, as JSON values."""
-    node = _schema_node(schema, root)
-    if "properties" not in node:
+    if "properties" not in schema:
         return list(value) if isinstance(value, tuple) else value
-    return {key: _schema_part(value[key], sub, root)
-            for key, sub in node["properties"].items() if key in value}
+    return {key: _schema_part(value[key], sub)
+            for key, sub in schema["properties"].items() if key in value}
 
 
 def test_every_schema_key_is_read_by_some_pipeline():
@@ -1307,7 +1333,7 @@ def test_every_schema_key_is_read_by_some_pipeline():
     }
     read = {("schema_version",), ("pipeline",)}  # as cmd_run reads them
     for pipeline, values in configs.items():
-        cfg = _schema_part(dict(values, pipeline=pipeline), schema, schema)
+        cfg = _schema_part(dict(values, pipeline=pipeline), schema)
         assert cli.schema_errors(cfg, schema) == []
         cli._PIPELINES[pipeline](cfg, cli._merged(cli.RunConfig(), cfg, read), read)
-    assert sorted(set(_schema_paths(schema, schema)) - read) == []
+    assert sorted(set(_schema_paths(schema)) - read) == []

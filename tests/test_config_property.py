@@ -119,26 +119,16 @@ OOD_INIT_SIZES = {"cat": {("train", "epochs"): 2},
 SCHEMA = cli.load_schema()
 
 
-def _node(schema: dict) -> tuple[dict, str | None]:
-    """The schema node ``schema`` stands for, and the name of its ``$defs`` entry."""
-    if "$ref" in schema:
-        name = schema["$ref"].removeprefix("#/$defs/")
-        return SCHEMA["$defs"][name], name
-    return schema, None
-
-
 def _values(schema: dict, path: tuple):
     """A strategy for the value at ``path``, from the schema's structure."""
-    node, ref = _node(schema)
-    if ref is not None:
-        path = (ref,)
-    if "properties" in node:
+    if "properties" in schema:
         return st.fixed_dictionaries({}, optional={
-            key: _values(sub, (*path, key)) for key, sub in node["properties"].items()})
-    if path in VALUES:
-        values = VALUES[path]
+            key: _values(sub, (*path, key)) for key, sub in schema["properties"].items()})
+    key = ("train", *path[1:]) if path[0] in ("ft", "distill_train") else path
+    if key in VALUES:
+        values = VALUES[key]
         return values if isinstance(values, st.SearchStrategy) else st.sampled_from(values)
-    if node.get("type") == "boolean":
+    if schema.get("type") == "boolean":
         return st.booleans()
     raise AssertionError(f"no values for the schema key {'/'.join(path)}")
 

@@ -3,8 +3,8 @@ the allocation sites live at the traced peak.
 
     PYTHONPATH=src python tools/peakmem.py perfbench/workloads/transfer.json --seed 0
 
-The process imports richlab and loads the config schema, as every
-``richlab run`` does, and prints its VmHWM (the peak resident set size
+The process imports richlab and builds the config schema from the config
+dataclasses, as every ``richlab run`` does, and prints its VmHWM (the peak resident set size
 that the benchmark reports as ``peak_rss_mb``).  It then runs
 ``cli.cmd_run`` on the config, untraced, and prints VmHWM at the end.
 
