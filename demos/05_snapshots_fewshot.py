@@ -34,16 +34,15 @@ episodes = np.stack([sample_episode(novel.train, episode_spec, rng) for _ in ran
 cfg = FewshotConfig()
 
 print(f"snapshots taken after epochs {snaps} of one lr={snap_cfg.lr} run")
-per_snap = []
-for j in range(len(bank)):
-    member = bank.member(j)
-    accs = episode_accuracies(lambda rows, b=member: cat_features(b, novel.train.X[rows]),
-                              episodes, episode_spec, cfg)
-    per_snap.append(accs.mean())
-    print(f"  snapshot {j + 1}: few-shot accuracy {accs.mean():.3f}")
+# the snapshots share one width, so their support problems share stacked solves
+members = [bank.member(j) for j in range(len(bank))]
+per_snap = episode_accuracies([lambda rows, b=m: cat_features(b, novel.train.X[rows])
+                               for m in members], episodes, episode_spec, cfg).mean(axis=1)
+for j, acc in enumerate(per_snap):
+    print(f"  snapshot {j + 1}: few-shot accuracy {acc:.3f}")
 
-accs = episode_accuracies(lambda rows: cat_features(bank, novel.train.X[rows]), episodes,
-                          episode_spec, cfg)
+(accs,) = episode_accuracies([lambda rows: cat_features(bank, novel.train.X[rows])], episodes,
+                             episode_spec, cfg)
 print(f"\nconcatenation of the 5 snapshots: {accs.mean():.3f} "
       f"(best single was {max(per_snap):.3f})")
 print("\nfeatures are discovered and then abandoned along the trajectory;")

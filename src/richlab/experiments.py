@@ -582,7 +582,11 @@ def run_fewshot(base: TransferTask, novel: Dataset, spec: EpisodeSpec, cfg: Fews
     """Evaluate representations on sampled episodes of novel classes.
 
     Every method of a seed group sees the same episodes (a paired
-    comparison); std is the ddof=1 standard deviation over episodes.
+    comparison); std is the ddof=1 standard deviation over episodes.  The
+    linear classifier evaluates a seed's representations of one feature
+    width in one :func:`episode_accuracies` call, so their support
+    problems share stacked solves; the cosine classifier evaluates each
+    representation alone.
     """
     records: list[RunRecord] = []
     extra = {"episodes": str(cfg.n_episodes_eval), "classifier": cfg.classifier}
@@ -590,52 +594,89 @@ def run_fewshot(base: TransferTask, novel: Dataset, spec: EpisodeSpec, cfg: Fews
         reps = build_representations(cfg.methods, base.train, cfg, s)
         rng = SplitMix64(derive_seed(s, 900))
         episodes = np.stack([sample_episode(novel, spec, rng) for _ in range(cfg.n_episodes_eval)])
-        for rep in reps:
-            with named(f"{rep.name} with seed {s}: ", seed=s):
-                accs = episode_accuracies(lambda rows, b=rep.bank: cat_features(b, novel.X[rows]),
-                                          episodes, spec, cfg, derive_seed(s, 7000))
+        widths = [rep.bank.total_dim for rep in reps]
+        # positions in reps, by width for the linear classifier, one each for the cosine
+        groups: dict[int, list[int]] = {}
+        for i, width in enumerate(widths):
+            groups.setdefault(width if cfg.classifier == "linear" else i, []).append(i)
+        accs = {}
+        for group in groups.values():
+            with named(f"{', '.join(reps[i].name for i in group)} with seed {s}: ", seed=s):
+                accs.update(zip(group, episode_accuracies(
+                    [lambda rows, b=reps[i].bank: cat_features(b, novel.X[rows]) for i in group],
+                    episodes, spec, cfg, derive_seed(s, 7000), widest=max(widths))))
+        for i, rep in enumerate(reps):
+            acc = accs[i]
             records.append(RunRecord(run_id, s, rep.name, base.name, "fewshot",
-                                     "mean_accuracy", float(accs.mean()), extra))
+                                     "mean_accuracy", float(acc.mean()), extra))
             records.append(RunRecord(run_id, s, rep.name, base.name, "fewshot",
-                                     "std_accuracy", float(accs.std(ddof=1)), extra))
+                                     "std_accuracy", float(acc.std(ddof=1)), extra))
     return records
 
 
-# episodes per stacked support solve: large enough that the numpy call
-# overhead of a solver round is shared, small enough to bound its memory
+# episodes per stacked support solve of the widest features: large enough
+# that the numpy call overhead of a solver round is shared, small enough to
+# bound its memory
 EPISODE_BLOCK = 50
 
 
-def episode_accuracies(feature_fn, episodes, spec: EpisodeSpec, cfg: FewshotConfig,
-                       seed: int = 0) -> np.ndarray:
-    """Per-episode query accuracies of support-fitted classifiers.
+def episode_accuracies(feature_fns, episodes, spec: EpisodeSpec, cfg: FewshotConfig,
+                       seed: int = 0, widest: int = 0) -> np.ndarray:
+    """Per-episode query accuracies of support-fitted classifiers, an (R, E)
+    array with one row per feature function.
 
     ``episodes`` is an (E, n_way, k_shot + n_query) stack of
-    ``sample_episode`` row positions; ``feature_fn`` maps positions to
-    features.  The linear classifier fits ``EPISODE_BLOCK`` episodes'
-    support probes in one stacked ``fit_probe`` call, each the probe it
-    would be alone.  A cosine fit or prediction that meets a zero-norm
-    feature row raises an :class:`EpisodeError` naming the episode.
+    ``sample_episode`` row positions; each of the ``R`` functions of
+    ``feature_fns`` maps positions to features, all of one width ``d``.
+    The linear classifier fits the support probes of a block of
+    ``EPISODE_BLOCK`` episodes of every function in stacked ``fit_probe``
+    calls, each probe the probe it would be alone.  A solve holds at most
+    ``EPISODE_BLOCK`` episodes' support features ``max(widest, d)`` wide,
+    so a block's functions share as few solves as that bound allows.  A
+    cosine fit or prediction that meets a zero-norm feature row raises an
+    :class:`EpisodeError` naming the episode.
     """
     k = spec.k_shot
     sup_y = np.repeat(np.arange(spec.n_way), k)
     qry_y = np.repeat(np.arange(spec.n_way), spec.n_query)
-    accs = np.empty(len(episodes))
-    for e, rows in enumerate(episodes):
-        if cfg.classifier == "linear" and e % EPISODE_BLOCK == 0:
-            block = episodes[e:e + EPISODE_BLOCK]
-            fs = feature_fn(block[:, :, :k].reshape(-1))
-            probes = fit_probe(fs.reshape(len(block), -1, fs.shape[1]), sup_y,
-                               cfg.probe, n_classes=spec.n_way)
-        fq = feature_fn(rows[:, k:].reshape(-1))
-        if cfg.classifier == "linear":
-            pred = probes[e % EPISODE_BLOCK].predict(fq)
-        else:
-            with named(f"cosine classifier of episode {e} failed: "):
-                head = fit_cosine_classifier(feature_fn(rows[:, :k].reshape(-1)), sup_y,
-                                             spec.n_way, seed=derive_seed(seed, e))
-                pred = cosine_head_forward(fq, head).argmax(axis=1)
-        accs[e] = (pred == qry_y).mean()
+    accs = np.empty((len(feature_fns), len(episodes)))
+    if cfg.classifier == "cosine":
+        for r, feature_fn in enumerate(feature_fns):
+            for e, rows in enumerate(episodes):
+                fq = feature_fn(rows[:, k:].reshape(-1))
+                with named(f"cosine classifier of episode {e} failed: "):
+                    head = fit_cosine_classifier(feature_fn(rows[:, :k].reshape(-1)), sup_y,
+                                                 spec.n_way, seed=derive_seed(seed, e))
+                    pred = cosine_head_forward(fq, head).argmax(axis=1)
+                accs[r, e] = (pred == qry_y).mean()
+        return accs
+    for start in range(0, len(episodes), EPISODE_BLOCK):
+        block = episodes[start:start + EPISODE_BLOCK]
+        support = block[:, :, :k].reshape(-1)
+        for r, feature_fn in enumerate(feature_fns):
+            fs = feature_fn(support)
+            fs = fs.reshape(len(block), -1, fs.shape[1])
+            if r == 0:
+                width = fs.shape[2]
+                per_solve = max(1, EPISODE_BLOCK * max(widest, width) // (len(block) * width))
+            # function r is member j of the solve of the n functions from `first` on
+            j = r % per_solve
+            if j == 0:
+                first, n = r, min(per_solve, len(feature_fns) - r)
+                # a lone function's features are solved in place, uncopied
+                stack = fs if n == 1 else np.empty((n, *fs.shape))
+            if n > 1:
+                stack[j] = fs
+            del fs
+            if j < n - 1:
+                continue
+            probes = fit_probe(stack.reshape(-1, *stack.shape[-2:]), sup_y, cfg.probe,
+                               n_classes=spec.n_way)
+            del stack
+            for m, fn in enumerate(feature_fns[first:first + n]):
+                for i, rows in enumerate(block):
+                    pred = probes[m * len(block) + i].predict(fn(rows[:, k:].reshape(-1)))
+                    accs[first + m, start + i] = (pred == qry_y).mean()
     return accs
 
 

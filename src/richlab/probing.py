@@ -22,8 +22,10 @@ stack of one.  For stacked input the result's arrays gain a leading
 ``result[e]`` is problem ``e`` as a single probe.
 
 Two pipelines fit stacks: few-shot evaluation fits the support sets of
-a block of episodes at once, gathered from the episodes' row positions
-(``experiments.episode_accuracies``), and the transfer pipeline fits one
+a block of episodes of every representation of one width at once,
+gathered from the episodes' row positions, as many representations to a
+stack as its memory bound allows (``experiments.episode_accuracies``),
+and the transfer pipeline fits one
 probe per leg of a bank on the same rows, through ``ProbeCache.fit``, for
 the per-leg probe gap and for the per-leg ensemble ``catsub``.
 

@@ -512,8 +512,8 @@ def test_fewshot_std_is_sample_std():
     single = bank.member(0)
     rng = SplitMix64(derive_seed(4, 900))
     episodes = np.stack([sample_episode(novel.train, spec_ep, rng) for _ in range(12)])
-    accs = episode_accuracies(lambda rows: cat_features(single, novel.train.X[rows]), episodes,
-                              spec_ep, cfg, seed=derive_seed(4, 7000))
+    (accs,) = episode_accuracies([lambda rows: cat_features(single, novel.train.X[rows])],
+                                 episodes, spec_ep, cfg, seed=derive_seed(4, 7000))
     assert mean == pytest.approx(accs.mean())
     assert std == pytest.approx(accs.std(ddof=1))
 
@@ -541,26 +541,10 @@ def test_fewshot_config_refuses_what_the_run_would_fail_on(kwargs, words):
                   n_snapshots=5)
 
 
-def _episodes_and_reference():
-    """Nine episodes' row positions, a feature function of positions, and the
-    accuracies of fitting each episode alone on features extracted per
-    episode."""
-    from richlab.probing import ProbeConfig, fit_probe
-    from richlab.richrep import cat_features, train_episodes
-
-    base, novel = make_class_split_tasks(make_shift_task(ShiftSpec(
-        n_classes=5, d_core=5, d_spur=5, d_noise=2,
-        core_scale=1.0, spur_scale=2.0, noise_std=0.8,
-        env_correlations=(0.9,), ood_correlation=0.25, n_per_env=200,
-    ), 5, ood_train_rows=100, ood_test_rows=100))
-    bank = train_episodes(base.train, (6,), FAST_TRAIN, [11, 12])
-    spec = EpisodeSpec(3, 2, 5)
-    rng = SplitMix64(21)
-    episodes = np.stack([sample_episode(novel.train, spec, rng) for _ in range(9)])
-    cfg = FewshotConfig(probe=ProbeConfig(l2=1e-3, max_iters=150, grad_tol=1e-6))
-
-    def feature_fn(rows):
-        return cat_features(bank, novel.train.X[rows])
+def _lone_accuracies(feature_fn, episodes, spec, cfg):
+    """The accuracies of fitting each episode alone, on features extracted
+    per episode."""
+    from richlab.probing import fit_probe
 
     # drawn class j is label j; each class's support rows come first
     support_y = np.repeat(np.arange(spec.n_way), spec.k_shot)
@@ -571,14 +555,52 @@ def _episodes_and_reference():
                           n_classes=spec.n_way)
         query = feature_fn(rows[:, spec.k_shot:].reshape(-1))
         reference.append(float((probe.predict(query) == query_y).mean()))
-    return feature_fn, episodes, spec, cfg, reference
+    return reference
+
+
+def _split_tasks():
+    """The base and novel tasks of a 5-class shift task."""
+    return make_class_split_tasks(make_shift_task(ShiftSpec(
+        n_classes=5, d_core=5, d_spur=5, d_noise=2,
+        core_scale=1.0, spur_scale=2.0, noise_std=0.8,
+        env_correlations=(0.9,), ood_correlation=0.25, n_per_env=200,
+    ), 5, ood_train_rows=100, ood_test_rows=100))
+
+
+def _novel_bank_and_episodes():
+    """A novel split, a 2-member bank trained on its base split, and nine
+    episodes' row positions."""
+    from richlab.probing import ProbeConfig
+    from richlab.richrep import train_episodes
+
+    base, novel = _split_tasks()
+    bank = train_episodes(base.train, (6,), FAST_TRAIN, [11, 12])
+    spec = EpisodeSpec(3, 2, 5)
+    rng = SplitMix64(21)
+    episodes = np.stack([sample_episode(novel.train, spec, rng) for _ in range(9)])
+    cfg = FewshotConfig(probe=ProbeConfig(l2=1e-3, max_iters=150, grad_tol=1e-6))
+    return novel.train, bank, episodes, spec, cfg
+
+
+def _episodes_and_reference():
+    """Nine episodes' row positions, a feature function of positions, and the
+    accuracies of fitting each episode alone on features extracted per
+    episode."""
+    from richlab.richrep import cat_features
+
+    novel, bank, episodes, spec, cfg = _novel_bank_and_episodes()
+
+    def feature_fn(rows):
+        return cat_features(bank, novel.X[rows])
+
+    return feature_fn, episodes, spec, cfg, _lone_accuracies(feature_fn, episodes, spec, cfg)
 
 
 def test_episode_accuracies_match_one_episode_at_a_time():
     # the stacked support solve must reproduce fitting each episode alone,
     # with features extracted per episode, exactly
     feature_fn, episodes, spec, cfg, reference = _episodes_and_reference()
-    accs = episode_accuracies(feature_fn, episodes, spec, cfg)
+    (accs,) = episode_accuracies([feature_fn], episodes, spec, cfg)
     assert accs.tolist() == reference
     assert len(set(reference)) > 1      # episodes differ, so order is checked too
 
@@ -590,7 +612,112 @@ def test_episode_blocks_match_one_episode_at_a_time(monkeypatch, block):
 
     feature_fn, episodes, spec, cfg, reference = _episodes_and_reference()
     monkeypatch.setattr(experiments, "EPISODE_BLOCK", block)
-    assert episode_accuracies(feature_fn, episodes, spec, cfg).tolist() == reference
+    assert episode_accuracies([feature_fn], episodes, spec, cfg).tolist() == [reference]
+
+
+def _mixed_width_feature_fns():
+    """Feature functions by width, as ``run_fewshot`` groups them: the two
+    6-wide members of a bank, and the bank's 12-wide concatenation beside
+    the 12-wide raw input."""
+    from richlab.richrep import cat_features
+
+    novel, bank, episodes, spec, cfg = _novel_bank_and_episodes()
+    members = [bank.member(j) for j in range(len(bank))]
+    groups = {6: [lambda rows, b=m: cat_features(b, novel.X[rows]) for m in members],
+              12: [lambda rows: cat_features(bank, novel.X[rows]), lambda rows: novel.X[rows]]}
+    return groups, episodes, spec, cfg
+
+
+@pytest.mark.parametrize("block", [1, 4, 9])
+def test_grouped_support_solves_match_one_representation_at_a_time(monkeypatch, block):
+    # each width's functions in one call, their support problems stacked
+    # under the bound of the widest, give each function's lone per-episode
+    # accuracies exactly
+    from richlab import experiments
+
+    groups, episodes, spec, cfg = _mixed_width_feature_fns()
+    monkeypatch.setattr(experiments, "EPISODE_BLOCK", block)
+    for fns in groups.values():
+        accs = episode_accuracies(fns, episodes, spec, cfg, widest=max(groups))
+        assert accs.tolist() == [_lone_accuracies(fn, episodes, spec, cfg) for fn in fns]
+
+
+def test_the_memory_bound_splits_a_width_group_over_solves_one_representation_at_a_time(
+        monkeypatch):
+    # a solve holds at most EPISODE_BLOCK episodes' support features of the
+    # widest width: blocks of 4 episodes hold two 6-wide functions but one
+    # 12-wide function, and the last block of 1 episode holds all of either
+    from richlab import experiments
+
+    groups, episodes, spec, cfg = _mixed_width_feature_fns()
+    monkeypatch.setattr(experiments, "EPISODE_BLOCK", 4)
+    fit_probe, solves = experiments.fit_probe, []
+
+    def recording(features, *args, **kwargs):
+        solves.append(np.shape(features))
+        return fit_probe(features, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit_probe", recording)
+    n_rows = spec.n_way * spec.k_shot
+    for width, fns in groups.items():
+        solves.clear()
+        accs = episode_accuracies(fns, episodes, spec, cfg, widest=max(groups))
+        assert solves == ({6: [(8, n_rows, 6)] * 2, 12: [(4, n_rows, 12)] * 4}[width]
+                          + [(2, n_rows, width)])
+        assert accs.tolist() == [_lone_accuracies(fn, episodes, spec, cfg) for fn in fns]
+
+
+def test_run_fewshot_of_mixed_widths_matches_one_representation_at_a_time():
+    # erm and the snapshots are 6 wide, cat and cat-s 12 wide; the grouped
+    # run's records equal those of evaluating each representation alone
+    from richlab.experiments import build_representations
+    from richlab.richrep import cat_features
+    from richlab.rng import derive_seed
+
+    base, novel = _split_tasks()
+    spec = EpisodeSpec(3, 2, 4)
+    cfg = FewshotConfig(hidden=(6,), n_episodes=2, n_snapshots=2, methods=("erm", "cat", "cat-s",
+                        "snaps"), n_episodes_eval=7, train=FAST_TRAIN, seeds=(4,))
+    recs = run_fewshot(base, novel.train, spec, cfg)
+    reps = build_representations(cfg.methods, base.train, cfg, 4)
+    assert sorted({rep.bank.total_dim for rep in reps}) == [6, 12]
+    rng = SplitMix64(derive_seed(4, 900))
+    episodes = np.stack([sample_episode(novel.train, spec, rng) for _ in range(7)])
+    expected = []
+    for rep in reps:
+        (accs,) = episode_accuracies([lambda rows: cat_features(rep.bank, novel.train.X[rows])],
+                                     episodes, spec, cfg, derive_seed(4, 7000))
+        expected += [(rep.name, "mean_accuracy", float(accs.mean())),
+                     (rep.name, "std_accuracy", float(accs.std(ddof=1)))]
+    assert [(r.method, r.metric, r.value) for r in recs] == expected
+
+
+def test_a_cosine_failure_names_its_representation_not_the_first_of_its_width(monkeypatch):
+    # snap2 shares erm's width; a trunk that maps every row to zero makes its
+    # first cosine support fit fail, and the error names snap2 alone
+    from richlab import experiments
+
+    build = experiments.build_representations
+
+    def with_zero_snap2(*args, **kwargs):
+        reps = build(*args, **kwargs)
+        for rep in reps:
+            if rep.name == "snap2":
+                for layer in rep.bank.trunk.layers:
+                    layer.weights[...] = 0.0
+                    layer.bias[...] = 0.0
+        return reps
+
+    monkeypatch.setattr(experiments, "build_representations", with_zero_snap2)
+    base, novel = _split_tasks()
+    cfg = FewshotConfig(hidden=(16,), n_snapshots=3, methods=("erm", "snaps"), n_episodes_eval=3,
+                        train=FAST_TRAIN, classifier="cosine", seeds=(4,))
+    with pytest.raises(EpisodeError) as info:
+        run_fewshot(base, novel.train, EpisodeSpec(3, 2, 4), cfg)
+    assert str(info.value) == ("snap2 with seed 4: cosine classifier of episode 0 failed: "
+                               "training diverged at epoch 0: cosine head input has a "
+                               "zero-norm row")
+    assert info.value.seed == 4
 
 
 def test_few_shot_memory_stays_flat_in_the_episode_count(monkeypatch):
@@ -615,7 +742,7 @@ def test_few_shot_memory_stays_flat_in_the_episode_count(monkeypatch):
             ep_rng = SplitMix64(7)
             episodes = np.stack([sample_episode(novel, spec, ep_rng)
                                  for _ in range(n_episodes)])
-            episode_accuracies(lambda rows: novel.X[rows], episodes, spec, cfg)
+            episode_accuracies([lambda rows: novel.X[rows]], episodes, spec, cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -666,7 +793,7 @@ def test_zero_norm_row_in_a_cosine_episode_names_the_episode(where, message, epo
     X[episodes[2, 1, 1 if where == "support" else 3]] = 0.0
     cfg = FewshotConfig(classifier="cosine")
     with pytest.raises(EpisodeError) as info:
-        episode_accuracies(lambda rows: X[rows], episodes, spec, cfg)
+        episode_accuracies([lambda rows: X[rows]], episodes, spec, cfg)
     assert str(info.value) == f"cosine classifier of episode 2 failed: {message}"
     assert info.value.epoch == epoch
 

@@ -1,11 +1,12 @@
 """Working-set guards on the steps where a run peaks.
 
 The pinned transfer run reaches its peak in the per-leg probes of a
-bank's features, and every training step goes through a stacked forward
-pass and a log-softmax.  tracemalloc counts numpy's buffers, so the peak
-it reports over one call is the same on every run, unlike a process's
-resident set, which also moves with the size of the loaded code.  Each
-bound is a small multiple of the arrays the call cannot do without.
+bank's features, a few-shot run in its stacked support solves, and every
+training step goes through a stacked forward pass and a log-softmax.
+tracemalloc counts numpy's buffers, so the peak it reports over one call
+is the same on every run, unlike a process's resident set, which also
+moves with the size of the loaded code.  Each bound is a small multiple
+of the arrays the call cannot do without.
 """
 import tracemalloc
 
@@ -64,3 +65,27 @@ def test_log_softmax_peaks_below_three_inputs():
         out, peak = peak_bytes(log_softmax, z, tau)
         assert out.shape == z.shape
         assert peak <= 3 * z.nbytes
+
+
+def test_grouped_few_shot_solves_hold_one_bounded_block():
+    # a solve holds at most EPISODE_BLOCK episodes' support features of the
+    # widest width, here three 16-wide functions' worth, so 12 functions take
+    # twice the solves of 6 and no more memory
+    from richlab.experiments import EPISODE_BLOCK, FewshotConfig, episode_accuracies
+    from richlab.tasks import EpisodeSpec, sample_episode
+
+    rng = SplitMix64(5)
+    novel = Dataset(rng.normal(600 * 16).reshape(600, 16), np.arange(600) % 5, 5)
+    spec = EpisodeSpec(5, 5, 15)
+    episodes = np.stack([sample_episode(novel, spec, rng) for _ in range(2 * EPISODE_BLOCK)])
+    cfg = FewshotConfig(probe=ProbeConfig(l2=1e-3, max_iters=20, grad_tol=1e-6))
+    fns = [lambda rows, j=j: (j + 1) * novel.X[rows] for j in range(12)]
+    peaks = {}
+    for n in (6, 12):
+        accs, peaks[n] = peak_bytes(episode_accuracies, fns[:n], episodes, spec, cfg, 0, 3 * 16)
+        assert accs.shape == (n, 2 * EPISODE_BLOCK)
+    # the bounded block of support features, with room for one function's
+    # features and the solver's logit and parameter stacks beside it
+    block = EPISODE_BLOCK * 25 * 3 * 16 * 8
+    assert peaks[12] <= peaks[6] + (16 << 10)
+    assert peaks[12] <= 4 * block
