@@ -1,11 +1,13 @@
 """Command-line front end: run experiment configs, render CSV results as
 markdown tables, and execute the property suites.
 
-The schema, read off the config dataclasses (a new config field is one
-dataclass edit), checks a config's structure: types, required and unknown
-keys; the code that acts on each value (a config dataclass or a pipeline
-builder, all run before any pipeline work) checks its bounds and choices.
-Each refusal prints ``config error: field <path>: <message>``.  Exit codes:
+The config's keys and their types, read off the config dataclasses (a new
+config field is one dataclass edit), give its structure, which
+``schema_errors`` walks directly: types, the required ``pipeline`` and
+unknown keys; the code that acts on each value (a config dataclass or a
+pipeline builder, all run before any pipeline work) checks its bounds and
+choices.  Each refusal, and a file the JSON reader cannot read, prints
+``config error: field <path>: <message>``.  Exit codes:
 0 success; 1 failed property suites; 2 configuration errors; 3 runtime failures.
 """
 from __future__ import annotations
@@ -51,91 +53,67 @@ from . import verify as verify_mod
 from . import __version__
 
 SCHEMA_VERSION = 1
-_JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean"}
-_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+_JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean",
+               dict: "object", list: "array"}
 
 
-def _object(properties: dict, **required) -> dict:
-    """The schema of a JSON object that takes no key but ``properties``."""
-    return {"type": "object", "additionalProperties": False, **required, "properties": properties}
-
-
-def _schema_of(hint) -> dict:
-    """The schema of a config field's type: a dataclass is an object, a tuple an array."""
-    if is_dataclass(hint):
-        return _object(_properties(hint))
-    if get_origin(hint) is tuple:
-        return {"type": "array", "items": _schema_of(get_args(hint)[0])}
-    return {"type": _JSON_TYPES[hint]}
-
-
-def _properties(*classes, skip=()) -> dict:
-    """The schema of each field of the dataclasses ``classes`` but those in
+def _keys(*classes, skip=()) -> dict:
+    """The type hint of each field of the dataclasses ``classes`` but those in
     ``skip`` and the seeds, which the run derives and no key sets."""
     hints = {name: hint for cls in classes for name, hint in get_type_hints(cls).items()}
-    return {f.name: _schema_of(hints[f.name]) for cls in classes for f in fields(cls)
+    return {f.name: hints[f.name] for cls in classes for f in fields(cls)
             if f.name not in {"seed", "seeds", *skip}}
 
 
 def load_schema() -> dict:
-    """The config schema, read off the config dataclasses: the top-level keys are the fields
-    of ``RunConfig`` and ``TransferConfig``; each section holds its pipeline's other fields."""
-    top = _properties(RunConfig, TransferConfig)
-    return _object({
-        "schema_version": {"type": "integer"}, "pipeline": {"type": "string"},
-        "include_anchors": {"type": "boolean"}, **top,
-        "task": _object({"kind": {"type": "string"}, **_properties(ShiftSpec)}),
-        "fewshot": _object(_properties(EpisodeSpec, FewshotConfig, skip=top)),
-        "ood": _object(_properties(OodConfig, skip=top)),
-    }, required=["pipeline"])
+    """The config's keys and their types, read off the config dataclasses: the top-level
+    keys are the fields of ``RunConfig`` and ``TransferConfig``; each section is a dict
+    of its pipeline's other fields; a nested dataclass, such as ``TrainConfig``, is its class."""
+    top = _keys(RunConfig, TransferConfig)
+    return {"schema_version": int, "pipeline": str, "include_anchors": bool, **top,
+            "task": {"kind": str, **_keys(ShiftSpec)},
+            "fewshot": _keys(EpisodeSpec, FewshotConfig, skip=top),
+            "ood": _keys(OodConfig, skip=top)}
 
 
-def _is_type(value, name: str) -> bool:
-    """JSON types, stricter than Draft 7: a bool is no number, ``2.0`` no integer, NaN
-    and infinity (which Python's json reads) no number."""
-    if name not in ("integer", "number"):
-        return isinstance(value, _TYPES[name])
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _is_type(value, hint) -> bool:
+    """JSON types, stricter than Draft 7: a bool is no number, ``2.0`` no integer, and
+    NaN, infinity (which Python's json reads) and an integer no float64 holds no number."""
+    if hint is not float or type(value) not in (int, float):
+        return type(value) is hint
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to convert to a float
         return False
-    return isinstance(value, int) if name == "integer" else math.isfinite(value)
 
 
-def schema_errors(value, schema: dict, path: tuple = ()) -> list[tuple[tuple, str]]:
-    """The ``(path, message)`` of every rule of ``schema`` that ``value`` breaks.
+def schema_errors(value, schema, path: tuple = ()) -> list[tuple[tuple, str]]:
+    """The ``(path, message)`` of every way ``value`` breaks ``schema``, a structure of
+    ``load_schema()``, in jsonschema's words and order.
 
-    Implements the Draft-7 structure keywords the config schema uses, with
-    jsonschema's messages, and raises ``ValueError`` on any other keyword.
+    A dict or a dataclass is an object that takes no other key (``pipeline`` is
+    required where it is a key); a ``tuple[T, ...]`` is an array of T.
     """
+    if is_dataclass(schema):
+        schema = _keys(schema)
+    hint = dict if isinstance(schema, dict) else list if get_origin(schema) is tuple else schema
+    if not _is_type(value, hint):
+        return [(path, f"{value!r} is not of type {_JSON_TYPES[hint]!r}")]
     errors = []
-    for key, rule in schema.items():
-        message = None
-        if key == "type":
-            if not _is_type(value, rule):
-                message = f"{value!r} is not of type {rule!r}"
-        elif key == "items":
-            if isinstance(value, list):
-                for i, item in enumerate(value):
-                    errors += schema_errors(item, rule, (*path, i))
-        elif key == "properties":
-            if isinstance(value, dict):
-                for name, sub in rule.items():
-                    if name in value:
-                        errors += schema_errors(value[name], sub, (*path, name))
-        elif key == "required":
-            if isinstance(value, dict):
-                errors += [(path, f"{name!r} is a required property")
-                           for name in rule if name not in value]
-        elif key == "additionalProperties" and rule is False:
-            extras = set(value) - set(schema.get("properties", ())) \
-                if isinstance(value, dict) else set()
-            if extras:
-                names = ", ".join(repr(name) for name in sorted(extras, key=str))
-                message = (f"Additional properties are not allowed "
-                           f"({names} {'was' if len(extras) == 1 else 'were'} unexpected)")
-        else:
-            raise ValueError(f"config schema keyword {key!r} is not implemented")
-        if message is not None:
-            errors.append((path, message))
+    if hint is list:
+        for i, item in enumerate(value):
+            errors += schema_errors(item, get_args(schema)[0], (*path, i))
+    elif hint is dict:
+        extras = set(value) - set(schema)
+        if extras:
+            names = ", ".join(repr(name) for name in sorted(extras, key=str))
+            errors.append((path, f"Additional properties are not allowed "
+                                 f"({names} {'was' if len(extras) == 1 else 'were'} unexpected)"))
+        if "pipeline" in schema and "pipeline" not in value:
+            errors.append((path, "'pipeline' is a required property"))
+        for name, sub in schema.items():
+            if name in value:
+                errors += schema_errors(value[name], sub, (*path, name))
     return errors
 
 
@@ -368,6 +346,8 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         return _field_errors([((), f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}")])
+    except (RecursionError, ValueError) as exc:  # deep nesting; a 4,301-digit integer
+        return _field_errors([((), f"{config_path}: {exc}")])
     errors = schema_errors(cfg, load_schema())
     if errors:
         return _field_errors(errors)

@@ -106,29 +106,36 @@ def format_extra(extra: dict[str, str]) -> str:
 
 
 def parse_extra(text: str) -> dict[str, str]:
-    if not text:
-        return {}
-    return dict(part.split("=", 1) for part in text.split("|"))
+    extra = {}
+    for part in text.split("|") if text else ():
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise DataError(f"extra field {part!r} has no '='")
+        if key in extra:
+            raise DataError(f"extra field {key!r} is named twice")
+        extra[key] = value
+    return extra
+
+
+def _csv_line(r: RunRecord, seen: set) -> str:
+    """``r`` as a line of the results CSV.  A text field or extra that would not read
+    back, or a record whose key (all but its value) is in ``seen``, is a DataError;
+    the key joins ``seen``."""
+    for name in ("run_id", "method", "task", "split", "metric"):
+        text = str(getattr(r, name))
+        if _TEXT_FORBIDDEN & set(text):
+            raise DataError(f"{name} {text!r} contains a comma or a line break")
+    extra = format_extra(r.extra)
+    key = (r.run_id, r.seed, r.method, r.task, r.split, r.metric, extra)
+    if key in seen:
+        raise DataError(f"duplicate record {key}")
+    seen.add(key)
+    return f"{r.run_id},{r.seed},{r.method},{r.task},{r.split},{r.metric},{r.value:.6g},{extra}"
 
 
 def records_to_csv_text(records) -> str:
-    lines = [CSV_HEADER]
     seen = set()
-    for r in records:
-        for name in ("run_id", "method", "task", "split", "metric"):
-            text = str(getattr(r, name))
-            if _TEXT_FORBIDDEN & set(text):
-                raise DataError(f"{name} {text!r} contains a comma or a line break")
-        extra = format_extra(r.extra)
-        key = (r.run_id, r.seed, r.method, r.task, r.split, r.metric, extra)
-        if key in seen:
-            raise DataError(f"duplicate record {key}")
-        seen.add(key)
-        lines.append(
-            f"{r.run_id},{r.seed},{r.method},{r.task},{r.split},{r.metric},"
-            f"{r.value:.6g},{extra}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *(_csv_line(r, seen) for r in records)]) + "\n"
 
 
 def write_records_csv(records, path) -> None:
@@ -136,6 +143,8 @@ def write_records_csv(records, path) -> None:
 
 
 def load_records_csv(path) -> list[RunRecord]:
+    """The records of a results CSV, each held to the rules the writer keeps, so
+    any file that loads can be written back."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -143,7 +152,7 @@ def load_records_csv(path) -> list[RunRecord]:
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise DataError(f"{path}: CSV header mismatch: expected {CSV_HEADER!r}")
-    records = []
+    records, seen = [], set()
     for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -151,6 +160,7 @@ def load_records_csv(path) -> list[RunRecord]:
             run_id, seed, method, task, split, metric, value, extra = line.split(",")
             records.append(RunRecord(run_id, int(seed), method, task, split, metric,
                                      float(value), parse_extra(extra)))
+            _csv_line(records[-1], seen)
         except ValueError as exc:  # field count, number syntax, extras, record checks
             raise DataError(f"{path}: line {number}: {exc}") from exc
     return records

@@ -1,4 +1,6 @@
 import json
+from dataclasses import is_dataclass
+from typing import get_args, get_origin
 
 import pytest
 
@@ -43,6 +45,22 @@ def test_run_malformed_json(tmp_path, capsys):
     path.write_text("{not valid json")
     assert cli.cmd_run(str(path)) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded while decoding"),
+    ('{"pipeline": "verify", "master_seed": ' + "9" * 4301 + "}",
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["deep-nesting", "4301-digit-integer"])
+def test_run_refuses_a_config_the_json_reader_cannot_read(tmp_path, capsys, text, reason):
+    # the reader raises RecursionError and ValueError here, not JSONDecodeError
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli.cmd_run(str(path), out=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: field <root>: {path}: {reason}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_names_the_path_and_byte_of_a_config_that_is_not_utf8(tmp_path, capsys):
@@ -207,6 +225,13 @@ SCHEMA_CASES = [
      ["fewshot: Additional properties are not allowed ('seeds' was unexpected)"]),
     ("additionalProperties", {"pipeline": "ood", "ood": {"seeds": [1]}},
      ["ood: Additional properties are not allowed ('seeds' was unexpected)"]),
+    # an integer no float64 holds is no number, as NaN and infinity are not
+    ("type", {"pipeline": "transfer", "train": {"lr": 10**400}},
+     [f"train/lr: {10**400} is not of type 'number'"]),
+    ("type", {"pipeline": "transfer", "task": {"core_scale": -10**400}},
+     [f"task/core_scale: {-10**400} is not of type 'number'"]),
+    ("type", {"pipeline": "ood", "ood": {"beta_grid": [10**400]}},
+     [f"ood/beta_grid/0: {10**400} is not of type 'number'"]),
 ]
 
 
@@ -266,31 +291,27 @@ def test_run_refuses_a_non_finite_number_before_any_work(tmp_path, capsys, pipel
     assert not (tmp_path / "out").exists()
 
 
-def _schema_keywords(schema: dict) -> set[str]:
-    found = set(schema)
-    for key, rule in schema.items():
-        subschemas = rule.values() if key == "properties" else [rule] if key == "items" else []
-        for sub in subschemas:
-            found |= _schema_keywords(sub)
-    return found
+def _object_keys(schema) -> dict:
+    """The keys of an object of ``schema``, a dict or a config dataclass; {} for a leaf."""
+    if is_dataclass(schema):
+        return cli._keys(schema)
+    return schema if isinstance(schema, dict) else {}
+
+
+def _leaf_types(schema) -> set:
+    """The type of each leaf key of ``schema``, a structure of ``cli.load_schema()``."""
+    if _object_keys(schema):
+        return set().union(*map(_leaf_types, _object_keys(schema).values()))
+    return _leaf_types(get_args(schema)[0]) if get_origin(schema) is tuple else {schema}
 
 
 def test_every_schema_keyword_is_implemented_and_has_a_case():
-    # a schema edit that uses a new keyword fails here until the validator has it
-    keywords = _schema_keywords(cli.load_schema())
-    assert keywords == {"type", "required", "properties", "additionalProperties", "items"}
-    assert keywords == {rule for rule, _, _ in SCHEMA_CASES} - BOUNDS - CHOICES
-    with pytest.raises(ValueError, match="'maxLength'"):
-        cli.schema_errors("abc", {"maxLength": 2})
-    # the schema is read off the config dataclasses, and refers to no part of itself
-    with pytest.raises(ValueError, match=r"'\$ref'"):
-        cli.schema_errors({}, {"$ref": "#/$defs/train"})
-    # a bound or a choice is for the code that acts on the value to check
-    for keyword in BOUNDS | CHOICES:
-        with pytest.raises(ValueError, match=f"'{keyword}'"):
-            cli.schema_errors(0, {keyword: 1})
-    with pytest.raises(ValueError, match="'additionalProperties'"):
-        cli.schema_errors({}, {"additionalProperties": True})
+    # the rules the walker applies, each named by the jsonschema keyword whose
+    # words it prints, and the leaf types it knows; a config field of any other
+    # type fails here until the walker has it
+    assert {rule for rule, _, _ in SCHEMA_CASES} - BOUNDS - CHOICES == {
+        "type", "required", "properties", "additionalProperties", "items"}
+    assert _leaf_types(cli.load_schema()) == {int, float, str, bool}
 
 
 def test_start_up_loads_no_third_party_package_but_numpy():
@@ -1291,24 +1312,24 @@ def test_every_pipeline_config_field_is_a_schema_key(config_cls, section):
 
     from richlab import experiments
 
-    keys = cli.load_schema()["properties"]
-    reachable = set(keys) | (set(keys[section]["properties"]) if section else set())
+    keys = cli.load_schema()
+    reachable = set(keys) | (set(keys[section]) if section else set())
     names = {f.name for f in fields(getattr(experiments, config_cls))} - {"seeds"}
     assert sorted(names - reachable) == []
 
 
-def _schema_paths(schema: dict, at: tuple = ()):
-    for key, sub in schema.get("properties", {}).items():
+def _schema_paths(schema, at: tuple = ()):
+    for key, sub in _object_keys(schema).items():
         yield (*at, key)
         yield from _schema_paths(sub, (*at, key))
 
 
-def _schema_part(value, schema: dict):
+def _schema_part(value, schema):
     """The keys of ``value`` (dicts of defaults) that ``schema`` has, as JSON values."""
-    if "properties" not in schema:
+    if not _object_keys(schema):
         return list(value) if isinstance(value, tuple) else value
     return {key: _schema_part(value[key], sub)
-            for key, sub in schema["properties"].items() if key in value}
+            for key, sub in _object_keys(schema).items() if key in value}
 
 
 def test_every_schema_key_is_read_by_some_pipeline():

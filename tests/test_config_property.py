@@ -10,7 +10,9 @@ stay tiny, so a valid config runs in well under a second.
 Whatever the config, ``cmd_run`` exits 0, 2 or 3 and never raises.  An exit
 2 enters no pipeline runner, makes no output directory and prints only
 ``config error: field`` lines; an exit 3 prints one ``runtime error:`` line,
-and it names a seed.
+and it names a seed.  A second test sets any JSON value, of any type or
+size, at any key path of the schema, and asks the same of the checks
+alone, with the pipeline runners stubbed.
 """
 import io
 import json
@@ -18,6 +20,7 @@ import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import get_origin
 
 import pytest
 from hypothesis import event, given, settings
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 
 from richlab import cli
 from richlab.experiments import METHODS
-from test_cli import record_work
+from test_cli import _object_keys, record_work
 
 # the first seed the seed streams would alias, and a learning rate that diverges
 N, HUGE = 2**64, 1e300
@@ -119,16 +122,16 @@ OOD_INIT_SIZES = {"cat": {("train", "epochs"): 2},
 SCHEMA = cli.load_schema()
 
 
-def _values(schema: dict, path: tuple):
+def _values(schema, path: tuple):
     """A strategy for the value at ``path``, from the schema's structure."""
-    if "properties" in schema:
+    if _object_keys(schema):
         return st.fixed_dictionaries({}, optional={
-            key: _values(sub, (*path, key)) for key, sub in schema["properties"].items()})
+            key: _values(sub, (*path, key)) for key, sub in _object_keys(schema).items()})
     key = ("train", *path[1:]) if path[0] in ("ft", "distill_train") else path
     if key in VALUES:
         values = VALUES[key]
         return values if isinstance(values, st.SearchStrategy) else st.sampled_from(values)
-    if schema.get("type") == "boolean":
+    if schema is bool:
         return st.booleans()
     raise AssertionError(f"no values for the schema key {'/'.join(path)}")
 
@@ -141,11 +144,11 @@ def configs(draw):
     pipeline = draw(st.sampled_from(sorted(READ)))
     keys = draw(st.sets(st.sampled_from(sorted(READ[pipeline])), max_size=3))
     if draw(st.integers(0, 3)) == 0:
-        keys.add(draw(st.sampled_from(sorted(set(SCHEMA["properties"]) - {"pipeline"}))))
+        keys.add(draw(st.sampled_from(sorted(set(SCHEMA) - {"pipeline"}))))
     keys.discard("output_dir")  # set by the test, under its own directory
     cfg = {"pipeline": pipeline}
     for key in sorted(keys):
-        cfg[key] = draw(_values(SCHEMA["properties"][key], (key,)))
+        cfg[key] = draw(_values(SCHEMA[key], (key,)))
     sizes = SIZES[pipeline]
     if pipeline == "ood":
         sizes = {**sizes, **OOD_INIT_SIZES.get(str(cfg.get("ood", {}).get("init")), {})}
@@ -189,3 +192,58 @@ def test_run_exits_0_2_or_3_and_refuses_before_any_work(drawn):
                                for line in err.splitlines())
         if code == 3:
             assert re.fullmatch(r"runtime error: [^\n]*\bseed \d+[^\n]*\n", err), err
+
+
+# any JSON value: null, bools, strings, floats with NaN and the infinities, integers
+# of any size and beyond what a float64 holds, and small nested arrays and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | st.floats() | st.integers()
+    | st.integers(10**308, 10**400) | st.integers(-10**400, -10**308),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+
+
+def _key_paths(schema, at: tuple = ()):
+    """Every key path of ``schema``, and the first item of each array."""
+    for key, sub in _object_keys(schema).items():
+        yield (*at, key)
+        yield from _key_paths(sub, (*at, key))
+        if get_origin(sub) is tuple:
+            yield (*at, key, 0)
+
+
+# output_dir is set by the test, under its own directory
+KEY_PATHS = sorted(set(_key_paths(SCHEMA)) - {("output_dir",)}, key=str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SIZES)), st.sampled_from(KEY_PATHS), JSON_VALUES)
+def test_any_json_value_at_any_key_exits_0_2_or_3(pipeline, path, value):
+    # the builders run, with the sizes of their tiny runs; the work they
+    # return does nothing, so a value that passes every check exits 0
+    if path[-1] == 0:  # an array's first item
+        path, value = path[:-1], [value]
+    cfg = {"pipeline": pipeline}
+    for at, v in [*SIZES[pipeline].items(), (path, value)]:
+        node = cfg
+        for key in at[:-1]:
+            node = node.setdefault(key, {})
+        node[at[-1]] = v
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        out = Path(tmp) / "out"
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(dict(cfg, output_dir=str(out))))
+        for runner in ("run_transfer", "run_fewshot", "run_ood", "run_suites"):
+            mp.setattr(cli, runner, lambda *args, **kwargs: [])
+        mp.setattr(cli, "build_representations", lambda *args, **kwargs: [None])
+        stderr = io.StringIO()
+        with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+            code = cli.cmd_run(str(config))
+        err = stderr.getvalue()
+        event(f"exit {code}")
+        assert code in (0, 2, 3), err
+        if code == 2:
+            assert not out.exists()
+            assert err and all(line.startswith("config error: field ")
+                               for line in err.splitlines())

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,15 +188,27 @@ def test_invalid_utf8_is_data_error_naming_the_path_and_byte(tmp_path):
 @pytest.mark.parametrize("body,cause", [
     ("r,x,m,t,id_test,acc,0.5,", "int"),                   # non-integer seed
     ("r,1,m,t,id_test,acc,abc,", "float"),                 # non-float value
-    ("r,1,m,t,id_test,acc,0.5,a=1|b", "length 1"),         # extra field without '='
+    ("r,1,m,t,id_test,acc,0.5,a=1|b", "'b' has no '='"),   # extra field without '='
     ("r,1,m,t,id_test,acc,0.5", "unpack"),                 # wrong field count
     ("r,1,m,t,id_test,acc,0.5,,x", "unpack"),
+    # what the writer refuses, the loader refuses: every file that loads can be written back
+    ("r,1,m,t,id_test,acc,0.5,a=1|a=2", "'a' is named twice"),
+    ("r,1,m,t,id_test,acc,0.5,a=b;c", "reserved"),
+    ("r,1,m,t,id_test,acc,0.5,a=b=c", "reserved"),
+    ("r,1,m,t,id_test,acc,0.7,a=1", "duplicate record"),   # the line before, another value
 ])
 def test_malformed_line_is_data_error_naming_the_line(tmp_path, body, cause):
     path = tmp_path / "bad.csv"
     path.write_text(f"{CSV_HEADER}\nr,1,m,t,id_test,acc,0.5,a=1\n{body}\n")
     with pytest.raises(DataError, match=f"line 3: .*{cause}"):
         load_records_csv(path)
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden").glob("*.csv")),
+    ids=lambda path: path.stem)
+def test_each_golden_csv_loads_and_writes_back_byte_for_byte(path):
+    assert records_to_csv_text(load_records_csv(path)).encode() == path.read_bytes()
 
 
 @settings(deadline=None, max_examples=300)
@@ -211,6 +224,7 @@ def test_any_one_line_body_loads_or_is_data_error(tmp_path_factory, body):
     except DataError:
         return
     assert all(isinstance(r, RunRecord) for r in records)
+    records_to_csv_text(records)  # what loads can be written back
 
 
 def test_parse_extra_empty():
