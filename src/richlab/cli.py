@@ -334,6 +334,17 @@ _PIPELINES = {"transfer": _transfer_pipeline, "fewshot": _fewshot_pipeline,
               "verify": lambda cfg, run, read: lambda: run_suites(run.master_seed)}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict: a key named twice is a ValueError, since
+    the reader would keep its last value and the first would do nothing."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -> int:
     """Execute the pipeline named by a JSON config; returns the exit code."""
     try:
@@ -343,10 +354,10 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
     except UnicodeDecodeError as exc:
         return _field_errors([((), f"{config_path}: byte {exc.start}: not UTF-8: {exc.reason}")])
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         return _field_errors([((), f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}")])
-    except (RecursionError, ValueError) as exc:  # deep nesting; a 4,301-digit integer
+    except (RecursionError, ValueError) as exc:  # deep nesting; 4,301 digits; a repeated key
         return _field_errors([((), f"{config_path}: {exc}")])
     errors = schema_errors(cfg, load_schema())
     if errors:

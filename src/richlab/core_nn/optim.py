@@ -2,8 +2,9 @@
 
 The update rule is ``v <- momentum*v + (g + wd*w); w <- w - lr*v`` with
 weight decay applied to weight matrices (and cosine-head directions)
-only, never to biases or cosine gains.  :func:`sgd_fit` is the one
-mini-batch loop every trainer runs through.
+only, never to biases or cosine gains.  :func:`sgd_fit` is the mini-batch
+loop of ``train``, distillation, joint training and the cosine classifier;
+the OOD candidate fit runs full-batch :func:`sgd_step` steps in its own loop.
 """
 from __future__ import annotations
 

@@ -106,15 +106,7 @@ def format_extra(extra: dict[str, str]) -> str:
 
 
 def parse_extra(text: str) -> dict[str, str]:
-    extra = {}
-    for part in text.split("|") if text else ():
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise DataError(f"extra field {part!r} has no '='")
-        if key in extra:
-            raise DataError(f"extra field {key!r} is named twice")
-        extra[key] = value
-    return extra
+    return dict(part.partition("=")[::2] for part in text.split("|")) if text else {}
 
 
 def _csv_line(r: RunRecord, seen: set) -> str:
@@ -143,8 +135,8 @@ def write_records_csv(records, path) -> None:
 
 
 def load_records_csv(path) -> list[RunRecord]:
-    """The records of a results CSV, each held to the rules the writer keeps, so
-    any file that loads can be written back."""
+    """The records of a results CSV.  Each line must be the line the writer
+    writes for its record, so any file that loads writes back byte for byte."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -154,14 +146,14 @@ def load_records_csv(path) -> list[RunRecord]:
         raise DataError(f"{path}: CSV header mismatch: expected {CSV_HEADER!r}")
     records, seen = [], set()
     for number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
         try:
             run_id, seed, method, task, split, metric, value, extra = line.split(",")
             records.append(RunRecord(run_id, int(seed), method, task, split, metric,
                                      float(value), parse_extra(extra)))
-            _csv_line(records[-1], seen)
-        except ValueError as exc:  # field count, number syntax, extras, record checks
+            written = _csv_line(records[-1], seen)
+            if written != line:
+                raise DataError(f"the writer writes this record as {written!r}")
+        except ValueError as exc:  # field count, number syntax, record checks, other bytes
             raise DataError(f"{path}: line {number}: {exc}") from exc
     return records
 
@@ -240,14 +232,14 @@ def ood_sample(spec: ShiftSpec, seed: int, rows: int) -> Dataset:
     return draw_env(spec, spec.ood_correlation, rows, SplitMix64(seed))
 
 
-def make_shift_task(spec: ShiftSpec, seed: int, name: str = "shift",
-                    ood_train_rows: int = 600, ood_test_rows: int = 1500) -> TransferTask:
+def make_shift_task(spec: ShiftSpec, seed: int, ood_train_rows: int = 600,
+                    ood_test_rows: int = 1500) -> TransferTask:
     """Shift task with enlarged shifted splits (keeps evaluation noise small
     relative to the few-point effects being measured)."""
     train_envs, id_test, _ = gen_shift(spec, seed)
     ood_train = ood_sample(spec, derive_seed(seed, 7), ood_train_rows)
     ood_test = ood_sample(spec, derive_seed(seed, 8), ood_test_rows)
-    return TransferTask(name, pool(train_envs), id_test, ood_test, ood_train)
+    return TransferTask("shift", pool(train_envs), id_test, ood_test, ood_train)
 
 
 def make_class_split_tasks(task: TransferTask) -> tuple[TransferTask, TransferTask]:
@@ -259,15 +251,14 @@ def make_class_split_tasks(task: TransferTask) -> tuple[TransferTask, TransferTa
             TransferTask("novel", *(novel for _, novel in parts)))
 
 
-def make_ft_target(spec: ShiftSpec, seed: int, n_rows: int,
-                   name: str = "shift-target") -> TransferTask:
+def make_ft_target(spec: ShiftSpec, seed: int, n_rows: int) -> TransferTask:
     """Small fine-tuning target drawn at the OOD correlation.
 
     Fine-tuning data is scarce and shifted; evaluation uses a large fresh
     sample from the same shifted distribution.
     """
     eval_spec = replace(spec, env_correlations=(spec.ood_correlation,))
-    return TransferTask(name, ood_sample(spec, seed, n_rows), None,
+    return TransferTask("shift-target", ood_sample(spec, seed, n_rows), None,
                         gen_shift(eval_spec, derive_seed(seed, 1))[2])
 
 

@@ -341,11 +341,6 @@ class ProbeCache:
         return [self.probes[key] for key in keys]
 
 
-def optimal_cost(features, labels, config: ProbeConfig, n_classes: int | None = None) -> float:
-    """Achieved probing cost of the optimal linear classifier (deterministic)."""
-    return fit_probe(features, labels, config, n_classes=n_classes).cost
-
-
 def _feature_pair(phi1, phi2) -> tuple[np.ndarray, np.ndarray]:
     """``phi1`` and ``phi2`` as feature matrices over the same rows."""
     X1 = as_feature_matrix(phi1, "phi1")
@@ -358,9 +353,9 @@ def _feature_pair(phi1, phi2) -> tuple[np.ndarray, np.ndarray]:
 def union_cost(phi1, phi2, labels, config: ProbeConfig) -> tuple[float, float, float]:
     """Probing costs ``(c1, c2, c_union)`` with the union as column concatenation."""
     X1, X2 = _feature_pair(phi1, phi2)
-    c1 = optimal_cost(X1, labels, config)
-    c2 = optimal_cost(X2, labels, config)
-    c_union = optimal_cost(np.hstack([X1, X2]), labels, config)
+    c1 = fit_probe(X1, labels, config).cost
+    c2 = fit_probe(X2, labels, config).cost
+    c_union = fit_probe(np.hstack([X1, X2]), labels, config).cost
     return c1, c2, c_union
 
 

@@ -31,9 +31,12 @@ from .rng import SplitMix64, derive_seed
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
     details: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -49,7 +52,7 @@ class SuiteResult:
 GRAD_LOSSES = ("ce", "kl_tau1", "kl_tau10", "ce_kl", "cosine")
 
 
-def gradcheck_instance(seed: int, loss_name: str, sizes=(5, 7, 6, 4), n: int = 8):
+def gradcheck_instance(seed: int, loss_name: str):
     """Random net + data for a finite-difference check, kept away from relu kinks.
 
     Relu is non-differentiable at 0; an instance whose pre-activations
@@ -57,6 +60,7 @@ def gradcheck_instance(seed: int, loss_name: str, sizes=(5, 7, 6, 4), n: int = 8
     rows come within 1e-3 of zero norm) would make central differences
     measure the kink rather than the gradient, so such draws are skipped.
     """
+    sizes, n = (5, 7, 6, 4), 8
     k = sizes[-1]
     for attempt in range(200):
         s = derive_seed(seed, attempt)
@@ -88,14 +92,14 @@ def _loss_fn(loss_name: str, teacher, y):
     return lambda logits: distill_to_log_probs(*targets, logits, tau, y, alpha)
 
 
-def max_grad_rel_error(net, X, loss_fn, n_coords: int = 100, seed: int = 0,
-                       h: float = 1e-5) -> float:
+def max_grad_rel_error(net, X, loss_fn, n_coords: int = 100, seed: int = 0) -> float:
     """Worst relative error between backprop and central finite differences.
 
     The sampled coordinates count through the entries of the
     :func:`layer_params` arrays in order.  Each is set in place in a clone
     to ``theta + h``, then to ``theta + h - 2 * h``, then back to ``theta``.
     """
+    h = 1e-5
     _, grads = network_loss_grad(net, X, loss_fn)
     probe = net.clone()
     entries = [(w, g, i) for (w, _), g in zip(layer_params(probe.layers), grads)
@@ -119,18 +123,17 @@ def _name_offset(name: str) -> int:
     return sum((i + 1) * b for i, b in enumerate(name.encode()))
 
 
-def gradient_suite(seed: int = 0, n_coords: int = 100, tol: float = 1e-4) -> SuiteResult:
+def gradient_suite(seed: int) -> SuiteResult:
     details, failures = [], []
     for loss_name in GRAD_LOSSES:
         net, X, teacher, y = gradcheck_instance(derive_seed(seed, _name_offset(loss_name)),
                                                 loss_name)
-        worst = max_grad_rel_error(net, X, _loss_fn(loss_name, teacher, y),
-                                   n_coords=n_coords, seed=seed)
+        worst = max_grad_rel_error(net, X, _loss_fn(loss_name, teacher, y), seed=seed)
         line = f"{loss_name}: max relative error {worst:.3g}"
         details.append(line)
-        if not worst < tol:
+        if not worst < 1e-4:
             failures.append(line)
-    return SuiteResult("gradient-vs-finite-differences", not failures, details, failures)
+    return SuiteResult("gradient-vs-finite-differences", details, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +146,9 @@ def _random_features(rng: SplitMix64, n: int, d: int, y, k: int) -> np.ndarray:
     return noise + strength * proj[y]
 
 
-def proposition1_suite(seed: int = 0, n_trials: int = 50, slack: float = 1e-3) -> SuiteResult:
+def proposition1_suite(seed: int) -> SuiteResult:
     """Union cost never exceeds either side's cost (plus solver slack)."""
+    n_trials, slack = 50, 1e-3
     cfg = ProbeConfig(l2=1e-2, max_iters=2000, grad_tol=1e-8)
     details, failures = [], []
     for t in range(n_trials):
@@ -163,16 +167,17 @@ def proposition1_suite(seed: int = 0, n_trials: int = 50, slack: float = 1e-3) -
             )
     details.append(f"{n_trials - len(failures)}/{n_trials} random triples satisfied "
                    f"c_union <= min(c1, c2) + {slack}")
-    return SuiteResult("cost-of-union-inequality", not failures, details, failures)
+    return SuiteResult("cost-of-union-inequality", details, failures)
 
 
-def theorem1_suite(seed: int = 0, n_instances: int = 20, tol: float = 2e-3) -> SuiteResult:
+def theorem1_suite(seed: int) -> SuiteResult:
     """Mixtures of optimal probes over permutation-equivalent features cost the same.
 
     Column permutation preserves both the probe function class and the l2
     penalty exactly, so both sides share the unique regularized optimum
     and the mixture cost must be constant in the mixing weight.
     """
+    n_instances, tol = 20, 2e-3
     cfg = ProbeConfig(l2=0.05, max_iters=3000, grad_tol=1e-9)
     lambdas = (0.0, 0.25, 0.5, 0.75, 1.0)
     details, failures = [], []
@@ -193,11 +198,12 @@ def theorem1_suite(seed: int = 0, n_instances: int = 20, tol: float = 2e-3) -> S
         f"{n_instances - len(failures)}/{n_instances} permutation instances kept the "
         f"mixture cost constant within {tol} over lambdas {lambdas}"
     )
-    return SuiteResult("mixture-constancy", not failures, details, failures)
+    return SuiteResult("mixture-constancy", details, failures)
 
 
-def theorem2_suite(seed: int = 0, n_instances: int = 20, agree: float = 0.99) -> SuiteResult:
+def theorem2_suite(seed: int) -> SuiteResult:
     """Two converged probes from different inits classify held-out data alike."""
+    n_instances, agree = 20, 0.99
     cfg = ProbeConfig(l2=1e-2, max_iters=5000, grad_tol=1e-6)
     details, failures = [], []
     rates = []
@@ -221,14 +227,13 @@ def theorem2_suite(seed: int = 0, n_instances: int = 20, agree: float = 0.99) ->
     if rates:
         details.append(f"min held-out agreement {min(rates):.4f} over "
                        f"{n_instances} instances (threshold {agree})")
-    return SuiteResult("probe-uniqueness-agreement", not failures, details, failures)
+    return SuiteResult("probe-uniqueness-agreement", details, failures)
 
 
 # ---------------------------------------------------------------------------
 # grid-search oracle for 1-D probes
 
-def scalar_grid_oracle(x_pos: np.ndarray, l2: float, lo: float = -10.0,
-                       hi: float = 10.0, step: float = 1e-3) -> float:
+def scalar_grid_oracle(x_pos: np.ndarray, l2: float) -> float:
     """Brute-force probing cost for class-symmetric 1-D two-class data.
 
     The dataset is {(x, 1)} for x in ``x_pos`` plus the mirrored
@@ -237,6 +242,7 @@ def scalar_grid_oracle(x_pos: np.ndarray, l2: float, lo: float = -10.0,
     W = (-w/2, +w/2), so scanning the scalar ``w`` covers the whole
     function class: cost(w) = mean log(1+exp(-w x)) + (l2/2)(w^2/2).
     """
+    lo, hi, step = -10.0, 10.0, 1e-3
     grid = np.arange(lo, hi + step / 2, step)
     margins = np.outer(grid, x_pos)
     data = np.logaddexp(0.0, -margins).mean(axis=1)
@@ -244,7 +250,8 @@ def scalar_grid_oracle(x_pos: np.ndarray, l2: float, lo: float = -10.0,
     return float(total.min())
 
 
-def probe_oracle_suite(seed: int = 0, n_instances: int = 10, tol: float = 1e-3) -> SuiteResult:
+def probe_oracle_suite(seed: int) -> SuiteResult:
+    n_instances, tol = 10, 1e-3
     details, failures = [], []
     for t in range(n_instances):
         rng = SplitMix64(derive_seed(seed, 4000 + t))
@@ -261,13 +268,13 @@ def probe_oracle_suite(seed: int = 0, n_instances: int = 10, tol: float = 1e-3) 
             failures.append(f"instance {t}: |solver-oracle| = {gap:.3e} > {tol}")
     details.append(f"{n_instances - len(failures)}/{n_instances} instances matched the "
                    f"grid-search oracle within {tol}")
-    return SuiteResult("probe-vs-grid-oracle", not failures, details, failures)
+    return SuiteResult("probe-vs-grid-oracle", details, failures)
 
 
 # ---------------------------------------------------------------------------
 # exact algebra
 
-def exact_algebra_suite(seed: int = 0) -> SuiteResult:
+def exact_algebra_suite(seed: int) -> SuiteResult:
     from .experiments import _env_objective_fn
     from .richrep import concat_head_init
 
@@ -321,7 +328,7 @@ def exact_algebra_suite(seed: int = 0) -> SuiteResult:
         failures.append("self-distillation gradient norm >= 1e-8")
     details.append("self-distillation loss < 1e-10 with gradient norm < 1e-8")
 
-    return SuiteResult("exact-algebra", not failures, details, failures)
+    return SuiteResult("exact-algebra", details, failures)
 
 
 ALL_SUITES = (
@@ -334,5 +341,5 @@ ALL_SUITES = (
 )
 
 
-def run_all(seed: int = 0) -> list[SuiteResult]:
+def run_all(seed: int) -> list[SuiteResult]:
     return [suite(seed) for suite in ALL_SUITES]

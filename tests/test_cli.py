@@ -63,6 +63,20 @@ def test_run_refuses_a_config_the_json_reader_cannot_read(tmp_path, capsys, text
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"pipeline": "verify", "master_seed": 3, "master_seed": 0}', "master_seed"),
+    (json.dumps(FAST_TRANSFER).replace('"lr": 0.1,', '"lr": 0.1, "lr": 0.2,', 1), "lr"),
+], ids=["root", "in-a-section"])
+def test_run_refuses_a_key_written_twice(tmp_path, capsys, text, key):
+    # the JSON reader would keep the last value, and the first would do nothing
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli.cmd_run(str(path), out=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"config error: field <root>: {path}: duplicate key {key!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_names_the_path_and_byte_of_a_config_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_bytes(b'\xff\xfe{"pipeline": "verify"}')
@@ -1187,8 +1201,8 @@ def test_verify_and_a_verify_run_print_one_report(tmp_path, capsys, monkeypatch)
     from richlab.verify import SuiteResult
 
     seeds = []
-    suites = [SuiteResult("kept", True, ["a detail"]),
-              SuiteResult("broken", False, ["another detail"], ["a check"])]
+    suites = [SuiteResult("kept", ["a detail"]),
+              SuiteResult("broken", ["another detail"], ["a check"])]
     monkeypatch.setattr(cli.verify_mod, "run_all", lambda seed: seeds.append(seed) or suites)
     assert cli.main(["verify", "--seed", "3"]) == 1
     report = capsys.readouterr().out

@@ -185,22 +185,33 @@ def test_invalid_utf8_is_data_error_naming_the_path_and_byte(tmp_path):
         load_records_csv(path)
 
 
+WRITTEN_AS = "the writer writes this record as "
+
+
 @pytest.mark.parametrize("body,cause", [
     ("r,x,m,t,id_test,acc,0.5,", "int"),                   # non-integer seed
     ("r,1,m,t,id_test,acc,abc,", "float"),                 # non-float value
-    ("r,1,m,t,id_test,acc,0.5,a=1|b", "'b' has no '='"),   # extra field without '='
+    ("r,1,m,t,id_test,acc,0.5,a=1|b", WRITTEN_AS),         # extra field without '='
     ("r,1,m,t,id_test,acc,0.5", "unpack"),                 # wrong field count
     ("r,1,m,t,id_test,acc,0.5,,x", "unpack"),
     # what the writer refuses, the loader refuses: every file that loads can be written back
-    ("r,1,m,t,id_test,acc,0.5,a=1|a=2", "'a' is named twice"),
+    ("r,1,m,t,id_test,acc,0.5,a=1|a=2", WRITTEN_AS),       # an extra key named twice
     ("r,1,m,t,id_test,acc,0.5,a=b;c", "reserved"),
     ("r,1,m,t,id_test,acc,0.5,a=b=c", "reserved"),
     ("r,1,m,t,id_test,acc,0.7,a=1", "duplicate record"),   # the line before, another value
+    # a line that reads as a record the writer writes as other bytes
+    ("r,1_0,m,t,id_test,acc,0.5,", WRITTEN_AS + "'r,10,"),
+    ("r,+1,m,t,id_test,acc,0.5,", WRITTEN_AS + "'r,1,"),
+    ("r,1,m,t,id_test,acc, 0.5 ,", WRITTEN_AS + "'r,1,m,t,id_test,acc,0.5,'"),
+    ("r,1,m,t,id_test,acc,5e-1,", WRITTEN_AS + "'r,1,m,t,id_test,acc,0.5,'"),
+    ("r,1,m,t,id_test,acc,0.1234567,", WRITTEN_AS + "'r,1,m,t,id_test,acc,0.123457,'"),
+    ("r,1,m,t,id_test,acc,0.5,b=1|a=2", WRITTEN_AS + "'r,1,m,t,id_test,acc,0.5,a=2|b=1'"),
+    ("\nr,2,m,t,id_test,acc,0.5,", "unpack"),              # a blank line between rows
 ])
 def test_malformed_line_is_data_error_naming_the_line(tmp_path, body, cause):
     path = tmp_path / "bad.csv"
     path.write_text(f"{CSV_HEADER}\nr,1,m,t,id_test,acc,0.5,a=1\n{body}\n")
-    with pytest.raises(DataError, match=f"line 3: .*{cause}"):
+    with pytest.raises(DataError, match=f"line 3: .*{re.escape(cause)}"):
         load_records_csv(path)
 
 

@@ -11,7 +11,6 @@ from richlab.probing import (
     classify_information,
     fit_probe,
     mixture_cost,
-    optimal_cost,
     union_cost,
 )
 from richlab.rng import SplitMix64
@@ -79,24 +78,24 @@ def test_probe_config_rejects_bad_l2_and_grad_tol(field, value):
 def test_duplicate_columns_cost_close():
     X, y = noisy_features(1)
     cfg = ProbeConfig(l2=1e-4, max_iters=5000, grad_tol=1e-9)
-    base = optimal_cost(X, y, cfg)
-    dup = optimal_cost(np.hstack([X, X]), y, cfg)
+    base = fit_probe(X, y, cfg).cost
+    dup = fit_probe(np.hstack([X, X]), y, cfg).cost
     assert dup <= base + 1e-6          # splitting l2 across copies can only help
     assert abs(dup - base) <= 1e-3
 
 
 def test_zero_column_does_not_change_cost():
     X, y = informative_features(2)
-    base = optimal_cost(X, y, TIGHT)
-    padded = optimal_cost(np.hstack([X, np.zeros((X.shape[0], 1))]), y, TIGHT)
+    base = fit_probe(X, y, TIGHT).cost
+    padded = fit_probe(np.hstack([X, np.zeros((X.shape[0], 1))]), y, TIGHT).cost
     assert abs(padded - base) <= 1e-6
 
 
 def test_column_permutation_keeps_cost():
     X, y = informative_features(3)
     perm = SplitMix64(99).permutation(X.shape[1])
-    base = optimal_cost(X, y, TIGHT)
-    permuted = optimal_cost(X[:, perm], y, TIGHT)
+    base = fit_probe(X, y, TIGHT).cost
+    permuted = fit_probe(X[:, perm], y, TIGHT).cost
     assert abs(permuted - base) <= 1e-10
 
 

@@ -16,7 +16,7 @@ from richlab.core_nn import (
 )
 from richlab.core_nn.layers import glorot_layer
 from richlab.errors import EpisodeError, ParameterError, ShapeError, TrainingError
-from richlab.probing import ProbeCache, ProbeConfig, fit_probe, optimal_cost
+from richlab.probing import ProbeCache, ProbeConfig, fit_probe
 from richlab.richrep import (
     DistillSpec,
     RepresentationBank,
@@ -380,8 +380,8 @@ def test_duplicate_extractor_adds_no_information():
     bank2 = train_episodes(data, (8,), CFG, [1, 1])
     single = bank2.member(0)
     cfg = ProbeConfig(l2=0.0, max_iters=4000, grad_tol=1e-9)
-    c1 = optimal_cost(cat_features(single, data.X), data.y, cfg)
-    c2 = optimal_cost(cat_features(bank2, data.X), data.y, cfg)
+    c1 = fit_probe(cat_features(single, data.X), data.y, cfg).cost
+    c2 = fit_probe(cat_features(bank2, data.X), data.y, cfg).cost
     assert abs(c1 - c2) <= 1e-3
 
 
@@ -392,7 +392,7 @@ def test_probe_cost_monotone_under_concatenation():
     prev = None
     for n in (1, 2, 3):
         sub = RepresentationBank(stack_nets(plain_trunks(bank3)[:n]))
-        cost = optimal_cost(cat_features(sub, data.X), data.y, cfg)
+        cost = fit_probe(cat_features(sub, data.X), data.y, cfg).cost
         if prev is not None:
             assert cost <= prev + 1e-3
         prev = cost
